@@ -69,11 +69,10 @@ Confidence_band bootstrap_confidence_band(const Deconvolver& deconvolver,
     const std::size_t m = series.size();
 
     // Phase-grid design, built once and shared by every replicate: each
-    // replicate's profile sampling becomes one (banded or packed, by
-    // occupancy) mat-vec instead of a per-point basis evaluation,
-    // bit-identical to estimate.sample() (same increasing-index
-    // accumulation per grid point).
-    const Design_matrix phi_design = deconvolver.basis().design_matrix_auto(phi_grid);
+    // replicate's profile sampling becomes one mat-vec instead of a
+    // per-point basis evaluation, bit-identical to estimate.sample() (same
+    // increasing-index accumulation per grid point).
+    const Matrix phi_design = deconvolver.basis().design_matrix(phi_grid);
     Vector std_residuals(m);
     for (std::size_t i = 0; i < m; ++i) {
         std_residuals[i] = (series.values[i] - base.fitted[i]) / series.sigmas[i];

@@ -40,7 +40,7 @@ double kfold_lambda_score(const Deconvolver& deconvolver, const Measurement_seri
         throw std::invalid_argument("kfold_lambda_score: permutation length mismatch");
     }
     const Vector weights = series.weights();
-    const Design_matrix& kernel = deconvolver.kernel_design();
+    const Matrix& kernel = deconvolver.kernel_matrix();
 
     Deconvolution_options options = base_options;
     options.lambda = lambda;
@@ -55,8 +55,8 @@ double kfold_lambda_score(const Deconvolver& deconvolver, const Measurement_seri
             const Single_cell_estimate fit =
                 deconvolver.estimate_on_rows(series, train, options);
             for (std::size_t idx : test) {
-                // Held-out prediction over the row's span, without the
-                // kernel.row() copy the dense path paid per test point.
+                // Held-out prediction without a kernel.row() copy per
+                // test point.
                 const double pred = row_dot(kernel, idx, fit.coefficients());
                 const double r = series.values[idx] - pred;
                 score += weights[idx] * r * r;

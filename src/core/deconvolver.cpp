@@ -68,7 +68,7 @@ Single_cell_estimate Deconvolver::package(Vector alpha, const Measurement_series
                                           double lambda) const {
     Single_cell_estimate est(artifacts_->basis, std::move(alpha));
     est.lambda = lambda;
-    est.fitted = artifacts_->kernel_design * est.coefficients();
+    est.fitted = artifacts_->kernel_matrix * est.coefficients();
     const Vector w = series.weights();
     double chi2 = 0.0;
     for (std::size_t m = 0; m < series.size(); ++m) {
@@ -106,12 +106,11 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
     }
 
     const std::size_t n = artifacts_->basis->size();
-    const Design_matrix& kernel = artifacts_->kernel_design;
+    const Matrix& kernel = artifacts_->kernel_matrix;
     const Vector w_full = series.weights();
 
     // H = 2 (K'WK + lambda Omega + ridge I), g = -2 K'W G over selected
-    // rows, accumulated straight off the shared banded kernel: no k_sub
-    // copy, and structurally zero kernel blocks are skipped entirely.
+    // rows, accumulated straight off the shared kernel with no k_sub copy.
     Vector g_sub(rows.size());
     Vector w_sub(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
@@ -177,11 +176,10 @@ Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_serie
     // Normal equations (K'WK + lambda Omega + ridge I) alpha = K'W G through
     // the cached-block KKT object (Cholesky, LDLT on the semi-definite
     // corner).
-    Kkt_factorization kkt(weighted_gram(artifacts_->kernel_design, w), artifacts_->penalty,
+    Kkt_factorization kkt(weighted_gram(artifacts_->kernel_matrix, w), artifacts_->penalty,
                           Matrix(0, n));
     kkt.factorize(lambda, ridge);
-    const Vector rhs =
-        transposed_times(artifacts_->kernel_design, hadamard(w, series.values));
+    const Vector rhs = transposed_times(artifacts_->kernel_matrix, hadamard(w, series.values));
     Vector alpha = kkt.solve(scaled(rhs, -1.0), Vector{});
     return package(std::move(alpha), series, lambda);
 }

@@ -97,11 +97,6 @@ class Deconvolver {
     /// Kernel matrix K(m, i) = integral Q(phi, t_m) psi_i(phi) dphi.
     const Matrix& kernel_matrix() const { return artifacts_->kernel_matrix; }
 
-    /// The same kernel behind the layout seam (packed or dense-backed
-    /// banded, decided per matrix by occupancy — the input of the
-    /// banded/packed product kernels).
-    const Design_matrix& kernel_design() const { return artifacts_->kernel_design; }
-
     /// Penalty Gram matrix Omega.
     const Matrix& penalty() const { return artifacts_->penalty; }
 

@@ -15,7 +15,6 @@ std::shared_ptr<const Design_artifacts> make_design_artifacts(
     artifacts->config = config;
     artifacts->times = kernel.times();
     artifacts->kernel_matrix = kernel.basis_matrix(*artifacts->basis);
-    artifacts->kernel_design = Design_matrix(artifacts->kernel_matrix);
     artifacts->penalty = artifacts->basis->penalty_matrix();
     artifacts->constraint_options = constraint_options;
     artifacts->constraints = build_constraints(*artifacts->basis, config, constraint_options);

@@ -13,7 +13,6 @@
 
 #include "biology/cell_cycle.h"
 #include "core/constraints.h"
-#include "numerics/banded.h"
 #include "numerics/qp_solver.h"
 #include "population/kernel_builder.h"
 #include "spline/basis.h"
@@ -28,18 +27,6 @@ struct Design_artifacts {
     Cell_cycle_config config;
     Vector times;          ///< kernel time grid (required measurement times)
     Matrix kernel_matrix;  ///< K(m, i) = integral Q(phi, t_m) psi_i(phi) dphi
-    /// kernel_matrix behind the per-matrix layout seam
-    /// (numerics/banded.h Design_matrix): packed storage when the
-    /// detected occupancy is at or below packed_occupancy_threshold,
-    /// dense-backed banded otherwise — decided once here so every
-    /// per-gene Gram / right-hand-side accumulation skips the
-    /// structurally zero blocks and very sparse kernels stop paying
-    /// dense memory traffic. For a locally-supported basis over a
-    /// concentrated kernel the spans are a few columns wide (packed);
-    /// for a global basis they cover every column and the kernels
-    /// degrade gracefully to the dense-backed work. Consumers that need
-    /// the dense K (hat matrix, streaming row reads) use kernel_matrix.
-    Design_matrix kernel_design;
     Matrix penalty;        ///< roughness Gram matrix Omega
 
     Constraint_options constraint_options;  ///< geometry the blocks were built for

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <system_error>
 
 #include "core/telemetry.h"
 #include "core/trace.h"
@@ -13,12 +14,25 @@ Worker_pool::Worker_pool(std::size_t threads) {
         threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
     }
     workers_.reserve(threads - 1);
-    for (std::size_t t = 0; t + 1 < threads; ++t) {
-        workers_.emplace_back([this] { worker_loop(); });
+    try {
+        for (std::size_t t = 0; t + 1 < threads; ++t) {
+            workers_.emplace_back([this] { worker_loop(); });
+        }
+    } catch (const std::system_error& e) {
+        const std::size_t started = workers_.size();
+        stop_and_join();
+        throw std::system_error(e.code(), "Worker_pool: cannot start " +
+                                              std::to_string(threads) + " threads (only " +
+                                              std::to_string(started + 1) + " started)");
+    } catch (...) {
+        stop_and_join();
+        throw;
     }
 }
 
-Worker_pool::~Worker_pool() {
+Worker_pool::~Worker_pool() { stop_and_join(); }
+
+void Worker_pool::stop_and_join() {
     {
         const Annotated_lock lock(mutex_);
         stopping_ = true;

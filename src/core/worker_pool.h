@@ -28,7 +28,9 @@ class Worker_pool {
   public:
     /// `threads` is the total parallelism (the calling thread participates
     /// in every run, so `threads - 1` workers are spawned).
-    /// 0 means std::thread::hardware_concurrency().
+    /// 0 means std::thread::hardware_concurrency(). When a worker thread
+    /// cannot be started, the ones already running are stopped and joined
+    /// and a std::system_error naming the requested count is thrown.
     explicit Worker_pool(std::size_t threads = 0);
     ~Worker_pool();
 
@@ -80,7 +82,8 @@ class Worker_pool {
     /// nodes cancel theirs transitively, completed nodes unblock theirs.
     void resolve_node(const Task_graph& graph, std::size_t id) CELLSYNC_REQUIRES(mutex_);
 
-    std::vector<std::thread> workers_;
+    /// Wake every worker with stopping_ set and join them all.
+    void stop_and_join();
 
     Annotated_mutex mutex_;
     Annotated_condition_variable start_cv_;  ///< wakes idle workers for a new run
@@ -92,6 +95,11 @@ class Worker_pool {
     std::vector<Node_state> states_ CELLSYNC_GUARDED_BY(mutex_);
     std::size_t resolved_count_ CELLSYNC_GUARDED_BY(mutex_) = 0;
     std::exception_ptr first_error_ CELLSYNC_GUARDED_BY(mutex_);
+
+    /// Declared after every member the worker threads use, so no unwinding
+    /// path can destroy the mutex or a condition variable under a live
+    /// worker.
+    std::vector<std::thread> workers_;
 };
 
 }  // namespace cellsync

@@ -5,9 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "numerics/simd.h"
-#include "numerics/simd_dispatch.h"
-
 namespace cellsync {
 
 namespace {
@@ -203,33 +200,118 @@ Matrix weighted_gram_reference(const Matrix& a, const Vector& w) {
     return g;
 }
 
-#if CELLSYNC_SIMD
-
-// Chunked kernels: fixed-width blocks of simd_chunk_doubles independent
-// accumulator chains, living in numerics/simd_kernels.inc and reached
-// through the runtime ISA dispatch table (numerics/simd_dispatch.h). Per
-// output element the term order matches the reference loops exactly
-// (increasing reduction index), so results are bit-identical on every
-// default dispatch tier — the win comes from breaking the loop-carried
-// reduction dependency and from contiguous stores the autovectorizer can
-// widen (to ymm registers on the AVX2/FMA tiers).
-
-Vector operator*(const Matrix& a, const Vector& x) {
-    require_shape(a.cols() == x.size(), "operator*: matrix-vector dimension mismatch");
-    Vector y(a.rows(), 0.0);
-    simd::kernels().matvec(a.data().data(), a.rows(), a.cols(), x.data(), y.data());
-    return y;
-}
-
-Vector transposed_times(const Matrix& a, const Vector& x) {
-    require_shape(a.rows() == x.size(), "transposed_times: dimension mismatch");
-    Vector y(a.cols(), 0.0);
-    simd::kernels().transposed_times(a.data().data(), a.rows(), a.cols(), x.data(),
-                                     y.data());
-    return y;
-}
+// Chunked kernels: fixed-width blocks of `chunk` independent accumulator
+// chains. Per output element the term order matches the reference loops
+// exactly (increasing reduction index), so results are bit-identical to
+// them — the win comes from breaking the loop-carried reduction
+// dependency and from contiguous stores the autovectorizer can widen.
 
 namespace {
+
+/// Width of the explicit partial-sum chunks, in doubles.
+constexpr std::size_t chunk = 4;
+
+/// y[i] = sum_j a(i, j) x[j]; a is rows x cols row-major.
+void matvec(const double* a, std::size_t rows, std::size_t cols, const double* x, double* y) {
+    std::size_t i = 0;
+    for (; i + chunk <= rows; i += chunk) {
+        const double* r0 = a + (i + 0) * cols;
+        const double* r1 = a + (i + 1) * cols;
+        const double* r2 = a + (i + 2) * cols;
+        const double* r3 = a + (i + 3) * cols;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double xj = x[j];
+            s0 += r0[j] * xj;
+            s1 += r1[j] * xj;
+            s2 += r2[j] * xj;
+            s3 += r3[j] * xj;
+        }
+        y[i + 0] = s0;
+        y[i + 1] = s1;
+        y[i + 2] = s2;
+        y[i + 3] = s3;
+    }
+    for (; i < rows; ++i) {
+        const double* ri = a + i * cols;
+        double s = 0.0;
+        for (std::size_t j = 0; j < cols; ++j) s += ri[j] * x[j];
+        y[i] = s;
+    }
+}
+
+/// One row's share of a^T x: y[j] += ri[j] * xi for j in [0, cols).
+void transposed_times_row(double* y, const double* ri, std::size_t cols, double xi) {
+    std::size_t j = 0;
+    for (; j + chunk <= cols; j += chunk) {
+        y[j + 0] += ri[j + 0] * xi;
+        y[j + 1] += ri[j + 1] * xi;
+        y[j + 2] += ri[j + 2] * xi;
+        y[j + 3] += ri[j + 3] * xi;
+    }
+    for (; j < cols; ++j) y[j] += ri[j] * xi;
+}
+
+/// Upper-triangle row i of the Gram accumulation: gi[j] = sum_k t[k] a(k, j)
+/// for j in [i, n), with the left-factor column t hoisted by the caller.
+/// a is m x n row-major.
+void gram_row_blocked(double* gi, const double* a, const double* t, std::size_t m,
+                      std::size_t n, std::size_t i) {
+    std::size_t j = i;
+    for (; j + chunk <= n; j += chunk) {
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t k = 0; k < m; ++k) {
+            const double tk = t[k];
+            const double* rk = a + k * n + j;
+            s0 += tk * rk[0];
+            s1 += tk * rk[1];
+            s2 += tk * rk[2];
+            s3 += tk * rk[3];
+        }
+        gi[j + 0] = s0;
+        gi[j + 1] = s1;
+        gi[j + 2] = s2;
+        gi[j + 3] = s3;
+    }
+    for (; j < n; ++j) {
+        double s = 0.0;
+        for (std::size_t k = 0; k < m; ++k) s += t[k] * a[k * n + j];
+        gi[j] = s;
+    }
+}
+
+/// Upper triangle of a(rows, :)' diag(w) a(rows, :) over an indirect row
+/// subset of `m` rows, in the same j-blocked shape as gram_row_blocked.
+/// g is n x n.
+void gram_rows_blocked(double* g, const double* a, const std::size_t* rows, std::size_t m,
+                       std::size_t n, const double* w) {
+    Vector t(m);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t r = 0; r < m; ++r) t[r] = w[r] * a[rows[r] * n + i];
+        double* gi = g + i * n;
+        std::size_t j = i;
+        for (; j + chunk <= n; j += chunk) {
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (std::size_t r = 0; r < m; ++r) {
+                const double tr = t[r];
+                const double* rk = a + rows[r] * n + j;
+                s0 += tr * rk[0];
+                s1 += tr * rk[1];
+                s2 += tr * rk[2];
+                s3 += tr * rk[3];
+            }
+            gi[j + 0] = s0;
+            gi[j + 1] = s1;
+            gi[j + 2] = s2;
+            gi[j + 3] = s3;
+        }
+        for (; j < n; ++j) {
+            double s = 0.0;
+            for (std::size_t r = 0; r < m; ++r) s += t[r] * a[rows[r] * n + j];
+            gi[j] = s;
+        }
+    }
+}
 
 void mirror_upper(Matrix& g) {
     for (std::size_t i = 1; i < g.rows(); ++i) {
@@ -237,25 +319,45 @@ void mirror_upper(Matrix& g) {
     }
 }
 
+void require_row(const Matrix& a, std::size_t k, const char* what) {
+    if (k >= a.rows()) {
+        throw std::invalid_argument(std::string("Matrix: ") + what + ": row index out of range");
+    }
+}
+
 }  // namespace
 
+Vector operator*(const Matrix& a, const Vector& x) {
+    require_shape(a.cols() == x.size(), "operator*: matrix-vector dimension mismatch");
+    Vector y(a.rows(), 0.0);
+    matvec(a.data().data(), a.rows(), a.cols(), x.data(), y.data());
+    return y;
+}
+
+Vector transposed_times(const Matrix& a, const Vector& x) {
+    require_shape(a.rows() == x.size(), "transposed_times: dimension mismatch");
+    const std::size_t cols = a.cols();
+    Vector y(cols, 0.0);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        transposed_times_row(y.data(), a.data().data() + i * cols, cols, x[i]);
+    }
+    return y;
+}
+
 // The left factor column t[k] = w[k] * a(k, i) (or a(k, i) unweighted) is
-// hoisted here, in the baseline-compiled TU, once per i — so the hoist
-// arithmetic is byte-for-byte the same whichever dispatch tier fills the
-// upper-triangle row behind it. The ((w * a) * a) association matches the
-// reference loops exactly.
+// hoisted once per i; the ((w * a) * a) association matches the reference
+// loops exactly.
 Matrix gram(const Matrix& a) {
     const std::size_t m = a.rows();
     const std::size_t n = a.cols();
     Matrix g(n, n);
     if (n == 0) return g;
-    const simd::Kernel_table& kt = simd::kernels();
     const double* ad = a.data().data();
     double* gd = &g(0, 0);
     Vector t(m);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t k = 0; k < m; ++k) t[k] = ad[k * n + i];
-        kt.gram_row_blocked(gd + i * n, ad, t.data(), m, n, i);
+        gram_row_blocked(gd + i * n, ad, t.data(), m, n, i);
     }
     mirror_upper(g);
     return g;
@@ -267,32 +369,49 @@ Matrix weighted_gram(const Matrix& a, const Vector& w) {
     const std::size_t n = a.cols();
     Matrix g(n, n);
     if (n == 0) return g;
-    const simd::Kernel_table& kt = simd::kernels();
     const double* ad = a.data().data();
     double* gd = &g(0, 0);
     Vector t(m);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t k = 0; k < m; ++k) t[k] = w[k] * ad[k * n + i];
-        kt.gram_row_blocked(gd + i * n, ad, t.data(), m, n, i);
+        gram_row_blocked(gd + i * n, ad, t.data(), m, n, i);
     }
     mirror_upper(g);
     return g;
 }
 
-#else  // !CELLSYNC_SIMD
-
-Vector operator*(const Matrix& a, const Vector& x) { return matvec_reference(a, x); }
-
-Vector transposed_times(const Matrix& a, const Vector& x) {
-    return transposed_times_reference(a, x);
+Matrix weighted_gram_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                          const Vector& w) {
+    require_shape(rows.size() == w.size(), "weighted_gram_rows: weight length mismatch");
+    for (const std::size_t k : rows) require_row(a, k, "weighted_gram_rows");
+    const std::size_t n = a.cols();
+    Matrix g(n, n);
+    if (n == 0) return g;
+    gram_rows_blocked(&g(0, 0), a.data().data(), rows.data(), rows.size(), n, w.data());
+    mirror_upper(g);
+    return g;
 }
 
-Matrix gram(const Matrix& a) { return gram_reference(a); }
-
-Matrix weighted_gram(const Matrix& a, const Vector& w) {
-    return weighted_gram_reference(a, w);
+Vector weighted_transposed_times_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                                      const Vector& w, const Vector& x) {
+    require_shape(rows.size() == w.size() && rows.size() == x.size(),
+                  "weighted_transposed_times_rows: length mismatch");
+    const std::size_t cols = a.cols();
+    Vector y(cols, 0.0);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        require_row(a, rows[r], "weighted_transposed_times_rows");
+        transposed_times_row(y.data(), a.data().data() + rows[r] * cols, cols, w[r] * x[r]);
+    }
+    return y;
 }
 
-#endif  // CELLSYNC_SIMD
+double row_dot(const Matrix& a, std::size_t i, const Vector& x) {
+    require_shape(a.cols() == x.size(), "row_dot: dimension mismatch");
+    require_row(a, i, "row_dot");
+    const double* ri = a.data().data() + i * a.cols();
+    double s = 0.0;
+    for (std::size_t j = 0; j < x.size(); ++j) s += ri[j] * x[j];
+    return s;
+}
 
 }  // namespace cellsync

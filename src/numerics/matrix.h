@@ -102,20 +102,16 @@ Matrix operator*(const Matrix& a, const Matrix& b);
 // ---------------------------------------------------------------------------
 // Dense product kernels.
 //
-// Non-finite policy (shared by operator*, transposed_times, gram and
-// weighted_gram, dense and chunked alike): no operand value is ever
-// inspected to skip work, so NaN and Inf propagate through every product
-// exactly as IEEE arithmetic dictates. Zero entries are exploited only
-// *structurally*, through numerics/banded.h, whose per-row spans are
-// detected from the stored values — a non-finite entry is "nonzero" and
-// therefore always lands inside the band and propagates there too.
+// Non-finite policy (shared by every kernel below, chunked and reference
+// alike): no operand value is ever inspected to skip work, so NaN and Inf
+// propagate through every product exactly as IEEE arithmetic dictates,
+// including against an exact zero.
 //
 // Accumulation order: every output element accumulates its terms in
 // increasing row index (for reductions over rows) or increasing column
-// index (for row-vector reductions). The CELLSYNC_SIMD chunked kernels
-// (see numerics/simd.h) vectorize across independent output elements only
-// and keep that per-element order, so chunked and reference results are
-// bit-identical.
+// index (for row-vector reductions). The chunked kernels vectorize across
+// independent output elements only and keep that per-element order, so
+// their results are bit-identical to the *_reference loops.
 // ---------------------------------------------------------------------------
 
 /// Matrix-vector product; throws std::invalid_argument on mismatch.
@@ -130,10 +126,27 @@ Matrix gram(const Matrix& a);
 /// a^T * diag(w) * a with non-negative weights w (size = a.rows()).
 Matrix weighted_gram(const Matrix& a, const Vector& w);
 
-// Reference kernels: the plain scalar loops, always compiled regardless of
-// CELLSYNC_SIMD. They are the bit-level ground truth the chunked and
-// banded kernels are property-tested against, and the baseline the
-// perf_gram / perf_deconvolve benches time the fast paths over.
+// Row-subset kernels: the per-gene normal equations and the CV folds run
+// over a subset of the kernel rows. Each is bit-identical to copying the
+// rows out into a submatrix (duplicates allowed, in the given order) and
+// running the reference kernel on the copy, without the copy. Each throws
+// std::invalid_argument on a length mismatch or an out-of-range row.
+
+/// a(rows, :)^T diag(w) a(rows, :), with w[r] weighting row rows[r].
+Matrix weighted_gram_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                          const Vector& w);
+
+/// a(rows, :)^T (w . x), forming each w[r] * x[r] on the fly: the K'WG
+/// gather of the per-gene normal equations.
+Vector weighted_transposed_times_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                                      const Vector& w, const Vector& x);
+
+/// <a.row(i), x> without the row copy; bit-identical to dot(a.row(i), x).
+double row_dot(const Matrix& a, std::size_t i, const Vector& x);
+
+// Reference kernels: the plain scalar loops, the bit-level ground truth the
+// chunked kernels are property-tested against and the baseline the
+// perf_deconvolve bench times them over.
 Vector matvec_reference(const Matrix& a, const Vector& x);
 Vector transposed_times_reference(const Matrix& a, const Vector& x);
 Matrix gram_reference(const Matrix& a);

@@ -37,81 +37,6 @@ Matrix Basis::design_matrix(const Vector& points) const {
     return b;
 }
 
-namespace {
-
-/// Per-row [begin, end) column spans from the basis supports: row p
-/// covers the basis functions whose support contains points[p] (clamped
-/// as design_matrix() clamps). A support boundary can carry an exact 0.0
-/// value (a B-spline vanishes at its support endpoints), so the span
-/// ends are then trimmed against the actual basis values — a couple of
-/// evaluations per row, never a full-row scan — leaving spans identical
-/// to what first/last-nonzero detection on the dense matrix would find.
-/// Gaps strictly inside a span — possible only for an exotic
-/// non-contiguous basis — stay in the span as exact structural zeros,
-/// which the banded kernels tolerate.
-std::vector<Row_span> support_spans(const Basis& basis, const Vector& points) {
-    std::vector<Row_span> spans(points.size());
-    for (std::size_t i = 0; i < basis.size(); ++i) {
-        const Basis_support sup = basis.support(i);
-        for (std::size_t p = 0; p < points.size(); ++p) {
-            const double x = std::clamp(points[p], 0.0, 1.0);
-            if (!sup.contains(x)) continue;
-            Row_span& s = spans[p];
-            if (s.empty()) {
-                s = {i, i + 1};
-            } else {
-                s.begin = std::min(s.begin, i);
-                s.end = std::max(s.end, i + 1);
-            }
-        }
-    }
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        const double x = std::clamp(points[p], 0.0, 1.0);
-        Row_span& s = spans[p];
-        while (s.begin < s.end && basis.value(s.begin, x) == 0.0) ++s.begin;
-        while (s.end > s.begin && basis.value(s.end - 1, x) == 0.0) --s.end;
-        if (s.empty()) s = {0, 0};
-    }
-    return spans;
-}
-
-}  // namespace
-
-Banded_matrix Basis::design_matrix_banded(const Vector& points) const {
-    return Banded_matrix(design_matrix(points), support_spans(*this, points));
-}
-
-Packed_banded_matrix Basis::design_matrix_packed(const Vector& points) const {
-    std::vector<Row_span> spans = support_spans(*this, points);
-    std::size_t total = 0;
-    for (const Row_span& s : spans) total += s.width();
-    std::vector<double> values;
-    values.reserve(total);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        const double x = std::clamp(points[p], 0.0, 1.0);
-        const Row_span s = spans[p];
-        for (std::size_t i = s.begin; i < s.end; ++i) {
-            // A gap inside the span (non-contiguous supports) holds the
-            // structural zero design_matrix() would have left there.
-            values.push_back(support(i).contains(x) ? value(i, x) : 0.0);
-        }
-    }
-    return Packed_banded_matrix(size(), std::move(spans), std::move(values));
-}
-
-Design_matrix Basis::design_matrix_auto(const Vector& points, double packed_threshold) const {
-    const std::vector<Row_span> spans = support_spans(*this, points);
-    const std::size_t total = points.size() * size();
-    std::size_t inside = 0;
-    for (const Row_span& s : spans) inside += s.width();
-    const double occupancy =
-        total == 0 ? 1.0 : static_cast<double>(inside) / static_cast<double>(total);
-    if (!points.empty() && size() > 0 && occupancy <= packed_threshold) {
-        return Design_matrix(design_matrix_packed(points));
-    }
-    return Design_matrix(Banded_matrix(design_matrix(points), spans), packed_threshold);
-}
-
 Matrix Basis::derivative_matrix(const Vector& points) const {
     Matrix b(points.size(), size());
     for (std::size_t i = 0; i < size(); ++i) {

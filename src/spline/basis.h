@@ -8,7 +8,6 @@
 
 #include <memory>
 
-#include "numerics/banded.h"
 #include "numerics/matrix.h"
 #include "numerics/vector_ops.h"
 
@@ -45,8 +44,7 @@ class Basis {
     /// Support of psi_i: value/derivative/second_derivative are exactly
     /// 0.0 outside it. The default is the whole interval (correct for any
     /// basis); locally supported bases (B-splines) override it, which lets
-    /// design_matrix() skip the out-of-support evaluations entirely and
-    /// gives the banded product kernels their structure.
+    /// design_matrix() skip the out-of-support evaluations entirely.
     virtual Basis_support support(std::size_t i) const {
         (void)i;
         return {0.0, 1.0};
@@ -63,28 +61,6 @@ class Basis {
     /// basis function's support are exact zeros written without evaluating
     /// the function.
     Matrix design_matrix(const Vector& points) const;
-
-    /// design_matrix() annotated with each row's nonzero span — the input
-    /// the banded Gram/mat-vec kernels in numerics/banded.h consume. For a
-    /// cubic B-spline basis each row holds at most 4 nonzeros. The spans
-    /// fall out of the basis supports during evaluation (a row's span
-    /// covers the basis functions whose support contains the point), so
-    /// the stored values are never re-scanned; a span may include exact
-    /// zeros at support boundaries, which the kernels tolerate by
-    /// construction.
-    Banded_matrix design_matrix_banded(const Vector& points) const;
-
-    /// The packed-storage design (numerics/banded.h
-    /// Packed_banded_matrix), emitted directly: support-derived spans
-    /// first, then only the in-span values — the dense matrix is never
-    /// materialized. Bit-identical to packing design_matrix().
-    Packed_banded_matrix design_matrix_packed(const Vector& points) const;
-
-    /// The design behind the per-matrix layout seam: packed when the
-    /// support-derived occupancy is at or below the threshold (the dense
-    /// storage is then never allocated), dense-backed banded otherwise.
-    Design_matrix design_matrix_auto(
-        const Vector& points, double packed_threshold = packed_occupancy_threshold) const;
 
     /// Derivative design matrix B' with B'(p, i) = psi_i'(points[p]).
     Matrix derivative_matrix(const Vector& points) const;

@@ -23,8 +23,8 @@ class Bspline_basis final : public Basis {
     double second_derivative(std::size_t i, double x) const override;
 
     /// psi_i lives on [knots_[i], knots_[i + degree + 1]] — at most 4 knot
-    /// spans for the cubic basis, which is what makes the design matrices
-    /// banded.
+    /// spans for the cubic basis, so design_matrix() evaluates it only at
+    /// points inside them.
     Basis_support support(std::size_t i) const override;
 
     /// Full (padded) knot vector, length count + 4 + ... (clamped ends).

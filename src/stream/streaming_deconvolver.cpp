@@ -56,7 +56,7 @@ Streaming_deconvolver::Streaming_deconvolver(
     // small mat-vec instead of per-point basis evaluation.
     score_phi_ = linspace(0.0, 1.0, options_.convergence.score_points + 1);
     score_phi_.pop_back();
-    score_design_ = artifacts_->basis->design_matrix_auto(score_phi_);
+    score_design_ = artifacts_->basis->design_matrix(score_phi_);
 }
 
 const Single_cell_estimate& Streaming_deconvolver::current() const {
@@ -103,36 +103,31 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     // the order weighted_gram / transposed_times would have used over the
     // full prefix, so the assembled blocks stay bit-identical to a
     // from-scratch build (the basis of the final-estimate bit-identity
-    // guarantee). The update touches only the kernel row's nonzero span —
-    // the skipped entries are structural zeros whose contributions are
-    // exact IEEE no-ops (numerics/banded.h). Snapshots make a failed solve
-    // side-effect free: floating-point subtraction would not restore the
-    // old bits.
+    // guarantee). Snapshots make a failed solve side-effect free:
+    // floating-point subtraction would not restore the old bits.
     const Matrix gram_before = gram_;
     const Vector ktwg_before = ktwg_;
     const Matrix reduced_hessian_before = reduced_hessian_;
     const Vector reduced_gradient_before = reduced_gradient_;
     const Vector row = artifacts_->kernel_matrix.row(m);
-    const Row_span span = artifacts_->kernel_design.row_span(m);
+    const std::size_t n = row.size();
     const double w = 1.0 / (sigma * sigma);
-    for (std::size_t i = span.begin; i < span.end; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const double t = w * row[i];
-        for (std::size_t j = i; j < span.end; ++j) {
+        for (std::size_t j = i; j < n; ++j) {
             gram_(i, j) += t * row[j];
             gram_(j, i) = gram_(i, j);
         }
     }
     const double wg = w * value;
-    for (std::size_t j = span.begin; j < span.end; ++j) ktwg_[j] += row[j] * wg;
+    for (std::size_t j = 0; j < n; ++j) ktwg_[j] += row[j] * wg;
 
     // The same rank-one step in the reduced space: with kr = Z'k,
-    // delta Hr = 2 w kr kr' and delta gr = 2 w (k'x0 - G_m) kr. The
-    // projection kr = Z'k only reads the null-space rows inside the
-    // kernel row's span.
+    // delta Hr = 2 w kr kr' and delta gr = 2 w (k'x0 - G_m) kr.
     const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
     const std::size_t nz = prep.z_basis().cols();
     if (nz > 0) {
-        const Vector kr = transposed_times_span(prep.z_basis(), row, span);
+        const Vector kr = transposed_times(prep.z_basis(), row);
         for (std::size_t i = 0; i < nz; ++i) {
             const double wi = 2.0 * w * kr[i];
             for (std::size_t j = 0; j < nz; ++j) reduced_hessian_(i, j) += wi * kr[j];
@@ -217,7 +212,7 @@ void Streaming_deconvolver::solve_and_package() {
 
     Single_cell_estimate est(artifacts_->basis, result.x);
     est.lambda = options_.lambda;
-    est.fitted = artifacts_->kernel_design * est.coefficients();
+    est.fitted = artifacts_->kernel_matrix * est.coefficients();
     double chi2 = 0.0;
     for (std::size_t m = 0; m < observed_; ++m) {
         const double r = values_[m] - est.fitted[m];

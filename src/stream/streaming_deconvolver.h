@@ -155,8 +155,7 @@ class Streaming_deconvolver {
     bool converged_ = false;
     Stream_solve_stats stats_;
     Vector score_phi_;           // circularly-open scoring grid (see .cpp)
-    Design_matrix score_design_; // basis design on score_phi_ (packed or banded by
-                                 // occupancy): scoring is one mat-vec
+    Matrix score_design_;        // basis design on score_phi_: scoring is one mat-vec
 };
 
 }  // namespace cellsync

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "numerics/rng.h"
 
@@ -207,10 +208,9 @@ TEST(Matrix, WeightedGramPropagatesNonFinite) {
     EXPECT_TRUE(std::isnan(h(0, 0)));
 }
 
-// The compiled kernels (chunked when CELLSYNC_SIMD=1, the reference when
-// 0) must agree with the reference loops bit for bit — the dispatch only
-// reorders work across independent output elements, never within one
-// output's accumulation.
+// The chunked kernels must agree with the reference loops bit for bit:
+// they only reorder work across independent output elements, never within
+// one output's accumulation.
 
 void expect_bits_eq(const Vector& a, const Vector& b) {
     ASSERT_EQ(a.size(), b.size());
@@ -249,6 +249,127 @@ TEST(Matrix, CompiledKernelsMatchReferenceBitwise) {
         expect_bits_eq(gram(a), gram_reference(a));
         expect_bits_eq(weighted_gram(a, w), weighted_gram_reference(a, w));
     }
+}
+
+// Row-subset kernels: bit-identical to copying the rows out and running
+// the reference kernel on the copy.
+
+/// Random matrix with exact zeros mixed in: whole zero rows, zero runs at
+/// either end of a row (the shape of a locally supported design), and
+/// scattered +/-0.0 entries.
+Matrix random_with_zeros(Rng& rng, std::size_t rows, std::size_t cols) {
+    Matrix a(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i) {
+        if (rng.index(6) == 0) continue;  // all-zero row
+        const std::size_t begin = cols == 0 ? 0 : rng.index(cols);
+        const std::size_t end = begin + (cols == begin ? 0 : 1 + rng.index(cols - begin));
+        for (std::size_t j = begin; j < end; ++j) {
+            const std::size_t kind = rng.index(8);
+            a(i, j) = kind == 0 ? 0.0 : kind == 1 ? -0.0 : rng.uniform(-2.0, 2.0);
+        }
+    }
+    return a;
+}
+
+Matrix copy_rows(const Matrix& a, const std::vector<std::size_t>& rows) {
+    Matrix sub(rows.size(), a.cols());
+    for (std::size_t r = 0; r < rows.size(); ++r) sub.set_row(r, a.row(rows[r]));
+    return sub;
+}
+
+void expect_row_kernels_match_reference(const Matrix& a, const std::vector<std::size_t>& rows,
+                                        const Vector& w, const Vector& x) {
+    const Matrix sub = copy_rows(a, rows);
+    expect_bits_eq(weighted_gram_rows(a, rows, w), weighted_gram_reference(sub, w));
+    expect_bits_eq(weighted_transposed_times_rows(a, rows, w, x),
+                   transposed_times_reference(sub, hadamard(w, x)));
+}
+
+TEST(Matrix, RowSubsetKernelsMatchCopyOutReferenceBitwise) {
+    Rng rng(20260807);
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t m = 1 + rng.index(24);
+        const std::size_t n = 1 + rng.index(19);
+        const Matrix a = random_with_zeros(rng, m, n);
+        std::vector<std::size_t> rows(rng.index(2 * m + 1));  // may be empty
+        for (std::size_t& r : rows) r = rng.index(m);         // duplicates allowed
+        Vector w(rows.size()), x(rows.size());
+        for (double& v : w) v = rng.uniform(0.1, 2.0);
+        for (double& v : x) v = rng.index(5) == 0 ? 0.0 : rng.uniform(-3.0, 3.0);
+        expect_row_kernels_match_reference(a, rows, w, x);
+
+        Vector y(n);
+        for (double& v : y) v = rng.uniform(-3.0, 3.0);
+        const Vector ref = matvec_reference(a, y);
+        for (std::size_t i = 0; i < m; ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(row_dot(a, i, y)),
+                      std::bit_cast<std::uint64_t>(ref[i]));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(row_dot(a, i, y)),
+                      std::bit_cast<std::uint64_t>(dot(a.row(i), y)));
+        }
+    }
+}
+
+TEST(Matrix, RowSubsetKernelsDegenerateShapes) {
+    const Matrix a{{1.0, 0.0, -2.0}, {0.0, 0.0, 0.0}, {3.5, -1.0, 0.25}};
+    // A single row, repeated rows, an all-zero row, and the empty subset.
+    expect_row_kernels_match_reference(a, {2}, Vector{1.5}, Vector{-0.5});
+    expect_row_kernels_match_reference(a, {0, 0, 2, 0}, Vector{1.0, 2.0, 0.5, 4.0},
+                                       Vector{1.0, -1.0, 3.0, 0.0});
+    expect_row_kernels_match_reference(a, {1}, Vector{2.0}, Vector{7.0});
+    expect_row_kernels_match_reference(a, {}, Vector{}, Vector{});
+    expect_bits_eq(weighted_gram_rows(a, {}, Vector{}), Matrix(3, 3, 0.0));
+
+    // n = 0: a matrix without columns gives empty products.
+    const Matrix no_cols(4, 0);
+    EXPECT_EQ(weighted_gram_rows(no_cols, {1, 3}, Vector{1.0, 1.0}).rows(), 0u);
+    EXPECT_TRUE(weighted_transposed_times_rows(no_cols, {1, 3}, Vector{1.0, 1.0},
+                                               Vector{2.0, 2.0})
+                    .empty());
+    EXPECT_EQ(row_dot(no_cols, 2, Vector{}), 0.0);
+}
+
+TEST(Matrix, RowSubsetKernelsPropagateNonFinite) {
+    const Matrix a{{kNan, 0.0}, {1.0, 2.0}, {kInf, 0.0}};
+    // A selected NaN entry reaches every output it feeds, through exact
+    // zeros too (NaN * 0 = NaN).
+    const Matrix g = weighted_gram_rows(a, {0, 1}, Vector{1.0, 1.0});
+    EXPECT_TRUE(std::isnan(g(0, 0)));
+    EXPECT_TRUE(std::isnan(g(0, 1)));
+    EXPECT_TRUE(std::isnan(g(1, 0)));
+    // An unselected one does not.
+    const Matrix clean = weighted_gram_rows(a, {1}, Vector{1.0});
+    EXPECT_TRUE(clean.all_finite());
+
+    // Inf against a zero right-hand side: Inf * 0 = NaN; and an infinite
+    // weight against the zero column: 0 * Inf = NaN.
+    const Vector y = weighted_transposed_times_rows(a, {2}, Vector{1.0}, Vector{0.0});
+    EXPECT_TRUE(std::isnan(y[0]));
+    const Vector z = weighted_transposed_times_rows(a, {1, 2}, Vector{kInf, 1.0},
+                                                    Vector{1.0, 1.0});
+    EXPECT_TRUE(std::isinf(z[0]));
+    EXPECT_TRUE(std::isinf(z[1]));
+    const Vector u = weighted_transposed_times_rows(a, {0}, Vector{kInf}, Vector{1.0});
+    EXPECT_TRUE(std::isnan(u[0]));
+    EXPECT_TRUE(std::isnan(u[1]));
+
+    EXPECT_TRUE(std::isnan(row_dot(a, 0, Vector{1.0, 1.0})));
+    EXPECT_TRUE(std::isnan(row_dot(a, 2, Vector{0.0, 1.0})));  // Inf * 0
+    EXPECT_TRUE(std::isnan(row_dot(a, 1, Vector{kNan, 0.0})));
+}
+
+TEST(Matrix, RowSubsetKernelsRejectBadArguments) {
+    const Matrix a(3, 2, 1.0);
+    EXPECT_THROW(weighted_gram_rows(a, {0}, Vector{1.0, 2.0}), std::invalid_argument);
+    EXPECT_THROW(weighted_gram_rows(a, {0, 3}, Vector{1.0, 1.0}), std::invalid_argument);
+    EXPECT_THROW(weighted_transposed_times_rows(a, {0}, Vector{1.0, 2.0}, Vector{1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(weighted_transposed_times_rows(a, {0}, Vector{1.0}, Vector{1.0, 2.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(weighted_transposed_times_rows(a, {9}, Vector{1.0}, Vector{1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(row_dot(a, 3, Vector{1.0, 2.0}), std::invalid_argument);
+    EXPECT_THROW(row_dot(a, 0, Vector{1.0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,14 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace cellsync {
 namespace {
+
+// Sanitizer runtimes reserve terabytes of shadow address space, which an
+// RLIMIT_AS cap cannot coexist with.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool address_space_cap_usable = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool address_space_cap_usable = false;
+#else
+constexpr bool address_space_cap_usable = true;
+#endif
+#else
+constexpr bool address_space_cap_usable = true;
+#endif
 
 TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
     for (std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -125,6 +145,46 @@ TEST(WorkerPool, EmptyBatchIsNoOp) {
 TEST(WorkerPool, DefaultUsesHardwareConcurrency) {
     Worker_pool pool;
     EXPECT_GE(pool.thread_count(), 1u);
+}
+
+/// Current virtual address-space size of this process, in bytes.
+rlim_t current_address_space_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    rlim_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(WorkerPool, FailedThreadStartThrowsInsteadOfHanging) {
+    if (!address_space_cap_usable) GTEST_SKIP() << "sanitizer shadow memory breaks RLIMIT_AS";
+    // The child caps its address space at what it uses now plus room for a
+    // handful of thread stacks, so some of the 63 workers start and then
+    // std::thread fails with EAGAIN. The pool must join the started workers
+    // and throw; the alarm turns a hang into a signal death.
+    const rlim_t cap = current_address_space_bytes() + (rlim_t{128} << 20);
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        alarm(30);
+        const rlimit limit{cap, cap};
+        if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(4);
+        try {
+            const Worker_pool pool(64);
+        } catch (const std::system_error& e) {
+            _exit(std::string(e.what()).find("64 threads") != std::string::npos ? 0 : 2);
+        } catch (...) {
+            _exit(3);
+        }
+        _exit(5);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status)) << "child died on signal " << WTERMSIG(status)
+                                   << "; SIGALRM means the pool hung";
+    if (WEXITSTATUS(status) == 5) GTEST_SKIP() << "all 64 threads fit under the cap";
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "2: message lacks the thread count, 3: not a std::system_error, "
+           "4: setrlimit failed";
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // cellsync_lint holds single lines to repo policy; this tool holds the
 // *program shape* to it. The bit-identity promise ("same results for any
-// thread count, shard split, storage layout, or SIMD tier") rests on
+// thread count, shard split, or build host") rests on
 // three structural invariants that no single-file scan can see, so this
 // analyzer machine-checks all three on every run, in CI and as ctests:
 //
@@ -35,19 +35,12 @@
 //                  to control rounding.
 //
 // Pass 3 — build-flag conformance (reads compile_commands.json, which
-// the top-level CMakeLists always exports): asserts the PR 9 build
-// invariants statically, so drift is caught at analysis time rather than
-// by a bit-identity test three layers downstream:
-//   flag-stray-isa no TU outside the dispatch seam's kernel TUs
-//                  (src/numerics/simd_kernels_{avx2,fma,fma_contract}.cpp)
-//                  carries -march= / -mavx* / -msse* / -mfma — one stray
-//                  arch flag quietly forks codegen per build host.
-//   flag-kernel-pin when ISA dispatch is compiled in, the avx2/fma TUs
-//                  carry their exact ISA set plus -ffp-contract=off (the
-//                  auto-selectable tiers must stay bit-identical to
-//                  scalar), and the fma_contract TU — the one sanctioned,
-//                  never-auto-selected opt-out — is pinned to contraction
-//                  explicitly rather than inheriting a compiler default.
+// the top-level CMakeLists always exports): asserts the build invariants
+// statically, so drift is caught at analysis time rather than by a
+// bit-identity test three layers downstream:
+//   flag-stray-isa no TU carries -march= / -mavx* / -msse* / -mfma — one
+//                  stray arch flag quietly forks codegen (and, with FMA
+//                  contraction, result bits) per build host.
 //   flag-std       every src/ TU compiles at one -std level; a mixed
 //                  tree means "the same header" is two different programs.
 //
@@ -424,8 +417,7 @@ std::vector<Finding> layering_pass(const Manifest& manifest,
 
         for (const auto& [line_number, target] : quoted_includes(stripped)) {
             // Resolve the include to a repo-relative path: quoted includes
-            // are either src-relative ("core/batch.h") or same-directory
-            // ("simd_kernels.inc").
+            // are either src-relative ("core/batch.h") or same-directory.
             std::string resolved;
             if (target.find('/') != std::string::npos) {
                 resolved = "src/" + target;
@@ -537,8 +529,8 @@ const std::vector<Det_rule>& det_rules() {
         {"det-volatile",
          {"volatile"},
          "volatile does not control FP semantics and has no sanctioned use "
-         "in this tree; express the real constraint (atomics, the telemetry "
-         "seam, or IEEE-strict kernel TUs) instead"},
+         "in this tree; express the real constraint (atomics or the "
+         "telemetry seam) instead"},
     };
     return all;
 }
@@ -778,10 +770,6 @@ std::optional<std::vector<Compile_entry>> parse_compile_commands(
     return entries;
 }
 
-bool has_flag(const std::vector<std::string>& args, const std::string& flag) {
-    return std::find(args.begin(), args.end(), flag) != args.end();
-}
-
 bool is_isa_flag(const std::string& arg) {
     return arg.rfind("-march=", 0) == 0 || arg.rfind("-mavx", 0) == 0 ||
            arg.rfind("-msse", 0) == 0 || arg == "-mfma" ||
@@ -790,71 +778,16 @@ bool is_isa_flag(const std::string& arg) {
 
 std::vector<Finding> flags_pass(const std::vector<Compile_entry>& entries) {
     std::vector<Finding> findings;
-    const std::string kernel_prefix = "src/numerics/simd_kernels_";
-    const auto is_kernel_tu = [&](const std::string& file) {
-        return file == kernel_prefix + "avx2.cpp" ||
-               file == kernel_prefix + "fma.cpp" ||
-               file == kernel_prefix + "fma_contract.cpp";
-    };
 
-    // flag-stray-isa: arch flags only on the dispatch seam's kernel TUs.
+    // flag-stray-isa: no arch flags on any TU.
     for (const Compile_entry& entry : entries) {
-        if (is_kernel_tu(entry.file)) continue;
         for (const std::string& arg : entry.args) {
             if (is_isa_flag(arg)) {
                 findings.push_back(
                     {entry.file, 0, "flag-stray-isa",
-                     "TU outside the dispatch seam carries '" + arg +
-                         "' — ISA flags belong only on "
-                         "src/numerics/simd_kernels_{avx2,fma,fma_contract}.cpp "
-                         "(runtime dispatch keeps the fleet baseline safe)"});
-            }
-        }
-    }
-
-    // flag-kernel-pin: when dispatch is compiled in, each kernel TU carries
-    // its exact pin set.
-    const Compile_entry* kernels[3] = {nullptr, nullptr, nullptr};
-    for (const Compile_entry& entry : entries) {
-        if (entry.file == kernel_prefix + "avx2.cpp") kernels[0] = &entry;
-        if (entry.file == kernel_prefix + "fma.cpp") kernels[1] = &entry;
-        if (entry.file == kernel_prefix + "fma_contract.cpp") kernels[2] = &entry;
-    }
-    bool dispatch_enabled = false;
-    for (const Compile_entry* kernel : kernels) {
-        if (kernel == nullptr) continue;
-        for (const std::string& arg : kernel->args) {
-            if (is_isa_flag(arg)) dispatch_enabled = true;
-        }
-    }
-    if (dispatch_enabled) {
-        struct Pin {
-            int index;
-            const char* name;
-            std::vector<std::string> required;
-        };
-        const Pin pins[] = {
-            {0, "avx2", {"-mavx2", "-ffp-contract=off"}},
-            {1, "fma", {"-mavx2", "-mfma", "-ffp-contract=off"}},
-            // The sanctioned opt-out tier must pin contraction explicitly:
-            // inheriting a compiler default would make "what fma-contract
-            // means" depend on the toolchain.
-            {2, "fma_contract", {"-mavx2", "-mfma", "-ffp-contract=fast"}},  // cellsync-lint: allow(fast-math)
-        };
-        for (const Pin& pin : pins) {
-            const Compile_entry* kernel = kernels[pin.index];
-            if (kernel == nullptr) continue;
-            for (const std::string& flag : pin.required) {
-                if (!has_flag(kernel->args, flag)) {
-                    findings.push_back(
-                        {kernel->file, 0, "flag-kernel-pin",
-                         "ISA dispatch is compiled in but the " +
-                             std::string(pin.name) + " kernel TU is missing '" +
-                             flag +
-                             "' — every auto-selectable tier must stay "
-                             "bit-identical to scalar (-ffp-contract=off), and "
-                             "each TU must carry its exact ISA set"});
-                }
+                     "TU carries '" + arg +
+                         "' — the build targets the baseline ISA everywhere, so "
+                         "one binary gives the same bits on every host"});
             }
         }
     }
@@ -1171,15 +1104,6 @@ int self_test() {
         return std::string("{\"directory\":\"/b\",\"command\":\"g++ ") + flags +
                " -c " + file + "\",\"file\":\"" + file + "\"}";
     };
-    const std::string kernel_ok =
-        entry("src/numerics/simd_kernels_avx2.cpp",
-              "-std=gnu++20 -mavx2 -ffp-contract=off") +
-        "," +
-        entry("src/numerics/simd_kernels_fma.cpp",
-              "-std=gnu++20 -mavx2 -mfma -ffp-contract=off") +
-        "," +
-        entry("src/numerics/simd_kernels_fma_contract.cpp",
-              "-std=gnu++20 -mavx2 -mfma -ffp-contract=fast");  // cellsync-lint: allow(fast-math)
     const std::string plain = entry("src/core/batch.cpp", "-std=gnu++20");
 
     const auto run_flags = [&](const std::string& json) {
@@ -1190,8 +1114,7 @@ int self_test() {
         }
         return flags_pass(*entries);
     };
-    check("pinned kernels clean", nullptr,
-          run_flags("[" + kernel_ok + "," + plain + "]"));
+    check("baseline flags clean", nullptr, run_flags("[" + plain + "]"));
     check("stray -march flagged", "flag-stray-isa",
           run_flags("[" + entry("src/core/batch.cpp",
                                 "-std=gnu++20 -march=native") +
@@ -1199,28 +1122,9 @@ int self_test() {
     check("stray -mavx2 on tests flagged", "flag-stray-isa",
           run_flags("[" + entry("tests/batch_test.cpp", "-std=gnu++20 -mavx2") +
                     "]"));
-    {
-        // Deleting -ffp-contract=off from the fma TU must fail the analyzer.
-        const std::string broken =
-            entry("src/numerics/simd_kernels_avx2.cpp",
-                  "-std=gnu++20 -mavx2 -ffp-contract=off") +
-            "," +
-            entry("src/numerics/simd_kernels_fma.cpp", "-std=gnu++20 -mavx2 -mfma");
-        check("missing -ffp-contract=off flagged", "flag-kernel-pin",
-              run_flags("[" + broken + "]"));
-    }
-    {
-        // A kernel TU missing part of its ISA set is a pin violation too.
-        const std::string broken =
-            entry("src/numerics/simd_kernels_fma.cpp",
-                  "-std=gnu++20 -mavx2 -ffp-contract=off");
-        check("kernel TU missing -mfma flagged", "flag-kernel-pin",
-              run_flags("[" + broken + "]"));
-    }
-    check("dispatch disabled build clean", nullptr,
-          run_flags("[" + entry("src/numerics/simd_kernels_avx2.cpp",
-                                "-std=gnu++20") +
-                    "," + plain + "]"));
+    check("-mfma on a numerics TU flagged", "flag-stray-isa",
+          run_flags("[" + entry("src/numerics/matrix.cpp", "-std=gnu++20 -mfma") +
+                    "]"));
     check("mixed -std flagged", "flag-std",
           run_flags("[" + entry("src/core/batch.cpp", "-std=gnu++20") + "," +
                     entry("src/core/design.cpp", "-std=gnu++17") + "]"));

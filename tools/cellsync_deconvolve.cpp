@@ -84,7 +84,7 @@
 //   --kernel-format F   csv | bin | binary (kernel build / kernel convert)
 //   --cells N --bins N --seed N     simulation controls
 //   --basis N           spline knots Nc             (default 18)
-//   --lambda X          fixed smoothness weight     (default: 5-fold CV
+//   --lambda X          fixed smoothness weight >= 0 (default: 5-fold CV
 //                       for run; 1e-3 for stream)
 //   --mu-sst X --cycle-minutes X    organism model defaults
 //   --linear-volume     use the 2009 linear volume model
@@ -101,8 +101,6 @@
 //                       chrome://tracing
 //   --metrics-json PATH metrics snapshot (counters/gauges/histograms)
 //                       written at command exit (run, stream, merge-results)
-//   --verbose           run: one-line numerics diagnostic (SIMD dispatch
-//                       tier and origin, kernel design layout/occupancy)
 //   --stop-when-converged / --coef-tol X / --score-tol X
 //   --stable-updates N / --min-observed N     streaming convergence
 #include <cstdio>
@@ -127,7 +125,6 @@
 #include "population/kernel_io.h"
 #include "io/series_writer.h"
 #include "io/stream_records.h"
-#include "numerics/simd_dispatch.h"
 #include "population/kernel_cache.h"
 #include "population/synchrony.h"
 #include "spline/spline_basis.h"
@@ -179,7 +176,6 @@ struct Cli_options {
     bool sequential = false;              ///< experiment: reference schedule
     bool stop_when_converged = false;     ///< stream: end once all genes stabilize
     Stream_convergence convergence;       ///< stream thresholds
-    bool verbose = false;                 ///< run: numerics diagnostic line
 };
 
 [[noreturn]] void usage_error(const std::string& message) {
@@ -245,7 +241,13 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--cells") options.cells = parse_strict_uint64(next_value(i));
             else if (arg == "--bins") options.bins = parse_strict_uint64(next_value(i));
             else if (arg == "--basis") options.basis = parse_strict_uint64(next_value(i));
-            else if (arg == "--lambda") options.lambda = parse_strict_double(next_value(i));
+            else if (arg == "--lambda") {
+                const std::string text = next_value(i);
+                options.lambda = parse_strict_double(text);
+                if (*options.lambda < 0.0) {
+                    throw std::invalid_argument("negative value '" + text + "', lambda must be >= 0");
+                }
+            }
             else if (arg == "--mu-sst") options.mu_sst = parse_strict_double(next_value(i));
             else if (arg == "--cycle-minutes") options.cycle_minutes = parse_strict_double(next_value(i));
             else if (arg == "--linear-volume") options.linear_volume = true;
@@ -270,7 +272,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--score-tol") options.convergence.score_tol = parse_strict_double(next_value(i));
             else if (arg == "--stable-updates") options.convergence.stable_updates = parse_strict_uint64(next_value(i));
             else if (arg == "--min-observed") options.convergence.min_observed = parse_strict_uint64(next_value(i));
-            else if (arg == "--verbose") options.verbose = true;
             else usage_error("unknown option '" + arg + "'");
         } catch (const std::exception& e) {
             // The strict parsers (io/csv.h from_chars policy) throw on
@@ -472,22 +473,6 @@ Kernel_format format_for_output(const Cli_options& cli, const std::string& path)
 // run: single series (the historical behavior).
 // ---------------------------------------------------------------------------
 
-// --verbose: one-line numerics diagnostic — which kernel table the
-// runtime dispatch resolved (and why), plus, when a kernel design
-// exists, which storage layout the occupancy threshold chose for it.
-void print_numerics_verbose(const Design_matrix* kernel_design) {
-    std::printf("numerics: simd dispatch %s (%s)",
-                simd::tier_name(simd::active_tier()), simd::active_tier_origin());
-    if (kernel_design != nullptr && !kernel_design->empty()) {
-        std::printf(", kernel design %s (occupancy %.3f vs threshold %.2f, "
-                    "bandwidth %zu/%zu)",
-                    kernel_design->is_packed() ? "packed" : "banded",
-                    kernel_design->band_occupancy(), packed_occupancy_threshold,
-                    kernel_design->max_bandwidth(), kernel_design->cols());
-    }
-    std::printf("\n");
-}
-
 int run_single(const Cli_options& cli) {
     const std::string output = cli.output.empty() ? "deconvolved.csv" : cli.output;
     const Measurement_series data = series_from_table(read_csv_file(cli.input), cli.input);
@@ -534,7 +519,6 @@ int run_single(const Cli_options& cli) {
     const Deconvolver& deconvolver = engine.deconvolver();
     std::printf("engine: %zu worker threads, %s backend\n", engine.thread_count(),
                 to_string(cli.backend));
-    if (cli.verbose) print_numerics_verbose(&deconvolver.kernel_design());
 
     if (cli.lambda.has_value()) {
         options.lambda = *cli.lambda;
@@ -603,12 +587,6 @@ int run_experiment_mode(const Cli_options& cli) {
                     condition.name.c_str(), condition.panel.size(),
                     condition.panel.front().size(), request.panel_path.c_str());
         spec.conditions.push_back(std::move(condition));
-    }
-
-    if (cli.verbose) {
-        // The per-condition kernel designs are built inside the runner;
-        // the dispatch half of the diagnostic is decided already.
-        print_numerics_verbose(nullptr);
     }
 
     // Shard-tag the metrics stream even for the 1-shard case, so merged

@@ -33,11 +33,10 @@
 //                    remain fine — only the clock *reads* are fenced.
 //   simd             No raw intrinsics headers, __builtin_cpu_supports,
 //                    #pragma GCC target / target_clones, or -march=
-//                    flags outside src/numerics/simd_dispatch.cpp and
-//                    the per-ISA kernel TUs (src/numerics/simd_kernels*).
-//                    ISA-specific code scattered outside the dispatch
-//                    seam either crashes baseline hosts or silently
-//                    forks the bit-identity story per build host.
+//                    flags anywhere. ISA-specific code either crashes
+//                    baseline hosts or silently forks the bit-identity
+//                    story per build host; the kernels are plain scalar
+//                    loops chunked across outputs.
 //
 // False-positive hygiene: comments are stripped before matching, string
 // and char literals are stripped for the token rules (so documentation
@@ -256,14 +255,6 @@ bool outside_clock_seam(const std::string& relative) {
     return relative != "src/core/telemetry.cpp";
 }
 
-bool outside_simd_dispatch_home(const std::string& relative) {
-    // The dispatcher and the per-ISA kernel translation units
-    // (simd_kernels_scalar/avx2/fma/fma_contract.cpp and the shared
-    // simd_kernels.inc) are where ISA-specific spellings belong.
-    return relative != "src/numerics/simd_dispatch.cpp" &&
-           relative.rfind("src/numerics/simd_kernels", 0) != 0;
-}
-
 const std::vector<Rule>& rules() {
     static const std::vector<Rule> all = {
         {"number-parse",
@@ -305,10 +296,10 @@ const std::vector<Rule>& rules() {
          {"immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
           "arm_neon.h", "__builtin_cpu_supports", "#pragma GCC target",
           "target_clones", "-march="},
-         "ISA-specific code lives behind the runtime dispatch seam "
-         "(numerics/simd_dispatch.h): add kernels to the per-ISA translation "
-         "units, never raw intrinsics or arch flags in shared code",
-         /*keep_strings=*/false, /*cmake_files=*/true, outside_simd_dispatch_home},
+         "no ISA-specific code: write plain loops chunked across independent "
+         "outputs (numerics/matrix.cpp) and let the baseline build vectorize "
+         "them; a future vector tier must first win on the end-to-end bench",
+         /*keep_strings=*/false, /*cmake_files=*/true, everywhere},
     };
     return all;
 }
@@ -515,12 +506,8 @@ int self_test() {
          "#pragma GCC target(\"avx2\")\n", "simd"},
         {"march flagged in cmake", "CMakeLists.txt", File_kind::cmake,
          "add_compile_options(-march=native)\n", "simd"},
-        {"cpu_supports allowed in the dispatcher",
-         "src/numerics/simd_dispatch.cpp", File_kind::cpp,
-         "if (__builtin_cpu_supports(\"fma\")) {}\n", nullptr},
-        {"intrinsics allowed in an ISA kernel TU",
-         "src/numerics/simd_kernels_avx2.cpp", File_kind::cpp,
-         "#include <immintrin.h>\n", nullptr},
+        {"cpu_supports flagged in numerics too", "src/numerics/matrix.cpp",
+         File_kind::cpp, "if (__builtin_cpu_supports(\"fma\")) {}\n", "simd"},
         {"simd suppression honored", "src/core/x.cpp", File_kind::cpp,
          "check(__builtin_cpu_supports(\"avx2\"));  // cellsync-lint: allow(simd)\n",
          nullptr},
