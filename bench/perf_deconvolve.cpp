@@ -119,12 +119,13 @@ Vector cold_estimate(const Deconvolver& deconvolver, const Measurement_series& s
         w_sub[r] = w_full[rows[r]];
     }
 
+    Estimator_objective objective =
+        estimator_objective(weighted_gram(k_sub, w_sub),
+                            transposed_times(k_sub, hadamard(w_sub, g_sub)),
+                            deconvolver.penalty(), options.lambda);
     Qp_problem qp;
-    qp.hessian = 2.0 * (weighted_gram(k_sub, w_sub) + options.lambda * deconvolver.penalty());
-    for (std::size_t i = 0; i < n; ++i) qp.hessian(i, i) += 2.0 * options.ridge;
-    qp.gradient.assign(n, 0.0);
-    const Vector ktwg = transposed_times(k_sub, hadamard(w_sub, g_sub));
-    for (std::size_t i = 0; i < n; ++i) qp.gradient[i] = -2.0 * ktwg[i];
+    qp.hessian = std::move(objective.hessian);
+    qp.gradient = std::move(objective.gradient);
 
     const Constraint_set constraints =
         build_constraints(deconvolver.basis(), deconvolver.config(), options.constraints);
@@ -132,7 +133,7 @@ Vector cold_estimate(const Deconvolver& deconvolver, const Measurement_series& s
     qp.eq_rhs = constraints.equality_rhs;
     qp.ineq_matrix = constraints.inequality;
     qp.ineq_rhs = constraints.inequality_rhs;
-    return solve_qp_dual(qp, options.qp).x;
+    return solve_qp_dual(qp).x;
 }
 
 // Serial per-gene CV + estimate mirroring deconvolve_one, on the cold path.

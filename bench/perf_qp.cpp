@@ -1,9 +1,8 @@
-// Performance: the QP solvers on deconvolution-shaped problems
-// (Nc unknowns, 2 equality rows, dense positivity grid), plus the backend
-// race on positivity-only problems (active-set vs the NNLS fast path).
+// Performance: the dual QP solve on deconvolution-shaped problems
+// (Nc unknowns, 2 equality rows, dense positivity grid). {18, 101} has the
+// production sizes: the CLI's default Nc and positivity grid.
 #include <cmath>
 
-#include "numerics/qp_backend.h"
 #include "numerics/qp_solver.h"
 #include "numerics/rng.h"
 #include "perf_util.h"
@@ -49,53 +48,6 @@ void bm_qp_dual(benchmark::State& state) {
     }
 }
 
-void bm_qp_primal(benchmark::State& state) {
-    using namespace cellsync;
-    const Qp_problem p = make_problem(static_cast<std::size_t>(state.range(0)),
-                                      static_cast<std::size_t>(state.range(1)), 3);
-    for (auto _ : state) {
-        const Qp_result r = solve_qp(p);
-        benchmark::DoNotOptimize(r.x.data());
-    }
-}
-
-// Positivity-only problem (x >= 0, no equalities): the structure both the
-// active-set and NNLS backends support, for a like-for-like race.
-cellsync::Qp_problem make_positivity_problem(std::size_t n, std::uint64_t seed) {
-    using namespace cellsync;
-    Rng rng(seed);
-    Matrix a(n + 4, n);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal();
-    Qp_problem p;
-    p.hessian = gram(a);
-    for (std::size_t i = 0; i < n; ++i) p.hessian(i, i) += 1.0;
-    p.gradient = rng.normal_vector(n);
-    p.eq_matrix = Matrix(0, n);
-    p.ineq_matrix = Matrix::identity(n);
-    p.ineq_rhs.assign(n, 0.0);
-    return p;
-}
-
-void bm_qp_backend(benchmark::State& state, cellsync::Qp_backend backend) {
-    using namespace cellsync;
-    const Qp_problem p =
-        make_positivity_problem(static_cast<std::size_t>(state.range(0)), 5);
-    const auto solver = make_qp_solver(backend);
-    for (auto _ : state) {
-        const Qp_result r = solver->solve(p);
-        benchmark::DoNotOptimize(r.x.data());
-    }
-}
-
-void bm_qp_backend_active_set(benchmark::State& state) {
-    bm_qp_backend(state, cellsync::Qp_backend::active_set);
-}
-
-void bm_qp_backend_nnls(benchmark::State& state) {
-    bm_qp_backend(state, cellsync::Qp_backend::nnls);
-}
-
 }  // namespace
 
 BENCHMARK(bm_qp_dual)
@@ -104,9 +56,6 @@ BENCHMARK(bm_qp_dual)
     ->Args({36, 101})
     ->Args({18, 201})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_qp_primal)->Args({12, 51})->Args({18, 101})->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_qp_backend_active_set)->Arg(18)->Arg(36)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_qp_backend_nnls)->Arg(18)->Arg(36)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
     return cellsync::bench::run_perf_harness(argc, argv, "perf_qp");

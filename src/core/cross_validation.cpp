@@ -125,7 +125,7 @@ Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,
     sel.scores.assign(lambda_grid.size(), 0.0);
 
     for (std::size_t li = 0; li < lambda_grid.size(); ++li) {
-        kkt.factorize(lambda_grid[li], 1e-9);
+        kkt.factorize(lambda_grid[li], estimator_ridge);
         // tr(A) = sum_i kw_i' (Kw'Kw + lambda Omega)^-1 kw_i and
         // fitted = Kw (normal)^-1 Kw' z without forming the hat matrix.
         double trace = 0.0;

@@ -10,6 +10,18 @@
 
 namespace cellsync {
 
+Estimator_objective estimator_objective(const Matrix& ktwk, const Vector& ktwg,
+                                        const Matrix& penalty, double lambda) {
+    Estimator_objective out;
+    out.hessian = 2.0 * (ktwk + lambda * penalty);
+    for (std::size_t i = 0; i < out.hessian.rows(); ++i) {
+        out.hessian(i, i) += 2.0 * estimator_ridge;
+    }
+    out.gradient.assign(ktwg.size(), 0.0);
+    for (std::size_t i = 0; i < ktwg.size(); ++i) out.gradient[i] = -2.0 * ktwg[i];
+    return out;
+}
+
 Single_cell_estimate::Single_cell_estimate(std::shared_ptr<const Basis> basis, Vector alpha)
     : basis_(std::move(basis)), alpha_(std::move(alpha)) {
     if (!basis_) throw std::invalid_argument("Single_cell_estimate: null basis");
@@ -105,61 +117,39 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
         throw std::invalid_argument("Deconvolver: series length differs from kernel time grid");
     }
 
-    const std::size_t n = artifacts_->basis->size();
     const Matrix& kernel = artifacts_->kernel_matrix;
     const Vector w_full = series.weights();
 
-    // H = 2 (K'WK + lambda Omega + ridge I), g = -2 K'W G over selected
-    // rows, accumulated straight off the shared kernel with no k_sub copy.
+    // Normal-equation blocks over the selected rows, accumulated straight
+    // off the shared kernel with no k_sub copy.
     Vector g_sub(rows.size());
     Vector w_sub(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
         g_sub[r] = series.values[rows[r]];
         w_sub[r] = w_full[rows[r]];
     }
+    const Estimator_objective objective = estimator_objective(
+        weighted_gram_rows(kernel, rows, w_sub),
+        weighted_transposed_times_rows(kernel, rows, w_sub, g_sub), artifacts_->penalty,
+        options.lambda);
 
-    Matrix hessian =
-        2.0 * (weighted_gram_rows(kernel, rows, w_sub) + options.lambda * artifacts_->penalty);
-    for (std::size_t i = 0; i < n; ++i) hessian(i, i) += 2.0 * options.ridge;
-    Vector gradient(n, 0.0);
-    const Vector ktwg = weighted_transposed_times_rows(kernel, rows, w_sub, g_sub);
-    for (std::size_t i = 0; i < n; ++i) gradient[i] = -2.0 * ktwg[i];
-
-    // Constraint blocks: the design caches the blocks and their QP
-    // reduction for its own constraint geometry; any other geometry is
-    // rebuilt per call (the pre-engine slow path).
-    std::shared_ptr<const Qp_constraint_prep> prep;
-    const Constraint_set* constraints = nullptr;
-    Constraint_set local_constraints;
-    if (options.constraints == artifacts_->constraint_options) {
-        constraints = &artifacts_->constraints;
-        prep = artifacts_->constraint_prep;
-    } else {
-        local_constraints =
+    // Constraint reduction: the design caches it for its own constraint
+    // geometry; any other geometry is rebuilt per call (the pre-engine
+    // slow path).
+    std::shared_ptr<const Qp_constraint_prep> prep = artifacts_->constraint_prep;
+    if (options.constraints != artifacts_->constraint_options) {
+        const Constraint_set local =
             build_constraints(*artifacts_->basis, artifacts_->config, options.constraints);
-        constraints = &local_constraints;
         prep = std::make_shared<const Qp_constraint_prep>(
-            n, local_constraints.equality, local_constraints.equality_rhs,
-            local_constraints.inequality, local_constraints.inequality_rhs);
+            artifacts_->basis->size(), local.equality, local.equality_rhs, local.inequality,
+            local.inequality_rhs);
     }
 
-    Qp_result result;
-    if (options.backend == Qp_backend::automatic ||
-        options.backend == Qp_backend::active_set) {
-        // The dual (Goldfarb-Idnani) solver through the shared constraint
-        // preparation: no feasible start needed and robust on the dense,
-        // near-degenerate positivity grid.
-        result = solve_qp_dual_prepared(hessian, gradient, *prep, options.qp);
-    } else {
-        Qp_problem qp;
-        qp.hessian = std::move(hessian);
-        qp.gradient = std::move(gradient);
-        qp.eq_matrix = constraints->equality;
-        qp.eq_rhs = constraints->equality_rhs;
-        qp.ineq_matrix = constraints->inequality;
-        qp.ineq_rhs = constraints->inequality_rhs;
-        result = make_qp_solver(options.backend)->solve(qp, options.qp);
-    }
+    // The dual (Goldfarb-Idnani) solver through the shared constraint
+    // preparation: no feasible start needed and robust on the dense,
+    // near-degenerate positivity grid.
+    const Qp_result result =
+        solve_qp_dual_prepared(objective.hessian, objective.gradient, *prep);
     Single_cell_estimate est = package(result.x, series, options.lambda);
     est.qp_iterations = result.iterations;
     est.active_constraints = result.active_set.size();
@@ -167,7 +157,7 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
 }
 
 Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_series& series,
-                                                         double lambda, double ridge) const {
+                                                         double lambda) const {
     check_series(series);
     if (lambda < 0.0) throw std::invalid_argument("Deconvolver: lambda must be >= 0");
     const std::size_t n = artifacts_->basis->size();
@@ -178,14 +168,13 @@ Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_serie
     // corner).
     Kkt_factorization kkt(weighted_gram(artifacts_->kernel_matrix, w), artifacts_->penalty,
                           Matrix(0, n));
-    kkt.factorize(lambda, ridge);
+    kkt.factorize(lambda, estimator_ridge);
     const Vector rhs = transposed_times(artifacts_->kernel_matrix, hadamard(w, series.values));
     Vector alpha = kkt.solve(scaled(rhs, -1.0), Vector{});
     return package(std::move(alpha), series, lambda);
 }
 
-Matrix Deconvolver::hat_matrix(const Measurement_series& series, double lambda,
-                               double ridge) const {
+Matrix Deconvolver::hat_matrix(const Measurement_series& series, double lambda) const {
     check_series(series);
     if (lambda < 0.0) throw std::invalid_argument("Deconvolver: lambda must be >= 0");
     const std::size_t n = artifacts_->basis->size();
@@ -199,7 +188,7 @@ Matrix Deconvolver::hat_matrix(const Measurement_series& series, double lambda,
         for (std::size_t i = 0; i < n; ++i) kw(r, i) = sw * artifacts_->kernel_matrix(r, i);
     }
     Matrix normal = gram(kw) + lambda * artifacts_->penalty;
-    for (std::size_t i = 0; i < n; ++i) normal(i, i) += ridge;
+    for (std::size_t i = 0; i < n; ++i) normal(i, i) += estimator_ridge;
     const Matrix inv_t_kwt = lu_solve(normal, kw.transposed());  // n x m
     return kw * inv_t_kwt;
 }

@@ -8,8 +8,8 @@
 //
 // over basis coefficients alpha, subject to positivity, RNA conservation
 // across division, and transcription-rate continuity (paper Secs 2.3, 3.2).
-// The problem is a convex QP solved through the pluggable solver layer
-// (numerics/qp_backend.h); all gene-independent precomputation lives in a
+// The problem is a convex QP solved by the prepared dual active-set path
+// (numerics/qp_solver.h); all gene-independent precomputation lives in a
 // shared Design_artifacts (core/design.h).
 #pragma once
 
@@ -17,7 +17,6 @@
 
 #include "core/design.h"
 #include "io/measurement.h"
-#include "numerics/qp_backend.h"
 #include "population/kernel_builder.h"
 #include "spline/basis.h"
 
@@ -27,15 +26,25 @@ namespace cellsync {
 struct Deconvolution_options {
     double lambda = 1e-3;            ///< smoothness weight (paper Eq 5)
     Constraint_options constraints;  ///< which physical constraints to enforce
-    double ridge = 1e-9;             ///< tiny Tikhonov term stabilizing the QP Hessian
-    Qp_options qp;                   ///< active-set solver controls
-    /// Solver backend for the constrained QP. `automatic` uses the
-    /// prepared active-set path (the NNLS fast path only applies to
-    /// coefficient-positivity problems, which the spline constraints are
-    /// not); `nnls` forces the projected solver and throws when the
-    /// problem structure does not qualify.
-    Qp_backend backend = Qp_backend::automatic;
 };
+
+/// Tiny Tikhonov term added to every normal-equation system the
+/// estimator solves (constrained QP, unconstrained estimate, hat matrix,
+/// GCV). Batch and streaming estimates agree bit for bit because both
+/// assemble their QP through estimator_objective with this one value.
+inline constexpr double estimator_ridge = 1e-9;
+
+/// The estimator's QP objective 0.5 a'Ha + g'a over spline coefficients.
+struct Estimator_objective {
+    Matrix hessian;   ///< H = 2 (K'WK + lambda Omega + estimator_ridge I)
+    Vector gradient;  ///< g = -2 K'WG
+};
+
+/// Assemble the QP objective from the weighted normal-equation blocks
+/// K'WK (`ktwk`, n x n) and K'WG (`ktwg`, length n) and the penalty Gram
+/// Omega. The one place the estimator's Hessian and gradient are formed.
+Estimator_objective estimator_objective(const Matrix& ktwk, const Vector& ktwg,
+                                        const Matrix& penalty, double lambda);
 
 /// The recovered single-cell expression profile f(phi) with fit
 /// diagnostics. The estimate is a callable function of phase.
@@ -120,7 +129,7 @@ class Deconvolver {
     /// constraint ablation compares against, and the estimator underlying
     /// GCV lambda selection.
     Single_cell_estimate estimate_unconstrained(const Measurement_series& series,
-                                                double lambda, double ridge = 1e-9) const;
+                                                double lambda) const;
 
     /// Constrained estimate restricted to a subset of measurement rows
     /// (used by k-fold cross-validation). `rows` indexes into the kernel
@@ -131,8 +140,7 @@ class Deconvolver {
 
     /// Hat (influence) matrix A(lambda) of the unconstrained estimator in
     /// whitened measurement space; tr(A) is the effective dof used by GCV.
-    Matrix hat_matrix(const Measurement_series& series, double lambda,
-                      double ridge = 1e-9) const;
+    Matrix hat_matrix(const Measurement_series& series, double lambda) const;
 
   private:
     void check_series(const Measurement_series& series) const;

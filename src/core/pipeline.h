@@ -19,7 +19,7 @@ struct Pipeline_config {
     Cell_cycle_config cell_cycle;          ///< organism model (defaults: Caulobacter)
     Kernel_build_options kernel;           ///< Monte-Carlo kernel controls
     std::size_t basis_size = 18;           ///< Nc natural-spline knots
-    Deconvolution_options deconvolution;   ///< constraints, ridge, fallback lambda
+    Deconvolution_options deconvolution;   ///< constraints, fallback lambda
     bool select_lambda = true;             ///< run k-fold CV over lambda_grid
     std::size_t cv_folds = 5;
     Vector lambda_grid;                    ///< empty -> default_lambda_grid()

@@ -2,8 +2,15 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace cellsync {
+
+bool valid_sigma(double sigma) {
+    if (!(sigma > 0.0)) return false;
+    const double w = 1.0 / (sigma * sigma);
+    return std::isfinite(w) && w > 0.0;
+}
 
 void Measurement_series::validate() const {
     if (times.size() != values.size() || times.size() != sigmas.size()) {
@@ -18,8 +25,11 @@ void Measurement_series::validate() const {
         }
     }
     for (std::size_t i = 0; i < times.size(); ++i) {
-        if (!(sigmas[i] > 0.0)) {
-            throw std::invalid_argument("Measurement_series: sigmas must be positive");
+        if (!valid_sigma(sigmas[i])) {
+            throw std::invalid_argument(
+                "Measurement_series '" + label + "': sigma at row " + std::to_string(i) +
+                " (t=" + std::to_string(times[i]) +
+                ") must be positive with a finite weight 1/sigma^2");
         }
         if (!std::isfinite(values[i]) || !std::isfinite(times[i])) {
             throw std::invalid_argument("Measurement_series: non-finite entry");

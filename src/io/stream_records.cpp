@@ -1,10 +1,10 @@
 #include "io/stream_records.h"
 
-#include <cmath>
 #include <istream>
 #include <stdexcept>
 
 #include "io/csv.h"
+#include "io/measurement.h"
 
 namespace cellsync {
 
@@ -94,9 +94,10 @@ std::optional<Expression_record> Record_stream::parse_next() {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +
                                      ": empty gene name");
         }
-        if (!(record.sigma > 0.0) || !std::isfinite(record.sigma)) {
+        if (!valid_sigma(record.sigma)) {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +
-                                     ": sigma must be positive and finite");
+                                     ": sigma must be positive with a finite weight "
+                                     "1/sigma^2");
         }
         if (any_record_ && record.time < last_time_) {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/telemetry.h"
 #include "core/trace.h"
@@ -12,6 +13,39 @@
 namespace cellsync {
 
 namespace {
+
+// Solver tolerances. Every caller solves the same well-scaled
+// deconvolution QP family, so these are constants, not options.
+constexpr std::size_t max_iterations = 1000;
+/// Feasibility tolerance; also the per-step violation allowance of the
+/// primal's relaxed ratio test.
+constexpr double constraint_tol = 1e-9;
+constexpr double multiplier_tol = 1e-9;  ///< dual feasibility tolerance
+constexpr double step_tol = 1e-12;       ///< ||p|| below which a primal step is "zero"
+/// Ridge per unit of max(1, trace(H)/n): the primal's fallback on a
+/// singular KKT solve and the dual's strict-convexity term.
+constexpr double ridge_factor = 1e-10;
+
+double scaled_ridge(const Matrix& hessian) {
+    const std::size_t n = hessian.rows();
+    double trace = 0.0;
+    for (std::size_t i = 0; i < n; ++i) trace += hessian(i, i);
+    return ridge_factor * std::max(1.0, trace / static_cast<double>(n));
+}
+
+/// H + scaled_ridge(H) I: the strict-convexity ridge the cold dual and the
+/// warm repair share, so both agree on what "optimal" means. A non-finite
+/// H or g is rejected here: NaN fails every comparison the iterations
+/// make, so it would otherwise come back as a "converged" NaN optimum.
+Matrix ridged_hessian(const char* who, const Matrix& hessian, const Vector& gradient) {
+    if (!all_finite(hessian.data()) || !all_finite(gradient)) {
+        throw std::runtime_error(std::string(who) + ": non-finite Hessian or gradient");
+    }
+    Matrix hr = hessian;
+    const double ridge = scaled_ridge(hessian);
+    for (std::size_t i = 0; i < hr.rows(); ++i) hr(i, i) += ridge;
+    return hr;
+}
 
 void validate(const Qp_problem& p) {
     const std::size_t n = p.hessian.rows();
@@ -59,7 +93,7 @@ Vector find_feasible_start(const Qp_problem& p, double tol) {
         if (is_feasible(p, x, tol)) return x;
     }
     throw std::runtime_error(
-        "solve_qp: could not construct a feasible starting point; pass one explicitly");
+        "solve_qp: neither 0 nor the least-squares equality solution is a feasible start");
 }
 
 // Assemble and solve the KKT system for the step p and multipliers, given
@@ -120,37 +154,15 @@ Kkt_step solve_kkt(const Qp_problem& prob, const Vector& x,
 
 }  // namespace
 
-Qp_result solve_qp(const Qp_problem& problem, const Qp_options& options,
-                   const std::optional<Vector>& start,
-                   const std::vector<std::size_t>& initial_working) {
+Qp_result solve_qp(const Qp_problem& problem) {
     validate(problem);
-    const std::size_t n = problem.hessian.rows();
     const std::size_t mi = problem.ineq_matrix.rows();
 
-    Vector x;
-    if (start.has_value()) {
-        if (start->size() != n) throw std::invalid_argument("solve_qp: start length mismatch");
-        if (!is_feasible(problem, *start, options.constraint_tol)) {
-            throw std::invalid_argument("solve_qp: provided start is infeasible");
-        }
-        x = *start;
-    } else {
-        x = find_feasible_start(problem, options.constraint_tol);
-    }
-
-    // Ridge scale for singular-KKT recovery.
-    double trace = 0.0;
-    for (std::size_t i = 0; i < n; ++i) trace += problem.hessian(i, i);
-    const double ridge_unit = options.fallback_ridge * std::max(1.0, trace / static_cast<double>(n));
+    Vector x = find_feasible_start(problem, constraint_tol);
+    const double ridge_unit = scaled_ridge(problem.hessian);  // singular-KKT recovery
 
     std::vector<std::size_t> working;  // active inequality indices
     std::vector<char> in_working(mi, 0);
-    for (std::size_t k : initial_working) {
-        if (k >= mi) throw std::invalid_argument("solve_qp: initial working index out of range");
-        if (in_working[k]) continue;  // duplicate hints are harmless
-        in_working[k] = 1;
-        working.push_back(k);
-    }
     // Anti-cycling state: a constraint dropped at a stationary point that
     // immediately re-blocks with a zero-length step is "pinned" — kept in
     // the working set with its (numerically) negative multiplier tolerated
@@ -161,7 +173,7 @@ Qp_result solve_qp(const Qp_problem& problem, const Qp_options& options,
     std::size_t last_dropped = mi;
 
     Qp_result result;
-    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+    for (std::size_t iter = 0; iter < max_iterations; ++iter) {
         result.iterations = iter + 1;
 
         Kkt_step step;
@@ -185,7 +197,7 @@ Qp_result solve_qp(const Qp_problem& problem, const Qp_options& options,
         }
         if (!solved) throw std::runtime_error("solve_qp: KKT system unsolvable");
 
-        if (norm_inf(step.p) < options.step_tol) {
+        if (norm_inf(step.p) < step_tol) {
             // Stationary on the working set: check dual feasibility. The
             // KKT block solve returns y with Hx + g = -C_W' y, so the
             // Lagrange multipliers of the >= constraints are mu = -y.
@@ -194,7 +206,7 @@ Qp_result solve_qp(const Qp_problem& problem, const Qp_options& options,
                 break;
             }
             std::size_t drop_pos = working.size();
-            double most_negative = -options.multiplier_tol;
+            double most_negative = -multiplier_tol;
             for (std::size_t k = 0; k < working.size(); ++k) {
                 if (pinned[working[k]]) continue;
                 const double mu = -step.w_multipliers[k];
@@ -226,7 +238,7 @@ Qp_result solve_qp(const Qp_problem& problem, const Qp_options& options,
             const double cp = dot(problem.ineq_matrix.row(i), step.p);
             if (cp >= -1e-14) continue;  // moving away from or along the boundary
             const double slack = dot(problem.ineq_matrix.row(i), x) - problem.ineq_rhs[i];
-            const double a = (std::max(slack, 0.0) + options.constraint_tol) / (-cp);
+            const double a = (std::max(slack, 0.0) + constraint_tol) / (-cp);
             if (a < alpha) {
                 alpha = a;
                 blocking = i;
@@ -331,9 +343,28 @@ Qp_constraint_prep::Qp_constraint_prep(std::size_t n, const Matrix& eq_matrix,
     }
 }
 
+Reduced_objective Qp_constraint_prep::reduce_objective(const Matrix& hessian,
+                                                       const Vector& gradient) const {
+    if (hessian.rows() != n_ || hessian.cols() != n_ || gradient.size() != n_) {
+        throw std::invalid_argument("Qp_constraint_prep: Hessian/gradient shape mismatch");
+    }
+    const std::size_t nz = z_basis_.cols();
+    Reduced_objective out;
+    out.hessian = Matrix(nz, nz);
+    const Matrix hz = hessian * z_basis_;
+    for (std::size_t i = 0; i < nz; ++i) {
+        for (std::size_t j = 0; j < nz; ++j) {
+            double s = 0.0;
+            for (std::size_t k = 0; k < n_; ++k) s += z_basis_(k, i) * hz(k, j);
+            out.hessian(i, j) = s;
+        }
+    }
+    out.gradient = transposed_times(z_basis_, hessian * x_particular_ + gradient);
+    return out;
+}
+
 Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
-                                const Matrix& ineq_matrix, const Vector& ineq_rhs,
-                                const Qp_options& options) {
+                                const Matrix& ineq_matrix, const Vector& ineq_rhs) {
     const std::size_t nz = hessian.rows();
     const std::size_t mi = ineq_matrix.rows();
     if (hessian.cols() != nz || gradient.size() != nz) {
@@ -353,15 +384,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     static telemetry::Histogram& iteration_histogram =
         telemetry::histogram("qp.active_set.iterations");
 
-    // Scaled ridge guaranteeing strict convexity.
-    Matrix hr = hessian;
-    {
-        double trace = 0.0;
-        for (std::size_t i = 0; i < nz; ++i) trace += hr(i, i);
-        const double ridge =
-            std::max(options.fallback_ridge, 1e-12) * std::max(1.0, trace / static_cast<double>(nz));
-        for (std::size_t i = 0; i < nz; ++i) hr(i, i) += ridge;
-    }
+    const Matrix hr = ridged_hessian("solve_qp_dual", hessian, gradient);
 
     // --- Goldfarb-Idnani on the reduced problem. ---
     const Cholesky_factorization hl(hr);  // throws if H is not PD even with ridge
@@ -371,11 +394,11 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     std::vector<std::size_t> active;
     Vector u;  // multipliers of active constraints
     std::size_t iterations = 0;
-    const std::size_t max_outer = options.max_iterations + 10 * (mi + 1);
+    const std::size_t max_outer = max_iterations + 10 * (mi + 1);
 
     for (std::size_t outer = 0; outer < max_outer; ++outer) {
         // Most violated inactive constraint.
-        double worst = -options.constraint_tol;
+        double worst = -constraint_tol;
         std::size_t j = mi;
         for (std::size_t r = 0; r < mi; ++r) {
             bool is_active = false;
@@ -430,7 +453,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
             double t1 = std::numeric_limits<double>::infinity();
             std::size_t drop = active.size();
             for (std::size_t k = 0; k < active.size(); ++k) {
-                if (!r_dir.empty() && r_dir[k] > options.multiplier_tol) {
+                if (!r_dir.empty() && r_dir[k] > multiplier_tol) {
                     const double cand = u[k] / r_dir[k];
                     if (cand < t1) {
                         t1 = cand;
@@ -462,6 +485,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
         }
     }
 
+    if (!all_finite(y)) throw std::runtime_error("solve_qp_dual: non-finite optimum");
     Qp_result result;
     result.x = std::move(y);
     result.iterations = iterations == 0 ? 1 : iterations;
@@ -473,7 +497,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     for (std::size_t r = 0; r < mi; ++r) {
         violation = std::max(violation, dr[r] - dot(cr.row(r), result.x));
     }
-    if (violation > 100.0 * options.constraint_tol) {
+    if (violation > 100.0 * constraint_tol) {
         throw std::runtime_error("solve_qp_dual: failed to reach primal feasibility");
     }
     result.converged = true;
@@ -483,70 +507,30 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     return result;
 }
 
-namespace {
-
-void check_prepared_shapes(const char* who, const Matrix& hessian, const Vector& gradient,
-                           const Qp_constraint_prep& prep) {
+Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
+                                 const Qp_constraint_prep& prep) {
     const std::size_t n = prep.unknowns();
     if (hessian.rows() != n || hessian.cols() != n || gradient.size() != n) {
-        throw std::invalid_argument(std::string(who) + ": Hessian/gradient shape mismatch");
+        throw std::invalid_argument("solve_qp_dual_prepared: Hessian/gradient shape mismatch");
     }
-}
-
-/// The point pinned by the equality constraints alone (empty null space).
-Qp_result fully_determined_result(const Matrix& hessian, const Vector& gradient,
-                                  const Qp_constraint_prep& prep) {
-    Qp_result only;
-    only.x = prep.x_particular();
-    only.objective = 0.5 * dot(only.x, hessian * only.x) + dot(gradient, only.x);
-    only.converged = true;
-    only.iterations = 1;
-    return only;
-}
-
-/// Reduced objective blocks: Hr = Z'HZ, gr = Z'(H x0 + g).
-struct Reduced_objective {
-    Matrix hr;
-    Vector gr;
-};
-
-Reduced_objective reduce_objective(const Matrix& hessian, const Vector& gradient,
-                                   const Qp_constraint_prep& prep) {
-    const Matrix& z_basis = prep.z_basis();
-    const std::size_t n = prep.unknowns();
-    const std::size_t nz = z_basis.cols();
-    Reduced_objective out;
-    out.hr = Matrix(nz, nz);
-    const Matrix hz = hessian * z_basis;
-    for (std::size_t i = 0; i < nz; ++i) {
-        for (std::size_t j = 0; j < nz; ++j) {
-            double s = 0.0;
-            for (std::size_t k = 0; k < n; ++k) s += z_basis(k, i) * hz(k, j);
-            out.hr(i, j) = s;
-        }
-    }
-    out.gr = transposed_times(z_basis, hessian * prep.x_particular() + gradient);
-    return out;
-}
-
-}  // namespace
-
-Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
-                                 const Qp_constraint_prep& prep, const Qp_options& options) {
-    check_prepared_shapes("solve_qp_dual_prepared", hessian, gradient, prep);
-    if (prep.fully_determined()) return fully_determined_result(hessian, gradient, prep);
-
-    // Reduced problem: min 0.5 y'Hr y + gr'y  s.t.  Cr y >= dr.
-    const Reduced_objective reduced_obj = reduce_objective(hessian, gradient, prep);
-    Qp_result reduced = solve_qp_dual_reduced(reduced_obj.hr, reduced_obj.gr,
-                                              prep.reduced_inequality(),
-                                              prep.reduced_ineq_rhs(), options);
     Qp_result result;
-    result.x = prep.z_basis() * reduced.x + prep.x_particular();
+    if (prep.fully_determined()) {
+        // The equalities alone pin x.
+        result.x = prep.x_particular();
+        result.iterations = 1;
+        result.converged = true;
+    } else {
+        // Reduced problem: min 0.5 y'Hr y + gr'y  s.t.  Cr y >= dr.
+        const Reduced_objective reduced_obj = prep.reduce_objective(hessian, gradient);
+        Qp_result reduced =
+            solve_qp_dual_reduced(reduced_obj.hessian, reduced_obj.gradient,
+                                  prep.reduced_inequality(), prep.reduced_ineq_rhs());
+        result.x = prep.z_basis() * reduced.x + prep.x_particular();
+        result.iterations = reduced.iterations;
+        result.active_set = std::move(reduced.active_set);
+        result.converged = reduced.converged;
+    }
     result.objective = 0.5 * dot(result.x, hessian * result.x) + dot(gradient, result.x);
-    result.iterations = reduced.iterations;
-    result.active_set = std::move(reduced.active_set);
-    result.converged = reduced.converged;
     return result;
 }
 
@@ -554,8 +538,7 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
                                                    const Vector& gradient,
                                                    const Matrix& ineq_matrix,
                                                    const Vector& ineq_rhs,
-                                                   const std::vector<std::size_t>& active_hint,
-                                                   const Qp_options& options) {
+                                                   const std::vector<std::size_t>& active_hint) {
     const std::size_t nz = hessian.rows();
     const std::size_t mi = ineq_matrix.rows();
     if (hessian.cols() != nz || gradient.size() != nz) {
@@ -572,6 +555,7 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
     // An empty hint is just a cold solve; more active rows than reduced
     // dimensions cannot be an independent active set.
     if (active_hint.empty() || active_hint.size() > nz) return std::nullopt;
+    const Matrix hr = ridged_hessian("try_solve_qp_reduced_warm", hessian, gradient);
     const Matrix& cr = ineq_matrix;
     const Vector& dr = ineq_rhs;
 
@@ -584,17 +568,6 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
     static telemetry::Histogram& repair_steps = telemetry::histogram("qp.warm.repair_steps");
     warm_attempts.add();
     const telemetry::Trace_span warm_span("qp.warm.solve", "qp");
-
-    // Same strict-convexity ridge as the cold dual iteration, so warm and
-    // cold paths agree on what "optimal" means.
-    Matrix hr = hessian;
-    {
-        double trace = 0.0;
-        for (std::size_t i = 0; i < nz; ++i) trace += hr(i, i);
-        const double ridge = std::max(options.fallback_ridge, 1e-12) *
-                             std::max(1.0, trace / static_cast<double>(nz));
-        for (std::size_t i = 0; i < nz; ++i) hr(i, i) += ridge;
-    }
 
     // Bounded active-set repair from the hint: each step solves the KKT
     // system with the working rows held at their bounds,
@@ -638,7 +611,7 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
 
         // Drop phase: most negative multiplier leaves the working set.
         std::size_t drop = s;
-        double most_negative = -options.multiplier_tol;
+        double most_negative = -multiplier_tol;
         for (std::size_t k = 0; k < s; ++k) {
             const double mu = -sol[nz + k];
             if (mu < most_negative) {
@@ -656,7 +629,7 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
         std::vector<char> in_working(mi, 0);
         for (std::size_t k : working) in_working[k] = 1;
         std::size_t add = mi;
-        double worst = -options.constraint_tol;
+        double worst = -constraint_tol;
         for (std::size_t r = 0; r < mi; ++r) {
             if (in_working[r]) continue;
             const double slack = dot(cr.row(r), y) - dr[r];
@@ -672,6 +645,10 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
             }
             working.push_back(add);
             continue;
+        }
+        if (!all_finite(y)) {
+            warm_fallbacks.add();
+            return std::nullopt;  // overflow inside the solve: the cold path reports it
         }
 
         Qp_result result;
@@ -690,30 +667,11 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
     return std::nullopt;  // repair budget exhausted: the hint was not nearby
 }
 
-std::optional<Qp_result> try_solve_qp_prepared_warm(const Matrix& hessian,
-                                                    const Vector& gradient,
-                                                    const Qp_constraint_prep& prep,
-                                                    const std::vector<std::size_t>& active_hint,
-                                                    const Qp_options& options) {
-    check_prepared_shapes("try_solve_qp_prepared_warm", hessian, gradient, prep);
-    if (prep.fully_determined()) return fully_determined_result(hessian, gradient, prep);
-
-    const Reduced_objective reduced_obj = reduce_objective(hessian, gradient, prep);
-    std::optional<Qp_result> reduced =
-        try_solve_qp_reduced_warm(reduced_obj.hr, reduced_obj.gr, prep.reduced_inequality(),
-                                  prep.reduced_ineq_rhs(), active_hint, options);
-    if (!reduced.has_value()) return std::nullopt;
-    Qp_result result = std::move(*reduced);
-    result.x = prep.z_basis() * result.x + prep.x_particular();
-    result.objective = 0.5 * dot(result.x, hessian * result.x) + dot(gradient, result.x);
-    return result;
-}
-
-Qp_result solve_qp_dual(const Qp_problem& problem, const Qp_options& options) {
+Qp_result solve_qp_dual(const Qp_problem& problem) {
     validate(problem);
     const Qp_constraint_prep prep(problem.hessian.rows(), problem.eq_matrix, problem.eq_rhs,
                                   problem.ineq_matrix, problem.ineq_rhs);
-    return solve_qp_dual_prepared(problem.hessian, problem.gradient, prep, options);
+    return solve_qp_dual_prepared(problem.hessian, problem.gradient, prep);
 }
 
 double kkt_violation(const Qp_problem& problem, const Qp_result& result) {

@@ -1,16 +1,19 @@
-// Dense convex quadratic programming by the primal active-set method.
+// Dense convex quadratic programming for the deconvolution estimator.
 //
-// The deconvolution estimator (paper Eq 5 plus the positivity,
-// RNA-conservation, and transcription-rate-continuity constraints) is the
-// quadratic program
+// The estimator (paper Eq 5 plus the positivity, RNA-conservation, and
+// transcription-rate-continuity constraints) is the quadratic program
 //
 //     minimize    0.5 x' H x + g' x
 //     subject to  A_eq x  = b_eq
 //                 C_in x >= d_in
 //
 // with H symmetric positive (semi-)definite. Problem sizes are tiny
-// (tens of unknowns, tens of constraints), so a textbook dense active-set
-// iteration with explicit KKT solves is both simple and fast.
+// (tens of unknowns, tens of constraints). Production solves go through
+// one path: the Goldfarb-Idnani dual iteration on a shared constraint
+// preparation (solve_qp_dual_prepared), plus a bounded warm active-set
+// repair for sequences of nearby problems (try_solve_qp_reduced_warm).
+// The primal active-set solve_qp is the independent reference the tests
+// compare that path against. Solver tolerances are fixed constants.
 #pragma once
 
 #include <optional>
@@ -40,35 +43,20 @@ struct Qp_result {
     bool converged = false;
 };
 
-/// Options controlling the active-set iteration.
-struct Qp_options {
-    std::size_t max_iterations = 1000;
-    /// Feasibility tolerance. Also the per-step violation allowance of the
-    /// relaxed ratio test (iterates may sit up to ~this far outside an
-    /// inequality; tighten it if exact feasibility matters more than
-    /// robustness at degenerate vertices).
-    double constraint_tol = 1e-9;
-    double multiplier_tol = 1e-9;   ///< dual feasibility tolerance
-    double step_tol = 1e-12;        ///< ||p|| below which a step is "zero"
-    /// Ridge added to H on a singular KKT solve (scaled by trace(H)/n);
-    /// keeps degenerate problems solvable without caller involvement.
-    double fallback_ridge = 1e-10;
-};
+/// Solve the QP by the primal active-set method: the reference
+/// implementation the dual path is tested against. The iteration starts
+/// from the zero vector or, failing that, the least-squares solution of
+/// the equality system. Throws std::invalid_argument for malformed shapes
+/// and std::runtime_error if neither start is feasible or the iteration
+/// limit is exceeded (it can cycle on dense, near-degenerate positivity
+/// grids, which is why production solves use the dual method).
+Qp_result solve_qp(const Qp_problem& problem);
 
-/// Solve the QP by the primal active-set method.
-///
-/// `start` must be feasible if provided. If omitted, the solver tries, in
-/// order: the zero vector; the minimum-norm solution of the equality
-/// system. `initial_working` warm-starts the working set (inequality row
-/// indices, typically the active set of a nearby problem's solution
-/// whose x is passed as `start`); rows that do not belong are shed by
-/// the normal multiplier test, so a stale hint costs iterations, not
-/// correctness. Throws std::invalid_argument for malformed shapes or
-/// out-of-range working indices and std::runtime_error if no feasible
-/// start can be constructed or the iteration limit is exceeded.
-Qp_result solve_qp(const Qp_problem& problem, const Qp_options& options = {},
-                   const std::optional<Vector>& start = std::nullopt,
-                   const std::vector<std::size_t>& initial_working = {});
+/// Objective blocks of the reduced problem over y, where x = x0 + Z y.
+struct Reduced_objective {
+    Matrix hessian;   ///< Z'HZ, nz x nz
+    Vector gradient;  ///< Z'(H x0 + g), length nz
+};
 
 /// Precomputed constraint geometry of a QP family.
 ///
@@ -97,6 +85,10 @@ class Qp_constraint_prep {
     const Matrix& reduced_inequality() const { return reduced_ineq_; }  ///< C Z
     const Vector& reduced_ineq_rhs() const { return reduced_rhs_; }     ///< d - C x0
 
+    /// Project a full-space objective (H n x n, g length n) onto the
+    /// equality null space. Throws std::invalid_argument on shape mismatch.
+    Reduced_objective reduce_objective(const Matrix& hessian, const Vector& gradient) const;
+
   private:
     std::size_t n_ = 0;
     Matrix z_basis_;
@@ -108,18 +100,17 @@ class Qp_constraint_prep {
 /// Goldfarb-Idnani dual iteration on a reduced, inequality-only QP:
 /// min 0.5 y'H y + g'y  s.t.  C y >= d, with H made strictly convex by a
 /// scaled internal ridge. This is the core shared by solve_qp_dual and the
-/// prepared solve path. Throws std::runtime_error on infeasibility or a
-/// non-PD Hessian.
+/// prepared solve path. Throws std::invalid_argument on shape mismatch
+/// and std::runtime_error on infeasibility, a non-PD Hessian, a
+/// non-finite Hessian or gradient, or a non-finite optimum.
 Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
-                                const Matrix& ineq_matrix, const Vector& ineq_rhs,
-                                const Qp_options& options = {});
+                                const Matrix& ineq_matrix, const Vector& ineq_rhs);
 
 /// Goldfarb-Idnani solve of the full QP reusing a shared constraint
 /// preparation; numerically identical to solve_qp_dual on the same
 /// problem, minus the per-solve constraint reduction work.
 Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
-                                 const Qp_constraint_prep& prep,
-                                 const Qp_options& options = {});
+                                 const Qp_constraint_prep& prep);
 
 /// Warm-started solve of a reduced, inequality-only QP from a hinted
 /// active set (e.g. the binding rows of the previous solve in a sequence
@@ -133,26 +124,16 @@ Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
 /// the first). The accepted point is optimal by construction of the
 /// exit condition: no negative multiplier, no violated inequality.
 /// Returns std::nullopt when the hint is empty or the attempt does not
-/// converge cleanly (dependent rows, repair budget exceeded); callers
-/// fall back to the cold solve_qp_dual_reduced path. Throws
-/// std::invalid_argument on shape mismatch or out-of-range hint
-/// indices.
+/// converge cleanly (dependent rows, repair budget exceeded, a
+/// non-finite point); callers fall back to the cold
+/// solve_qp_dual_reduced path. Throws std::invalid_argument on shape
+/// mismatch or out-of-range hint indices and std::runtime_error on a
+/// non-finite Hessian or gradient.
 std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
                                                    const Vector& gradient,
                                                    const Matrix& ineq_matrix,
                                                    const Vector& ineq_rhs,
-                                                   const std::vector<std::size_t>& active_hint,
-                                                   const Qp_options& options = {});
-
-/// try_solve_qp_reduced_warm through a shared constraint preparation:
-/// reduces the objective onto prep's equality null space, warm-solves,
-/// and maps the verified optimum back to full space. Same return
-/// contract as the reduced form.
-std::optional<Qp_result> try_solve_qp_prepared_warm(const Matrix& hessian,
-                                                    const Vector& gradient,
-                                                    const Qp_constraint_prep& prep,
-                                                    const std::vector<std::size_t>& active_hint,
-                                                    const Qp_options& options = {});
+                                                   const std::vector<std::size_t>& active_hint);
 
 /// Solve the QP by the Goldfarb-Idnani dual active-set method.
 ///
@@ -165,7 +146,7 @@ std::optional<Qp_result> try_solve_qp_prepared_warm(const Matrix& hessian,
 /// sets (e.g. dense positivity grids) — it is what the deconvolution
 /// estimator uses. Throws std::invalid_argument on malformed shapes and
 /// std::runtime_error on infeasible constraints or a singular Hessian.
-Qp_result solve_qp_dual(const Qp_problem& problem, const Qp_options& options = {});
+Qp_result solve_qp_dual(const Qp_problem& problem);
 
 /// Verify the KKT conditions at x for the given problem; returns the
 /// maximum violation (stationarity, primal and dual feasibility,

@@ -30,25 +30,14 @@ Streaming_deconvolver::Streaming_deconvolver(
     gram_ = Matrix(n, n);
     ktwg_.assign(n, 0.0);
 
-    // Seed the reduced state with the measurement-independent part of the
-    // objective: H0 = 2 (lambda Omega + ridge I), g0 = 0.
-    const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
-    const Matrix& z_basis = prep.z_basis();
-    const std::size_t nz = z_basis.cols();
-    if (nz > 0) {
-        Matrix h0 = 2.0 * (options_.lambda * artifacts_->penalty);
-        for (std::size_t i = 0; i < n; ++i) h0(i, i) += 2.0 * options_.ridge;
-        reduced_hessian_ = Matrix(nz, nz);
-        const Matrix hz = h0 * z_basis;
-        for (std::size_t i = 0; i < nz; ++i) {
-            for (std::size_t j = 0; j < nz; ++j) {
-                double s = 0.0;
-                for (std::size_t k = 0; k < n; ++k) s += z_basis(k, i) * hz(k, j);
-                reduced_hessian_(i, j) = s;
-            }
-        }
-        reduced_gradient_ = transposed_times(z_basis, h0 * prep.x_particular());
-    }
+    // Seed the reduced state with the objective of the still-empty
+    // normal-equation state: H0 = 2 (lambda Omega + ridge I), g0 = 0.
+    const Estimator_objective empty =
+        estimator_objective(gram_, ktwg_, artifacts_->penalty, options_.lambda);
+    Reduced_objective reduced =
+        artifacts_->constraint_prep->reduce_objective(empty.hessian, empty.gradient);
+    reduced_hessian_ = std::move(reduced.hessian);
+    reduced_gradient_ = std::move(reduced.gradient);
 
     // Circularly-open scoring grid (phi = 1 aliases phi = 0 and must not
     // be double-counted), coarse by default — see Stream_convergence. The
@@ -94,9 +83,10 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
         throw std::invalid_argument("Streaming_deconvolver: non-finite value for '" +
                                     label_ + "'");
     }
-    if (!(sigma > 0.0) || !std::isfinite(sigma)) {
-        throw std::invalid_argument("Streaming_deconvolver: sigma must be positive for '" +
-                                    label_ + "'");
+    if (!valid_sigma(sigma)) {
+        throw std::invalid_argument("Streaming_deconvolver: stream '" + label_ + "' at t=" +
+                                    std::to_string(time) +
+                                    ": sigma must be positive with a finite weight 1/sigma^2");
     }
 
     // Rank-one update of the normal-equation state, accumulated in exactly
@@ -168,21 +158,18 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
 }
 
 void Streaming_deconvolver::solve_and_package() {
-    const std::size_t n = artifacts_->basis->size();
     const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
     Qp_result result;
     bool warm_used = false;
     if (complete()) {
-        // The solve that completes the series assembles H = 2 (K'WK +
-        // lambda Omega + ridge I), g = -2 K'W G with the same expressions
-        // as Deconvolver::estimate_on_rows and runs the identical cold
+        // The solve that completes the series assembles its objective
+        // through the same estimator_objective as
+        // Deconvolver::estimate_on_rows and runs the identical cold
         // prepared path, so the final estimate's bits depend only on the
         // accumulated state, never on the warm/cold history before it.
-        Matrix hessian = 2.0 * (gram_ + options_.lambda * artifacts_->penalty);
-        for (std::size_t i = 0; i < n; ++i) hessian(i, i) += 2.0 * options_.ridge;
-        Vector gradient(n, 0.0);
-        for (std::size_t i = 0; i < n; ++i) gradient[i] = -2.0 * ktwg_[i];
-        result = solve_qp_dual_prepared(hessian, gradient, prep, options_.qp);
+        const Estimator_objective objective =
+            estimator_objective(gram_, ktwg_, artifacts_->penalty, options_.lambda);
+        result = solve_qp_dual_prepared(objective.hessian, objective.gradient, prep);
     } else if (prep.fully_determined()) {
         // The equalities pin the solution; nothing varies with the data.
         result.x = prep.x_particular();
@@ -196,7 +183,7 @@ void Streaming_deconvolver::solve_and_package() {
         if (options_.warm_start && !active_set_.empty()) {
             const std::optional<Qp_result> warm = try_solve_qp_reduced_warm(
                 reduced_hessian_, reduced_gradient_, prep.reduced_inequality(),
-                prep.reduced_ineq_rhs(), active_set_, options_.qp);
+                prep.reduced_ineq_rhs(), active_set_);
             if (warm.has_value()) {
                 result = *warm;
                 warm_used = true;
@@ -205,7 +192,7 @@ void Streaming_deconvolver::solve_and_package() {
         if (!warm_used) {
             result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_,
                                            prep.reduced_inequality(),
-                                           prep.reduced_ineq_rhs(), options_.qp);
+                                           prep.reduced_ineq_rhs());
         }
         result.x = prep.z_basis() * result.x + prep.x_particular();
     }

@@ -56,8 +56,6 @@ struct Stream_convergence {
 /// this is the "previous lambda as the starting point" warm start).
 struct Stream_options {
     double lambda = 1e-3;   ///< smoothness weight (paper Eq 5)
-    double ridge = 1e-9;    ///< Tikhonov term, matching Deconvolution_options
-    Qp_options qp;          ///< active-set solver controls
     bool warm_start = true; ///< reuse the previous active set between appends
     Stream_convergence convergence;
 };
@@ -94,8 +92,8 @@ class Streaming_deconvolver {
 
     /// Append the measurement at the next kernel-grid time and re-solve.
     /// `time` must match artifacts->times[observed()] (same tolerance as
-    /// the batch estimator's series check); sigma must be positive and
-    /// value finite. Returns the updated estimate. Throws
+    /// the batch estimator's series check); sigma must pass valid_sigma
+    /// and value must be finite. Returns the updated estimate. Throws
     /// std::invalid_argument on a mismatched time or invalid measurement,
     /// std::logic_error when the stream is already complete, and
     /// propagates QP failures as std::runtime_error (the stream state is

@@ -8,6 +8,7 @@
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
+#include "numerics/qp_solver.h"
 #include "spline/spline_basis.h"
 #include "numerics/statistics.h"
 
@@ -205,6 +206,70 @@ TEST_F(DeconvolverTest, SeriesValidationErrors) {
     Deconvolution_options bad_options;
     bad_options.lambda = -1.0;
     EXPECT_THROW(deconvolver_->estimate(good, bad_options), std::invalid_argument);
+}
+
+TEST_F(DeconvolverTest, OverflowingMeasurementThrowsInsteadOfNanProfile) {
+    // 1.7e308 is finite, so it passes series validation, but the QP
+    // objective overflows: the estimate must fail, not return NaN.
+    Measurement_series data = forward_measurements(*kernel_, [](double) { return 1.0; });
+    data.values[5] = 1.7e308;
+    Deconvolution_options options;
+    options.lambda = 1e-3;
+    EXPECT_THROW(deconvolver_->estimate(data, options), std::runtime_error);
+}
+
+TEST_F(DeconvolverTest, ProductionShapeQpPassesKktCertificate) {
+    // The QP the program solves: natural-spline Nc = 18 design with the
+    // default constraints (101-point positivity grid, conservation, rate
+    // continuity). At each lambda the production prepared dual must pass
+    // the KKT check at a tolerance scaled to ||H||, match the primal
+    // reference's objective, and be exactly what estimate() returns. (The
+    // primal can cycle on this grid for some profiles and lambdas; these
+    // inputs are ones it solves.)
+    const auto artifacts = make_design_artifacts(std::make_shared<Natural_spline_basis>(18),
+                                                 *kernel_, *config_);
+    ASSERT_EQ(artifacts->constraints.inequality.rows(), 101u);
+    ASSERT_EQ(artifacts->constraints.equality.rows(), 2u);
+    const Deconvolver deconvolver(artifacts);
+    // A pulse on a zero baseline: at small lambda positivity rows bind.
+    const Measurement_series data =
+        forward_measurements(*kernel_, pulse_profile(0.0, 6.0, 0.7, 0.15).f);
+    const Vector w = data.weights();
+    std::vector<std::size_t> all(data.size());
+    for (std::size_t m = 0; m < all.size(); ++m) all[m] = m;
+
+    for (const double lambda : {1e-5, 1e-3, 1e-1}) {
+        const Estimator_objective objective = estimator_objective(
+            weighted_gram_rows(artifacts->kernel_matrix, all, w),
+            weighted_transposed_times_rows(artifacts->kernel_matrix, all, w, data.values),
+            artifacts->penalty, lambda);
+        const Qp_result dual = solve_qp_dual_prepared(objective.hessian, objective.gradient,
+                                                      *artifacts->constraint_prep);
+
+        Qp_problem problem;
+        problem.hessian = objective.hessian;
+        problem.gradient = objective.gradient;
+        problem.eq_matrix = artifacts->constraints.equality;
+        problem.eq_rhs = artifacts->constraints.equality_rhs;
+        problem.ineq_matrix = artifacts->constraints.inequality;
+        problem.ineq_rhs = artifacts->constraints.inequality_rhs;
+        const double scale = std::max(1.0, objective.hessian.norm_inf());
+        EXPECT_LT(kkt_violation(problem, dual), 1e-8 * scale) << "lambda " << lambda;
+
+        const Qp_result primal = solve_qp(problem);
+        EXPECT_NEAR(dual.objective, primal.objective,
+                    1e-6 * std::max(1.0, std::abs(primal.objective)))
+            << "lambda " << lambda;
+
+        Deconvolution_options options;
+        options.lambda = lambda;
+        const Single_cell_estimate est = deconvolver.estimate(data, options);
+        EXPECT_EQ(est.coefficients(), dual.x) << "lambda " << lambda;
+        EXPECT_EQ(est.active_constraints, dual.active_set.size());
+        if (lambda == 1e-5) {
+            EXPECT_GT(est.active_constraints, 0u);
+        }
+    }
 }
 
 TEST_F(DeconvolverTest, EstimateOnRowsSubsetWorks) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cellsync {
 namespace {
@@ -53,6 +55,31 @@ TEST(MeasurementSeries, SigmasMustBePositive) {
     EXPECT_THROW(s.validate(), std::invalid_argument);
     s.sigmas[1] = -0.5;
     EXPECT_THROW(s.validate(), std::invalid_argument);
+    // +inf has weight 0; 1e-170 is finite and positive, but its weight
+    // 1/sigma^2 overflows to inf. The error names the row and time.
+    s.sigmas[1] = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(s.validate(), std::invalid_argument);
+    s.sigmas[1] = 1e-170;
+    try {
+        s.validate();
+        FAIL() << "expected a sigma error";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("row 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("t=15"), std::string::npos) << what;
+    }
+}
+
+TEST(MeasurementSeries, ValidSigmaPredicate) {
+    EXPECT_TRUE(valid_sigma(1.0));
+    EXPECT_TRUE(valid_sigma(1e-150));
+    EXPECT_TRUE(valid_sigma(1e150));
+    EXPECT_FALSE(valid_sigma(0.0));
+    EXPECT_FALSE(valid_sigma(-1.0));
+    EXPECT_FALSE(valid_sigma(1e-170));
+    EXPECT_FALSE(valid_sigma(1e170));
+    EXPECT_FALSE(valid_sigma(std::numeric_limits<double>::infinity()));
+    EXPECT_FALSE(valid_sigma(std::nan("")));
 }
 
 TEST(MeasurementSeries, NonFiniteValuesRejected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "numerics/rng.h"
@@ -56,7 +57,7 @@ TEST(QpSolver, EqualityConstraintRespected) {
     Qp_problem p = unconstrained_bowl();
     p.eq_matrix = Matrix{{1.0, 1.0}};
     p.eq_rhs = {1.0};
-    const Qp_result r = solve_qp(p, {}, Vector{0.5, 0.5});
+    const Qp_result r = solve_qp(p);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(r.x[0], 0.0, 1e-9);
     EXPECT_NEAR(r.x[1], 1.0, 1e-9);
@@ -64,17 +65,17 @@ TEST(QpSolver, EqualityConstraintRespected) {
 }
 
 TEST(QpSolver, EqualityPlusInequality) {
-    // min x0^2 + x1^2 s.t. x0 + x1 = 1, x0 >= 0.7.
-    Qp_problem p;
-    p.hessian = Matrix{{2.0, 0.0}, {0.0, 2.0}};
-    p.gradient = {0.0, 0.0};
+    // min (x0-1)^2 + (x1-2)^2 s.t. x0 + x1 = 1, x0 >= 0.3 -> x = (0.3, 0.7).
+    // 0 is infeasible, so the iteration starts from the least-squares
+    // solution of the equality system.
+    Qp_problem p = unconstrained_bowl();
     p.eq_matrix = Matrix{{1.0, 1.0}};
     p.eq_rhs = {1.0};
     p.ineq_matrix = Matrix{{1.0, 0.0}};
-    p.ineq_rhs = {0.7};
-    const Qp_result r = solve_qp(p, {}, Vector{0.8, 0.2});
-    EXPECT_NEAR(r.x[0], 0.7, 1e-9);
-    EXPECT_NEAR(r.x[1], 0.3, 1e-9);
+    p.ineq_rhs = {0.3};
+    const Qp_result r = solve_qp(p);
+    EXPECT_NEAR(r.x[0], 0.3, 1e-9);
+    EXPECT_NEAR(r.x[1], 0.7, 1e-9);
     EXPECT_LT(kkt_violation(p, r), 1e-8);
 }
 
@@ -91,11 +92,15 @@ TEST(QpSolver, NonNegativityBox) {
     EXPECT_NEAR(r.x[1], 1.0, 1e-9);
 }
 
-TEST(QpSolver, ProvidedInfeasibleStartRejected) {
+TEST(QpSolver, NoFeasibleStartThrows) {
+    // x0 + x1 = 1, x0 >= 0.7, x1 >= 0.2: feasible (x0 in [0.7, 0.8]), but
+    // neither 0 nor the least-squares equality solution is.
     Qp_problem p = unconstrained_bowl();
-    p.ineq_matrix = Matrix{{1.0, 0.0}};
-    p.ineq_rhs = {0.0};
-    EXPECT_THROW(solve_qp(p, {}, Vector{-1.0, 0.0}), std::invalid_argument);
+    p.eq_matrix = Matrix{{1.0, 1.0}};
+    p.eq_rhs = {1.0};
+    p.ineq_matrix = Matrix::identity(2);
+    p.ineq_rhs = {0.7, 0.2};
+    EXPECT_THROW(solve_qp(p), std::runtime_error);
 }
 
 TEST(QpSolver, ShapeValidation) {
@@ -213,29 +218,6 @@ TEST(QpDualSolver, RedundantConstraintGridHandled) {
     EXPECT_NEAR(r.x[1], 1.0, 1e-6);
 }
 
-TEST(QpWarmStart, PrimalInitialWorkingSetMatchesColdSolve) {
-    // The working-set warm start must land on the same optimum the cold
-    // primal solve finds, in fewer or equal iterations.
-    Qp_problem p = unconstrained_bowl();
-    p.ineq_matrix = Matrix{{0.0, -1.0}, {1.0, 0.0}};
-    p.ineq_rhs = {-1.0, 0.0};  // x1 <= 1 (binding), x0 >= 0 (slack)
-    const Qp_result cold = solve_qp(p);
-    ASSERT_EQ(cold.active_set, (std::vector<std::size_t>{0}));
-
-    const Qp_result warm = solve_qp(p, {}, cold.x, cold.active_set);
-    EXPECT_TRUE(warm.converged);
-    EXPECT_NEAR(warm.x[0], cold.x[0], 1e-9);
-    EXPECT_NEAR(warm.x[1], cold.x[1], 1e-9);
-    EXPECT_LE(warm.iterations, cold.iterations);
-
-    // A stale hint (the slack constraint) is shed, not fatal.
-    const Qp_result stale = solve_qp(p, {}, cold.x, {0, 1});
-    EXPECT_NEAR(stale.x[1], cold.x[1], 1e-9);
-    EXPECT_LT(kkt_violation(p, stale), 1e-6);
-
-    EXPECT_THROW(solve_qp(p, {}, cold.x, {5}), std::invalid_argument);
-}
-
 TEST(QpWarmStart, ReducedWarmAcceptsCorrectHintAndMatchesCold) {
     // min (y0+1)^2 + (y1-2)^2 s.t. y >= 0: optimum (0, 2), row 0 active.
     const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
@@ -283,9 +265,10 @@ TEST(QpWarmStart, ReducedWarmRejectsUnusableHints) {
         try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0, 1, 0}).has_value());
 }
 
-TEST(QpWarmStart, PreparedWarmMatchesPreparedColdThroughEqualities) {
-    // Full-space problem with an equality: warm through the shared prep
-    // must agree with the cold prepared path.
+TEST(QpWarmStart, ReducedWarmThroughPrepMatchesPreparedCold) {
+    // Full-space problem with an equality, warm-solved on prep's reduced
+    // objective (the streaming estimator's mid-stream path): mapped back,
+    // it must agree with the cold prepared path.
     const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
     const Vector gradient{0.0, 0.0};
     const Matrix eq{{1.0, 1.0}};
@@ -296,12 +279,79 @@ TEST(QpWarmStart, PreparedWarmMatchesPreparedColdThroughEqualities) {
     const Qp_result cold = solve_qp_dual_prepared(hessian, gradient, prep);
     ASSERT_EQ(cold.active_set.size(), 1u);
 
-    const auto warm =
-        try_solve_qp_prepared_warm(hessian, gradient, prep, cold.active_set);
+    const Reduced_objective reduced = prep.reduce_objective(hessian, gradient);
+    const auto warm = try_solve_qp_reduced_warm(reduced.hessian, reduced.gradient,
+                                                prep.reduced_inequality(),
+                                                prep.reduced_ineq_rhs(), cold.active_set);
     ASSERT_TRUE(warm.has_value());
-    EXPECT_NEAR(warm->x[0], cold.x[0], 1e-8);
-    EXPECT_NEAR(warm->x[1], cold.x[1], 1e-8);
-    EXPECT_NEAR(warm->x[0], 0.7, 1e-6);
+    const Vector x = prep.z_basis() * warm->x + prep.x_particular();
+    EXPECT_NEAR(x[0], cold.x[0], 1e-8);
+    EXPECT_NEAR(x[1], cold.x[1], 1e-8);
+    EXPECT_NEAR(x[0], 0.7, 1e-6);
+    EXPECT_EQ(warm->active_set, cold.active_set);
+    EXPECT_THROW(prep.reduce_objective(Matrix(3, 3), Vector(3, 0.0)), std::invalid_argument);
+}
+
+TEST(QpWarmStart, NonFiniteGradientRejectedOnColdAndWarmPaths) {
+    // NaN fails every comparison the iterations make, so unchecked it
+    // would come back from either path as a "converged" NaN optimum.
+    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
+    const Matrix ineq = Matrix::identity(2);
+    const Vector rhs{0.0, 0.0};
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        const Vector gradient{bad, -4.0};
+        EXPECT_THROW(solve_qp_dual_reduced(hessian, gradient, ineq, rhs), std::runtime_error)
+            << bad;
+        EXPECT_THROW(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0}),
+                     std::runtime_error)
+            << bad;
+        Qp_problem p = unconstrained_bowl();
+        p.gradient = gradient;
+        EXPECT_THROW(solve_qp_dual(p), std::runtime_error) << bad;
+    }
+}
+
+TEST(QpWarmStart, OverflowingOptimumNeverReturned) {
+    // Finite inputs whose optimum overflows inside the solve (H ~ ridge,
+    // g ~ 1e300): the cold path throws, the warm path falls back.
+    const Matrix hessian{{1e-300, 0.0}, {0.0, 1e-300}};
+    const Vector gradient{-1e300, -1e300};
+    const Matrix ineq = Matrix::identity(2);
+    const Vector rhs{0.0, 0.0};
+    EXPECT_THROW(solve_qp_dual_reduced(hessian, gradient, ineq, rhs), std::runtime_error);
+    EXPECT_FALSE(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0}).has_value());
+}
+
+TEST(QpDualSolver, PreparedSolveMatchesColdDualSolve) {
+    // The shared-constraint preparation must not change results at all.
+    const std::size_t n = 10;
+    Rng problem_rng(17);
+    Matrix a(n + 3, n);
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < n; ++j) a(i, j) = problem_rng.normal();
+    Qp_problem p;
+    p.hessian = gram(a);
+    for (std::size_t i = 0; i < n; ++i) p.hessian(i, i) += 0.5;
+    p.eq_matrix = Matrix(2, n);
+    for (std::size_t j = 0; j < n; ++j) {
+        p.eq_matrix(0, j) = 1.0;
+        p.eq_matrix(1, j) = static_cast<double>(j) / static_cast<double>(n);
+    }
+    p.eq_rhs = {1.0, 0.3};
+    p.ineq_matrix = Matrix::identity(n);
+    p.ineq_rhs.assign(n, 0.0);
+
+    const Qp_constraint_prep prep(n, p.eq_matrix, p.eq_rhs, p.ineq_matrix, p.ineq_rhs);
+    Rng rng(21);
+    for (int trial = 0; trial < 4; ++trial) {
+        p.gradient = rng.normal_vector(n);
+        const Qp_result cold = solve_qp_dual(p);
+        const Qp_result warm = solve_qp_dual_prepared(p.hessian, p.gradient, prep);
+        ASSERT_EQ(cold.x.size(), warm.x.size());
+        for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(cold.x[i], warm.x[i]);
+        EXPECT_EQ(cold.active_set, warm.active_set);
+    }
 }
 
 // Property suite: random strictly convex problems with random box

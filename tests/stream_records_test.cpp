@@ -157,6 +157,20 @@ TEST(RecordStream, RecordValidationNamesTheLine) {
         EXPECT_THROW(stream.next(), std::runtime_error);
     }
     {
+        // 1e-170 is finite and positive, but its weight 1/sigma^2 overflows.
+        std::istringstream in("time,gene,value,sigma\n0,ftsZ,1,0.5\n15,ftsZ,1,1e-170\n");
+        Record_stream stream(in);
+        stream.next();
+        try {
+            stream.next();
+            FAIL() << "expected a sigma error";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+            EXPECT_NE(what.find("sigma"), std::string::npos) << what;
+        }
+    }
+    {
         std::istringstream in("time,gene,value\n0,,1\n");  // empty gene
         Record_stream stream(in);
         EXPECT_THROW(stream.next(), std::runtime_error);

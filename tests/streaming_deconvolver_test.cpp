@@ -106,10 +106,13 @@ TEST(StreamingDeconvolver, FailedAppendRollsBackAndStreamRecovers) {
     for (std::size_t m = 0; m < series.size(); ++m) {
         if (m == 4) {
             // Wrong grid time, bad sigma, non-finite value: each rejected
-            // without corrupting the accumulated state.
+            // without corrupting the accumulated state. 1e-170 is finite and
+            // positive, but its weight 1/sigma^2 overflows: it must be
+            // rejected up front, not fail inside the solve.
             EXPECT_THROW(stream.append(series.times[m] + 5.0, 1.0, 1.0),
                          std::invalid_argument);
             EXPECT_THROW(stream.append(series.times[m], 1.0, -1.0), std::invalid_argument);
+            EXPECT_THROW(stream.append(series.times[m], 1.0, 1e-170), std::invalid_argument);
             EXPECT_THROW(stream.append(series.times[m], std::nan(""), 1.0),
                          std::invalid_argument);
             EXPECT_EQ(stream.observed(), 4u);

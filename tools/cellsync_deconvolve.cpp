@@ -94,7 +94,6 @@
 //   --bootstrap N       confidence band (single-series run only)
 //   --threads N         worker threads              (default: hardware)
 //   --times LO:HI:N | --times-from data.csv   time grid (kernel, stream)
-//   --qp-backend NAME   automatic | active_set
 //   --json PATH         machine-readable report output (report, kernel cache)
 //   --trace PATH        Chrome-trace JSON of the command's spans (run,
 //                       stream, merge-results); load in Perfetto or
@@ -165,7 +164,6 @@ struct Cli_options {
     std::size_t bootstrap = 0;
     std::uint64_t seed = 20110605;
     std::size_t threads = 0;
-    Qp_backend backend = Qp_backend::automatic;
     std::string json_path;                ///< report / kernel cache --json destination
     std::string trace_path;               ///< --trace Chrome-trace destination
     std::string metrics_json_path;        ///< --metrics-json snapshot destination
@@ -258,7 +256,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--bootstrap") options.bootstrap = parse_strict_uint64(next_value(i));
             else if (arg == "--seed") options.seed = parse_strict_uint64(next_value(i));
             else if (arg == "--threads") options.threads = parse_strict_uint64(next_value(i));
-            else if (arg == "--qp-backend") options.backend = qp_backend_from_string(next_value(i));
             else if (arg == "--json") options.json_path = next_value(i);
             else if (arg == "--trace") options.trace_path = next_value(i);
             else if (arg == "--metrics-json") options.metrics_json_path = next_value(i);
@@ -281,14 +278,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             // message naming the offending text.
             usage_error(std::string(e.what()) + " (option " + arg + ")");
         }
-    }
-    if (options.backend == Qp_backend::nnls) {
-        // Fail before any simulation work: the deconvolution QP always has
-        // a spline-grid positivity block (and usually equality rows), so
-        // the coefficient-positivity NNLS fast path can never apply here.
-        usage_error(
-            "--qp-backend nnls does not apply to the deconvolution QP (it needs a "
-            "coefficient-positivity problem); use automatic or active_set");
     }
     return options;
 }
@@ -509,7 +498,6 @@ int run_single(const Cli_options& cli) {
     // sweep and the bootstrap replicates.
     Deconvolution_options options;
     options.constraints = constraints_from(cli);
-    options.backend = cli.backend;
 
     Batch_engine_options engine_options;
     engine_options.threads = cli.threads;
@@ -517,8 +505,7 @@ int run_single(const Cli_options& cli) {
     const Batch_engine engine(std::make_shared<Natural_spline_basis>(cli.basis), *kernel,
                               config, engine_options);
     const Deconvolver& deconvolver = engine.deconvolver();
-    std::printf("engine: %zu worker threads, %s backend\n", engine.thread_count(),
-                to_string(cli.backend));
+    std::printf("engine: %zu worker threads\n", engine.thread_count());
 
     if (cli.lambda.has_value()) {
         options.lambda = *cli.lambda;
@@ -567,7 +554,6 @@ int run_experiment_mode(const Cli_options& cli) {
                                    : Experiment_schedule::pipelined;
     spec.warm_start_lambda = cli.warm_start;
     spec.batch.deconvolution.constraints = constraints_from(cli);
-    spec.batch.deconvolution.backend = cli.backend;
     spec.batch.lambda_grid = default_lambda_grid(15, 1e-7, 1e1);
     if (cli.lambda.has_value()) {
         spec.batch.select_lambda = false;
@@ -720,10 +706,6 @@ int cmd_stream(const Cli_options& cli) {
         // past a user-supplied kernel file would mislead.
         usage_error("--kernel/--save-kernel apply to single-series runs only; "
                     "use --cache-dir for streaming");
-    }
-    if (cli.backend != Qp_backend::automatic) {
-        usage_error("--qp-backend does not apply to stream (the streaming engine always "
-                    "solves through the prepared dual / warm-start path)");
     }
     const Telemetry_session telemetry_session(cli);
     const Vector times = resolve_times(cli);
