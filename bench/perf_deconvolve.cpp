@@ -1,16 +1,18 @@
 // Performance: the end-to-end deconvolution pipeline — kernel reuse,
 // single constrained solve, the full CV loop, and the headline comparison:
-// a 50-gene panel through the shared-factorization Batch_engine versus the
+// a 50-gene panel on one shared design (deconvolve_one per gene over a
+// worker pool, as the experiment runner's solve stage runs it) versus the
 // serial per-gene path that re-derives the constraint blocks and their QP
-// reduction for every solve (the pre-engine behavior). Per-gene results of
-// the two paths are compared bit-for-bit.
+// reduction for every solve (the behavior before shared designs). Per-gene
+// results of the two paths are compared bit-for-bit.
 #include <cmath>
 #include <limits>
 
 #include "biology/gene_profiles.h"
-#include "core/batch_engine.h"
+#include "core/batch.h"
 #include "core/cross_validation.h"
 #include "core/forward_model.h"
+#include "core/worker_pool.h"
 #include "perf_util.h"
 #include "spline/bspline.h"
 #include "spline/spline_basis.h"
@@ -82,7 +84,7 @@ void bm_gcv_lambda_selection(benchmark::State& state) {
 }
 
 // ---------------------------------------------------------------------------
-// 50-gene panel: serial per-gene baseline vs the Batch_engine.
+// 50-gene panel: serial per-gene baseline vs the shared design on a pool.
 // ---------------------------------------------------------------------------
 
 std::vector<Measurement_series> make_panel(const Kernel_grid& kernel, std::size_t genes) {
@@ -100,7 +102,20 @@ std::vector<Measurement_series> make_panel(const Kernel_grid& kernel, std::size_
     return panel;
 }
 
-// The pre-engine estimator: every solve re-derives the constraint blocks
+/// The panel as the experiment runner's solve stage runs it: one
+/// deconvolve_one task per gene on the pool, all against one design.
+std::vector<Batch_entry> run_panel_pooled(const Deconvolver& deconvolver,
+                                          const std::vector<Measurement_series>& panel,
+                                          const Batch_options& options, Worker_pool& pool) {
+    const Batch_options resolved = resolve_batch_options(*deconvolver.artifacts(), options);
+    std::vector<Batch_entry> out(panel.size());
+    pool.parallel_for(panel.size(), [&](std::size_t g) {
+        out[g] = deconvolve_one(deconvolver, panel[g], resolved.lambda_grid, resolved);
+    });
+    return out;
+}
+
+// The estimator before shared designs: every solve re-derives the constraint blocks
 // (quadrature rows + positivity grid) and the QP constraint reduction from
 // scratch, exactly as the seed implementation did.
 Vector cold_estimate(const Deconvolver& deconvolver, const Measurement_series& series,
@@ -192,7 +207,7 @@ std::vector<Vector> run_panel_serial_cold(const Deconvolver& deconvolver,
 void run_panel_comparison(cellsync::bench::Bench_json& json) {
     constexpr std::size_t genes = 50;
     constexpr std::size_t folds = 5;
-    constexpr std::size_t engine_threads = 4;
+    constexpr std::size_t pool_threads = 4;
 
     Kernel_build_options kernel_options;
     kernel_options.n_cells = 20000;
@@ -214,15 +229,13 @@ void run_panel_comparison(cellsync::bench::Bench_json& json) {
     const double serial_ms =
         serial_watch.elapsed_ms();
 
-    // Shared-factorization engine (artifact construction included).
-    Batch_engine_options engine_options;
-    engine_options.threads = engine_threads;
-    const cellsync::bench::Stopwatch engine_watch;
-    const Batch_engine engine(std::make_shared<Natural_spline_basis>(18), kernel,
-                              Cell_cycle_config{}, engine_options);
-    const std::vector<Batch_entry> batch = engine.run(panel, batch_options);
-    const double engine_ms =
-        engine_watch.elapsed_ms();
+    // Shared design on a pool (artifact construction included).
+    Worker_pool pool(pool_threads);
+    const cellsync::bench::Stopwatch pooled_watch;
+    const Deconvolver shared(std::make_shared<Natural_spline_basis>(18), kernel,
+                             Cell_cycle_config{});
+    const std::vector<Batch_entry> batch = run_panel_pooled(shared, panel, batch_options, pool);
+    const double pooled_ms = pooled_watch.elapsed_ms();
 
     std::size_t identical = 0;
     double max_diff = 0.0;
@@ -241,20 +254,20 @@ void run_panel_comparison(cellsync::bench::Bench_json& json) {
         }
         if (same) ++identical;
     }
-    const double speedup = engine_ms > 0.0 ? serial_ms / engine_ms : 0.0;
+    const double speedup = pooled_ms > 0.0 ? serial_ms / pooled_ms : 0.0;
 
     std::printf("panel: %zu genes x (%zu lambdas x %zu folds + 1) constrained solves\n",
                 genes, lambda_grid.size(), folds);
     std::printf("  serial per-gene baseline : %9.1f ms\n", serial_ms);
-    std::printf("  batch engine (%zu threads): %9.1f ms\n", engine_threads, engine_ms);
+    std::printf("  shared design (%zu threads): %9.1f ms\n", pool_threads, pooled_ms);
     std::printf("  speedup                  : %9.2fx\n", speedup);
     std::printf("  identical genes          : %zu/%zu (max |diff| %.3e)\n\n", identical,
                 genes, max_diff);
 
     json.add("panel_genes", static_cast<double>(genes));
     json.add("panel_serial_ms", serial_ms);
-    json.add("panel_engine_ms", engine_ms);
-    json.add("panel_engine_threads", static_cast<double>(engine_threads));
+    json.add("panel_pooled_ms", pooled_ms);
+    json.add("panel_pooled_threads", static_cast<double>(pool_threads));
     json.add("panel_speedup", speedup);
     json.add("panel_identical_genes", static_cast<double>(identical));
     json.add("panel_max_coefficient_diff", max_diff);
@@ -442,17 +455,16 @@ void run_gram_comparison(cellsync::bench::Bench_json& json) {
                        "natural-spline basis", natural, natural_timing, genes, reps);
 }
 
-void bm_batch_engine_panel(benchmark::State& state) {
+void bm_panel(benchmark::State& state) {
     const Pipeline_fixture fixture = Pipeline_fixture::make(18);
     const std::vector<Measurement_series> panel =
         make_panel(fixture.kernel, static_cast<std::size_t>(state.range(0)));
     Batch_options options;
     options.lambda_grid = default_lambda_grid(9, 1e-6, 1e0);
-    Batch_engine_options engine_options;
-    engine_options.threads = static_cast<std::size_t>(state.range(1));
-    const Batch_engine engine(fixture.deconvolver.artifacts(), engine_options);
+    Worker_pool pool(static_cast<std::size_t>(state.range(1)));
     for (auto _ : state) {
-        const std::vector<Batch_entry> batch = engine.run(panel, options);
+        const std::vector<Batch_entry> batch =
+            run_panel_pooled(fixture.deconvolver, panel, options, pool);
         benchmark::DoNotOptimize(batch.data());
     }
 }
@@ -463,7 +475,7 @@ BENCHMARK(bm_single_estimate)->Arg(12)->Arg(18)->Arg(28)->Unit(benchmark::kMicro
 BENCHMARK(bm_unconstrained_estimate)->Arg(18)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_cv_lambda_selection)->Arg(9)->Arg(13)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_gcv_lambda_selection)->Arg(13)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_batch_engine_panel)
+BENCHMARK(bm_panel)
     ->Args({10, 1})
     ->Args({10, 4})
     ->Unit(benchmark::kMillisecond);

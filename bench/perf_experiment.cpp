@@ -6,10 +6,10 @@
 //    every kernel, the warm pass (a fresh cache instance, so no memory
 //    entries) must serve all of them from disk — zero population
 //    simulations — and reproduce every per-gene coefficient bit-for-bit.
-// 2. Sequential vs pipelined schedule on a cold cache: the task-graph
-//    schedule overlaps condition k+1's kernel simulation with condition
-//    k's solves, so the pipelined wall time must come in measurably
-//    below the sequential reference while every per-gene estimate stays
+// 2. The task graph at one thread vs hardware threads on a cold cache:
+//    with more threads the graph overlaps condition k+1's kernel
+//    simulation with condition k's solves, so the wall time can only come
+//    in below the one-thread reference while every per-gene estimate stays
 //    bit-identical (asserted by CI from this harness's JSON).
 #include <algorithm>
 #include <cmath>
@@ -148,57 +148,60 @@ void run_cache_comparison(cellsync::bench::Bench_json& json) {
     std::filesystem::remove_all(dir);
 }
 
-/// Sequential vs pipelined schedule on cold in-memory caches: every
-/// kernel must be simulated in both runs, so the pipelined saving is
-/// exactly the overlap of condition k+1's simulation with condition k's
-/// solves. Both schedules use hardware concurrency — the overlap is real
-/// parallelism, so on a single-core host the two times converge (the
-/// scheduler must not cost anything) while every additional core widens
-/// the gap. Min-of-`repeats` runs absorbs timer noise, and smaller kernels
-/// than the cache comparison keep this cheap enough for CI to run and
-/// assert bit-identity on every push.
-void run_schedule_comparison(cellsync::bench::Bench_json& json) {
+/// The task graph at one thread vs hardware threads, on cold in-memory
+/// caches: every kernel must be simulated in both runs, so the saving is
+/// exactly what the extra threads overlap (condition k+1's simulation with
+/// condition k's solves, and the solves of one condition with each
+/// other). On a single-core host the two times converge (the scheduler
+/// must not cost anything) while every additional core widens the gap.
+/// One thread is the reference: every node runs in turn on the calling
+/// thread, so nothing overlaps. Min-of-`repeats` runs absorbs timer
+/// noise, and smaller kernels than the cache comparison keep this cheap
+/// enough for CI to run and assert bit-identity on every push.
+void run_thread_comparison(cellsync::bench::Bench_json& json) {
     constexpr int repeats = 5;
     const Smooth_volume_model volume;
     const std::size_t cores = std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
     Experiment_spec spec = make_experiment(60000);
 
-    Experiment_result sequential;
-    double sequential_ms = 0.0;
-    Experiment_result pipelined;
-    double pipelined_ms = 0.0;
+    Experiment_result one_thread;
+    double one_thread_ms = 0.0;
+    Experiment_result threaded;
+    double threaded_ms = 0.0;
     for (int rep = 0; rep < repeats; ++rep) {
-        spec.schedule = Experiment_schedule::sequential;
-        Kernel_cache sequential_cache;
+        spec.threads = 1;
+        Kernel_cache one_thread_cache;
         cellsync::bench::Stopwatch watch;
-        Experiment_result result = run_experiment(spec, volume, sequential_cache);
-        const double seq_ms = watch.elapsed_ms();
-        if (rep == 0 || seq_ms < sequential_ms) sequential_ms = seq_ms;
-        if (rep == 0) sequential = std::move(result);
+        Experiment_result result = run_experiment(spec, volume, one_thread_cache);
+        const double one_run_ms = watch.elapsed_ms();
+        if (rep == 0 || one_run_ms < one_thread_ms) one_thread_ms = one_run_ms;
+        if (rep == 0) one_thread = std::move(result);
 
-        spec.schedule = Experiment_schedule::pipelined;
-        Kernel_cache pipelined_cache;
+        spec.threads = 0;
+        Kernel_cache threaded_cache;
         watch.reset();
-        result = run_experiment(spec, volume, pipelined_cache);
-        const double pipe_ms = watch.elapsed_ms();
-        if (rep == 0 || pipe_ms < pipelined_ms) pipelined_ms = pipe_ms;
-        if (rep == 0) pipelined = std::move(result);
+        result = run_experiment(spec, volume, threaded_cache);
+        const double threaded_run_ms = watch.elapsed_ms();
+        if (rep == 0 || threaded_run_ms < threaded_ms) threaded_ms = threaded_run_ms;
+        if (rep == 0) threaded = std::move(result);
     }
 
     std::size_t genes = 0;
     std::size_t identical = 0;
     double max_diff = 0.0;
-    compare_genes(sequential, pipelined, genes, identical, max_diff);
-    const double speedup = pipelined_ms > 0.0 ? sequential_ms / pipelined_ms : 0.0;
+    compare_genes(one_thread, threaded, genes, identical, max_diff);
+    const double speedup = threaded_ms > 0.0 ? one_thread_ms / threaded_ms : 0.0;
 
-    std::printf("schedule: %zu conditions x 4 genes, cold caches, %zu hardware threads, "
+    std::printf("task graph: %zu conditions x 4 genes, cold caches, %zu hardware threads, "
                 "min of %d\n",
                 conditions_count, cores, repeats);
-    std::printf("  sequential (reference) : %9.1f ms (%zu kernel builds)\n", sequential_ms,
-                sequential.cache_stats.builds);
-    std::printf("  pipelined (task graph) : %9.1f ms (%zu kernel builds)\n", pipelined_ms,
-                pipelined.cache_stats.builds);
+    char threads_label[32];
+    std::snprintf(threads_label, sizeof(threads_label), "%zu threads", cores);
+    std::printf("  %-23s: %9.1f ms (%zu kernel builds)\n", "1 thread (reference)",
+                one_thread_ms, one_thread.cache_stats.builds);
+    std::printf("  %-23s: %9.1f ms (%zu kernel builds)\n", threads_label, threaded_ms,
+                threaded.cache_stats.builds);
     std::printf("  speedup                : %9.2fx\n", speedup);
     if (cores == 1) {
         std::printf("  (single-core host: kernel/solve overlap needs a second core; "
@@ -207,11 +210,11 @@ void run_schedule_comparison(cellsync::bench::Bench_json& json) {
     std::printf("  identical genes        : %zu/%zu (max |diff| %.3e)\n\n", identical,
                 genes, max_diff);
 
-    json.add("pipeline_sequential_cold_ms", sequential_ms);
-    json.add("pipeline_pipelined_cold_ms", pipelined_ms);
+    json.add("pipeline_one_thread_cold_ms", one_thread_ms);
+    json.add("pipeline_pipelined_cold_ms", threaded_ms);
     json.add("pipeline_speedup", speedup);
     json.add("pipeline_hardware_threads", static_cast<double>(cores));
-    json.add("pipeline_builds", static_cast<double>(pipelined.cache_stats.builds));
+    json.add("pipeline_builds", static_cast<double>(threaded.cache_stats.builds));
     json.add("pipeline_identical_genes", static_cast<double>(identical));
     json.add("pipeline_total_genes", static_cast<double>(genes));
     json.add("pipeline_max_coefficient_diff", max_diff);
@@ -274,22 +277,22 @@ int main(int argc, char** argv) {
     cellsync::bench::Bench_json json("experiment");
     // The comparisons are the expensive part; a --benchmark_filter
     // narrows the run: one lacking "experiment" skips the cache
-    // comparison, one lacking "pipeline" skips the schedule comparison
+    // comparison, one lacking "pipeline" skips the thread comparison
     // (CI uses 'bm_cache_memory_hit' for micro-only smoke and
-    // 'pipeline_comparison_only' for the schedule bit-identity smoke).
+    // 'pipeline_comparison_only' for the thread bit-identity smoke).
     bool want_cache_comparison = true;
-    bool want_schedule_comparison = true;
+    bool want_thread_comparison = true;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--benchmark_filter", 0) == 0) {
             want_cache_comparison = arg.find("experiment") != std::string::npos;
-            want_schedule_comparison = arg.find("pipeline") != std::string::npos;
+            want_thread_comparison = arg.find("pipeline") != std::string::npos;
         }
     }
-    // Schedule comparison first: it is the tighter measurement (min of
+    // Thread comparison first: it is the tighter measurement (min of
     // repeats on ~100 ms runs) and deserves the fresh process, before the
     // 150k-cell cache comparison grows the allocator.
-    if (want_schedule_comparison) run_schedule_comparison(json);
+    if (want_thread_comparison) run_thread_comparison(json);
     if (want_cache_comparison) run_cache_comparison(json);
     return cellsync::bench::run_perf_harness(argc, argv, std::move(json));
 }

@@ -8,7 +8,8 @@
 #include <cstdio>
 
 #include "biology/gene_profiles.h"
-#include "core/batch_engine.h"
+#include "core/batch.h"
+#include "core/bootstrap.h"
 #include "core/forward_model.h"
 #include "population/kernel_io.h"
 #include "models/regulatory_network.h"
@@ -46,18 +47,22 @@ int main() {
         panel.push_back(forward_measurements_noisy(kernel, truth.f, noise, rng, truth.name));
     }
 
-    // --- Batch deconvolution through the shared-factorization engine:
-    // one design precomputation for the whole panel, genes distributed
-    // over the worker pool (results identical to a serial run). ---
-    const Batch_engine engine(std::make_shared<Natural_spline_basis>(16), kernel,
-                              caulobacter);
-    std::printf("engine: %zu worker threads\n", engine.thread_count());
+    // --- Batch deconvolution: one design precomputation for the whole
+    // panel, then per-gene CV + estimate through deconvolve_one, the unit
+    // run_experiment schedules as one task-graph node per gene. ---
+    const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(16), kernel,
+                                  caulobacter);
     Batch_options batch_options;
     batch_options.lambda_grid = default_lambda_grid(11, 1e-6, 1e0);
-    const std::vector<Batch_entry> batch = engine.run(panel, batch_options);
+    std::vector<Batch_entry> batch;
+    for (const Measurement_series& series : panel) {
+        batch.push_back(
+            deconvolve_one(deconvolver, series, batch_options.lambda_grid, batch_options));
+    }
 
     std::printf("%-12s %-10s %-8s %-22s\n", "gene", "lambda", "chi^2", "90% band width (boot)");
-    for (const Batch_entry& entry : batch) {
+    for (std::size_t g = 0; g < batch.size(); ++g) {
+        const Batch_entry& entry = batch[g];
         if (!entry.estimate.has_value()) {
             std::printf("%-12s FAILED: %s\n", entry.label.c_str(), entry.error.c_str());
             continue;
@@ -66,9 +71,8 @@ int main() {
         options.lambda = entry.lambda;
         Bootstrap_options boot;
         boot.replicates = 120;
-        const Confidence_band band =
-            engine.bootstrap(panel[static_cast<std::size_t>(&entry - batch.data())], options,
-                             linspace(0.05, 0.95, 19), boot);
+        const Confidence_band band = bootstrap_confidence_band(
+            deconvolver, panel[g], options, linspace(0.05, 0.95, 19), boot);
         std::printf("%-12s %-10.2e %-8.2f %-22.3f\n", entry.label.c_str(), entry.lambda,
                     entry.estimate->chi_squared, band.mean_width());
     }

@@ -4,9 +4,10 @@
 // 1. Two conditions — wildtype Caulobacter and a fast-cycling strain —
 //    each with a three-gene panel generated through the forward model.
 // 2. One run_experiment call resolves both kernels through a shared
-//    Kernel_cache, fans every (condition x gene) solve onto a
-//    Batch_engine, and warm-starts lambda selection for the second
-//    condition from the first's per-gene choices.
+//    Kernel_cache, runs every (condition x gene) solve as a node of one
+//    task graph over a shared design per kernel, and warm-starts lambda
+//    selection for the second condition from the first's per-gene
+//    choices.
 // 3. Per-condition synchrony scores separate cycle-regulated genes
 //    (high order parameter, low entropy) from constitutive ones.
 #include <cstdio>

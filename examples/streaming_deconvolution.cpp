@@ -18,7 +18,7 @@
 #include <cstdio>
 
 #include "biology/gene_profiles.h"
-#include "core/batch_engine.h"
+#include "core/deconvolver.h"
 #include "core/forward_model.h"
 #include "stream/stream_session.h"
 
@@ -97,7 +97,7 @@ int main() {
 
     // -- bit-identity vs the batch path (finish any early-stopped stream
     //    first so both sides saw the complete series) --
-    const Batch_engine engine(session.artifacts().basis, *session.kernel(), config);
+    const Deconvolver deconvolver(session.artifacts().basis, *session.kernel(), config);
     Deconvolution_options batch_options;
     batch_options.lambda = options.stream.lambda;
     const Vector grid = linspace(0.0, 1.0, 201);
@@ -106,7 +106,7 @@ int main() {
         for (std::size_t m = stream.observed(); m < series.size(); ++m) {
             stream.append(series.times[m], series.values[m], series.sigmas[m]);
         }
-        const Single_cell_estimate batch = engine.deconvolver().estimate(series, batch_options);
+        const Single_cell_estimate batch = deconvolver.estimate(series, batch_options);
         const Vector& a = batch.coefficients();
         const Vector& b = stream.current().coefficients();
         bool identical = a.size() == b.size();

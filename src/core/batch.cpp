@@ -57,22 +57,6 @@ Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_ser
     return entry;
 }
 
-std::vector<Batch_entry> deconvolve_batch(const Deconvolver& deconvolver,
-                                          const std::vector<Measurement_series>& panel,
-                                          const Batch_options& options) {
-    if (panel.empty()) throw std::invalid_argument("deconvolve_batch: empty panel");
-
-    const Vector grid =
-        options.lambda_grid.empty() ? default_lambda_grid() : options.lambda_grid;
-
-    std::vector<Batch_entry> out;
-    out.reserve(panel.size());
-    for (const Measurement_series& series : panel) {
-        out.push_back(deconvolve_one(deconvolver, series, grid, options));
-    }
-    return out;
-}
-
 std::vector<Peak_summary> peak_ordering(const std::vector<Batch_entry>& batch,
                                         std::size_t grid_points) {
     if (grid_points < 3) throw std::invalid_argument("peak_ordering: grid too small");

@@ -3,9 +3,9 @@
 // The paper applies the method to "a set of Caulobacter genes involved in
 // regulating the cell cycle": the kernel Q(phi, t) is a property of the
 // population, not the gene, so one simulation serves every series sampled
-// at the same times. This module defines the per-gene unit of work and the
-// serial batch runner; Batch_engine (core/batch_engine.h) distributes the
-// same unit over a worker pool.
+// at the same times. This module defines the per-gene unit of work; the
+// experiment runner (core/experiment_runner.h) schedules it as task-graph
+// nodes, one per gene.
 #pragma once
 
 #include <exception>
@@ -51,28 +51,18 @@ std::string labeled_task_error(const std::string& label, const std::exception& e
 /// Normalize batch options against a design: pin the constraint geometry
 /// to the artifacts' (so the design's cached constraint blocks are always
 /// the ones used) and resolve an empty lambda_grid to
-/// default_lambda_grid(). Batch_engine::run_with_grids and the pipelined
-/// experiment runner both normalize through this before spawning per-gene
-/// tasks, so their per-gene inputs — and therefore results — are
-/// identical by construction.
+/// default_lambda_grid(). The experiment runner normalizes through this
+/// before spawning per-gene tasks.
 Batch_options resolve_batch_options(const Design_artifacts& artifacts,
                                     const Batch_options& options);
 
 /// Deconvolve one series: per-gene lambda CV (when enabled) plus the
-/// constrained estimate. Failures land in the entry's `error` instead of
-/// throwing — this is the task the serial runner and the parallel engine
-/// share, so their per-gene results are identical by construction.
-/// `lambda_grid` must already be resolved (non-empty).
+/// constrained estimate. Series that fail validation or estimation are
+/// reported in the entry's `error` instead of throwing, so one bad gene
+/// never aborts a panel. `lambda_grid` must already be resolved
+/// (non-empty).
 Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_series& series,
                            const Vector& lambda_grid, const Batch_options& options);
-
-/// Deconvolve each series against the shared deconvolver, serially. Series
-/// that fail validation or estimation are reported in their entry's
-/// `error` instead of aborting the batch. Throws std::invalid_argument
-/// only if the panel is empty.
-std::vector<Batch_entry> deconvolve_batch(const Deconvolver& deconvolver,
-                                          const std::vector<Measurement_series>& panel,
-                                          const Batch_options& options = {});
 
 /// Phase of maximal expression per successful gene — the quantity used to
 /// order cell-cycle-regulated genes into a transcriptional program.

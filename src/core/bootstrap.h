@@ -66,8 +66,8 @@ Confidence_band bootstrap_confidence_band(const Deconvolver& deconvolver,
                                           const Bootstrap_options& bootstrap = {});
 
 /// Same bootstrap with the replicate refits distributed over a worker
-/// pool (the Batch_engine entry point). Bit-for-bit identical to the
-/// serial overload for any pool size.
+/// pool (the CLI's `run --input --bootstrap N`). Bit-for-bit identical to
+/// the serial overload for any pool size.
 Confidence_band bootstrap_confidence_band(const Deconvolver& deconvolver,
                                           const Measurement_series& series,
                                           const Deconvolution_options& options,

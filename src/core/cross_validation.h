@@ -54,9 +54,8 @@ Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,
 std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed);
 
 /// Mean weighted held-out squared error of one lambda under a fixed fold
-/// assignment — the unit of work shared by the serial selector and
-/// Batch_engine's parallel sweep. Returns +inf when a fold's constrained
-/// fit fails (that lambda is disqualified).
+/// assignment — the unit of work of select_lambda_kfold's sweep. Returns
+/// +inf when a fold's constrained fit fails (that lambda is disqualified).
 double kfold_lambda_score(const Deconvolver& deconvolver, const Measurement_series& series,
                           const Deconvolution_options& base_options,
                           const std::vector<std::size_t>& permutation, std::size_t folds,

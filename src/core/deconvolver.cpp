@@ -134,8 +134,7 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
         options.lambda);
 
     // Constraint reduction: the design caches it for its own constraint
-    // geometry; any other geometry is rebuilt per call (the pre-engine
-    // slow path).
+    // geometry; any other geometry is rebuilt per call (the slow path).
     std::shared_ptr<const Qp_constraint_prep> prep = artifacts_->constraint_prep;
     if (options.constraints != artifacts_->constraint_options) {
         const Constraint_set local =

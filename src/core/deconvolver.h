@@ -89,10 +89,10 @@ class Single_cell_estimate {
 /// kernel is built at the experiment's sampling times).
 ///
 /// All gene-independent state lives in an immutable Design_artifacts that
-/// can be shared across Deconvolver instances, the Batch_engine, and
-/// threads. Estimation with constraint options matching the artifacts
-/// reuses the cached constraint blocks and their QP reduction; differing
-/// options fall back to a per-call rebuild (the pre-engine behavior).
+/// can be shared across Deconvolver instances, the experiment runner, the
+/// streaming session, and threads. Estimation with constraint options
+/// matching the artifacts reuses the cached constraint blocks and their
+/// QP reduction; differing options fall back to a per-call rebuild.
 class Deconvolver {
   public:
     /// Build fresh artifacts for the default constraint geometry.
@@ -100,7 +100,8 @@ class Deconvolver {
     Deconvolver(std::shared_ptr<const Basis> basis, const Kernel_grid& kernel,
                 const Cell_cycle_config& config);
 
-    /// Bind to artifacts precomputed elsewhere (Batch_engine, tests).
+    /// Bind to artifacts precomputed elsewhere (experiment runner, CLI,
+    /// tests).
     explicit Deconvolver(std::shared_ptr<const Design_artifacts> artifacts);
 
     /// Kernel matrix K(m, i) = integral Q(phi, t_m) psi_i(phi) dphi.

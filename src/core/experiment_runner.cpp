@@ -9,7 +9,6 @@
 #include "core/batch.h"
 #include "core/task_graph.h"
 #include "core/telemetry.h"
-#include "core/trace.h"
 #include "core/worker_pool.h"
 #include "numerics/fnv.h"
 #include "population/synchrony.h"
@@ -43,13 +42,8 @@ void validate_spec(const Experiment_spec& spec) {
             }
         }
     }
-    if (spec.basis_size < 4) {
+    if (spec.basis_size < Natural_spline_basis::min_knots) {
         throw std::invalid_argument("run_experiment: basis_size too small");
-    }
-    if (spec.warm_start_lambda &&
-        (spec.warm_grid_points < 2 || !(spec.warm_grid_decades > 0.0))) {
-        throw std::invalid_argument(
-            "run_experiment: warm start needs >= 2 grid points and positive decades");
     }
     for (const Experiment_condition& condition : spec.conditions) {
         if (condition.panel.empty()) {
@@ -89,8 +83,7 @@ Vector make_score_phi() {
 
 /// Per-gene warm-started lambda grids for condition `c`: narrowed around
 /// each gene's selection in the most recent condition where it succeeded
-/// (empty grid = fall back to the shared grid). Shared verbatim by both
-/// schedules so their per-gene inputs are identical.
+/// (empty grid = fall back to the shared grid).
 std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
                                    const std::map<std::string, double>& previous_lambda) {
     const Experiment_condition& condition = spec.conditions[c];
@@ -111,9 +104,7 @@ std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
 /// warm starts) and score every successful profile's synchrony.
 void score_condition(Condition_result& out, const Vector& score_phi,
                      std::map<std::string, double>& previous_lambda) {
-    // Shared by both schedules, once per condition — the one place the
-    // experiment-level progress counters can tick identically for the
-    // sequential and pipelined paths.
+    // Once per condition: the experiment-level progress counters.
     static telemetry::Counter& conditions_done = telemetry::counter("experiment.conditions_done");
     static telemetry::Counter& genes_done = telemetry::counter("experiment.genes_done");
     conditions_done.add();
@@ -149,73 +140,8 @@ void score_condition(Condition_result& out, const Vector& score_phi,
     }
 }
 
-/// The reference schedule: condition k completes before k+1 starts.
-Experiment_result run_sequential(const Experiment_spec& spec,
-                                 const Volume_model& volume_model, Kernel_cache& cache) {
-    const Vector score_phi = make_score_phi();
-
-    Experiment_result result;
-    result.conditions.reserve(spec.conditions.size());
-    // label -> lambda selected for that gene in the most recent condition
-    // where it succeeded; feeds the warm-started grids.
-    std::map<std::string, double> previous_lambda;
-    // Conditions resolving to the same cached kernel share one engine (the
-    // cache key covers the full cell-cycle config, so an identical grid
-    // pointer implies an identical design): the kernel matrix, penalty
-    // Gram, and constraint reduction are computed once per distinct
-    // kernel, not once per condition.
-    std::map<const Kernel_grid*, std::unique_ptr<Batch_engine>> engines;
-
-    const bool tracing = telemetry::Trace_recorder::instance().enabled();
-    for (std::size_t c = 0; c < spec.conditions.size(); ++c) {
-        const Experiment_condition& condition = spec.conditions[c];
-        Condition_result out;
-        out.name = resolved_condition_name(condition, c);
-
-        {
-            const telemetry::Trace_span kernel_span(
-                "experiment.kernel", "experiment",
-                tracing ? telemetry::arg("condition", out.name) : std::string());
-            out.kernel = cache.get_or_build(condition.cell_cycle, volume_model,
-                                            condition.panel.front().times, spec.kernel);
-        }
-
-        std::unique_ptr<Batch_engine>& engine_slot = engines[out.kernel.get()];
-        if (!engine_slot) {
-            Batch_engine_options engine_options;
-            engine_options.threads = spec.threads;
-            engine_options.constraints = spec.batch.deconvolution.constraints;
-            engine_slot = std::make_unique<Batch_engine>(
-                std::make_shared<Natural_spline_basis>(spec.basis_size), *out.kernel,
-                condition.cell_cycle, engine_options);
-        }
-        const Batch_engine& engine = *engine_slot;
-
-        {
-            const telemetry::Trace_span solve_span(
-                "experiment.solve", "experiment",
-                tracing ? telemetry::args_join(
-                              telemetry::arg("condition", out.name),
-                              telemetry::arg("genes",
-                                             static_cast<std::int64_t>(condition.panel.size())))
-                        : std::string());
-            out.genes = engine.run_with_grids(condition.panel,
-                                              warm_grids_for(spec, c, previous_lambda),
-                                              spec.batch);
-        }
-        {
-            const telemetry::Trace_span score_span(
-                "experiment.score", "experiment",
-                tracing ? telemetry::arg("condition", out.name) : std::string());
-            score_condition(out, score_phi, previous_lambda);
-        }
-        result.conditions.push_back(std::move(out));
-    }
-    return result;
-}
-
-/// The pipelined schedule: one Task_graph per run, executed by one
-/// Worker_pool. Per condition c —
+/// The whole run as one Task_graph, executed by one Worker_pool. Per
+/// condition c —
 ///
 ///   kernel_c ──► prep_c ──► solve_c (one task per gene) ──► score_c
 ///                  ▲                                           │
@@ -224,10 +150,11 @@ Experiment_result run_sequential(const Experiment_spec& spec,
 /// Every kernel node is a root (async cache requests were issued up
 /// front, duplicates already joined in flight), so kernel simulation of
 /// condition k+1 runs while condition k's solves drain. The prep/score
-/// chain carries the warm-start state exactly as the sequential
-/// schedule does, which is why the two are bit-identical.
-Experiment_result run_pipelined(const Experiment_spec& spec,
-                                const Volume_model& volume_model, Kernel_cache& cache) {
+/// chain hands the warm-start state from condition to condition, so each
+/// gene's inputs are those of a condition-by-condition loop whatever the
+/// thread count or the order in which kernels finish.
+Experiment_result run_graph(const Experiment_spec& spec, const Volume_model& volume_model,
+                            Kernel_cache& cache) {
     const std::size_t n = spec.conditions.size();
     const Vector score_phi = make_score_phi();
 
@@ -240,7 +167,7 @@ Experiment_result run_pipelined(const Experiment_spec& spec,
     // Issue every condition's kernel request up front, in condition order
     // on this thread: distinct keys become independently runnable build
     // nodes, repeated keys join the first request's in-flight resolution
-    // — so the cache counters match the sequential schedule exactly.
+    // — so the cache counters are those of resolving conditions in order.
     std::vector<Kernel_cache::Async_request> requests;
     requests.reserve(n);
     for (const Experiment_condition& condition : spec.conditions) {
@@ -257,8 +184,10 @@ Experiment_result run_pipelined(const Experiment_spec& spec,
     };
     std::vector<Condition_work> work(n);
     std::map<std::string, double> previous_lambda;
-    // Same design sharing as the sequential engines map; only prep nodes
-    // touch it, and those are chained, so no synchronization is needed.
+    // Conditions resolving to the same cached kernel share one design (the
+    // cache key covers the full cell-cycle config, so an identical grid
+    // pointer implies an identical design). Only prep nodes touch the map,
+    // and those are chained, so no synchronization is needed.
     std::map<const Kernel_grid*, std::shared_ptr<const Design_artifacts>> designs;
 
     Task_graph graph;
@@ -326,9 +255,7 @@ Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model, Kernel_cache& cache) {
     validate_spec(spec);
     const Kernel_cache_stats before = cache.stats();
-    Experiment_result result = spec.schedule == Experiment_schedule::sequential
-                                   ? run_sequential(spec, volume_model, cache)
-                                   : run_pipelined(spec, volume_model, cache);
+    Experiment_result result = run_graph(spec, volume_model, cache);
     result.cache_stats = cache.stats() - before;
     return result;
 }

@@ -12,28 +12,25 @@
 // previous condition's per-gene choices, and scores each reconstructed
 // profile's synchrony (order parameter / entropy).
 //
-// Two schedules produce bit-identical results. The sequential schedule
-// finishes condition k entirely before touching k+1. The pipelined
-// schedule (default) expresses the run as a Task_graph on one
-// Worker_pool — per condition a kernel node, a prep node (warm grids),
-// a per-gene solve batch, and a scoring node — where only the stages
-// that truly depend on each other are ordered: kernel simulation of
-// condition k+1 (an async Kernel_cache request) overlaps the solves of
-// condition k, which is where a cold multi-condition run spends its
-// serial time. For panels too large for one machine, shard_experiment
-// splits the gene panels deterministically across processes; per-shard
-// outputs merge losslessly (`cellsync_deconvolve merge-results`).
+// The run is one Task_graph on one Worker_pool: per condition a kernel
+// node, a prep node (design + warm grids), a per-gene solve batch, and a
+// scoring node, where only the stages that truly depend on each other are
+// ordered. Kernel simulation of condition k+1 (an async Kernel_cache
+// request) overlaps the solves of condition k, which is where a cold
+// multi-condition run spends its serial time. For panels too large for
+// one machine, shard_experiment splits the gene panels deterministically
+// across processes; per-shard outputs merge losslessly
+// (`cellsync_deconvolve merge-results`).
 //
 // Results are deterministic for a fixed spec: identical whether kernels
-// were simulated or served from cache, for any thread count, and for
-// either schedule.
+// were simulated or served from cache, and for any thread count.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/batch_engine.h"
+#include "core/batch.h"
 #include "population/kernel_cache.h"
 
 namespace cellsync {
@@ -47,20 +44,6 @@ struct Experiment_condition {
     std::vector<Measurement_series> panel;
 };
 
-/// How run_experiment orders the work. Both schedules are bit-identical;
-/// they differ only in wall-clock shape.
-enum class Experiment_schedule {
-    /// Condition k completes (kernel, solves, scores) before condition
-    /// k+1 starts — the historical path, kept as the reference.
-    sequential,
-    /// Task-graph execution on one worker pool: all conditions' kernel
-    /// resolutions start immediately (deduplicated via
-    /// Kernel_cache::get_or_build_async), overlapping the per-gene solve
-    /// chain, which stays ordered only by its true dependencies (warm
-    /// starts flow from condition k to k+1).
-    pipelined,
-};
-
 /// Complete description of a multi-condition experiment.
 struct Experiment_spec {
     std::vector<Experiment_condition> conditions;
@@ -68,15 +51,16 @@ struct Experiment_spec {
     std::size_t basis_size = 18;  ///< Nc natural-spline knots
     Batch_options batch;          ///< deconvolution, lambda grid, CV controls
     std::size_t threads = 0;      ///< worker parallelism (0 = hardware)
-    Experiment_schedule schedule = Experiment_schedule::pipelined;
     /// Narrow each gene's lambda grid around the same gene's selection in
     /// the previous condition (adjacent conditions share biology, so the
-    /// optimal smoothness rarely moves far). Genes absent or failed in the
-    /// previous condition fall back to the full grid. Deterministic: the
-    /// warm grid depends only on previous results, never on cache state.
+    /// optimal smoothness rarely moves far). A gene with no successful
+    /// earlier condition uses the full grid. Deterministic: the warm grid
+    /// depends only on previous results, never on cache state.
     bool warm_start_lambda = true;
-    std::size_t warm_grid_points = 7;  ///< points in the narrowed grid
-    double warm_grid_decades = 1.0;    ///< half-width, decades around the previous lambda
+    /// Shape of the narrowed grid: its point count and its half-width in
+    /// decades around the previous lambda.
+    static constexpr std::size_t warm_grid_points = 7;
+    static constexpr double warm_grid_decades = 1.0;
 };
 
 /// Synchrony scores of one reconstructed profile (see

@@ -3,7 +3,7 @@
 //
 // The concurrency surface of this codebase — Worker_pool's scheduler
 // state, Kernel_cache's memoization maps and in-flight request latches,
-// Batch_engine's and Stream_session's run serialization — is
+// Stream_session's run serialization — is
 // lock-and-condition-variable code whose invariants ("states_ is only
 // touched under mutex_", "the pool is never shared between two
 // batches") were previously enforced by convention and by tests that

@@ -2,17 +2,30 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace cellsync {
 
+namespace {
+
+void require_min_knots(std::size_t count) {
+    if (count < Natural_spline_basis::min_knots) {
+        throw std::invalid_argument("Natural_spline_basis: need at least " +
+                                    std::to_string(Natural_spline_basis::min_knots) +
+                                    " knots");
+    }
+}
+
+}  // namespace
+
 Natural_spline_basis::Natural_spline_basis(std::size_t count) {
-    if (count < 4) throw std::invalid_argument("Natural_spline_basis: need at least 4 knots");
+    require_min_knots(count);
     knots_ = linspace(0.0, 1.0, count);
     build();
 }
 
 Natural_spline_basis::Natural_spline_basis(Vector knots) : knots_(std::move(knots)) {
-    if (knots_.size() < 4) throw std::invalid_argument("Natural_spline_basis: need at least 4 knots");
+    require_min_knots(knots_.size());
     if (std::abs(knots_.front()) > 1e-12 || std::abs(knots_.back() - 1.0) > 1e-12) {
         throw std::invalid_argument("Natural_spline_basis: knots must span [0, 1]");
     }

@@ -16,12 +16,16 @@ namespace cellsync {
 /// Cardinal natural-spline basis with Nc knots.
 class Natural_spline_basis final : public Basis {
   public:
-    /// Uniform knot grid of `count >= 4` knots on [0, 1].
+    /// Fewest knots either constructor accepts.
+    static constexpr std::size_t min_knots = 4;
+
+    /// Uniform knot grid of `count >= min_knots` knots on [0, 1].
     /// Throws std::invalid_argument for smaller counts.
     explicit Natural_spline_basis(std::size_t count);
 
     /// Arbitrary strictly ascending knots spanning [0, 1] (first knot 0,
-    /// last knot 1). Throws std::invalid_argument otherwise.
+    /// last knot 1), at least min_knots of them. Throws
+    /// std::invalid_argument otherwise.
     explicit Natural_spline_basis(Vector knots);
 
     std::size_t size() const override { return knots_.size(); }

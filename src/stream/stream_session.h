@@ -4,7 +4,7 @@
 // record per gene. Stream_session owns the shared machinery — the kernel
 // resolved through a Kernel_cache (simulation skipped when the protocol
 // was seen before), one immutable Design_artifacts reused by every
-// stream (the same sharing discipline as Batch_engine), and a
+// stream (the same sharing discipline as the experiment runner), and a
 // Worker_pool that fans each timepoint's per-gene updates out in
 // parallel — and a registry of named Streaming_deconvolver instances.
 //
@@ -12,9 +12,9 @@
 // state; the artifacts are immutable), results are written into
 // caller-ordered slots, and no randomness is involved, so a session
 // produces bit-identical streams for any thread count. Failures follow
-// the batch engine's contract: a gene whose update throws surfaces as a
-// labeled error in its Stream_update — never a hang, never a dropped
-// timepoint for the other genes.
+// the per-gene batch contract (core/batch.h): a gene whose update throws
+// surfaces as a labeled error in its Stream_update — never a hang, never
+// a dropped timepoint for the other genes.
 #pragma once
 
 #include <map>
@@ -117,8 +117,8 @@ class Stream_session {
     std::shared_ptr<const Kernel_grid> kernel_;  // null for adopted artifacts
     Stream_session_options options_;
     // Guards the stream registry and serializes timepoint batches: the
-    // pool is never shared between two concurrent append_timepoint calls
-    // (same discipline as Batch_engine), and the read accessors
+    // pool is never shared between two concurrent append_timepoint calls,
+    // and the read accessors
     // (labels/converged_count/...) never observe the map mid-insert.
     mutable Annotated_mutex run_mutex_;
     std::map<std::string, std::unique_ptr<Streaming_deconvolver>> streams_

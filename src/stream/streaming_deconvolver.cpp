@@ -10,6 +10,15 @@
 
 namespace cellsync {
 
+void Stream_convergence::validate() const {
+    if (stable_updates == 0) {
+        throw std::invalid_argument("Stream_convergence: stable_updates must be positive");
+    }
+    if (score_points < 2) {
+        throw std::invalid_argument("Stream_convergence: score_points must be >= 2");
+    }
+}
+
 Streaming_deconvolver::Streaming_deconvolver(
     std::shared_ptr<const Design_artifacts> artifacts, std::string label,
     const Stream_options& options)
@@ -18,14 +27,7 @@ Streaming_deconvolver::Streaming_deconvolver(
     if (options_.lambda < 0.0) {
         throw std::invalid_argument("Streaming_deconvolver: lambda must be >= 0");
     }
-    if (options_.convergence.stable_updates == 0) {
-        throw std::invalid_argument(
-            "Streaming_deconvolver: stable_updates must be positive");
-    }
-    if (options_.convergence.score_points < 2) {
-        throw std::invalid_argument(
-            "Streaming_deconvolver: score_points must be >= 2");
-    }
+    options_.convergence.validate();
     const std::size_t n = artifacts_->basis->size();
     gram_ = Matrix(n, n);
     ktwg_.assign(n, 0.0);

@@ -48,6 +48,10 @@ struct Stream_convergence {
     /// only feeds the convergence delta, and sampling the profile is a
     /// large share of the per-append cost.
     std::size_t score_points = 64;
+
+    /// Throws std::invalid_argument for stable_updates == 0 or fewer than
+    /// 2 score_points.
+    void validate() const;
 };
 
 /// Per-stream estimation controls. The smoothness weight is fixed for
@@ -76,7 +80,8 @@ struct Stream_solve_stats {
 /// over a worker pool.
 class Streaming_deconvolver {
   public:
-    /// Throws std::invalid_argument on null artifacts or negative lambda.
+    /// Throws std::invalid_argument on null artifacts, negative lambda, or
+    /// invalid convergence thresholds.
     Streaming_deconvolver(std::shared_ptr<const Design_artifacts> artifacts,
                           std::string label, const Stream_options& options = {});
 

@@ -57,12 +57,25 @@ std::vector<Measurement_series> gene_panel(const Kernel_grid& kernel) {
     return panel;
 }
 
+/// The panel through deconvolve_one, one series after another, with the
+/// options normalized against the design as the experiment runner does.
+std::vector<Batch_entry> deconvolve_each(const Deconvolver& deconvolver,
+                                         const std::vector<Measurement_series>& panel,
+                                         const Batch_options& options) {
+    const Batch_options resolved = resolve_batch_options(*deconvolver.artifacts(), options);
+    std::vector<Batch_entry> out;
+    for (const Measurement_series& series : panel) {
+        out.push_back(deconvolve_one(deconvolver, series, resolved.lambda_grid, resolved));
+    }
+    return out;
+}
+
 TEST_F(BatchTest, AllGenesEstimated) {
     Batch_options options;
     options.lambda_grid = default_lambda_grid(9, 1e-6, 1e0);
     options.cv_folds = 4;
     const std::vector<Batch_entry> batch =
-        deconvolve_batch(*deconvolver_, gene_panel(*kernel_), options);
+        deconvolve_each(*deconvolver_, gene_panel(*kernel_), options);
     ASSERT_EQ(batch.size(), 3u);
     for (const Batch_entry& entry : batch) {
         EXPECT_TRUE(entry.estimate.has_value()) << entry.label << ": " << entry.error;
@@ -76,7 +89,7 @@ TEST_F(BatchTest, PeakOrderingRecoversTranscriptionalProgram) {
     options.lambda_grid = default_lambda_grid(9, 1e-6, 1e0);
     options.cv_folds = 4;
     const std::vector<Batch_entry> batch =
-        deconvolve_batch(*deconvolver_, gene_panel(*kernel_), options);
+        deconvolve_each(*deconvolver_, gene_panel(*kernel_), options);
     const std::vector<Peak_summary> peaks = peak_ordering(batch);
     ASSERT_EQ(peaks.size(), 3u);
     EXPECT_EQ(peaks[0].label, "early-gene");
@@ -94,10 +107,12 @@ TEST_F(BatchTest, FailedGeneReportedNotThrown) {
     Batch_options options;
     options.select_lambda = false;
     options.deconvolution.lambda = 1e-3;
-    const std::vector<Batch_entry> batch = deconvolve_batch(*deconvolver_, panel, options);
+    const std::vector<Batch_entry> batch = deconvolve_each(*deconvolver_, panel, options);
     EXPECT_TRUE(batch[0].estimate.has_value());
     EXPECT_FALSE(batch[1].estimate.has_value());
-    EXPECT_FALSE(batch[1].error.empty());
+    // The error channel names the gene and the exception type.
+    EXPECT_NE(batch[1].error.find("gene 'mid-gene'"), std::string::npos) << batch[1].error;
+    EXPECT_NE(batch[1].error.find("invalid_argument"), std::string::npos) << batch[1].error;
     EXPECT_TRUE(batch[2].estimate.has_value());
     // peak_ordering silently skips the failure.
     EXPECT_EQ(peak_ordering(batch).size(), 2u);
@@ -108,15 +123,49 @@ TEST_F(BatchTest, FixedLambdaPath) {
     options.select_lambda = false;
     options.deconvolution.lambda = 2.5e-4;
     const std::vector<Batch_entry> batch =
-        deconvolve_batch(*deconvolver_, gene_panel(*kernel_), options);
+        deconvolve_each(*deconvolver_, gene_panel(*kernel_), options);
     for (const Batch_entry& entry : batch) {
         EXPECT_DOUBLE_EQ(entry.lambda, 2.5e-4);
     }
 }
 
-TEST_F(BatchTest, EmptyPanelRejected) {
-    EXPECT_THROW(deconvolve_batch(*deconvolver_, {}, Batch_options{}),
-                 std::invalid_argument);
+TEST_F(BatchTest, ResolveBatchOptionsPinsDesignGeometryAndFillsGrid) {
+    // A design built for a non-default geometry applies it even when the
+    // per-call options carry defaults: no silent per-solve rebuild, no
+    // two-option-structs-out-of-sync trap.
+    Constraint_options geometry;
+    geometry.rate_continuity = false;
+    geometry.positivity_points = 61;
+    const Deconvolver deconvolver(make_design_artifacts(
+        std::make_shared<Natural_spline_basis>(12), *kernel_, Cell_cycle_config{}, geometry));
+
+    Batch_options options;  // default constraint options, empty grid
+    options.select_lambda = false;
+    options.deconvolution.lambda = 1e-3;
+    const Batch_options resolved = resolve_batch_options(*deconvolver.artifacts(), options);
+    EXPECT_TRUE(resolved.deconvolution.constraints == geometry);
+    EXPECT_EQ(resolved.lambda_grid, default_lambda_grid());
+    // Everything else passes through.
+    EXPECT_EQ(resolved.deconvolution.lambda, 1e-3);
+    EXPECT_FALSE(resolved.select_lambda);
+    EXPECT_EQ(resolved.cv_folds, options.cv_folds);
+    EXPECT_EQ(resolved.cv_seed, options.cv_seed);
+
+    // An explicit grid is kept as given.
+    options.lambda_grid = default_lambda_grid(5, 1e-5, 1e-1);
+    EXPECT_EQ(resolve_batch_options(*deconvolver.artifacts(), options).lambda_grid,
+              options.lambda_grid);
+
+    // The resolved options estimate under the design's geometry.
+    const Measurement_series series = gene_panel(*kernel_)[0];
+    const Batch_entry entry =
+        deconvolve_one(deconvolver, series, resolved.lambda_grid, resolved);
+    ASSERT_TRUE(entry.estimate.has_value()) << entry.error;
+    Deconvolution_options reference_options;
+    reference_options.lambda = 1e-3;
+    reference_options.constraints = geometry;
+    EXPECT_EQ(entry.estimate->coefficients(),
+              deconvolver.estimate(series, reference_options).coefficients());
 }
 
 TEST(PeakOrdering, GridValidation) {

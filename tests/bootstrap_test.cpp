@@ -147,6 +147,35 @@ TEST_F(BootstrapTest, DeterministicGivenSeed) {
     }
 }
 
+TEST_F(BootstrapTest, PoolOverloadIsThreadCountInvariant) {
+    // Replicate r draws from its own seeded Rng and writes its own slot,
+    // so the pooled band equals the serial one for any pool size.
+    const Measurement_series data = noisy_data(*kernel_, 9);
+    Deconvolution_options options;
+    options.lambda = 1e-3;
+    Bootstrap_options boot;
+    boot.replicates = 24;
+    const Vector grid = linspace(0.1, 0.9, 9);
+
+    Worker_pool one(1);
+    Worker_pool four(4);
+    EXPECT_EQ(four.thread_count(), 4u);
+    const Confidence_band a =
+        bootstrap_confidence_band(*deconvolver_, data, options, grid, boot, one);
+    const Confidence_band b =
+        bootstrap_confidence_band(*deconvolver_, data, options, grid, boot, four);
+    const Confidence_band serial =
+        bootstrap_confidence_band(*deconvolver_, data, options, grid, boot);
+
+    for (const Confidence_band* band : {&b, &serial}) {
+        EXPECT_EQ(a.replicates_used, band->replicates_used);
+        EXPECT_EQ(a.lower, band->lower);
+        EXPECT_EQ(a.median, band->median);
+        EXPECT_EQ(a.upper, band->upper);
+        EXPECT_EQ(a.point, band->point);
+    }
+}
+
 TEST_F(BootstrapTest, EmptyGridRejected) {
     const Measurement_series data = noisy_data(*kernel_, 6);
     EXPECT_THROW(

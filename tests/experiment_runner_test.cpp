@@ -1,7 +1,8 @@
 // End-to-end: a 3-condition synthetic experiment through the experiment
-// runner — kernels via the cache, per-condition Batch_engine solves,
-// warm-started lambda selection, profile synchrony scores, and cold/warm
-// determinism of the whole pipeline.
+// runner — kernels via the cache, per-gene solves as task-graph nodes on a
+// shared design per kernel, warm-started lambda selection, profile
+// synchrony scores, per-gene failure isolation, and cold/warm and
+// thread-count determinism of the whole pipeline.
 #include "core/experiment_runner.h"
 
 #include <gtest/gtest.h>
@@ -9,12 +10,14 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
 #include "numerics/statistics.h"
+#include "spline/spline_basis.h"
 
 namespace cellsync {
 namespace {
@@ -176,6 +179,7 @@ void expect_bit_identical_genes(const Experiment_result& a, const Experiment_res
             const Batch_entry& x = a.conditions[c].genes[g];
             const Batch_entry& y = b.conditions[c].genes[g];
             ASSERT_EQ(x.label, y.label);
+            EXPECT_EQ(x.error, y.error) << x.label;
             ASSERT_EQ(x.estimate.has_value(), y.estimate.has_value()) << x.error << y.error;
             if (!x.estimate.has_value()) continue;
             EXPECT_EQ(x.lambda, y.lambda) << x.label;
@@ -190,39 +194,138 @@ void expect_bit_identical_genes(const Experiment_result& a, const Experiment_res
     }
 }
 
-TEST(ExperimentRunner, PipelinedMatchesSequentialBitForBit) {
-    // The satellite guarantee of the task-graph refactor: the pipelined
-    // schedule (kernel simulation of condition k+1 overlapping condition
-    // k's solves) changes only the wall-clock shape. Per-gene lambdas and
-    // coefficients — and even the cache counters — match the sequential
-    // reference exactly, on a 3-condition panel, for several thread
-    // counts.
-    Experiment_spec sequential_spec = make_spec();
-    sequential_spec.schedule = Experiment_schedule::sequential;
-    Kernel_cache sequential_cache;
-    const Experiment_result sequential =
-        run_experiment(sequential_spec, Smooth_volume_model{}, sequential_cache);
+TEST(ExperimentRunner, GraphIsThreadCountInvariant) {
+    // The task graph overlaps kernel simulation of condition k+1 with
+    // condition k's solves and spreads genes over the pool; none of that
+    // may show in the results. Per-gene lambdas and coefficients, the
+    // cache counters, and the synchrony scores at 2 and 4 threads match
+    // the one-thread run exactly.
+    Experiment_spec spec = make_spec();
+    spec.threads = 1;
+    Kernel_cache one_thread_cache;
+    const Experiment_result one_thread =
+        run_experiment(spec, Smooth_volume_model{}, one_thread_cache);
 
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-        Experiment_spec pipelined_spec = make_spec();
-        pipelined_spec.schedule = Experiment_schedule::pipelined;
-        pipelined_spec.threads = threads;
-        Kernel_cache pipelined_cache;
-        const Experiment_result pipelined =
-            run_experiment(pipelined_spec, Smooth_volume_model{}, pipelined_cache);
+    for (const std::size_t threads : {2u, 4u}) {
+        spec.threads = threads;
+        Kernel_cache cache;
+        const Experiment_result result = run_experiment(spec, Smooth_volume_model{}, cache);
 
-        expect_bit_identical_genes(sequential, pipelined);
-        EXPECT_EQ(pipelined.cache_stats.builds, sequential.cache_stats.builds);
-        EXPECT_EQ(pipelined.cache_stats.memory_hits, sequential.cache_stats.memory_hits);
-        EXPECT_EQ(pipelined.cache_stats.disk_hits, sequential.cache_stats.disk_hits);
-        for (std::size_t c = 0; c < sequential.conditions.size(); ++c) {
-            EXPECT_EQ(pipelined.conditions[c].name, sequential.conditions[c].name);
-            ASSERT_EQ(pipelined.conditions[c].synchrony.size(),
-                      sequential.conditions[c].synchrony.size());
-            EXPECT_EQ(pipelined.conditions[c].mean_order_parameter,
-                      sequential.conditions[c].mean_order_parameter);
+        expect_bit_identical_genes(one_thread, result);
+        EXPECT_EQ(result.cache_stats.builds, one_thread.cache_stats.builds);
+        EXPECT_EQ(result.cache_stats.memory_hits, one_thread.cache_stats.memory_hits);
+        EXPECT_EQ(result.cache_stats.disk_hits, one_thread.cache_stats.disk_hits);
+        for (std::size_t c = 0; c < one_thread.conditions.size(); ++c) {
+            const Condition_result& x = one_thread.conditions[c];
+            const Condition_result& y = result.conditions[c];
+            EXPECT_EQ(y.name, x.name);
+            ASSERT_EQ(y.synchrony.size(), x.synchrony.size());
+            for (std::size_t g = 0; g < x.synchrony.size(); ++g) {
+                EXPECT_EQ(y.synchrony[g].label, x.synchrony[g].label);
+                EXPECT_EQ(y.synchrony[g].order_parameter, x.synchrony[g].order_parameter);
+                EXPECT_EQ(y.synchrony[g].entropy, x.synchrony[g].entropy);
+                EXPECT_EQ(y.synchrony[g].peak_phi, x.synchrony[g].peak_phi);
+            }
+            EXPECT_EQ(y.mean_order_parameter, x.mean_order_parameter);
+            EXPECT_EQ(y.mean_entropy, x.mean_entropy);
         }
     }
+}
+
+/// Sequential reference for run_experiment, built from public calls only
+/// (the calls e2ebench's replay makes): conditions one after another on
+/// this thread, a fresh design per condition, each gene through
+/// deconvolve_one on its warm-started or full lambda grid. Fills only
+/// the per-condition gene entries.
+Experiment_result reference_loop(const Experiment_spec& spec, const Volume_model& volume_model) {
+    Kernel_cache cache;
+    std::map<std::string, double> previous_lambda;
+    Experiment_result out;
+    for (std::size_t c = 0; c < spec.conditions.size(); ++c) {
+        const Experiment_condition& condition = spec.conditions[c];
+        const std::shared_ptr<const Kernel_grid> kernel = cache.get_or_build(
+            condition.cell_cycle, volume_model, condition.panel.front().times, spec.kernel);
+        const std::shared_ptr<const Design_artifacts> design = make_design_artifacts(
+            std::make_shared<Natural_spline_basis>(spec.basis_size), *kernel,
+            condition.cell_cycle, spec.batch.deconvolution.constraints);
+        const Deconvolver deconvolver(design);
+        const Batch_options resolved = resolve_batch_options(*design, spec.batch);
+
+        std::vector<Batch_entry> genes;
+        for (const Measurement_series& series : condition.panel) {
+            Vector grid = resolved.lambda_grid;
+            const auto previous = previous_lambda.find(series.label);
+            if (spec.warm_start_lambda && spec.batch.select_lambda && c > 0 &&
+                previous != previous_lambda.end()) {
+                const double decades = Experiment_spec::warm_grid_decades;
+                grid = default_lambda_grid(Experiment_spec::warm_grid_points,
+                                           previous->second * std::pow(10.0, -decades),
+                                           previous->second * std::pow(10.0, decades));
+            }
+            genes.push_back(deconvolve_one(deconvolver, series, grid, resolved));
+        }
+        for (const Batch_entry& entry : genes) {
+            if (entry.estimate.has_value()) previous_lambda[entry.label] = entry.lambda;
+        }
+        out.conditions.emplace_back().genes = std::move(genes);
+    }
+    return out;
+}
+
+TEST(ExperimentRunner, GraphMatchesSequentialReferenceLoop) {
+    // At one thread the pool claims the lowest ready node id first, so a
+    // missing score_{c-1} -> prep_c edge would not show there; a parallel
+    // run compared against an independent sequential loop would.
+    Experiment_spec spec = make_spec();
+    const Experiment_result reference = reference_loop(spec, Smooth_volume_model{});
+    for (const std::size_t threads : {1u, 4u}) {
+        spec.threads = threads;
+        expect_bit_identical_genes(run_experiment(spec, Smooth_volume_model{}), reference);
+    }
+}
+
+TEST(ExperimentRunner, FailingGeneIsIsolatedInsideTheGraph) {
+    // 1.7e308 is finite, so the spec validates, but the gene's QP optimum
+    // overflows and its solve throws. Only that gene may fail.
+    const Experiment_spec clean = make_spec();
+    Experiment_spec poisoned = clean;
+    Measurement_series& victim = poisoned.conditions[0].panel[1];
+    ASSERT_EQ(victim.label, "sinusoid");
+    victim.values[4] = 1.7e308;
+
+    poisoned.threads = 1;
+    const Experiment_result one_thread = run_experiment(poisoned, Smooth_volume_model{});
+    poisoned.threads = 4;
+    const Experiment_result four_threads = run_experiment(poisoned, Smooth_volume_model{});
+    const Experiment_result reference_run = run_experiment(clean, Smooth_volume_model{});
+
+    const Batch_entry& failed = one_thread.conditions[0].genes[1];
+    ASSERT_FALSE(failed.estimate.has_value());
+    EXPECT_NE(failed.error.find("gene 'sinusoid'"), std::string::npos) << failed.error;
+    EXPECT_NE(failed.error.find("runtime_error"), std::string::npos) << failed.error;
+    EXPECT_NE(failed.error.find("non-finite optimum"), std::string::npos) << failed.error;
+    EXPECT_EQ(one_thread.conditions[0].synchrony.size(), 2u);
+
+    // Every other gene is bit-identical to the run without the bad value.
+    for (std::size_t c = 0; c < clean.conditions.size(); ++c) {
+        for (std::size_t g = 0; g < clean.conditions[c].panel.size(); ++g) {
+            const Batch_entry& x = one_thread.conditions[c].genes[g];
+            if (x.label == "sinusoid") continue;
+            const Batch_entry& y = reference_run.conditions[c].genes[g];
+            ASSERT_TRUE(x.estimate.has_value()) << x.error;
+            ASSERT_TRUE(y.estimate.has_value()) << y.error;
+            EXPECT_EQ(x.lambda, y.lambda) << x.label;
+            EXPECT_EQ(x.estimate->coefficients(), y.estimate->coefficients()) << x.label;
+        }
+    }
+
+    // Threads 1 and 4 agree, failure included.
+    expect_bit_identical_genes(one_thread, four_threads);
+
+    // The failed gene has no warm start in condition 1, so it searches the
+    // full lambda grid there; the reference loop does exactly that.
+    ASSERT_TRUE(one_thread.conditions[1].genes[1].estimate.has_value());
+    expect_bit_identical_genes(one_thread, reference_loop(poisoned, Smooth_volume_model{}));
 }
 
 TEST(ExperimentRunner, CacheStatsArePerRunDeltas) {

@@ -174,8 +174,8 @@ TEST(StreamSession, ThrowingUpdateSurfacesAsLabeledErrorNotHangOrAbort) {
     ASSERT_TRUE(updates[0].estimate.has_value());
 
     // The failure is labeled with the gene and exception type (the batch
-    // engine's error format), the estimate slot stays empty, and the
-    // failed stream did not advance.
+    // error format, labeled_task_error), the estimate slot stays empty,
+    // and the failed stream did not advance.
     EXPECT_FALSE(updates[1].estimate.has_value());
     EXPECT_NE(updates[1].error.find("bad"), std::string::npos) << updates[1].error;
     EXPECT_NE(updates[1].error.find("invalid_argument"), std::string::npos)

@@ -43,7 +43,8 @@ TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
 
 TEST(WorkerPool, SlotWritesAreDeterministic) {
     // Tasks writing into their own slot produce the same result for any
-    // thread count — the invariant the batch engine builds on.
+    // thread count — the invariant the experiment runner and the pooled
+    // bootstrap build on.
     auto run = [](std::size_t threads) {
         Worker_pool pool(threads);
         std::vector<double> out(100);

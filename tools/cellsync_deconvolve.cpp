@@ -13,10 +13,10 @@
 //              CSV is wide format: a `time` column plus one column per
 //              gene, optionally paired with `<gene>_sigma`. All
 //              (condition x gene) solves share kernels through the cache
-//              and one Batch_engine per condition; lambda selection is
-//              warm-started across adjacent conditions. Writes
-//              `<output stem>.<condition>.csv` per condition and prints
-//              per-condition synchrony scores.
+//              and one design per kernel, and run as one task graph;
+//              lambda selection is warm-started across adjacent
+//              conditions. Writes `<output stem>.<condition>.csv` per
+//              condition and prints per-condition synchrony scores.
 //   stream   Incremental deconvolution of an append-only record log
 //            (long-form CSV: time,gene,value[,sigma], rows time-ordered).
 //            Each timepoint's records update every gene's estimate
@@ -63,9 +63,6 @@
 // each condition's `<stem>.<condition>.shard<i>of<N>.csv` outputs with
 // `merge-results`.
 //
-// Legacy compatibility: invoking with options only (first argument starts
-// with `--`) behaves as `run`.
-//
 // Common options:
 //   --output PATH       profile CSV / kernel CSV destination
 //   --cache-dir DIR     disk-backed kernel cache (run, stream, kernel cache)
@@ -75,15 +72,12 @@
 //                       safe for many processes sharing one directory
 //   --shards N --shard-index I   experiment runs: keep only shard I of
 //                       the gene panels (see "Sharded experiments")
-//   --sequential        experiment runs: condition-by-condition schedule
-//                       instead of the pipelined task graph (results are
-//                       bit-identical; this is the debugging reference)
 //   --kernel PATH       reuse a saved kernel (single-series run; CSV or
 //                       binary, auto-detected)
 //   --save-kernel PATH  persist the simulated kernel (single-series run)
 //   --kernel-format F   csv | bin | binary (kernel build / kernel convert)
 //   --cells N --bins N --seed N     simulation controls
-//   --basis N           spline knots Nc             (default 18)
+//   --basis N           spline knots Nc >= 4        (default 18)
 //   --lambda X          fixed smoothness weight >= 0 (default: 5-fold CV
 //                       for run; 1e-3 for stream)
 //   --mu-sst X --cycle-minutes X    organism model defaults
@@ -91,7 +85,8 @@
 //   --no-positivity / --no-conservation / --no-rate-continuity
 //   --no-warm-start     run: full lambda grid for every condition;
 //                       stream: cold QP re-solve on every timepoint
-//   --bootstrap N       confidence band (single-series run only)
+//   --bootstrap N       confidence band from N >= 10 replicates, 0 = none
+//                       (single-series run only)
 //   --threads N         worker threads              (default: hardware)
 //   --times LO:HI:N | --times-from data.csv   time grid (kernel, stream)
 //   --json PATH         machine-readable report output (report, kernel cache)
@@ -101,7 +96,7 @@
 //   --metrics-json PATH metrics snapshot (counters/gauges/histograms)
 //                       written at command exit (run, stream, merge-results)
 //   --stop-when-converged / --coef-tol X / --score-tol X
-//   --stable-updates N / --min-observed N     streaming convergence
+//   --stable-updates N (>= 1) / --min-observed N     streaming convergence
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,10 +110,12 @@
 
 #include <fstream>
 
-#include "core/batch_engine.h"
+#include "core/bootstrap.h"
+#include "core/cross_validation.h"
 #include "core/experiment_runner.h"
 #include "core/telemetry.h"
 #include "core/trace.h"
+#include "core/worker_pool.h"
 #include "io/csv.h"
 #include "io/expression_data.h"
 #include "population/kernel_io.h"
@@ -171,7 +168,6 @@ struct Cli_options {
     bool cache_read_only = false;         ///< shared-directory fleet mode
     std::size_t shards = 1;               ///< experiment gene-panel shards
     std::size_t shard_index = 0;          ///< this process's shard
-    bool sequential = false;              ///< experiment: reference schedule
     bool stop_when_converged = false;     ///< stream: end once all genes stabilize
     Stream_convergence convergence;       ///< stream thresholds
 };
@@ -216,6 +212,13 @@ Condition_request parse_condition(const std::string& value) {
     return request;
 }
 
+/// `--bootstrap N` as the bootstrap's options (N > 0).
+Bootstrap_options bootstrap_options_from(const Cli_options& cli) {
+    Bootstrap_options boot;
+    boot.replicates = cli.bootstrap;
+    return boot;
+}
+
 Cli_options parse_args(int argc, char** argv, int first) {
     Cli_options options;
     auto next_value = [&](int& i) -> std::string {
@@ -238,7 +241,14 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--times-from") options.times_from = next_value(i);
             else if (arg == "--cells") options.cells = parse_strict_uint64(next_value(i));
             else if (arg == "--bins") options.bins = parse_strict_uint64(next_value(i));
-            else if (arg == "--basis") options.basis = parse_strict_uint64(next_value(i));
+            else if (arg == "--basis") {
+                options.basis = parse_strict_uint64(next_value(i));
+                if (options.basis < Natural_spline_basis::min_knots) {
+                    throw std::invalid_argument(
+                        "need at least " + std::to_string(Natural_spline_basis::min_knots) +
+                        " knots, got " + std::to_string(options.basis));
+                }
+            }
             else if (arg == "--lambda") {
                 const std::string text = next_value(i);
                 options.lambda = parse_strict_double(text);
@@ -253,7 +263,10 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--no-conservation") options.conservation = false;
             else if (arg == "--no-rate-continuity") options.rate_continuity = false;
             else if (arg == "--no-warm-start") options.warm_start = false;
-            else if (arg == "--bootstrap") options.bootstrap = parse_strict_uint64(next_value(i));
+            else if (arg == "--bootstrap") {
+                options.bootstrap = parse_strict_uint64(next_value(i));
+                if (options.bootstrap > 0) bootstrap_options_from(options).validate();
+            }
             else if (arg == "--seed") options.seed = parse_strict_uint64(next_value(i));
             else if (arg == "--threads") options.threads = parse_strict_uint64(next_value(i));
             else if (arg == "--json") options.json_path = next_value(i);
@@ -263,19 +276,22 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--cache-read-only") options.cache_read_only = true;
             else if (arg == "--shards") options.shards = parse_strict_uint64(next_value(i));
             else if (arg == "--shard-index") options.shard_index = parse_strict_uint64(next_value(i));
-            else if (arg == "--sequential") options.sequential = true;
             else if (arg == "--stop-when-converged") options.stop_when_converged = true;
             else if (arg == "--coef-tol") options.convergence.coefficient_tol = parse_strict_double(next_value(i));
             else if (arg == "--score-tol") options.convergence.score_tol = parse_strict_double(next_value(i));
-            else if (arg == "--stable-updates") options.convergence.stable_updates = parse_strict_uint64(next_value(i));
+            else if (arg == "--stable-updates") {
+                options.convergence.stable_updates = parse_strict_uint64(next_value(i));
+                options.convergence.validate();
+            }
             else if (arg == "--min-observed") options.convergence.min_observed = parse_strict_uint64(next_value(i));
             else usage_error("unknown option '" + arg + "'");
         } catch (const std::exception& e) {
             // The strict parsers (io/csv.h from_chars policy) throw on
             // trailing garbage ("1.5junk"), inf/nan, signs on unsigned
-            // flags, and out-of-range values; all are malformed option
-            // values and deserve the usage path, with the parser's
-            // message naming the offending text.
+            // flags, and out-of-range values, and the range checks above
+            // apply the library's own rules; all are malformed option
+            // values and deserve the usage path, before any work starts,
+            // with the message naming the offending text and flag.
             usage_error(std::string(e.what()) + " (option " + arg + ")");
         }
     }
@@ -493,26 +509,20 @@ int run_single(const Cli_options& cli) {
         std::printf("kernel: saved to %s\n", cli.save_kernel_path.c_str());
     }
 
-    // One engine owns the shared design artifacts (kernel matrix, penalty,
-    // constraint blocks + QP reduction) and the worker pool used by the CV
-    // sweep and the bootstrap replicates.
+    // One shared design (kernel matrix, penalty, constraint blocks + QP
+    // reduction) serves the CV sweep, the estimate and every bootstrap
+    // replicate.
     Deconvolution_options options;
     options.constraints = constraints_from(cli);
-
-    Batch_engine_options engine_options;
-    engine_options.threads = cli.threads;
-    engine_options.constraints = options.constraints;
-    const Batch_engine engine(std::make_shared<Natural_spline_basis>(cli.basis), *kernel,
-                              config, engine_options);
-    const Deconvolver& deconvolver = engine.deconvolver();
-    std::printf("engine: %zu worker threads\n", engine.thread_count());
+    const Deconvolver deconvolver(make_design_artifacts(
+        std::make_shared<Natural_spline_basis>(cli.basis), *kernel, config, options.constraints));
 
     if (cli.lambda.has_value()) {
         options.lambda = *cli.lambda;
         std::printf("lambda: fixed at %.3e\n", options.lambda);
     } else {
-        const Lambda_selection sel =
-            engine.cross_validate(data, options, default_lambda_grid(15, 1e-7, 1e1), 5);
+        const Lambda_selection sel = select_lambda_kfold(
+            deconvolver, data, options, default_lambda_grid(15, 1e-7, 1e1), 5);
         options.lambda = sel.best_lambda;
         std::printf("lambda: %.3e (5-fold CV)\n", options.lambda);
     }
@@ -527,9 +537,9 @@ int run_single(const Cli_options& cli) {
     Series_writer writer("phi", grid);
     writer.add("f", estimate.sample(grid));
     if (cli.bootstrap > 0) {
-        Bootstrap_options boot;
-        boot.replicates = cli.bootstrap;
-        const Confidence_band band = engine.bootstrap(data, options, grid, boot);
+        Worker_pool pool(cli.threads);
+        const Confidence_band band = bootstrap_confidence_band(
+            deconvolver, data, options, grid, bootstrap_options_from(cli), pool);
         writer.add("f_lower90", band.lower)
             .add("f_median", band.median)
             .add("f_upper90", band.upper);
@@ -550,8 +560,6 @@ int run_experiment_mode(const Cli_options& cli) {
     spec.kernel = kernel_options_from(cli);
     spec.basis_size = cli.basis;
     spec.threads = cli.threads;
-    spec.schedule = cli.sequential ? Experiment_schedule::sequential
-                                   : Experiment_schedule::pipelined;
     spec.warm_start_lambda = cli.warm_start;
     spec.batch.deconvolution.constraints = constraints_from(cli);
     spec.batch.lambda_grid = default_lambda_grid(15, 1e-7, 1e1);
@@ -978,7 +986,9 @@ std::vector<std::pair<std::string, double>> read_lambda_comments(const std::stri
         constexpr const char* prefix = "# lambda:";
         if (line.rfind(prefix, 0) != 0) continue;
         const std::string body = line.substr(std::strlen(prefix));
-        const auto eq = body.find('=');
+        // Split at the last '=': the label may contain one, the %.17g
+        // value never does.
+        const auto eq = body.rfind('=');
         if (eq == std::string::npos || eq == 0) continue;
         try {
             lambdas.emplace_back(body.substr(0, eq), parse_strict_double(body.substr(eq + 1)));
@@ -1145,12 +1155,8 @@ int main(int argc, char** argv) {
         usage_error("missing subcommand (run, stream, kernel build, kernel cache, report, "
                     "merge-results)");
     }
-    std::string command = argv[1];
-    int first = 2;
-    if (command.rfind("--", 0) == 0) {
-        command = "run";  // legacy single-command invocation
-        first = 1;
-    }
+    const std::string command = argv[1];
+    const int first = 2;
     try {
         if (command == "run") {
             return cmd_run(parse_args(argc, argv, first));
