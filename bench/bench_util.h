@@ -21,8 +21,7 @@ namespace cellsync::bench {
 
 /// The bench harnesses time through the runtime's one clock seam
 /// (telemetry::Clock) rather than hand-rolled std::chrono readers, so
-/// the repo lint can ban raw clock access everywhere else. Stopwatch is
-/// always real — it does not depend on the CELLSYNC_TELEMETRY gate.
+/// the repo lint can ban raw clock access everywhere else.
 using Stopwatch = telemetry::Stopwatch;
 
 /// Machine-readable bench output: each harness collects named metrics and

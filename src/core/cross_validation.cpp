@@ -117,7 +117,7 @@ Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,
 
     // One cached KKT object sweeps the grid: the Gram and penalty blocks
     // are assembled once, each lambda refactors in place.
-    Kkt_factorization kkt(gram(kw), deconvolver.penalty(), Matrix(0, n));
+    Kkt_factorization kkt(gram(kw), deconvolver.penalty());
 
     Lambda_selection sel;
     sel.method = "gcv";
@@ -131,9 +131,9 @@ Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,
         double trace = 0.0;
         for (std::size_t i = 0; i < m; ++i) {
             const Vector row = kw.row(i);
-            trace += dot(row, kkt.solve(scaled(row, -1.0), Vector{}));
+            trace += dot(row, kkt.solve(scaled(row, -1.0)));
         }
-        const Vector fitted = kw * kkt.solve(scaled(transposed_times(kw, z), -1.0), Vector{});
+        const Vector fitted = kw * kkt.solve(scaled(transposed_times(kw, z), -1.0));
         double rss = 0.0;
         for (std::size_t i = 0; i < m; ++i) {
             const double r = z[i] - fitted[i];

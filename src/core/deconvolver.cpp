@@ -159,17 +159,15 @@ Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_serie
                                                          double lambda) const {
     check_series(series);
     if (lambda < 0.0) throw std::invalid_argument("Deconvolver: lambda must be >= 0");
-    const std::size_t n = artifacts_->basis->size();
     const Vector w = series.weights();
 
     // Normal equations (K'WK + lambda Omega + ridge I) alpha = K'W G through
     // the cached-block KKT object (Cholesky, LDLT on the semi-definite
     // corner).
-    Kkt_factorization kkt(weighted_gram(artifacts_->kernel_matrix, w), artifacts_->penalty,
-                          Matrix(0, n));
+    Kkt_factorization kkt(weighted_gram(artifacts_->kernel_matrix, w), artifacts_->penalty);
     kkt.factorize(lambda, estimator_ridge);
     const Vector rhs = transposed_times(artifacts_->kernel_matrix, hadamard(w, series.values));
-    Vector alpha = kkt.solve(scaled(rhs, -1.0), Vector{});
+    Vector alpha = kkt.solve(scaled(rhs, -1.0));
     return package(std::move(alpha), series, lambda);
 }
 

@@ -19,19 +19,6 @@ std::int64_t Clock::now_ns() {
 
 namespace {
 
-#if CELLSYNC_TELEMETRY
-/// FNV-1a over the metric name; only used to pick a registration stripe,
-/// never exposed, so the constant choice is not a compatibility surface.
-std::size_t name_hash(std::string_view name) {
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char c : name) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(hash);
-}
-#endif  // CELLSYNC_TELEMETRY
-
 void append_double(std::string& out, double value) {
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, "%.17g", value);
@@ -73,9 +60,7 @@ std::string json_escape(std::string_view text) {
 void write_metrics_json(std::ostream& out, const Metrics_snapshot& snapshot) {
     std::string body;
     body += "{\n  \"schema\": \"cellsync-metrics-v1\",\n";
-    body += "  \"telemetry_compiled\": ";
-    body += compiled_in ? "true" : "false";
-    body += ",\n  \"counters\": {";
+    body += "  \"counters\": {";
     for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
         body += i == 0 ? "\n" : ",\n";
         body += "    \"" + json_escape(snapshot.counters[i].first) + "\": ";
@@ -117,8 +102,6 @@ void write_metrics_json(std::ostream& out, const Metrics_snapshot& snapshot) {
     out << body;
 }
 
-#if CELLSYNC_TELEMETRY
-
 void Histogram::record(double value) {
     const auto bound =
         std::lower_bound(upper_bounds.begin(), upper_bounds.end(), value);
@@ -158,79 +141,49 @@ Metrics_registry& Metrics_registry::instance() {
     return *registry;
 }
 
-Metrics_registry::Stripe& Metrics_registry::stripe_for(std::string_view name) {
-    return stripes_[name_hash(name) % stripe_count];
-}
-
-const Metrics_registry::Stripe& Metrics_registry::stripe_for(
-    std::string_view name) const {
-    return stripes_[name_hash(name) % stripe_count];
-}
-
 Counter& Metrics_registry::counter(std::string_view name) {
-    Stripe& stripe = stripe_for(name);
-    const Annotated_lock lock(stripe.mutex);
-    const auto found = stripe.counters.find(name);
-    if (found != stripe.counters.end()) return *found->second;
-    return *stripe.counters.emplace(std::string(name), std::make_unique<Counter>())
-                .first->second;
+    const Annotated_lock lock(mutex_);
+    const auto found = counters_.find(name);
+    if (found != counters_.end()) return *found->second;
+    return *counters_.emplace(std::string(name), std::make_unique<Counter>()).first->second;
 }
 
 Gauge& Metrics_registry::gauge(std::string_view name) {
-    Stripe& stripe = stripe_for(name);
-    const Annotated_lock lock(stripe.mutex);
-    const auto found = stripe.gauges.find(name);
-    if (found != stripe.gauges.end()) return *found->second;
-    return *stripe.gauges.emplace(std::string(name), std::make_unique<Gauge>())
-                .first->second;
+    const Annotated_lock lock(mutex_);
+    const auto found = gauges_.find(name);
+    if (found != gauges_.end()) return *found->second;
+    return *gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first->second;
 }
 
 Histogram& Metrics_registry::histogram(std::string_view name) {
-    Stripe& stripe = stripe_for(name);
-    const Annotated_lock lock(stripe.mutex);
-    const auto found = stripe.histograms.find(name);
-    if (found != stripe.histograms.end()) return *found->second;
-    return *stripe.histograms.emplace(std::string(name), std::make_unique<Histogram>())
+    const Annotated_lock lock(mutex_);
+    const auto found = histograms_.find(name);
+    if (found != histograms_.end()) return *found->second;
+    return *histograms_.emplace(std::string(name), std::make_unique<Histogram>())
                 .first->second;
 }
 
 Metrics_snapshot Metrics_registry::snapshot() const {
+    // The maps iterate in name order, so the snapshot comes out sorted.
     Metrics_snapshot out;
-    for (const Stripe& stripe : stripes_) {
-        const Annotated_lock lock(stripe.mutex);
-        for (const auto& [name, counter] : stripe.counters) {
-            out.counters.emplace_back(name, counter->value());
-        }
-        for (const auto& [name, gauge] : stripe.gauges) {
-            out.gauges.emplace_back(name, gauge->value());
-        }
-        for (const auto& [name, histogram] : stripe.histograms) {
-            out.histograms.emplace_back(name, histogram->snapshot());
-        }
+    const Annotated_lock lock(mutex_);
+    for (const auto& [name, counter] : counters_) {
+        out.counters.emplace_back(name, counter->value());
     }
-    const auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
-    std::sort(out.counters.begin(), out.counters.end(), by_name);
-    std::sort(out.gauges.begin(), out.gauges.end(), by_name);
-    std::sort(out.histograms.begin(), out.histograms.end(), by_name);
+    for (const auto& [name, gauge] : gauges_) {
+        out.gauges.emplace_back(name, gauge->value());
+    }
+    for (const auto& [name, histogram] : histograms_) {
+        out.histograms.emplace_back(name, histogram->snapshot());
+    }
     return out;
 }
 
 void Metrics_registry::reset_values() {
-    for (Stripe& stripe : stripes_) {
-        const Annotated_lock lock(stripe.mutex);
-        for (const auto& [name, counter] : stripe.counters) counter->reset();
-        for (const auto& [name, gauge] : stripe.gauges) gauge->reset();
-        for (const auto& [name, histogram] : stripe.histograms) histogram->reset();
-    }
+    const Annotated_lock lock(mutex_);
+    for (const auto& [name, counter] : counters_) counter->reset();
+    for (const auto& [name, gauge] : gauges_) gauge->reset();
+    for (const auto& [name, histogram] : histograms_) histogram->reset();
 }
-
-#else  // !CELLSYNC_TELEMETRY
-
-Metrics_registry& Metrics_registry::instance() {
-    static Metrics_registry* const registry = new Metrics_registry();
-    return *registry;
-}
-
-#endif  // CELLSYNC_TELEMETRY
 
 }  // namespace cellsync::telemetry

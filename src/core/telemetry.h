@@ -1,6 +1,6 @@
 // Process-wide runtime metrics and the single clock seam.
 //
-// Three pieces, one policy:
+// Two pieces, one policy:
 //
 //  - `telemetry::Clock` / `telemetry::Stopwatch` — the only place the
 //    process reads a wall/monotonic clock. Everything that times
@@ -12,30 +12,19 @@
 //    traced run is bit-identical to an untraced one at any thread count.
 //
 //  - `Metrics_registry` — monotonic counters, gauges, and fixed-bucket
-//    histograms, registered by name. Registration is lock-striped
-//    behind `Annotated_mutex` (thread-safety-analysis clean); the
-//    returned handles are stable for the process lifetime and update
-//    with single relaxed atomics, so hot paths cache the handle in a
-//    function-local static and pay one atomic add per event.
+//    histograms, registered by name under one `Annotated_mutex`
+//    (thread-safety-analysis clean); the returned handles are stable
+//    for the process lifetime and update with single relaxed atomics,
+//    so hot paths cache the handle in a function-local static and pay
+//    one atomic add per event.
 //
-//  - The `CELLSYNC_TELEMETRY` gate (CMake option, default ON). When
-//    OFF, every class here still exists with the same signatures but
-//    all methods are empty inline stubs, so instrumentation sites
-//    compile to nothing without `#if` noise at the call site. The
-//    Clock/Stopwatch seam stays real in both modes — benches need
-//    timing regardless of whether metrics are collected.
-//
-// Telemetry observes, never perturbs: no instrumentation site may feed
-// a clock reading or a counter value back into a numeric result.
+// Telemetry is part of every build. It observes, never perturbs: no
+// instrumentation site may feed a clock reading or a counter value back
+// into a numeric result.
 #pragma once
-
-#ifndef CELLSYNC_TELEMETRY
-#define CELLSYNC_TELEMETRY 1
-#endif
 
 #include <array>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,12 +38,8 @@
 
 namespace cellsync::telemetry {
 
-/// True when the library was built with -DCELLSYNC_TELEMETRY=ON; tests
-/// use this to assert either real collection or the no-op contract.
-inline constexpr bool compiled_in = CELLSYNC_TELEMETRY != 0;
-
 // ---------------------------------------------------------------------
-// Clock seam (always real, independent of the telemetry gate)
+// Clock seam
 // ---------------------------------------------------------------------
 
 /// The process's one monotonic clock. Nanoseconds from an arbitrary
@@ -81,7 +66,7 @@ class Stopwatch {
 };
 
 // ---------------------------------------------------------------------
-// Snapshot types (always compiled — consumers work in both modes)
+// Snapshot types
 // ---------------------------------------------------------------------
 
 struct Histogram_snapshot {
@@ -106,8 +91,6 @@ void write_metrics_json(std::ostream& out, const Metrics_snapshot& snapshot);
 
 /// Minimal JSON string escaping shared by the metrics and trace writers.
 std::string json_escape(std::string_view text);
-
-#if CELLSYNC_TELEMETRY
 
 // ---------------------------------------------------------------------
 // Live instruments
@@ -156,9 +139,9 @@ class Histogram {
     std::atomic<double> sum_{0.0};  ///< CAS-accumulated; exact total of adds
 };
 
-/// The process-wide named-instrument registry. Lookup is lock-striped
-/// by name hash; returned references are valid for the process
-/// lifetime (instruments are never destroyed or moved).
+/// The process-wide named-instrument registry. Returned references are
+/// valid for the process lifetime (instruments are never destroyed or
+/// moved).
 class Metrics_registry {
   public:
     static Metrics_registry& instance();
@@ -167,7 +150,7 @@ class Metrics_registry {
     Gauge& gauge(std::string_view name);
     Histogram& histogram(std::string_view name);
 
-    /// Consistent-enough snapshot: each stripe is locked while copied,
+    /// Consistent-enough snapshot: the registry is locked while copied,
     /// values are atomic reads. Names are sorted for deterministic output.
     Metrics_snapshot snapshot() const;
 
@@ -180,93 +163,14 @@ class Metrics_registry {
     Metrics_registry& operator=(const Metrics_registry&) = delete;
 
   private:
-    static constexpr std::size_t stripe_count = 8;
-
-    struct Stripe {
-        mutable Annotated_mutex mutex;
-        std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters
-            CELLSYNC_GUARDED_BY(mutex);
-        std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges
-            CELLSYNC_GUARDED_BY(mutex);
-        std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms
-            CELLSYNC_GUARDED_BY(mutex);
-    };
-
-    Stripe& stripe_for(std::string_view name);
-    const Stripe& stripe_for(std::string_view name) const;
-
-    std::array<Stripe, stripe_count> stripes_;
+    mutable Annotated_mutex mutex_;
+    std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
+        CELLSYNC_GUARDED_BY(mutex_);
+    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
+        CELLSYNC_GUARDED_BY(mutex_);
+    std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
+        CELLSYNC_GUARDED_BY(mutex_);
 };
-
-/// Stopwatch for instrumentation sites only: unlike Stopwatch it
-/// compiles to nothing (no clock reads at all) when the telemetry gate
-/// is OFF. Use Stopwatch when the elapsed time is the product (bench
-/// harnesses); use Latency_timer when it only feeds a histogram.
-class Latency_timer {
-  public:
-    double elapsed_us() const { return watch_.elapsed_us(); }
-    double elapsed_ms() const { return watch_.elapsed_ms(); }
-
-  private:
-    Stopwatch watch_;
-};
-
-#else  // !CELLSYNC_TELEMETRY
-
-// ---------------------------------------------------------------------
-// No-op stubs: same API, empty inline bodies, so every instrumentation
-// site compiles away without #if guards.
-// ---------------------------------------------------------------------
-
-class Counter {
-  public:
-    void add(std::uint64_t = 1) {}
-    std::uint64_t value() const { return 0; }
-    void reset() {}
-};
-
-class Gauge {
-  public:
-    void set(double) {}
-    double value() const { return 0.0; }
-    void reset() {}
-};
-
-class Histogram {
-  public:
-    void record(double) {}
-    Histogram_snapshot snapshot() const { return {}; }
-    void reset() {}
-};
-
-class Latency_timer {
-  public:
-    double elapsed_us() const { return 0.0; }
-    double elapsed_ms() const { return 0.0; }
-};
-
-class Metrics_registry {
-  public:
-    static Metrics_registry& instance();
-
-    Counter& counter(std::string_view) { return counter_; }
-    Gauge& gauge(std::string_view) { return gauge_; }
-    Histogram& histogram(std::string_view) { return histogram_; }
-
-    Metrics_snapshot snapshot() const { return {}; }
-    void reset_values() {}
-
-    Metrics_registry() = default;
-    Metrics_registry(const Metrics_registry&) = delete;
-    Metrics_registry& operator=(const Metrics_registry&) = delete;
-
-  private:
-    Counter counter_;
-    Gauge gauge_;
-    Histogram histogram_;
-};
-
-#endif  // CELLSYNC_TELEMETRY
 
 // Convenience lookups. Hot paths should cache the returned handle in a
 // function-local static so the name lookup happens once:

@@ -9,7 +9,6 @@ namespace cellsync::telemetry {
 
 namespace {
 
-#if CELLSYNC_TELEMETRY
 void append_span_json(std::string& out, const Trace_event& event,
                       std::int64_t epoch_ns) {
     char buffer[96];
@@ -30,11 +29,8 @@ void append_span_json(std::string& out, const Trace_event& event,
     }
     out += "}";
 }
-#endif  // CELLSYNC_TELEMETRY
 
 }  // namespace
-
-#if CELLSYNC_TELEMETRY
 
 std::string arg(std::string_view key, std::string_view value) {
     std::string out;
@@ -161,19 +157,5 @@ void Trace_recorder::write_chrome_trace(std::ostream& out) const {
     body += first ? "]}\n" : "\n]}\n";
     out << body;
 }
-
-#else  // !CELLSYNC_TELEMETRY
-
-Trace_recorder& Trace_recorder::instance() {
-    static Trace_recorder* const recorder = new Trace_recorder();
-    return *recorder;
-}
-
-void Trace_recorder::write_chrome_trace(std::ostream& out) const {
-    // Valid empty trace so `--trace` output is loadable in either mode.
-    out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": []}\n";
-}
-
-#endif  // CELLSYNC_TELEMETRY
 
 }  // namespace cellsync::telemetry

@@ -13,10 +13,6 @@
 // thread-name metadata, loadable directly in chrome://tracing or
 // https://ui.perfetto.dev. Timestamps are microseconds relative to the
 // moment recording was enabled.
-//
-// Under -DCELLSYNC_TELEMETRY=OFF every class keeps its signature with
-// empty inline bodies: spans vanish, the writer emits a valid empty
-// trace (so `--trace` still produces well-formed output).
 #pragma once
 
 #include <atomic>
@@ -42,8 +38,6 @@ struct Trace_event {
     std::int64_t duration_ns = 0;
     std::uint32_t tid = 0;  ///< registration-order thread id, dense from 0
 };
-
-#if CELLSYNC_TELEMETRY
 
 /// `"key":"escaped-value"` / `"key":123` fragments for Trace_span args.
 std::string arg(std::string_view key, std::string_view value);
@@ -132,42 +126,5 @@ class Trace_span {
     std::int64_t start_ns_ = 0;
     bool active_;
 };
-
-#else  // !CELLSYNC_TELEMETRY
-
-// Args helpers degrade to empty strings so span call sites (which the
-// stub Trace_span discards entirely) inline away.
-inline std::string arg(std::string_view, std::string_view) { return {}; }
-inline std::string arg(std::string_view, std::int64_t) { return {}; }
-inline std::string args_join(std::string, std::string_view) { return {}; }
-
-class Trace_recorder {
-  public:
-    static Trace_recorder& instance();
-
-    void enable() {}
-    void disable() {}
-    bool enabled() const { return false; }
-    std::int64_t epoch_ns() const { return 0; }
-
-    void record(Trace_event) {}
-    std::vector<Trace_event> collect() const { return {}; }
-    void write_chrome_trace(std::ostream& out) const;
-
-    Trace_recorder() = default;
-    Trace_recorder(const Trace_recorder&) = delete;
-    Trace_recorder& operator=(const Trace_recorder&) = delete;
-};
-
-class Trace_span {
-  public:
-    Trace_span(std::string_view, std::string_view) {}
-    Trace_span(std::string_view, std::string_view, std::string) {}
-
-    Trace_span(const Trace_span&) = delete;
-    Trace_span& operator=(const Trace_span&) = delete;
-};
-
-#endif  // CELLSYNC_TELEMETRY
 
 }  // namespace cellsync::telemetry

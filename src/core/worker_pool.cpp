@@ -65,9 +65,7 @@ void Worker_pool::worker_loop() {
 
 void Worker_pool::make_ready(const Task_graph& graph, std::size_t id) {
     states_[id].ready = true;
-    if constexpr (telemetry::compiled_in) {
-        states_[id].ready_ns = telemetry::Clock::now_ns();
-    }
+    states_[id].ready_ns = telemetry::Clock::now_ns();
     // A pure barrier has no indices to claim; it completes the moment its
     // dependencies do (resolve_node cascades to its dependents).
     if (graph.nodes_[id].count == 0) resolve_node(graph, id);
@@ -78,34 +76,32 @@ void Worker_pool::resolve_node(const Task_graph& graph, std::size_t id) {
     state.resolved = true;
     ++resolved_count_;
     const bool poisons = state.failed || state.cancelled;
-    if constexpr (telemetry::compiled_in) {
-        // Node lifecycle counters + a claim-eligible -> resolved span per
-        // node that actually became ready (cancelled-before-ready nodes
-        // have no timeline to report). The recorder's buffer lock is a
-        // leaf, so recording under mutex_ is ordering-safe.
-        static telemetry::Counter& completed = telemetry::counter("scheduler.nodes_completed");
-        static telemetry::Counter& failed = telemetry::counter("scheduler.nodes_failed");
-        static telemetry::Counter& cancelled = telemetry::counter("scheduler.nodes_cancelled");
-        if (state.failed) {
-            failed.add();
-        } else if (state.cancelled) {
-            cancelled.add();
-        } else {
-            completed.add();
-        }
-        telemetry::Trace_recorder& recorder = telemetry::Trace_recorder::instance();
-        if (recorder.enabled() && state.ready) {
-            const char* status = state.failed     ? "failed"
-                                 : state.cancelled ? "cancelled"
-                                                   : "completed";
-            recorder.record({"node:" + graph.nodes_[id].name, "scheduler.node",
-                             telemetry::args_join(
-                                 telemetry::arg("status", status),
-                                 telemetry::arg("tasks", static_cast<std::int64_t>(
-                                                             graph.nodes_[id].count))),
-                             state.ready_ns, telemetry::Clock::now_ns() - state.ready_ns,
-                             0});
-        }
+    // Node lifecycle counters + a claim-eligible -> resolved span per
+    // node that actually became ready (cancelled-before-ready nodes
+    // have no timeline to report). The recorder's buffer lock is a
+    // leaf, so recording under mutex_ is ordering-safe.
+    static telemetry::Counter& completed = telemetry::counter("scheduler.nodes_completed");
+    static telemetry::Counter& failed = telemetry::counter("scheduler.nodes_failed");
+    static telemetry::Counter& cancelled = telemetry::counter("scheduler.nodes_cancelled");
+    if (state.failed) {
+        failed.add();
+    } else if (state.cancelled) {
+        cancelled.add();
+    } else {
+        completed.add();
+    }
+    telemetry::Trace_recorder& recorder = telemetry::Trace_recorder::instance();
+    if (recorder.enabled() && state.ready) {
+        const char* status = state.failed     ? "failed"
+                             : state.cancelled ? "cancelled"
+                                               : "completed";
+        recorder.record({"node:" + graph.nodes_[id].name, "scheduler.node",
+                         telemetry::args_join(
+                             telemetry::arg("status", status),
+                             telemetry::arg("tasks", static_cast<std::int64_t>(
+                                                         graph.nodes_[id].count))),
+                         state.ready_ns, telemetry::Clock::now_ns() - state.ready_ns,
+                         0});
     }
     for (const std::size_t dependent : graph.nodes_[id].dependents) {
         Node_state& ds = states_[dependent];
@@ -150,16 +146,12 @@ void Worker_pool::drain(const Task_graph& graph, std::uint64_t generation) {
         if (id == states_.size()) {
             // Nothing claimable right now: wait for a node to become
             // ready or the run to finish (the loop re-checks both).
-            if constexpr (telemetry::compiled_in) {
-                static telemetry::Histogram& queue_wait =
-                    telemetry::histogram("scheduler.queue_wait_us");
-                const std::int64_t wait_start = telemetry::Clock::now_ns();
-                work_cv_.wait(lock);
-                queue_wait.record(
-                    static_cast<double>(telemetry::Clock::now_ns() - wait_start) * 1e-3);
-            } else {
-                work_cv_.wait(lock);
-            }
+            static telemetry::Histogram& queue_wait =
+                telemetry::histogram("scheduler.queue_wait_us");
+            const std::int64_t wait_start = telemetry::Clock::now_ns();
+            work_cv_.wait(lock);
+            queue_wait.record(
+                static_cast<double>(telemetry::Clock::now_ns() - wait_start) * 1e-3);
             continue;
         }
 
@@ -180,10 +172,8 @@ void Worker_pool::drain(const Task_graph& graph, std::uint64_t generation) {
                 error = std::current_exception();
             }
         }
-        if constexpr (telemetry::compiled_in) {
-            static telemetry::Counter& tasks_run = telemetry::counter("scheduler.tasks_run");
-            tasks_run.add();
-        }
+        static telemetry::Counter& tasks_run = telemetry::counter("scheduler.tasks_run");
+        tasks_run.add();
         lock.lock();
         if (error) {
             if (!first_error_) first_error_ = error;

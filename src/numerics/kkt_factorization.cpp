@@ -4,8 +4,8 @@
 
 namespace cellsync {
 
-Kkt_factorization::Kkt_factorization(Matrix h_base, Matrix h_lambda, Matrix eq)
-    : h_base_(std::move(h_base)), h_lambda_(std::move(h_lambda)), eq_(std::move(eq)) {
+Kkt_factorization::Kkt_factorization(Matrix h_base, Matrix h_lambda)
+    : h_base_(std::move(h_base)), h_lambda_(std::move(h_lambda)) {
     const std::size_t n = h_base_.rows();
     if (h_base_.cols() != n) {
         throw std::invalid_argument("Kkt_factorization: base Hessian must be square");
@@ -13,10 +13,7 @@ Kkt_factorization::Kkt_factorization(Matrix h_base, Matrix h_lambda, Matrix eq)
     if (!h_lambda_.empty() && (h_lambda_.rows() != n || h_lambda_.cols() != n)) {
         throw std::invalid_argument("Kkt_factorization: lambda block shape mismatch");
     }
-    if (eq_.rows() > 0 && eq_.cols() != n) {
-        throw std::invalid_argument("Kkt_factorization: equality block width mismatch");
-    }
-    assembled_ = Matrix(n + eq_.rows(), n + eq_.rows());
+    assembled_ = Matrix(n, n);
 }
 
 void Kkt_factorization::factorize(double lambda, double ridge) {
@@ -24,7 +21,6 @@ void Kkt_factorization::factorize(double lambda, double ridge) {
     if (is_factorized() && lambda == lambda_ && ridge == ridge_) return;  // cache hit
 
     const std::size_t n = h_base_.rows();
-    const std::size_t me = eq_.rows();
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             double h = h_base_(i, j);
@@ -33,22 +29,13 @@ void Kkt_factorization::factorize(double lambda, double ridge) {
         }
         assembled_(i, i) += ridge;
     }
-    for (std::size_t r = 0; r < me; ++r) {
-        for (std::size_t j = 0; j < n; ++j) {
-            assembled_(n + r, j) = eq_(r, j);
-            assembled_(j, n + r) = eq_(r, j);
-        }
-        for (std::size_t c = 0; c < me; ++c) assembled_(n + r, n + c) = 0.0;
-    }
 
     chol_.reset();
     ldlt_.reset();
-    if (me == 0) {
-        try {
-            chol_.emplace(assembled_);
-        } catch (const std::runtime_error&) {
-            // Semi-definite corner: fall through to the pivoted solver.
-        }
+    try {
+        chol_.emplace(assembled_);
+    } catch (const std::runtime_error&) {
+        // Semi-definite corner: fall through to the pivoted solver.
     }
     if (!chol_.has_value()) ldlt_.emplace(assembled_);
     lambda_ = lambda;
@@ -56,31 +43,15 @@ void Kkt_factorization::factorize(double lambda, double ridge) {
     ++factorization_count_;
 }
 
-Vector Kkt_factorization::solve_kkt(const Vector& rhs) const {
+Vector Kkt_factorization::solve(const Vector& gradient) const {
     if (!is_factorized()) {
         throw std::logic_error("Kkt_factorization: factorize() before solve");
     }
-    if (rhs.size() != unknowns() + equalities()) {
-        throw std::invalid_argument("Kkt_factorization: rhs length mismatch");
-    }
-    return chol_.has_value() ? chol_->solve(rhs) : ldlt_->solve(rhs);
-}
-
-Vector Kkt_factorization::solve(const Vector& gradient, const Vector& eq_rhs) const {
-    const std::size_t n = unknowns();
-    const std::size_t me = equalities();
-    if (gradient.size() != n) {
+    if (gradient.size() != unknowns()) {
         throw std::invalid_argument("Kkt_factorization: gradient length mismatch");
     }
-    if (eq_rhs.size() != me) {
-        throw std::invalid_argument("Kkt_factorization: equality rhs length mismatch");
-    }
-    Vector rhs(n + me);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = -gradient[i];
-    for (std::size_t r = 0; r < me; ++r) rhs[n + r] = eq_rhs[r];
-    Vector z = solve_kkt(rhs);
-    z.resize(n);
-    return z;
+    const Vector rhs = scaled(gradient, -1.0);
+    return chol_.has_value() ? chol_->solve(rhs) : ldlt_->solve(rhs);
 }
 
 }  // namespace cellsync

@@ -1,16 +1,14 @@
-// Cached factorization of the parametric KKT system
+// Cached factorization of the parametric normal-equation matrix
 //
-//     M(lambda, ridge) = [ H0 + lambda*H1 + ridge*I    A^T ]
-//                        [ A                           0   ]
+//     M(lambda, ridge) = H0 + lambda*H1 + ridge*I
 //
-// that underlies the deconvolution estimator: H0 is the (weighted) data
-// Gram matrix, H1 the roughness penalty, and A the equality-constraint
-// block. The blocks are fixed per design while lambda sweeps (CV grids,
-// GCV paths) and the active set change, so re-deriving them per solve is
-// pure waste. This object assembles them once, factors on demand, and
-// keeps the factorization until (lambda, ridge) actually changes — a
-// refactorization touches only the cached assembly buffer, never the
-// callers' matrices.
+// that underlies the unconstrained deconvolution estimator: H0 is the
+// (weighted) data Gram matrix and H1 the roughness penalty. The blocks
+// are fixed per design while lambda sweeps (CV grids, GCV paths), so
+// re-deriving them per solve is pure waste. This object keeps them,
+// factors on demand, and keeps the factorization until (lambda, ridge)
+// actually changes — a refactorization touches only the cached assembly
+// buffer, never the callers' matrices.
 #pragma once
 
 #include <optional>
@@ -24,19 +22,18 @@ namespace cellsync {
 class Kkt_factorization {
   public:
     /// `h_base` (n x n) is required; `h_lambda` may be empty (treated as
-    /// zero) and otherwise must match `h_base`; `eq` may have zero rows.
-    /// Throws std::invalid_argument on shape mismatch.
-    Kkt_factorization(Matrix h_base, Matrix h_lambda, Matrix eq);
+    /// zero) and otherwise must match `h_base`. Throws
+    /// std::invalid_argument on shape mismatch.
+    Kkt_factorization(Matrix h_base, Matrix h_lambda);
 
     std::size_t unknowns() const { return h_base_.rows(); }
-    std::size_t equalities() const { return eq_.rows(); }
 
     /// Ensure the factorization matches (lambda, ridge). A no-op when both
     /// are unchanged from the current factorization (the cache hit);
     /// otherwise re-assembles from the cached blocks and refactors.
-    /// Uses Cholesky when there is no equality block and the Hessian is
-    /// positive definite, LDLT otherwise. Throws std::invalid_argument for
-    /// lambda < 0 and std::runtime_error on a singular system.
+    /// Uses Cholesky when the Hessian is positive definite, LDLT on the
+    /// semi-definite corner. Throws std::invalid_argument for lambda < 0
+    /// and std::runtime_error on a singular system.
     void factorize(double lambda, double ridge = 0.0);
 
     bool is_factorized() const { return chol_.has_value() || ldlt_.has_value(); }
@@ -47,26 +44,21 @@ class Kkt_factorization {
     /// and diagnostics verify that lambda-sweep reuse really happens.
     std::size_t factorization_count() const { return factorization_count_; }
 
-    /// Minimize 0.5 x' H(lambda) x + g' x subject to A x = b at the current
-    /// factorization; returns the primal x (length n). Throws
-    /// std::logic_error if factorize() has not been called.
-    Vector solve(const Vector& gradient, const Vector& eq_rhs) const;
-
-    /// Raw KKT solve M(lambda) z = rhs with rhs of length n + m_e; returns
-    /// [x; multipliers].
-    Vector solve_kkt(const Vector& rhs) const;
+    /// Minimize 0.5 x' H(lambda) x + g' x at the current factorization;
+    /// returns x (length n). Throws std::logic_error if factorize() has
+    /// not been called.
+    Vector solve(const Vector& gradient) const;
 
   private:
     Matrix h_base_;
     Matrix h_lambda_;
-    Matrix eq_;
-    Matrix assembled_;  // reused assembly buffer, (n+me) x (n+me)
+    Matrix assembled_;  // reused assembly buffer, n x n
 
     double lambda_ = -1.0;
     double ridge_ = 0.0;
     std::size_t factorization_count_ = 0;
-    std::optional<Cholesky_factorization> chol_;  // me == 0 and H PD
-    std::optional<Ldlt_factorization> ldlt_;      // the general case
+    std::optional<Cholesky_factorization> chol_;  // H positive definite
+    std::optional<Ldlt_factorization> ldlt_;      // the semi-definite corner
 };
 
 }  // namespace cellsync

@@ -483,7 +483,7 @@ void Kernel_cache::resolve_request(const std::shared_ptr<Kernel_cache_request_st
             }
         }
         if (!kernel) {
-            const telemetry::Latency_timer build_watch;
+            const telemetry::Stopwatch build_watch;
             kernel = std::make_shared<const Kernel_grid>(
                 build_kernel(config, volume_model, times, options));
             static telemetry::Histogram& build_us =

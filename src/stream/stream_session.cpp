@@ -117,17 +117,14 @@ std::vector<Stream_update> Stream_session::append_timepoint(
         }
         update.observed = stream.observed();
     });
-    if constexpr (telemetry::compiled_in) {
-        std::size_t converged = 0;
-        for (const std::string& label : order_) {
-            if (streams_.at(label)->converged()) ++converged;
-        }
-        static telemetry::Gauge& open_streams = telemetry::gauge("stream.open_streams");
-        static telemetry::Gauge& converged_streams =
-            telemetry::gauge("stream.converged_streams");
-        open_streams.set(static_cast<double>(streams_.size()));
-        converged_streams.set(static_cast<double>(converged));
+    std::size_t converged = 0;
+    for (const std::string& label : order_) {
+        if (streams_.at(label)->converged()) ++converged;
     }
+    static telemetry::Gauge& open_streams = telemetry::gauge("stream.open_streams");
+    static telemetry::Gauge& converged_streams = telemetry::gauge("stream.converged_streams");
+    open_streams.set(static_cast<double>(streams_.size()));
+    converged_streams.set(static_cast<double>(converged));
     return updates;
 }
 

@@ -140,7 +140,7 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
                       telemetry::arg("gene", label_),
                       telemetry::arg("observed", static_cast<std::int64_t>(observed_)))
                 : std::string());
-    const telemetry::Latency_timer update_timer;
+    const telemetry::Stopwatch update_timer;
     try {
         solve_and_package();
     } catch (...) {

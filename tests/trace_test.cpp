@@ -1,9 +1,7 @@
 // Trace_recorder contract tests: span capture across threads with
 // correct nesting, Chrome-trace JSON well-formedness, and the
 // observes-never-perturbs guarantee (tracing on vs. off changes no
-// numeric result bit). Capture-dependent cases skip under
-// -DCELLSYNC_TELEMETRY=OFF, where the writer must still emit a valid
-// empty trace.
+// numeric result bit).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -98,7 +96,6 @@ bool json_well_formed(const std::string& text) {
 }
 
 TEST(Trace, SpanRecordsNameCategoryArgsAndDuration) {
-    if (!compiled_in) GTEST_SKIP() << "built with CELLSYNC_TELEMETRY=OFF";
     Trace_recorder& recorder = Trace_recorder::instance();
     recorder.enable();
     {
@@ -131,7 +128,6 @@ TEST(Trace, DisabledRecorderCapturesNothing) {
 }
 
 TEST(Trace, SpanNestingIsPreservedAcrossThreads) {
-    if (!compiled_in) GTEST_SKIP() << "built with CELLSYNC_TELEMETRY=OFF";
     Trace_recorder& recorder = Trace_recorder::instance();
     recorder.enable();
 
@@ -185,7 +181,6 @@ TEST(Trace, SpanNestingIsPreservedAcrossThreads) {
 }
 
 TEST(Trace, WorkerPoolEmitsSchedulerSpans) {
-    if (!compiled_in) GTEST_SKIP() << "built with CELLSYNC_TELEMETRY=OFF";
     Trace_recorder& recorder = Trace_recorder::instance();
     recorder.enable();
 
@@ -228,13 +223,9 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
     EXPECT_TRUE(json_well_formed(text)) << text;
     EXPECT_NE(text.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
     EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-    if (compiled_in) {
-        EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
-        EXPECT_NE(text.find("\"thread_name\""), std::string::npos);
-        EXPECT_NE(text.find("\"json.span\""), std::string::npos);
-    } else {
-        EXPECT_EQ(text.find("\"ph\""), std::string::npos);  // empty event list
-    }
+    EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
+    EXPECT_NE(text.find("\"thread_name\""), std::string::npos);
+    EXPECT_NE(text.find("\"json.span\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -306,18 +297,16 @@ TEST(Trace, TracedExperimentIsBitIdenticalToUntraced) {
                 }
             }
         }
-        if (compiled_in) {
-            // The traced run actually captured scheduler and QP spans —
-            // bit-identity above wasn't vacuous.
-            bool scheduler = false;
-            bool qp = false;
-            for (const Trace_event& event : recorder.collect()) {
-                scheduler = scheduler || event.category.rfind("scheduler", 0) == 0;
-                qp = qp || event.category == "qp";
-            }
-            EXPECT_TRUE(scheduler);
-            EXPECT_TRUE(qp);
+        // The traced run actually captured scheduler and QP spans —
+        // bit-identity above wasn't vacuous.
+        bool scheduler = false;
+        bool qp = false;
+        for (const Trace_event& event : recorder.collect()) {
+            scheduler = scheduler || event.category.rfind("scheduler", 0) == 0;
+            qp = qp || event.category == "qp";
         }
+        EXPECT_TRUE(scheduler);
+        EXPECT_TRUE(qp);
     }
 }
 

@@ -90,11 +90,12 @@
 //   --threads N         worker threads              (default: hardware)
 //   --times LO:HI:N | --times-from data.csv   time grid (kernel, stream)
 //   --json PATH         machine-readable report output (report, kernel cache)
-//   --trace PATH        Chrome-trace JSON of the command's spans (run,
-//                       stream, merge-results); load in Perfetto or
-//                       chrome://tracing
+//   --trace PATH        Chrome-trace JSON of the command's spans (every
+//                       subcommand); load in Perfetto or chrome://tracing
 //   --metrics-json PATH metrics snapshot (counters/gauges/histograms)
-//                       written at command exit (run, stream, merge-results)
+//                       written at command exit (every subcommand)
+//                       An unwritable --trace / --metrics-json path fails
+//                       the command (exit 1), as an unwritable --json does.
 //   --stop-when-converged / --coef-tol X / --score-tol X
 //   --stable-updates N (>= 1) / --min-observed N     streaming convergence
 #include <cstdio>
@@ -338,43 +339,49 @@ Kernel_cache_limits cache_limits_from(const Cli_options& cli) {
 // ---------------------------------------------------------------------------
 
 /// Enables span recording for the lifetime of one subcommand and writes
-/// the requested trace / metrics files on the way out — including the
-/// error path, via unwinding — so a crashed run still leaves its
-/// telemetry behind. Both outputs are valid JSON even when the binary
-/// was built with CELLSYNC_TELEMETRY=OFF; they are then empty and the
-/// user is warned once up front instead of silently.
+/// the requested trace / metrics files. On the success path `finish()`
+/// writes them and throws when it cannot, so the command fails like
+/// `--json` does; on the error path the destructor writes them
+/// best-effort, via unwinding, so a crashed run still leaves its
+/// telemetry behind.
 class Telemetry_session {
   public:
     explicit Telemetry_session(const Cli_options& cli)
         : trace_path_(cli.trace_path), metrics_path_(cli.metrics_json_path) {
         if (trace_path_.empty() && metrics_path_.empty()) return;
-        if (!telemetry::compiled_in) {
-            std::fprintf(stderr,
-                         "cellsync_deconvolve: warning: built with CELLSYNC_TELEMETRY=OFF; "
-                         "--trace/--metrics-json outputs will hold no events\n");
-        }
         telemetry::Metrics_registry::instance().reset_values();
         if (!trace_path_.empty()) telemetry::Trace_recorder::instance().enable();
     }
 
-    ~Telemetry_session() {
-        if (!trace_path_.empty()) {
-            telemetry::Trace_recorder::instance().disable();
-            std::ofstream out(trace_path_);
-            if (out) telemetry::Trace_recorder::instance().write_chrome_trace(out);
-            if (out) std::printf("wrote trace %s\n", trace_path_.c_str());
-            else std::fprintf(stderr, "cellsync_deconvolve: cannot write trace '%s'\n",
-                              trace_path_.c_str());
+    /// Writes the requested files once; throws `cannot open '<path>' for
+    /// writing` for a path that cannot be written.
+    void finish() {
+        const std::string trace_path = std::exchange(trace_path_, {});
+        const std::string metrics_path = std::exchange(metrics_path_, {});
+        std::fflush(stdout);  // a /dev/stdout target follows the command's output
+        if (!trace_path.empty()) {
+            telemetry::Trace_recorder& recorder = telemetry::Trace_recorder::instance();
+            recorder.disable();
+            std::ofstream out(trace_path);
+            if (!out) throw std::runtime_error("cannot open '" + trace_path + "' for writing");
+            recorder.write_chrome_trace(out);
+            if (!out) throw std::runtime_error("write failed for '" + trace_path + "'");
+            std::printf("wrote trace %s\n", trace_path.c_str());
         }
-        if (!metrics_path_.empty()) {
-            std::ofstream out(metrics_path_);
-            if (out) {
-                telemetry::write_metrics_json(
-                    out, telemetry::Metrics_registry::instance().snapshot());
-            }
-            if (out) std::printf("wrote metrics %s\n", metrics_path_.c_str());
-            else std::fprintf(stderr, "cellsync_deconvolve: cannot write metrics '%s'\n",
-                              metrics_path_.c_str());
+        if (!metrics_path.empty()) {
+            std::ofstream out(metrics_path);
+            if (!out) throw std::runtime_error("cannot open '" + metrics_path + "' for writing");
+            telemetry::write_metrics_json(out, telemetry::Metrics_registry::instance().snapshot());
+            if (!out) throw std::runtime_error("write failed for '" + metrics_path + "'");
+            std::printf("wrote metrics %s\n", metrics_path.c_str());
+        }
+    }
+
+    ~Telemetry_session() {
+        try {
+            finish();
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "cellsync_deconvolve: %s\n", e.what());
         }
     }
 
@@ -694,7 +701,6 @@ int cmd_run(const Cli_options& cli) {
             }
         }
     }
-    const Telemetry_session telemetry_session(cli);
     return cli.conditions.empty() ? run_single(cli) : run_experiment_mode(cli);
 }
 
@@ -715,7 +721,6 @@ int cmd_stream(const Cli_options& cli) {
         usage_error("--kernel/--save-kernel apply to single-series runs only; "
                     "use --cache-dir for streaming");
     }
-    const Telemetry_session telemetry_session(cli);
     const Vector times = resolve_times(cli);
 
     Stream_session_options session_options;
@@ -1110,7 +1115,6 @@ int cmd_merge_results(const Cli_options& cli, const std::vector<std::string>& in
     // genes all hashed into one shard — so launchers can always pass
     // whatever shard files exist without special-casing.
     if (cli.output.empty()) usage_error("merge-results needs --output PATH");
-    const Telemetry_session telemetry_session(cli);
 
     // The shard CSVs round-trip doubles exactly (written at full
     // precision), so the merged per-gene columns are bit-identical to an
@@ -1156,37 +1160,35 @@ int main(int argc, char** argv) {
                     "merge-results)");
     }
     const std::string command = argv[1];
-    const int first = 2;
-    try {
-        if (command == "run") {
-            return cmd_run(parse_args(argc, argv, first));
-        }
-        if (command == "stream") {
-            return cmd_stream(parse_args(argc, argv, first));
-        }
-        if (command == "kernel") {
-            if (argc < 3) usage_error("kernel needs a mode: build, cache, or convert");
-            const std::string mode = argv[2];
-            const Cli_options cli = parse_args(argc, argv, 3);
-            if (mode == "build") return cmd_kernel_build(cli);
-            if (mode == "cache") return cmd_kernel_cache(cli);
-            if (mode == "convert") return cmd_kernel_convert(cli);
+    std::string mode;  // kernel build | cache | convert
+    int first = 2;
+    // Positional profile CSVs are allowed after `report` and `merge-results`.
+    std::vector<std::string> inputs;
+    if (command == "kernel") {
+        if (argc < 3) usage_error("kernel needs a mode: build, cache, or convert");
+        mode = argv[2];
+        if (mode != "build" && mode != "cache" && mode != "convert") {
             usage_error("unknown kernel mode '" + mode + "' (build, cache, or convert)");
         }
-        if (command == "report") {
-            // Positional profile CSVs are allowed after `report`.
-            std::vector<std::string> inputs;
-            int i = first;
-            for (; i < argc && argv[i][0] != '-'; ++i) inputs.emplace_back(argv[i]);
-            return cmd_report(parse_args(argc, argv, i), inputs);
-        }
-        if (command == "merge-results") {
-            std::vector<std::string> inputs;
-            int i = first;
-            for (; i < argc && argv[i][0] != '-'; ++i) inputs.emplace_back(argv[i]);
-            return cmd_merge_results(parse_args(argc, argv, i), inputs);
-        }
+        first = 3;
+    } else if (command == "report" || command == "merge-results") {
+        for (; first < argc && argv[first][0] != '-'; ++first) inputs.emplace_back(argv[first]);
+    } else if (command != "run" && command != "stream") {
         usage_error("unknown subcommand '" + command + "'");
+    }
+    try {
+        const Cli_options cli = parse_args(argc, argv, first);
+        Telemetry_session telemetry_session(cli);
+        int status = 0;
+        if (command == "run") status = cmd_run(cli);
+        else if (command == "stream") status = cmd_stream(cli);
+        else if (command == "report") status = cmd_report(cli, inputs);
+        else if (command == "merge-results") status = cmd_merge_results(cli, inputs);
+        else if (mode == "build") status = cmd_kernel_build(cli);
+        else if (mode == "cache") status = cmd_kernel_cache(cli);
+        else status = cmd_kernel_convert(cli);
+        telemetry_session.finish();
+        return status;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "cellsync_deconvolve: error: %s\n", e.what());
         return 1;
