@@ -8,8 +8,8 @@
 //  1. Resolve the protocol's kernel through a Kernel_cache and open a
 //     Stream_session (one shared design, one worker pool).
 //  2. Feed timepoint batches as they "arrive"; every gene updates in
-//     parallel via a rank-one normal-equation update plus a warm-started
-//     QP re-solve.
+//     parallel via a rank-one normal-equation update plus a QP re-solve
+//     on the reduced blocks.
 //  3. Watch the per-gene convergence report; stop early once every
 //     estimate has stabilized.
 //  4. Verify the punchline: a stream fed the complete series reproduces
@@ -92,8 +92,7 @@ int main() {
     }
     if (!stopped_early) std::printf("\nstream drained (%zu timepoints)\n", fed);
     const Stream_solve_stats stats = session.total_stats();
-    std::printf("solves: %zu updates -> %zu warm-start accepts, %zu cold\n\n",
-                stats.updates, stats.warm_accepts, stats.cold_solves);
+    std::printf("solves: %zu updates\n\n", stats.updates);
 
     // -- bit-identity vs the batch path (finish any early-stopped stream
     //    first so both sides saw the complete series) --

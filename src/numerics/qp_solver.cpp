@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "core/telemetry.h"
 #include "core/trace.h"
@@ -33,13 +32,13 @@ double scaled_ridge(const Matrix& hessian) {
     return ridge_factor * std::max(1.0, trace / static_cast<double>(n));
 }
 
-/// H + scaled_ridge(H) I: the strict-convexity ridge the cold dual and the
-/// warm repair share, so both agree on what "optimal" means. A non-finite
-/// H or g is rejected here: NaN fails every comparison the iterations
-/// make, so it would otherwise come back as a "converged" NaN optimum.
-Matrix ridged_hessian(const char* who, const Matrix& hessian, const Vector& gradient) {
+/// H + scaled_ridge(H) I: the dual iteration's strict-convexity ridge. A
+/// non-finite H or g is rejected here: NaN fails every comparison the
+/// iterations make, so it would otherwise come back as a "converged" NaN
+/// optimum.
+Matrix ridged_hessian(const Matrix& hessian, const Vector& gradient) {
     if (!all_finite(hessian.data()) || !all_finite(gradient)) {
-        throw std::runtime_error(std::string(who) + ": non-finite Hessian or gradient");
+        throw std::runtime_error("solve_qp_dual: non-finite Hessian or gradient");
     }
     Matrix hr = hessian;
     const double ridge = scaled_ridge(hessian);
@@ -384,7 +383,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     static telemetry::Histogram& iteration_histogram =
         telemetry::histogram("qp.active_set.iterations");
 
-    const Matrix hr = ridged_hessian("solve_qp_dual", hessian, gradient);
+    const Matrix hr = ridged_hessian(hessian, gradient);
 
     // --- Goldfarb-Idnani on the reduced problem. ---
     const Cholesky_factorization hl(hr);  // throws if H is not PD even with ridge
@@ -532,139 +531,6 @@ Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
     }
     result.objective = 0.5 * dot(result.x, hessian * result.x) + dot(gradient, result.x);
     return result;
-}
-
-std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
-                                                   const Vector& gradient,
-                                                   const Matrix& ineq_matrix,
-                                                   const Vector& ineq_rhs,
-                                                   const std::vector<std::size_t>& active_hint) {
-    const std::size_t nz = hessian.rows();
-    const std::size_t mi = ineq_matrix.rows();
-    if (hessian.cols() != nz || gradient.size() != nz) {
-        throw std::invalid_argument("try_solve_qp_reduced_warm: Hessian/gradient shape mismatch");
-    }
-    if (ineq_rhs.size() != mi || (mi > 0 && ineq_matrix.cols() != nz)) {
-        throw std::invalid_argument("try_solve_qp_reduced_warm: inequality block shape mismatch");
-    }
-    for (std::size_t k : active_hint) {
-        if (k >= mi) {
-            throw std::invalid_argument("try_solve_qp_reduced_warm: hint index out of range");
-        }
-    }
-    // An empty hint is just a cold solve; more active rows than reduced
-    // dimensions cannot be an independent active set.
-    if (active_hint.empty() || active_hint.size() > nz) return std::nullopt;
-    const Matrix hr = ridged_hessian("try_solve_qp_reduced_warm", hessian, gradient);
-    const Matrix& cr = ineq_matrix;
-    const Vector& dr = ineq_rhs;
-
-    // Warm-start economics: attempts, accepts (hint led to the optimum),
-    // and fallbacks (caller pays the cold dual solve) plus how many
-    // repair steps an accepted hint needed.
-    static telemetry::Counter& warm_attempts = telemetry::counter("qp.warm.attempts");
-    static telemetry::Counter& warm_accepts = telemetry::counter("qp.warm.accepts");
-    static telemetry::Counter& warm_fallbacks = telemetry::counter("qp.warm.fallbacks");
-    static telemetry::Histogram& repair_steps = telemetry::histogram("qp.warm.repair_steps");
-    warm_attempts.add();
-    const telemetry::Trace_span warm_span("qp.warm.solve", "qp");
-
-    // Bounded active-set repair from the hint: each step solves the KKT
-    // system with the working rows held at their bounds,
-    //   [ Hr  Cs' ] [ y ]   [ -gr ]
-    //   [ Cs   0  ] [ v ] = [ d_S ],  multipliers mu = -v,
-    // then drops the most dual-infeasible row or adds the most violated
-    // one. A nearby problem's active set differs by a row or two, so a
-    // few cheap direct solves usually land on the optimum; the small
-    // budget keeps a stale hint (or a degenerate drop/re-add cycle)
-    // cheap before the cold dual fallback. The accepted point is optimal
-    // by construction of the exit condition: no negative multiplier, no
-    // violated inequality.
-    constexpr std::size_t max_repair_steps = 4;
-    std::vector<std::size_t> working = active_hint;
-    for (std::size_t step = 0; step < max_repair_steps; ++step) {
-        const std::size_t s = working.size();
-        const std::size_t dim = nz + s;
-        Matrix kkt(dim, dim);
-        Vector rhs(dim, 0.0);
-        for (std::size_t i = 0; i < nz; ++i) {
-            for (std::size_t j = 0; j < nz; ++j) kkt(i, j) = hr(i, j);
-            rhs[i] = -gradient[i];
-        }
-        for (std::size_t k = 0; k < s; ++k) {
-            const std::size_t row = working[k];
-            for (std::size_t j = 0; j < nz; ++j) {
-                kkt(nz + k, j) = cr(row, j);
-                kkt(j, nz + k) = cr(row, j);
-            }
-            rhs[nz + k] = dr[row];
-        }
-
-        Vector sol;
-        try {
-            sol = ldlt_solve(kkt, rhs);
-        } catch (const std::runtime_error&) {
-            warm_fallbacks.add();
-            return std::nullopt;  // dependent working rows: cold path sorts it out
-        }
-        Vector y(sol.begin(), sol.begin() + static_cast<std::ptrdiff_t>(nz));
-
-        // Drop phase: most negative multiplier leaves the working set.
-        std::size_t drop = s;
-        double most_negative = -multiplier_tol;
-        for (std::size_t k = 0; k < s; ++k) {
-            const double mu = -sol[nz + k];
-            if (mu < most_negative) {
-                most_negative = mu;
-                drop = k;
-            }
-        }
-        if (drop != s) {
-            working.erase(working.begin() + static_cast<std::ptrdiff_t>(drop));
-            continue;
-        }
-
-        // Add phase: most violated inactive inequality joins, under the
-        // same tolerance the cold dual iteration uses to pick rows.
-        std::vector<char> in_working(mi, 0);
-        for (std::size_t k : working) in_working[k] = 1;
-        std::size_t add = mi;
-        double worst = -constraint_tol;
-        for (std::size_t r = 0; r < mi; ++r) {
-            if (in_working[r]) continue;
-            const double slack = dot(cr.row(r), y) - dr[r];
-            if (slack < worst) {
-                worst = slack;
-                add = r;
-            }
-        }
-        if (add != mi) {
-            if (working.size() == nz) {
-                warm_fallbacks.add();
-                return std::nullopt;  // cannot grow further
-            }
-            working.push_back(add);
-            continue;
-        }
-        if (!all_finite(y)) {
-            warm_fallbacks.add();
-            return std::nullopt;  // overflow inside the solve: the cold path reports it
-        }
-
-        Qp_result result;
-        result.x = std::move(y);
-        result.objective =
-            0.5 * dot(result.x, hessian * result.x) + dot(gradient, result.x);
-        result.iterations = step + 1;
-        result.active_set = std::move(working);
-        std::sort(result.active_set.begin(), result.active_set.end());
-        result.converged = true;
-        warm_accepts.add();
-        repair_steps.record(static_cast<double>(result.iterations));
-        return result;
-    }
-    warm_fallbacks.add();
-    return std::nullopt;  // repair budget exhausted: the hint was not nearby
 }
 
 Qp_result solve_qp_dual(const Qp_problem& problem) {

@@ -9,14 +9,13 @@
 //
 // with H symmetric positive (semi-)definite. Problem sizes are tiny
 // (tens of unknowns, tens of constraints). Production solves go through
-// one path: the Goldfarb-Idnani dual iteration on a shared constraint
-// preparation (solve_qp_dual_prepared), plus a bounded warm active-set
-// repair for sequences of nearby problems (try_solve_qp_reduced_warm).
-// The primal active-set solve_qp is the independent reference the tests
-// compare that path against. Solver tolerances are fixed constants.
+// one path: the Goldfarb-Idnani dual iteration on the reduced problem
+// (solve_qp_dual_reduced), reached through a shared constraint
+// preparation (solve_qp_dual_prepared) or, for a stream that maintains
+// its reduced blocks incrementally, called directly. The primal
+// active-set solve_qp is the independent reference the tests compare
+// that path against. Solver tolerances are fixed constants.
 #pragma once
-
-#include <optional>
 
 #include "numerics/matrix.h"
 #include "numerics/vector_ops.h"
@@ -99,10 +98,11 @@ class Qp_constraint_prep {
 
 /// Goldfarb-Idnani dual iteration on a reduced, inequality-only QP:
 /// min 0.5 y'H y + g'y  s.t.  C y >= d, with H made strictly convex by a
-/// scaled internal ridge. This is the core shared by solve_qp_dual and the
-/// prepared solve path. Throws std::invalid_argument on shape mismatch
-/// and std::runtime_error on infeasibility, a non-PD Hessian, a
-/// non-finite Hessian or gradient, or a non-finite optimum.
+/// scaled internal ridge. This is the core shared by solve_qp_dual, the
+/// prepared solve path and a stream's mid-stream solves. Throws
+/// std::invalid_argument on shape mismatch and std::runtime_error on
+/// infeasibility, a non-PD Hessian, a non-finite Hessian or gradient, or
+/// a non-finite optimum.
 Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
                                 const Matrix& ineq_matrix, const Vector& ineq_rhs);
 
@@ -111,29 +111,6 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
 /// problem, minus the per-solve constraint reduction work.
 Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
                                  const Qp_constraint_prep& prep);
-
-/// Warm-started solve of a reduced, inequality-only QP from a hinted
-/// active set (e.g. the binding rows of the previous solve in a sequence
-/// of nearby problems, such as a gene stream gaining one timepoint at a
-/// time), under the same strict-convexity ridge as
-/// solve_qp_dual_reduced, so warm and cold paths agree on what
-/// "optimal" means. Runs a bounded active-set repair: solve the KKT
-/// system with the working rows pinned at their bounds, drop the most
-/// dual-infeasible row or add the most violated one, for at most a
-/// handful of direct solves (an unchanged active set is accepted after
-/// the first). The accepted point is optimal by construction of the
-/// exit condition: no negative multiplier, no violated inequality.
-/// Returns std::nullopt when the hint is empty or the attempt does not
-/// converge cleanly (dependent rows, repair budget exceeded, a
-/// non-finite point); callers fall back to the cold
-/// solve_qp_dual_reduced path. Throws std::invalid_argument on shape
-/// mismatch or out-of-range hint indices and std::runtime_error on a
-/// non-finite Hessian or gradient.
-std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
-                                                   const Vector& gradient,
-                                                   const Matrix& ineq_matrix,
-                                                   const Vector& ineq_rhs,
-                                                   const std::vector<std::size_t>& active_hint);
 
 /// Solve the QP by the Goldfarb-Idnani dual active-set method.
 ///

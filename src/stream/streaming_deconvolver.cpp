@@ -11,6 +11,12 @@
 namespace cellsync {
 
 void Stream_convergence::validate() const {
+    if (!(coefficient_tol >= 0.0)) {
+        throw std::invalid_argument("Stream_convergence: coefficient_tol must be >= 0");
+    }
+    if (!(score_tol >= 0.0)) {
+        throw std::invalid_argument("Stream_convergence: score_tol must be >= 0");
+    }
     if (stable_updates == 0) {
         throw std::invalid_argument("Stream_convergence: stable_updates must be positive");
     }
@@ -162,13 +168,12 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
 void Streaming_deconvolver::solve_and_package() {
     const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
     Qp_result result;
-    bool warm_used = false;
     if (complete()) {
         // The solve that completes the series assembles its objective
         // through the same estimator_objective as
-        // Deconvolver::estimate_on_rows and runs the identical cold
-        // prepared path, so the final estimate's bits depend only on the
-        // accumulated state, never on the warm/cold history before it.
+        // Deconvolver::estimate_on_rows and runs the identical prepared
+        // path, so the final estimate's bits depend only on the
+        // accumulated state.
         const Estimator_objective objective =
             estimator_objective(gram_, ktwg_, artifacts_->penalty, options_.lambda);
         result = solve_qp_dual_prepared(objective.hessian, objective.gradient, prep);
@@ -179,23 +184,9 @@ void Streaming_deconvolver::solve_and_package() {
         result.iterations = 1;
     } else {
         // Mid-stream: solve directly on the incrementally maintained
-        // reduced problem — bounded active-set repair from the previous
-        // solve's binding rows first, cold Goldfarb-Idnani on the same
-        // reduced blocks as fallback.
-        if (options_.warm_start && !active_set_.empty()) {
-            const std::optional<Qp_result> warm = try_solve_qp_reduced_warm(
-                reduced_hessian_, reduced_gradient_, prep.reduced_inequality(),
-                prep.reduced_ineq_rhs(), active_set_);
-            if (warm.has_value()) {
-                result = *warm;
-                warm_used = true;
-            }
-        }
-        if (!warm_used) {
-            result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_,
-                                           prep.reduced_inequality(),
-                                           prep.reduced_ineq_rhs());
-        }
+        // reduced problem.
+        result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_,
+                                       prep.reduced_inequality(), prep.reduced_ineq_rhs());
         result.x = prep.z_basis() * result.x + prep.x_particular();
     }
 
@@ -239,17 +230,11 @@ void Streaming_deconvolver::solve_and_package() {
 
     previous_alpha_ = est.coefficients();
     order_parameter_ = score;
-    active_set_ = result.active_set;
     estimate_ = std::move(est);
     ++stats_.updates;
-    if (warm_used) ++stats_.warm_accepts;
-    else ++stats_.cold_solves;
+    ++stats_.cold_solves;
     static telemetry::Counter& updates = telemetry::counter("stream.updates");
-    static telemetry::Counter& warm_accepts = telemetry::counter("stream.warm_accepts");
-    static telemetry::Counter& cold_solves = telemetry::counter("stream.cold_solves");
     updates.add();
-    if (warm_used) warm_accepts.add();
-    else cold_solves.add();
 }
 
 }  // namespace cellsync

@@ -9,9 +9,8 @@
 // sum_m w_m k_m k_m' and the right-hand side sum_m w_m G_m k_m, plus
 // their projections onto the constraint preparation's equality null
 // space — and on each appended measurement performs a rank-one update
-// plus a QP re-solve on the reduced blocks, warm-started from the
-// previous solve's active set (try_solve_qp_reduced_warm; cold
-// Goldfarb-Idnani on the same blocks when the active set moved too far).
+// plus a Goldfarb-Idnani re-solve directly on the reduced blocks
+// (solve_qp_dual_reduced), the same dual iteration the batch path runs.
 //
 // Bit-identity contract: the accumulation order of the incremental state
 // mirrors weighted_gram / transposed_times exactly, and the solve on the
@@ -49,26 +48,28 @@ struct Stream_convergence {
     /// large share of the per-append cost.
     std::size_t score_points = 64;
 
-    /// Throws std::invalid_argument for stable_updates == 0 or fewer than
-    /// 2 score_points.
+    /// Throws std::invalid_argument for a negative or NaN tolerance (a
+    /// delta is an absolute value, so it could never qualify),
+    /// stable_updates == 0, or fewer than 2 score_points.
     void validate() const;
 };
 
 /// Per-stream estimation controls. The smoothness weight is fixed for
 /// the stream's lifetime (cross-validation needs held-out rows of a
-/// complete series; batch-select lambda first, then stream with it —
-/// this is the "previous lambda as the starting point" warm start).
+/// complete series; batch-select lambda first, then stream with it).
 struct Stream_options {
-    double lambda = 1e-3;   ///< smoothness weight (paper Eq 5)
-    bool warm_start = true; ///< reuse the previous active set between appends
+    double lambda = 1e-3;  ///< smoothness weight (paper Eq 5)
     Stream_convergence convergence;
 };
 
-/// How each append's QP was solved.
+/// How each append's QP was solved. Every append runs the one cold dual
+/// path, so warm_accepts stays 0 and cold_solves equals updates; both
+/// fields remain only because the end-to-end benchmark's replay reads
+/// them.
 struct Stream_solve_stats {
     std::size_t updates = 0;       ///< appends processed
-    std::size_t warm_accepts = 0;  ///< warm KKT solve verified optimal
-    std::size_t cold_solves = 0;   ///< cold dual iterations (incl. fallbacks)
+    std::size_t warm_accepts = 0;  ///< always 0: there is no warm path
+    std::size_t cold_solves = 0;   ///< equals updates
 };
 
 /// Incremental estimator for one gene against a shared design.
@@ -149,7 +150,6 @@ class Streaming_deconvolver {
     Vector weights_;  // 1 / sigma^2, grid order
 
     std::optional<Single_cell_estimate> estimate_;
-    std::vector<std::size_t> active_set_;  // previous solve's binding rows
     Vector previous_alpha_;
     double order_parameter_ = 0.0;
     double last_coefficient_delta_ = 0.0;

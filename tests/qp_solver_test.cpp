@@ -218,57 +218,10 @@ TEST(QpDualSolver, RedundantConstraintGridHandled) {
     EXPECT_NEAR(r.x[1], 1.0, 1e-6);
 }
 
-TEST(QpWarmStart, ReducedWarmAcceptsCorrectHintAndMatchesCold) {
-    // min (y0+1)^2 + (y1-2)^2 s.t. y >= 0: optimum (0, 2), row 0 active.
-    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
-    const Vector gradient{2.0, -4.0};
-    const Matrix ineq = Matrix::identity(2);
-    const Vector rhs{0.0, 0.0};
-    const Qp_result cold = solve_qp_dual_reduced(hessian, gradient, ineq, rhs);
-    ASSERT_EQ(cold.active_set, (std::vector<std::size_t>{0}));
-
-    const auto warm = try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0});
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_TRUE(warm->converged);
-    EXPECT_EQ(warm->iterations, 1u);
-    EXPECT_NEAR(warm->x[0], cold.x[0], 1e-8);
-    EXPECT_NEAR(warm->x[1], cold.x[1], 1e-8);
-    EXPECT_EQ(warm->active_set, cold.active_set);
-}
-
-TEST(QpWarmStart, ReducedWarmRepairsSmallActiveSetDrift) {
-    // Hinting the wrong row: the bounded repair drops it, picks up the
-    // right one, and still reports the true optimum.
-    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
-    const Vector gradient{2.0, -4.0};
-    const Matrix ineq = Matrix::identity(2);
-    const Vector rhs{0.0, 0.0};
-    const auto warm = try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {1});
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_NEAR(warm->x[0], 0.0, 1e-8);
-    EXPECT_NEAR(warm->x[1], 2.0, 1e-8);
-    EXPECT_EQ(warm->active_set, (std::vector<std::size_t>{0}));
-}
-
-TEST(QpWarmStart, ReducedWarmRejectsUnusableHints) {
-    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
-    const Vector gradient{2.0, -4.0};
-    const Matrix ineq = Matrix::identity(2);
-    const Vector rhs{0.0, 0.0};
-    // Empty hint is a cold solve's job.
-    EXPECT_FALSE(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {}).has_value());
-    // Out-of-range hints are caller bugs.
-    EXPECT_THROW(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {7}),
-                 std::invalid_argument);
-    // More hinted rows than dimensions cannot be an independent set.
-    EXPECT_FALSE(
-        try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0, 1, 0}).has_value());
-}
-
-TEST(QpWarmStart, ReducedWarmThroughPrepMatchesPreparedCold) {
-    // Full-space problem with an equality, warm-solved on prep's reduced
+TEST(QpDualSolver, ReducedSolveThroughPrepMatchesPrepared) {
+    // Full-space problem with an equality, solved on prep's reduced
     // objective (the streaming estimator's mid-stream path): mapped back,
-    // it must agree with the cold prepared path.
+    // it must equal the prepared path bit for bit.
     const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
     const Vector gradient{0.0, 0.0};
     const Matrix eq{{1.0, 1.0}};
@@ -276,25 +229,25 @@ TEST(QpWarmStart, ReducedWarmThroughPrepMatchesPreparedCold) {
     const Matrix ineq{{1.0, 0.0}};
     const Vector ineq_rhs{0.7};  // x0 >= 0.7 binds: optimum (0.7, 0.3)
     const Qp_constraint_prep prep(2, eq, eq_rhs, ineq, ineq_rhs);
-    const Qp_result cold = solve_qp_dual_prepared(hessian, gradient, prep);
-    ASSERT_EQ(cold.active_set.size(), 1u);
+    const Qp_result prepared = solve_qp_dual_prepared(hessian, gradient, prep);
+    ASSERT_EQ(prepared.active_set.size(), 1u);
 
     const Reduced_objective reduced = prep.reduce_objective(hessian, gradient);
-    const auto warm = try_solve_qp_reduced_warm(reduced.hessian, reduced.gradient,
-                                                prep.reduced_inequality(),
-                                                prep.reduced_ineq_rhs(), cold.active_set);
-    ASSERT_TRUE(warm.has_value());
-    const Vector x = prep.z_basis() * warm->x + prep.x_particular();
-    EXPECT_NEAR(x[0], cold.x[0], 1e-8);
-    EXPECT_NEAR(x[1], cold.x[1], 1e-8);
+    const Qp_result direct = solve_qp_dual_reduced(reduced.hessian, reduced.gradient,
+                                                   prep.reduced_inequality(),
+                                                   prep.reduced_ineq_rhs());
+    const Vector x = prep.z_basis() * direct.x + prep.x_particular();
+    ASSERT_EQ(x.size(), prepared.x.size());
+    EXPECT_EQ(x[0], prepared.x[0]);
+    EXPECT_EQ(x[1], prepared.x[1]);
     EXPECT_NEAR(x[0], 0.7, 1e-6);
-    EXPECT_EQ(warm->active_set, cold.active_set);
+    EXPECT_EQ(direct.active_set, prepared.active_set);
     EXPECT_THROW(prep.reduce_objective(Matrix(3, 3), Vector(3, 0.0)), std::invalid_argument);
 }
 
-TEST(QpWarmStart, NonFiniteGradientRejectedOnColdAndWarmPaths) {
+TEST(QpDualSolver, NonFiniteGradientRejected) {
     // NaN fails every comparison the iterations make, so unchecked it
-    // would come back from either path as a "converged" NaN optimum.
+    // would come back as a "converged" NaN optimum.
     const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
     const Matrix ineq = Matrix::identity(2);
     const Vector rhs{0.0, 0.0};
@@ -303,24 +256,20 @@ TEST(QpWarmStart, NonFiniteGradientRejectedOnColdAndWarmPaths) {
         const Vector gradient{bad, -4.0};
         EXPECT_THROW(solve_qp_dual_reduced(hessian, gradient, ineq, rhs), std::runtime_error)
             << bad;
-        EXPECT_THROW(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0}),
-                     std::runtime_error)
-            << bad;
         Qp_problem p = unconstrained_bowl();
         p.gradient = gradient;
         EXPECT_THROW(solve_qp_dual(p), std::runtime_error) << bad;
     }
 }
 
-TEST(QpWarmStart, OverflowingOptimumNeverReturned) {
+TEST(QpDualSolver, OverflowingOptimumNeverReturned) {
     // Finite inputs whose optimum overflows inside the solve (H ~ ridge,
-    // g ~ 1e300): the cold path throws, the warm path falls back.
+    // g ~ 1e300): the solve throws instead of returning it.
     const Matrix hessian{{1e-300, 0.0}, {0.0, 1e-300}};
     const Vector gradient{-1e300, -1e300};
     const Matrix ineq = Matrix::identity(2);
     const Vector rhs{0.0, 0.0};
     EXPECT_THROW(solve_qp_dual_reduced(hessian, gradient, ineq, rhs), std::runtime_error);
-    EXPECT_FALSE(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0}).has_value());
 }
 
 TEST(QpDualSolver, PreparedSolveMatchesColdDualSolve) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "biology/gene_profiles.h"
 #include "core/deconvolver.h"
@@ -60,13 +63,19 @@ Deconvolution_options batch_options() {
     return options;
 }
 
-void expect_final_bit_identity(const Measurement_series& series, bool warm_start) {
+/// The three genes the identity suites run over: constraint-binding
+/// profiles (positivity active) and a smooth one (unconstrained optimum).
+std::vector<Measurement_series> identity_series() {
+    return {noisy_series(ftsz_like_profile(), 5, "ftsZ"),
+            noisy_series(pulse_profile(0.0, 6.0, 0.7, 0.15), 6, "pulse"),
+            noisy_series(sinusoid_profile(3.0, 2.0), 7, "wave")};
+}
+
+void expect_final_bit_identity(const Measurement_series& series) {
     const Deconvolver deconvolver(fixture().artifacts);
     const Single_cell_estimate batch = deconvolver.estimate(series, batch_options());
 
-    Stream_options options = stream_options();
-    options.warm_start = warm_start;
-    Streaming_deconvolver stream(fixture().artifacts, series.label, options);
+    Streaming_deconvolver stream(fixture().artifacts, series.label, stream_options());
     for (std::size_t m = 0; m < series.size(); ++m) {
         stream.append(series.times[m], series.values[m], series.sigmas[m]);
     }
@@ -76,8 +85,7 @@ void expect_final_bit_identity(const Measurement_series& series, bool warm_start
     const Vector& b = stream.current().coefficients();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << "coefficient " << i << " (warm_start=" << warm_start
-                              << ", gene " << series.label << ")";
+        EXPECT_EQ(a[i], b[i]) << "coefficient " << i << " (gene " << series.label << ")";
     }
     EXPECT_EQ(batch.chi_squared, stream.current().chi_squared);
     EXPECT_EQ(batch.roughness, stream.current().roughness);
@@ -85,16 +93,33 @@ void expect_final_bit_identity(const Measurement_series& series, bool warm_start
 }
 
 TEST(StreamingDeconvolver, FinalEstimateBitIdenticalToBatch) {
-    // Constraint-binding profiles (positivity active) and a smooth one
-    // (unconstrained optimum) — the identity must hold either way.
-    expect_final_bit_identity(noisy_series(ftsz_like_profile(), 5, "ftsZ"), true);
-    expect_final_bit_identity(noisy_series(pulse_profile(0.0, 6.0, 0.7, 0.15), 6, "pulse"),
-                              true);
-    expect_final_bit_identity(noisy_series(sinusoid_profile(3.0, 2.0), 7, "wave"), true);
+    for (const Measurement_series& series : identity_series()) {
+        expect_final_bit_identity(series);
+    }
 }
 
-TEST(StreamingDeconvolver, BitIdentityHoldsWithWarmStartDisabled) {
-    expect_final_bit_identity(noisy_series(ftsz_like_profile(), 5, "ftsZ"), false);
+TEST(StreamingDeconvolver, MidStreamEstimatesMatchBatchOnPrefix) {
+    // Every mid-stream solve runs the same dual iteration as the batch
+    // estimator, on reduced blocks that are rank-one updated rather than
+    // re-reduced, so each prefix estimate may differ from
+    // estimate_on_rows on that prefix by rounding only.
+    const Deconvolver deconvolver(fixture().artifacts);
+    for (const Measurement_series& series : identity_series()) {
+        Streaming_deconvolver stream(fixture().artifacts, series.label, stream_options());
+        std::vector<std::size_t> rows;
+        for (std::size_t m = 0; m < series.size(); ++m) {
+            stream.append(series.times[m], series.values[m], series.sigmas[m]);
+            rows.push_back(m);
+            const Single_cell_estimate batch =
+                deconvolver.estimate_on_rows(series, rows, batch_options());
+            const Vector& want = batch.coefficients();
+            const Vector& got = stream.current().coefficients();
+            ASSERT_EQ(got.size(), want.size());
+            const double gap = norm_inf(got - want) / std::max(1.0, norm_inf(want));
+            EXPECT_LE(gap, 1e-8) << "gene " << series.label << " after " << m + 1
+                                 << " appends";
+        }
+    }
 }
 
 TEST(StreamingDeconvolver, FailedAppendRollsBackAndStreamRecovers) {
@@ -159,7 +184,8 @@ TEST(StreamingDeconvolver, TracksObservedSeriesAndStats) {
     }
     const Stream_solve_stats& stats = stream.stats();
     EXPECT_EQ(stats.updates, 5u);
-    EXPECT_EQ(stats.warm_accepts + stats.cold_solves, stats.updates);
+    EXPECT_EQ(stats.warm_accepts, 0u);
+    EXPECT_EQ(stats.cold_solves, stats.updates);
     // Every mid-stream estimate is usable: finite profile, fit diagnostics.
     EXPECT_TRUE(std::isfinite(stream.current().chi_squared));
     EXPECT_TRUE(all_finite(stream.current().coefficients()));
@@ -199,6 +225,14 @@ TEST(StreamingDeconvolver, ConstructionValidation) {
     Stream_options bad_score = stream_options();
     bad_score.convergence.score_points = 1;
     EXPECT_THROW(Streaming_deconvolver(fixture().artifacts, "x", bad_score),
+                 std::invalid_argument);
+    Stream_options bad_coef_tol = stream_options();
+    bad_coef_tol.convergence.coefficient_tol = -1.0;
+    EXPECT_THROW(Streaming_deconvolver(fixture().artifacts, "x", bad_coef_tol),
+                 std::invalid_argument);
+    Stream_options bad_score_tol = stream_options();
+    bad_score_tol.convergence.score_tol = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(Streaming_deconvolver(fixture().artifacts, "x", bad_score_tol),
                  std::invalid_argument);
 }
 

@@ -21,13 +21,13 @@
 //            (long-form CSV: time,gene,value[,sigma], rows time-ordered).
 //            Each timepoint's records update every gene's estimate
 //            in-place through the streaming engine (rank-one
-//            normal-equation update + warm-started QP re-solve); once a
-//            gene's estimate stabilizes it is reported converged, and
-//            --stop-when-converged ends the run as soon as every gene
-//            has. Requires the full time grid up front (--times or
-//            --times-from) because the kernel is simulated for the whole
-//            protocol. The final profile CSV matches a batch `run` with
-//            the same fixed --lambda bit for bit.
+//            normal-equation update + a QP re-solve on the reduced
+//            blocks); once a gene's estimate stabilizes it is reported
+//            converged, and --stop-when-converged ends the run as soon
+//            as every gene has. Requires the full time grid up front
+//            (--times or --times-from) because the kernel is simulated
+//            for the whole protocol. The final profile CSV matches a
+//            batch `run` with the same fixed --lambda bit for bit.
 //   kernel   build: simulate a kernel and write it to --output, as CSV or
 //            in the cellsync-kernel-bin-v1 binary format (--kernel-format,
 //            default from the output extension: `.bin` is binary,
@@ -83,8 +83,8 @@
 //   --mu-sst X --cycle-minutes X    organism model defaults
 //   --linear-volume     use the 2009 linear volume model
 //   --no-positivity / --no-conservation / --no-rate-continuity
-//   --no-warm-start     run: full lambda grid for every condition;
-//                       stream: cold QP re-solve on every timepoint
+//   --no-warm-start     experiment run (--condition): full lambda grid
+//                       for every condition
 //   --bootstrap N       confidence band from N >= 10 replicates, 0 = none
 //                       (single-series run only)
 //   --threads N         worker threads              (default: hardware)
@@ -278,8 +278,14 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--shards") options.shards = parse_strict_uint64(next_value(i));
             else if (arg == "--shard-index") options.shard_index = parse_strict_uint64(next_value(i));
             else if (arg == "--stop-when-converged") options.stop_when_converged = true;
-            else if (arg == "--coef-tol") options.convergence.coefficient_tol = parse_strict_double(next_value(i));
-            else if (arg == "--score-tol") options.convergence.score_tol = parse_strict_double(next_value(i));
+            else if (arg == "--coef-tol") {
+                options.convergence.coefficient_tol = parse_strict_double(next_value(i));
+                options.convergence.validate();
+            }
+            else if (arg == "--score-tol") {
+                options.convergence.score_tol = parse_strict_double(next_value(i));
+                options.convergence.validate();
+            }
             else if (arg == "--stable-updates") {
                 options.convergence.stable_updates = parse_strict_uint64(next_value(i));
                 options.convergence.validate();
@@ -686,6 +692,9 @@ int cmd_run(const Cli_options& cli) {
     if (cli.shards > 1 && cli.conditions.empty()) {
         usage_error("--shards applies to experiment runs (--condition)");
     }
+    if (!cli.warm_start && cli.conditions.empty()) {
+        usage_error("--no-warm-start applies to experiment runs (--condition)");
+    }
     if (!cli.conditions.empty() &&
         (!cli.kernel_path.empty() || !cli.save_kernel_path.empty())) {
         // Experiment kernels go through the cache; silently discarding a
@@ -715,6 +724,7 @@ int cmd_stream(const Cli_options& cli) {
     }
     if (cli.bootstrap > 0) usage_error("--bootstrap applies to single-series runs only");
     if (cli.shards > 1) usage_error("--shards applies to experiment runs (--condition)");
+    if (!cli.warm_start) usage_error("--no-warm-start applies to experiment runs (--condition)");
     if (!cli.kernel_path.empty() || !cli.save_kernel_path.empty()) {
         // Streaming kernels go through the cache; silently re-simulating
         // past a user-supplied kernel file would mislead.
@@ -729,7 +739,6 @@ int cmd_stream(const Cli_options& cli) {
     session_options.constraints = constraints_from(cli);
     session_options.kernel = kernel_options_from(cli);
     session_options.stream.lambda = cli.lambda.value_or(1e-3);
-    session_options.stream.warm_start = cli.warm_start;
     session_options.stream.convergence = cli.convergence;
 
     const std::unique_ptr<Volume_model> volume = volume_from(cli);
@@ -794,10 +803,9 @@ int cmd_stream(const Cli_options& cli) {
         return 1;
     }
     const Stream_solve_stats solve_stats = session.total_stats();
-    std::printf("%s after %zu timepoints (%zu records): %zu updates, %zu warm, %zu cold\n",
+    std::printf("%s after %zu timepoints (%zu records): %zu updates\n",
                 stopped_early ? "stopped early (all genes converged)" : "stream drained",
-                timepoints, records.record_count(), solve_stats.updates,
-                solve_stats.warm_accepts, solve_stats.cold_solves);
+                timepoints, records.record_count(), solve_stats.updates);
 
     // Final per-gene summary + profile CSV (lambda comments included, so
     // `report --json` can carry the smoothness weight forward).
