@@ -1,6 +1,7 @@
 #include "core/worker_pool.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 
@@ -10,8 +11,13 @@
 namespace cellsync {
 
 Worker_pool::Worker_pool(std::size_t threads) {
+    if (threads > max_threads) {
+        throw std::invalid_argument("Worker_pool: " + std::to_string(threads) +
+                                    " threads requested, at most " +
+                                    std::to_string(max_threads) + " allowed");
+    }
     if (threads == 0) {
-        threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+        threads = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, max_threads);
     }
     workers_.reserve(threads - 1);
     try {

@@ -26,11 +26,18 @@ namespace cellsync {
 
 class Worker_pool {
   public:
+    /// Largest accepted `threads`: far above any host this runs on, and
+    /// small enough that a hostile count cannot reserve or spawn without
+    /// bound.
+    static constexpr std::size_t max_threads = 1024;
+
     /// `threads` is the total parallelism (the calling thread participates
     /// in every run, so `threads - 1` workers are spawned).
-    /// 0 means std::thread::hardware_concurrency(). When a worker thread
-    /// cannot be started, the ones already running are stopped and joined
-    /// and a std::system_error naming the requested count is thrown.
+    /// 0 means std::thread::hardware_concurrency(), capped at max_threads;
+    /// an explicit count above max_threads throws std::invalid_argument
+    /// naming it. When a worker thread cannot be started, the ones
+    /// already running are stopped and joined and a std::system_error
+    /// naming the requested count is thrown.
     explicit Worker_pool(std::size_t threads = 0);
     ~Worker_pool();
 

@@ -96,14 +96,9 @@ std::vector<Kernel_cache_entry_info> scan_directory(const std::string& directory
         entry.hash = name.substr(std::strlen(prefix),
                                  name.size() - std::strlen(prefix) - 4);
         entry.key = read_text_file(item.path().string());
-        entry.bytes = file_bytes(item.path().string());
-        // Entries may be binary (current), legacy CSV, or mid-migration
-        // (both); account whatever is on disk.
-        for (const char* extension : {".bin", ".csv"}) {
-            entry.bytes += file_bytes(
-                (item.path().parent_path() / ("kernel_" + entry.hash + extension))
-                    .string());
-        }
+        const std::filesystem::path kernel_file =
+            item.path().parent_path() / ("kernel_" + entry.hash + ".bin");
+        entry.bytes = file_bytes(item.path().string()) + file_bytes(kernel_file.string());
         entries.push_back(std::move(entry));
     }
     std::sort(entries.begin(), entries.end(),
@@ -208,37 +203,12 @@ std::string Kernel_cache::binary_entry_path(const std::string& hash) const {
     return directory_ + "/kernel_" + hash + ".bin";
 }
 
-std::string Kernel_cache::legacy_entry_path(const std::string& hash) const {
-    return directory_ + "/kernel_" + hash + ".csv";
-}
-
 std::string Kernel_cache::sidecar_path(const std::string& hash) const {
     return directory_ + "/kernel_" + hash + ".key";
 }
 
 std::uint64_t Kernel_cache::entry_bytes(const std::string& hash) const {
-    return file_bytes(binary_entry_path(hash)) + file_bytes(legacy_entry_path(hash)) +
-           file_bytes(sidecar_path(hash));
-}
-
-bool Kernel_cache::migrate_legacy_entry(const std::string& hash, const Kernel_grid& kernel) {
-    // Best-effort: the CSV stays authoritative until the binary lands
-    // completely (write_kernel_file verifies the flush), so an
-    // interrupted migration leaves a servable entry either way. The
-    // sidecar is untouched — the key, and therefore the entry's
-    // identity, does not change.
-    try {
-        write_kernel_file(binary_entry_path(hash), kernel, Kernel_format::binary);
-    } catch (const std::exception& e) {
-        std::error_code ec;
-        std::filesystem::remove(binary_entry_path(hash), ec);
-        std::fprintf(stderr, "Kernel_cache: could not migrate legacy entry %s (%s)\n",
-                     legacy_entry_path(hash).c_str(), e.what());
-        return false;
-    }
-    std::error_code ec;
-    std::filesystem::remove(legacy_entry_path(hash), ec);
-    return true;
+    return file_bytes(binary_entry_path(hash)) + file_bytes(sidecar_path(hash));
 }
 
 std::string Kernel_cache::manifest_path(const std::string& directory) {
@@ -306,10 +276,9 @@ void Kernel_cache::touch_manifest(const std::string& hash, const std::string& ke
                 std::error_code ec;
                 // Sidecar first: without its key the kernel orphan can
                 // never be served, so a torn eviction degrades to a
-                // rebuild. Entries may be binary, legacy CSV, or both.
+                // rebuild.
                 std::filesystem::remove(sidecar_path(entries[victim].hash), ec);
                 std::filesystem::remove(binary_entry_path(entries[victim].hash), ec);
-                std::filesystem::remove(legacy_entry_path(entries[victim].hash), ec);
                 total -= std::min(total, entries[victim].bytes);
                 entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(victim));
                 ++evicted;
@@ -421,7 +390,6 @@ void Kernel_cache::resolve_request(const std::shared_ptr<Kernel_cache_request_st
     std::shared_ptr<const Kernel_grid> kernel;
     std::exception_ptr error;
     bool from_disk = false;
-    bool migrated = false;
     const std::string& key = state->key;
     const std::string hash = key_hash(key);
     const bool tracing = telemetry::Trace_recorder::instance().enabled();
@@ -431,52 +399,14 @@ void Kernel_cache::resolve_request(const std::shared_ptr<Kernel_cache_request_st
     try {
         if (!directory_.empty() && read_text_file(sidecar_path(hash)) == key) {
             // The sidecar is written after the kernel file, so a matching
-            // key promises a complete entry; a corrupt or
-            // invariant-violating file still only costs a rebuild. New
-            // entries are binary; legacy caches hold CSVs — serve either,
-            // preferring the binary when both exist (mid-migration).
-            std::error_code ec;
-            const std::string binary = binary_entry_path(hash);
-            bool is_legacy = !std::filesystem::exists(binary, ec);
-            std::string entry = is_legacy ? legacy_entry_path(hash) : binary;
+            // key promises a complete entry; a corrupt, invariant-violating
+            // or missing `.bin` (a cache from before the binary format
+            // holds kernel_<hash>.csv instead) still only costs a rebuild.
+            const std::string entry = binary_entry_path(hash);
             try {
-                try {
-                    kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
-                } catch (const std::exception& e) {
-                    // A torn mid-migration binary (process killed between
-                    // opening the .bin and its flush) must not shadow the
-                    // still-valid CSV sitting next to it: fall back, and
-                    // let the migration below overwrite the torn file.
-                    if (is_legacy || !std::filesystem::exists(legacy_entry_path(hash), ec)) {
-                        throw;
-                    }
-                    std::fprintf(stderr,
-                                 "Kernel_cache: unreadable binary entry %s (%s); falling "
-                                 "back to the legacy CSV\n",
-                                 entry.c_str(), e.what());
-                    is_legacy = true;
-                    entry = legacy_entry_path(hash);
-                    kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
-                }
+                kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
                 from_disk = true;
-                bool stored = false;
-                if (!limits_.read_only) {
-                    if (is_legacy) {
-                        // Opportunistic upgrade: a writable owner rewrites
-                        // a legacy entry in the binary format the first
-                        // time it is touched, so old caches converge
-                        // without a separate migration pass.
-                        stored = migrate_legacy_entry(hash, *kernel);
-                        migrated = stored;
-                    } else if (std::filesystem::exists(legacy_entry_path(hash), ec)) {
-                        // A migration that died between writing the binary
-                        // and dropping the CSV left both behind; the
-                        // binary just read fine, so finish the job.
-                        std::filesystem::remove(legacy_entry_path(hash), ec);
-                        stored = true;  // re-account the shrunken footprint
-                    }
-                }
-                touch_manifest(hash, key, stored);
+                touch_manifest(hash, key, /*stored=*/false);
             } catch (const std::exception& e) {
                 std::fprintf(stderr, "Kernel_cache: discarding unreadable entry %s (%s)\n",
                              entry.c_str(), e.what());
@@ -525,18 +455,14 @@ void Kernel_cache::resolve_request(const std::shared_ptr<Kernel_cache_request_st
     if (kernel) {
         static telemetry::Counter& disk_hits = telemetry::counter("kernel_cache.disk_hits");
         static telemetry::Counter& builds = telemetry::counter("kernel_cache.builds");
-        static telemetry::Counter& migrations =
-            telemetry::counter("kernel_cache.migrations");
         if (from_disk) disk_hits.add();
         else builds.add();
-        if (migrated) migrations.add();
     }
     {
         const Annotated_lock lock(mutex_);
         if (kernel) {
             if (from_disk) ++stats_.disk_hits;
             else ++stats_.builds;
-            if (migrated) ++stats_.migrations;
             // emplace keeps an entry another resolution may have inserted
             // first; publish the map's copy so all callers share one grid.
             kernel = memory_.emplace(key, std::move(kernel)).first->second;

@@ -16,9 +16,9 @@
 // compared on load, so torn writes and hash collisions degrade to a
 // rebuild, never to a wrong kernel. New entries are stored in the
 // cellsync-kernel-bin-v1 binary format (`.bin`, smaller and much faster
-// to parse); legacy `.csv` entries from older caches keep serving hits
-// transparently — read-only fleets leave them as-is, a writable owner
-// migrates an entry to binary the first time it is touched.
+// to parse). A `kernel_<hash>.csv` entry left by a cache written before
+// that format is a miss: the kernel is rebuilt and stored as `.bin`, and
+// the stale CSV is neither served, counted nor evicted.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +42,6 @@ struct Kernel_cache_stats {
     std::size_t disk_hits = 0;    ///< deserialized from the cache directory
     std::size_t builds = 0;       ///< full population simulations run
     std::size_t evictions = 0;    ///< disk entries removed by the LRU policy
-    std::size_t migrations = 0;   ///< legacy CSV entries rewritten as binary
 };
 
 /// Component-wise difference of two counter snapshots (later - earlier):
@@ -54,16 +53,14 @@ inline Kernel_cache_stats operator-(const Kernel_cache_stats& later,
     delta.disk_hits = later.disk_hits - earlier.disk_hits;
     delta.builds = later.builds - earlier.builds;
     delta.evictions = later.evictions - earlier.evictions;
-    delta.migrations = later.migrations - earlier.migrations;
     return delta;
 }
 
 /// Disk-usage policy for a directory-backed cache.
 struct Kernel_cache_limits {
-    /// Size cap for the cache directory's entries (kernel file — binary
-    /// or legacy CSV — plus sidecar), enforced after every store by
-    /// evicting least-recently-used entries. 0 = unbounded (the pre-LRU
-    /// behavior).
+    /// Size cap for the cache directory's entries (binary kernel file
+    /// plus sidecar), enforced after every store by evicting
+    /// least-recently-used entries. 0 = unbounded (the pre-LRU behavior).
     std::uint64_t max_disk_bytes = 0;
     /// Shared-directory fleet mode: serve disk entries but never write —
     /// no new entries, no manifest updates, no LRU eviction. The
@@ -210,15 +207,9 @@ class Kernel_cache {
     friend struct Kernel_cache_request_state;
 
     std::string binary_entry_path(const std::string& hash) const;
-    std::string legacy_entry_path(const std::string& hash) const;
     std::string sidecar_path(const std::string& hash) const;
-    /// Combined on-disk footprint of one entry (binary and/or legacy
-    /// kernel file, plus the sidecar).
+    /// Combined on-disk footprint of one entry (kernel file plus sidecar).
     std::uint64_t entry_bytes(const std::string& hash) const;
-    /// Rewrite a legacy CSV entry in the binary format and drop the CSV
-    /// (writable caches only; best-effort — a failure keeps the CSV).
-    /// Returns true when the entry's files changed.
-    bool migrate_legacy_entry(const std::string& hash, const Kernel_grid& kernel);
     /// Record a use (disk hit) or a fresh store of `hash` in the manifest,
     /// then enforce the size cap by evicting LRU entries (never the entry
     /// just touched). Never throws: manifest I/O failures degrade to a

@@ -66,7 +66,7 @@ std::vector<Stream_update> Stream_session::append_timepoint(
         throw std::invalid_argument("Stream_session: empty timepoint batch");
     }
     {
-        // Ordered on purpose: the archcheck determinism pass bans hashed
+        // Ordered on purpose: cellsync_lint's det-unordered rule bans hashed
         // containers in src/ wholesale (iteration order must never be able
         // to reach output order), and a per-batch duplicate probe is far
         // off the hot path.

@@ -407,8 +407,8 @@ TEST(KernelCache, AsyncGetBlocksJoinersUntilTheExecutorFinishes) {
     EXPECT_EQ(cache.stats().builds, 1u);
 }
 
-// A pre-upgrade cache directory: kernel CSVs + sidecars, as written by
-// the versions that stored entries in the CSV format.
+// A cache directory from before the binary format: kernel CSVs +
+// sidecars, as written by the versions that stored entries as CSV.
 std::string make_legacy_entry(const std::string& dir, const Cell_cycle_config& config,
                               const Volume_model& vm, const Vector& times,
                               const Kernel_build_options& options) {
@@ -422,141 +422,21 @@ std::string make_legacy_entry(const std::string& dir, const Cell_cycle_config& c
     return hash;
 }
 
-TEST(KernelCache, LegacyCsvEntryServedAndMigratedToBinary) {
-    const std::string dir = fresh_dir("legacy_migrate");
+TEST(KernelCache, LegacyCsvEntryIsRebuiltAsBinary) {
+    const std::string dir = fresh_dir("legacy_rebuild");
     const Cell_cycle_config config;
     const Smooth_volume_model vm;
     const Vector times{0.0, 30.0};
     const std::string hash = make_legacy_entry(dir, config, vm, times, tiny_options());
-    const Kernel_grid reference = build_kernel(config, vm, times, tiny_options());
 
+    // A CSV entry is not served, even with its sidecar: the lookup is a
+    // miss, the kernel is rebuilt and stored in the binary format.
     Kernel_cache cache(dir);
     const auto served = cache.get_or_build(config, vm, times, tiny_options());
-    EXPECT_EQ(cache.stats().disk_hits, 1u);
-    EXPECT_EQ(cache.stats().builds, 0u);
-    expect_bit_identical(*served, reference);
-
-    // The touch migrated the entry: binary in place, CSV gone, same
-    // sidecar, and the manifest accounts the new (smaller) footprint.
+    EXPECT_EQ(cache.stats().builds, 1u);
+    EXPECT_EQ(cache.stats().disk_hits, 0u);
     EXPECT_TRUE(std::filesystem::exists(dir + "/kernel_" + hash + ".bin"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/kernel_" + hash + ".csv"));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/kernel_" + hash + ".key"));
-    const Kernel_cache_manifest manifest = cache.manifest();
-    ASSERT_EQ(manifest.entries.size(), 1u);
-    std::uint64_t on_disk = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (entry.path().filename().string().rfind("kernel_", 0) == 0) {
-            on_disk += std::filesystem::file_size(entry.path());
-        }
-    }
-    EXPECT_EQ(manifest.entries[0].bytes, on_disk);
-
-    // The migrated entry keeps serving from a fresh instance.
-    Kernel_cache reader(dir);
-    const auto reloaded = reader.get_or_build(config, vm, times, tiny_options());
-    EXPECT_EQ(reader.stats().disk_hits, 1u);
-    expect_bit_identical(*reloaded, reference);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(KernelCache, TornMigrationBinaryFallsBackToLegacyCsv) {
-    const std::string dir = fresh_dir("torn_migration");
-    const Cell_cycle_config config;
-    const Smooth_volume_model vm;
-    const Vector times{0.0, 30.0};
-    const std::string hash = make_legacy_entry(dir, config, vm, times, tiny_options());
-    // A migration killed mid-write leaves a truncated .bin next to the
-    // still-valid CSV; the cache must serve the CSV (no rebuild) and
-    // complete the migration over the torn file.
-    {
-        std::ofstream torn(dir + "/kernel_" + hash + ".bin", std::ios::binary);
-        torn << "cellsync-kernel-bin-v1\n\x01";
-    }
-
-    Kernel_cache cache(dir);
-    const auto served = cache.get_or_build(config, vm, times, tiny_options());
-    EXPECT_EQ(cache.stats().disk_hits, 1u);
-    EXPECT_EQ(cache.stats().builds, 0u);
     expect_bit_identical(*served, build_kernel(config, vm, times, tiny_options()));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/kernel_" + hash + ".csv"));
-
-    // The rewritten binary is complete: a fresh instance loads it.
-    Kernel_cache reader(dir);
-    reader.get_or_build(config, vm, times, tiny_options());
-    EXPECT_EQ(reader.stats().disk_hits, 1u);
-    EXPECT_EQ(reader.stats().builds, 0u);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(KernelCache, InterruptedMigrationLeftoverCsvIsCleanedUp) {
-    const std::string dir = fresh_dir("leftover_csv");
-    const Cell_cycle_config config;
-    const Smooth_volume_model vm;
-    const Vector times{0.0, 30.0};
-    const std::string hash = make_legacy_entry(dir, config, vm, times, tiny_options());
-    // A migration killed after the binary landed but before the CSV was
-    // removed leaves both files; the next writable touch must finish the
-    // cleanup (and re-account the entry's bytes), not carry the orphan
-    // forever.
-    write_kernel_file(dir + "/kernel_" + hash + ".bin",
-                      build_kernel(config, vm, times, tiny_options()),
-                      Kernel_format::binary);
-
-    Kernel_cache cache(dir);
-    cache.get_or_build(config, vm, times, tiny_options());
-    EXPECT_EQ(cache.stats().disk_hits, 1u);
-    EXPECT_TRUE(std::filesystem::exists(dir + "/kernel_" + hash + ".bin"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/kernel_" + hash + ".csv"));
-    const Kernel_cache_manifest manifest = cache.manifest();
-    ASSERT_EQ(manifest.entries.size(), 1u);
-    EXPECT_EQ(manifest.entries[0].bytes,
-              std::filesystem::file_size(dir + "/kernel_" + hash + ".bin") +
-                  std::filesystem::file_size(dir + "/kernel_" + hash + ".key"));
-    std::filesystem::remove_all(dir);
-}
-
-TEST(KernelCache, ReadOnlyCacheServesLegacyCsvWithoutMigrating) {
-    const std::string dir = fresh_dir("legacy_readonly");
-    const Cell_cycle_config config;
-    const Smooth_volume_model vm;
-    const Vector times{0.0, 30.0};
-    const std::string hash = make_legacy_entry(dir, config, vm, times, tiny_options());
-
-    Kernel_cache_limits limits;
-    limits.read_only = true;
-    Kernel_cache fleet(dir, limits);
-    const auto served = fleet.get_or_build(config, vm, times, tiny_options());
-    EXPECT_EQ(fleet.stats().disk_hits, 1u);
-    EXPECT_EQ(fleet.stats().builds, 0u);
-    expect_bit_identical(*served, build_kernel(config, vm, times, tiny_options()));
-
-    // Fleet mode never writes: the CSV entry stays, nothing binary
-    // appears, no manifest is created.
-    EXPECT_TRUE(std::filesystem::exists(dir + "/kernel_" + hash + ".csv"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/kernel_" + hash + ".bin"));
-    EXPECT_FALSE(std::filesystem::exists(Kernel_cache::manifest_path(dir)));
-    std::filesystem::remove_all(dir);
-}
-
-TEST(KernelCache, LruEvictionRemovesLegacyCsvEntries) {
-    const std::string dir = fresh_dir("legacy_evict");
-    const Smooth_volume_model vm;
-    const Vector times{0.0, 30.0};
-    Cell_cycle_config old_config;
-    old_config.mu_sst = 0.25;
-    const std::string legacy_hash =
-        make_legacy_entry(dir, old_config, vm, times, tiny_options());
-
-    // A tight cap forces the never-touched legacy entry out when a new
-    // (binary) entry lands; both of its files must disappear.
-    Kernel_cache_limits limits;
-    limits.max_disk_bytes = 1;
-    Kernel_cache cache(dir, limits);
-    cache.get_or_build(Cell_cycle_config{}, vm, times, tiny_options());
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_FALSE(std::filesystem::exists(dir + "/kernel_" + legacy_hash + ".csv"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/kernel_" + legacy_hash + ".key"));
-    EXPECT_EQ(cache.manifest().entries.size(), 1u);
     std::filesystem::remove_all(dir);
 }
 

@@ -108,7 +108,7 @@ TEST(StreamSession, UpdatesFollowRecordOrderAndAutoOpenStreams) {
     }
 }
 
-// The archcheck determinism pass bans hashed containers in src/ so that
+// cellsync_lint's det-unordered rule bans hashed containers in src/ so that
 // no iteration order can reach reporting order; this test holds the
 // positive half of that contract: every order a session exposes is the
 // registration order, even when labels are opened in an order that a

@@ -148,6 +148,18 @@ TEST(WorkerPool, DefaultUsesHardwareConcurrency) {
     EXPECT_GE(pool.thread_count(), 1u);
 }
 
+TEST(WorkerPool, RejectsMoreThanMaxThreadsNamingTheCount) {
+    // A hostile count must fail up front, before any reserve or spawn.
+    try {
+        const Worker_pool pool(Worker_pool::max_threads + 1);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::to_string(Worker_pool::max_threads + 1)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 /// Current virtual address-space size of this process, in bytes.
 rlim_t current_address_space_bytes() {
     std::ifstream statm("/proc/self/statm");

@@ -87,7 +87,7 @@
 //                       for every condition
 //   --bootstrap N       confidence band from N >= 10 replicates, 0 = none
 //                       (single-series run only)
-//   --threads N         worker threads              (default: hardware)
+//   --threads N         worker threads, at most 1024 (default: hardware)
 //   --times LO:HI:N | --times-from data.csv   time grid (kernel, stream)
 //   --json PATH         machine-readable report output (report, kernel cache)
 //   --trace PATH        Chrome-trace JSON of the command's spans (every
@@ -269,7 +269,14 @@ Cli_options parse_args(int argc, char** argv, int first) {
                 if (options.bootstrap > 0) bootstrap_options_from(options).validate();
             }
             else if (arg == "--seed") options.seed = parse_strict_uint64(next_value(i));
-            else if (arg == "--threads") options.threads = parse_strict_uint64(next_value(i));
+            else if (arg == "--threads") {
+                options.threads = parse_strict_uint64(next_value(i));
+                if (options.threads > Worker_pool::max_threads) {
+                    throw std::invalid_argument(
+                        "at most " + std::to_string(Worker_pool::max_threads) +
+                        " threads, got " + std::to_string(options.threads));
+                }
+            }
             else if (arg == "--json") options.json_path = next_value(i);
             else if (arg == "--trace") options.trace_path = next_value(i);
             else if (arg == "--metrics-json") options.metrics_json_path = next_value(i);
@@ -627,9 +634,8 @@ int run_experiment_mode(const Cli_options& cli) {
                 result.cache_stats.builds, result.cache_stats.disk_hits,
                 result.cache_stats.memory_hits, cli.cache_dir.empty() ? "" : " via ",
                 cli.cache_dir.c_str());
-    if (result.cache_stats.evictions > 0 || result.cache_stats.migrations > 0) {
-        std::printf("kernels: %zu LRU evictions, %zu legacy entries migrated to binary\n",
-                    result.cache_stats.evictions, result.cache_stats.migrations);
+    if (result.cache_stats.evictions > 0) {
+        std::printf("kernels: %zu LRU evictions\n", result.cache_stats.evictions);
     }
 
     const Vector grid = linspace(0.0, 1.0, 201);
@@ -733,6 +739,15 @@ int cmd_stream(const Cli_options& cli) {
     }
     const Vector times = resolve_times(cli);
 
+    // Open the log and validate its header before the session simulates
+    // (and caches) a kernel: a bad --input must fail without that work.
+    std::ifstream in(cli.input);
+    if (!in) {
+        std::fprintf(stderr, "cellsync_deconvolve: cannot open '%s'\n", cli.input.c_str());
+        return 1;
+    }
+    Record_stream records(in);
+
     Stream_session_options session_options;
     session_options.basis_size = cli.basis;
     session_options.threads = cli.threads;
@@ -755,13 +770,6 @@ int cmd_stream(const Cli_options& cli) {
                 times.size(), times.front(), times.back(),
                 cache_stats.builds > 0 ? "simulated" : "from cache",
                 session_options.stream.lambda, session.thread_count());
-
-    std::ifstream in(cli.input);
-    if (!in) {
-        std::fprintf(stderr, "cellsync_deconvolve: cannot open '%s'\n", cli.input.c_str());
-        return 1;
-    }
-    Record_stream records(in);
 
     int failures = 0;
     bool stopped_early = false;
@@ -913,8 +921,8 @@ void print_manifest(const Kernel_cache& cache) {
 
 /// Machine-readable counterpart of `print_manifest` for `kernel cache
 /// --json`: the manifest plus the full `Kernel_cache_stats` counters
-/// (including the eviction/migration totals the text output only shows
-/// when nonzero).
+/// (including the eviction total the text output only shows when
+/// nonzero).
 void write_cache_json(const std::string& json_path, const Kernel_cache& cache) {
     const Kernel_cache_manifest manifest = cache.manifest();
     const Kernel_cache_stats stats = cache.stats();
@@ -925,7 +933,6 @@ void write_cache_json(const std::string& json_path, const Kernel_cache& cache) {
     out << ", \"disk_hits\": " << stats.disk_hits;
     out << ", \"builds\": " << stats.builds;
     out << ", \"evictions\": " << stats.evictions;
-    out << ", \"migrations\": " << stats.migrations;
     out << "},\n  \"manifest\": {\"total_bytes\": " << manifest.total_bytes;
     out << ", \"max_bytes\": " << manifest.max_bytes;
     out << ", \"entries\": [";
@@ -962,9 +969,6 @@ int cmd_kernel_cache(const Cli_options& cli) {
     std::printf("%s: %zu times x %zu bins in %s", source, kernel->time_count(),
                 kernel->bin_count(), cli.cache_dir.c_str());
     if (stats.evictions > 0) std::printf(" (%zu LRU evictions)", stats.evictions);
-    if (stats.migrations > 0) {
-        std::printf(" (%zu legacy entries migrated to binary)", stats.migrations);
-    }
     std::printf("\n");
     print_manifest(cache);
     if (!cli.json_path.empty()) {
