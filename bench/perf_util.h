@@ -1,6 +1,7 @@
 // Shared main() for the Google-Benchmark-based perf harnesses: the usual
-// console report, plus every benchmark's adjusted real time captured into
-// BENCH_<name>.json (see Bench_json) so perf can be tracked across PRs.
+// console report, plus every benchmark's adjusted real time (and any user
+// counter it sets) captured into BENCH_<name>.json (see Bench_json) so
+// perf can be tracked across PRs.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -25,6 +26,9 @@ class Json_capture_reporter : public benchmark::ConsoleReporter {
             // an errored run's zero time in the JSON is harmless.
             const std::string unit = benchmark::GetTimeUnitString(run.time_unit);
             json_.add(run.benchmark_name() + "_" + unit, run.GetAdjustedRealTime());
+            for (const auto& [counter, value] : run.counters) {
+                json_.add(run.benchmark_name() + "_" + counter, value);
+            }
         }
         ConsoleReporter::ReportRuns(reports);
     }

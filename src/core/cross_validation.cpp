@@ -31,44 +31,6 @@ std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed
     return perm;
 }
 
-double kfold_lambda_score(const Deconvolver& deconvolver, const Measurement_series& series,
-                          const Deconvolution_options& base_options,
-                          const std::vector<std::size_t>& permutation, std::size_t folds,
-                          double lambda) {
-    const std::size_t m = series.size();
-    if (permutation.size() != m) {
-        throw std::invalid_argument("kfold_lambda_score: permutation length mismatch");
-    }
-    const Vector weights = series.weights();
-    const Matrix& kernel = deconvolver.kernel_matrix();
-
-    Deconvolution_options options = base_options;
-    options.lambda = lambda;
-    double score = 0.0;
-    for (std::size_t fold = 0; fold < folds; ++fold) {
-        std::vector<std::size_t> train, test;
-        for (std::size_t p = 0; p < m; ++p) {
-            (p % folds == fold ? test : train).push_back(permutation[p]);
-        }
-        if (train.size() < 2) continue;
-        try {
-            const Single_cell_estimate fit =
-                deconvolver.estimate_on_rows(series, train, options);
-            for (std::size_t idx : test) {
-                // Held-out prediction without a kernel.row() copy per
-                // test point.
-                const double pred = row_dot(kernel, idx, fit.coefficients());
-                const double r = series.values[idx] - pred;
-                score += weights[idx] * r * r;
-            }
-        } catch (const std::runtime_error&) {
-            // A lambda that breaks the QP is disqualified.
-            return std::numeric_limits<double>::infinity();
-        }
-    }
-    return score / static_cast<double>(m);
-}
-
 Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
                                      const Measurement_series& series,
                                      const Deconvolution_options& base_options,
@@ -78,18 +40,70 @@ Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
     if (lambda_grid.empty()) throw std::invalid_argument("select_lambda_kfold: empty grid");
     if (folds < 2) throw std::invalid_argument("select_lambda_kfold: need at least 2 folds");
     const std::size_t m = series.size();
+    // With m >= 3 some fold keeps >= 2 training rows; below that no fit
+    // runs and every score would be a meaningless 0.
+    if (m < 3) {
+        throw std::invalid_argument(
+            "select_lambda_kfold: need at least 3 measurements for k-fold CV, got " +
+            std::to_string(m));
+    }
+    if (m != deconvolver.times().size()) {
+        throw std::invalid_argument("Deconvolver: series length differs from kernel time grid");
+    }
+    for (const double lambda : lambda_grid) {
+        if (lambda < 0.0) throw std::invalid_argument("Deconvolver: lambda must be >= 0");
+    }
     folds = std::min(folds, m);
 
-    // Random fold assignment, fixed across the lambda grid for a fair sweep.
+    // Random fold assignment, fixed across the lambda grid for a fair
+    // sweep. Each fold's normal-equation blocks do not depend on lambda,
+    // so they are built once here for the whole grid.
     const std::vector<std::size_t> perm = kfold_permutation(m, seed);
+    const Vector weights = series.weights();
+    const Matrix& kernel = deconvolver.kernel_matrix();
+    struct Fold {
+        std::vector<std::size_t> test;
+        Matrix ktwk;
+        Vector ktwg;
+    };
+    std::vector<Fold> fold_blocks;
+    for (std::size_t fold = 0; fold < folds; ++fold) {
+        std::vector<std::size_t> train, test;
+        for (std::size_t p = 0; p < m; ++p) {
+            (p % folds == fold ? test : train).push_back(perm[p]);
+        }
+        if (train.size() < 2) continue;
+        Vector g_train(train.size());
+        Vector w_train(train.size());
+        for (std::size_t r = 0; r < train.size(); ++r) {
+            g_train[r] = series.values[train[r]];
+            w_train[r] = weights[train[r]];
+        }
+        fold_blocks.push_back({std::move(test), weighted_gram_rows(kernel, train, w_train),
+                               weighted_transposed_times_rows(kernel, train, w_train, g_train)});
+    }
 
     Lambda_selection sel;
     sel.method = "kfold";
     sel.lambdas = lambda_grid;
     sel.scores.assign(lambda_grid.size(), 0.0);
+    Deconvolution_options options = base_options;
     for (std::size_t li = 0; li < lambda_grid.size(); ++li) {
-        sel.scores[li] =
-            kfold_lambda_score(deconvolver, series, base_options, perm, folds, lambda_grid[li]);
+        options.lambda = lambda_grid[li];
+        double score = 0.0;
+        try {
+            for (const Fold& fold : fold_blocks) {
+                const Qp_result fit = deconvolver.solve_blocks(fold.ktwk, fold.ktwg, options);
+                for (const std::size_t idx : fold.test) {
+                    const double r = series.values[idx] - row_dot(kernel, idx, fit.x);
+                    score += weights[idx] * r * r;
+                }
+            }
+            sel.scores[li] = score / static_cast<double>(m);
+        } catch (const std::runtime_error&) {
+            // A lambda that breaks the QP is disqualified.
+            sel.scores[li] = std::numeric_limits<double>::infinity();
+        }
     }
 
     const auto best = std::min_element(sel.scores.begin(), sel.scores.end());

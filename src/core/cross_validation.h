@@ -31,9 +31,11 @@ Vector default_lambda_grid(std::size_t count = 25, double lo = 1e-8, double hi =
 /// k-fold CV: folds are contiguous-free random partitions of the
 /// measurement indices (seeded). Each fold is predicted from a model
 /// fitted on the remaining rows with the full constrained estimator; the
-/// score is the weighted held-out squared error. `folds` is clamped to the
-/// measurement count (leave-one-out at the limit).
-/// Throws std::invalid_argument for folds < 2 or an empty grid.
+/// score is the weighted held-out squared error, +inf for a lambda whose
+/// constrained fit fails. `folds` is clamped to the measurement count
+/// (leave-one-out at the limit). Throws std::invalid_argument for folds < 2,
+/// an empty grid, a negative grid lambda, fewer than 3 measurements, or a
+/// series that does not match the kernel time grid.
 Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
                                      const Measurement_series& series,
                                      const Deconvolution_options& base_options,
@@ -52,13 +54,5 @@ Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,
 /// The fold assignment used by select_lambda_kfold: a seeded shuffle of
 /// the measurement indices (fold of perm[p] is p % folds).
 std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed);
-
-/// Mean weighted held-out squared error of one lambda under a fixed fold
-/// assignment — the unit of work of select_lambda_kfold's sweep. Returns
-/// +inf when a fold's constrained fit fails (that lambda is disqualified).
-double kfold_lambda_score(const Deconvolver& deconvolver, const Measurement_series& series,
-                          const Deconvolution_options& base_options,
-                          const std::vector<std::size_t>& permutation, std::size_t folds,
-                          double lambda);
 
 }  // namespace cellsync

@@ -128,10 +128,19 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
         g_sub[r] = series.values[rows[r]];
         w_sub[r] = w_full[rows[r]];
     }
-    const Estimator_objective objective = estimator_objective(
-        weighted_gram_rows(kernel, rows, w_sub),
-        weighted_transposed_times_rows(kernel, rows, w_sub, g_sub), artifacts_->penalty,
-        options.lambda);
+    const Qp_result result =
+        solve_blocks(weighted_gram_rows(kernel, rows, w_sub),
+                     weighted_transposed_times_rows(kernel, rows, w_sub, g_sub), options);
+    Single_cell_estimate est = package(result.x, series, options.lambda);
+    est.qp_iterations = result.iterations;
+    est.active_constraints = result.active_set.size();
+    return est;
+}
+
+Qp_result Deconvolver::solve_blocks(const Matrix& ktwk, const Vector& ktwg,
+                                    const Deconvolution_options& options) const {
+    const Estimator_objective objective =
+        estimator_objective(ktwk, ktwg, artifacts_->penalty, options.lambda);
 
     // Constraint reduction: the design caches it for its own constraint
     // geometry; any other geometry is rebuilt per call (the slow path).
@@ -147,12 +156,7 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
     // The dual (Goldfarb-Idnani) solver through the shared constraint
     // preparation: no feasible start needed and robust on the dense,
     // near-degenerate positivity grid.
-    const Qp_result result =
-        solve_qp_dual_prepared(objective.hessian, objective.gradient, *prep);
-    Single_cell_estimate est = package(result.x, series, options.lambda);
-    est.qp_iterations = result.iterations;
-    est.active_constraints = result.active_set.size();
-    return est;
+    return solve_qp_dual_prepared(objective.hessian, objective.gradient, *prep);
 }
 
 Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_series& series,

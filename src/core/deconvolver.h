@@ -133,11 +133,20 @@ class Deconvolver {
                                                 double lambda) const;
 
     /// Constrained estimate restricted to a subset of measurement rows
-    /// (used by k-fold cross-validation). `rows` indexes into the kernel
+    /// (estimate() runs it on every row). `rows` indexes into the kernel
     /// time grid; duplicates are rejected.
     Single_cell_estimate estimate_on_rows(const Measurement_series& series,
                                           const std::vector<std::size_t>& rows,
                                           const Deconvolution_options& options) const;
+
+    /// The constrained QP over precomputed normal-equation blocks K'WK
+    /// (`ktwk`, n x n) and K'WG (`ktwg`, length n): the one objective,
+    /// constraint-prep and solve path behind estimate_on_rows and the
+    /// k-fold CV sweep, which builds each fold's blocks once for the whole
+    /// lambda grid. Throws std::invalid_argument on a shape mismatch and
+    /// propagates QP failures as std::runtime_error.
+    Qp_result solve_blocks(const Matrix& ktwk, const Vector& ktwg,
+                           const Deconvolution_options& options) const;
 
     /// Hat (influence) matrix A(lambda) of the unconstrained estimator in
     /// whitened measurement space; tr(A) is the effective dof used by GCV.

@@ -101,8 +101,9 @@ std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
 }
 
 /// Record the condition's selected lambdas (feeding later conditions'
-/// warm starts) and score every successful profile's synchrony.
-void score_condition(Condition_result& out, const Vector& score_phi,
+/// warm starts) and score every successful profile's synchrony. Every
+/// gene of the condition is expanded in `basis`.
+void score_condition(Condition_result& out, const Basis& basis, const Vector& score_phi,
                      std::map<std::string, double>& previous_lambda) {
     // Once per condition: the experiment-level progress counters.
     static telemetry::Counter& conditions_done = telemetry::counter("experiment.conditions_done");
@@ -114,9 +115,13 @@ void score_condition(Condition_result& out, const Vector& score_phi,
         if (entry.estimate.has_value()) previous_lambda[entry.label] = entry.lambda;
     }
 
+    // One design matrix samples every profile: each entry sums over the
+    // basis in Basis::expand's order, so the values match sample() bit for
+    // bit.
+    const Matrix score_design = basis.design_matrix(score_phi);
     for (const Batch_entry& entry : out.genes) {
         if (!entry.estimate.has_value()) continue;
-        const Vector values = entry.estimate->sample(score_phi);
+        const Vector values = score_design * entry.estimate->coefficients();
         Gene_synchrony scores;
         scores.label = entry.label;
         try {
@@ -235,8 +240,9 @@ Experiment_result run_graph(const Experiment_spec& spec, const Volume_model& vol
             {prep});
         score_nodes[c] = graph.add_node(
             "score:" + result.conditions[c].name, 1,
-            [&result, &score_phi, &previous_lambda, c](std::size_t) {
-                score_condition(result.conditions[c], score_phi, previous_lambda);
+            [&result, &work, &score_phi, &previous_lambda, c](std::size_t) {
+                score_condition(result.conditions[c], work[c].deconvolver->basis(), score_phi,
+                                previous_lambda);
             },
             {solve});
     }

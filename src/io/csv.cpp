@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -169,12 +168,21 @@ void write_csv(std::ostream& out, const Table& table) {
         out << (c ? "," : "") << table.names()[c];
     }
     out << '\n';
-    out << std::setprecision(17);
+    // to_chars(general, 17) writes the bytes of an ostream at
+    // setprecision(17) (printf's %.17g), without the stream's per-value
+    // locale and formatting overhead.
+    std::string line;
+    char buffer[32];
     for (std::size_t r = 0; r < table.row_count(); ++r) {
+        line.clear();
         for (std::size_t c = 0; c < table.column_count(); ++c) {
-            out << (c ? "," : "") << table.column(c)[r];
+            if (c) line += ',';
+            const auto result = std::to_chars(buffer, buffer + sizeof(buffer),
+                                              table.column(c)[r], std::chars_format::general, 17);
+            line.append(buffer, result.ptr);
         }
-        out << '\n';
+        line += '\n';
+        out << line;
     }
 }
 

@@ -331,6 +331,8 @@ Qp_constraint_prep::Qp_constraint_prep(std::size_t n, const Matrix& eq_matrix,
         z_basis_ = Matrix::identity(n);
     }
 
+    z_transposed_ = z_basis_.transposed();
+
     // Reduced inequality block: Cr = C Z, dr = d - C x0.
     const std::size_t nz = z_basis_.cols();
     reduced_ineq_ = Matrix(mi, nz);
@@ -347,17 +349,10 @@ Reduced_objective Qp_constraint_prep::reduce_objective(const Matrix& hessian,
     if (hessian.rows() != n_ || hessian.cols() != n_ || gradient.size() != n_) {
         throw std::invalid_argument("Qp_constraint_prep: Hessian/gradient shape mismatch");
     }
-    const std::size_t nz = z_basis_.cols();
     Reduced_objective out;
-    out.hessian = Matrix(nz, nz);
-    const Matrix hz = hessian * z_basis_;
-    for (std::size_t i = 0; i < nz; ++i) {
-        for (std::size_t j = 0; j < nz; ++j) {
-            double s = 0.0;
-            for (std::size_t k = 0; k < n_; ++k) s += z_basis_(k, i) * hz(k, j);
-            out.hessian(i, j) = s;
-        }
-    }
+    // Z'(HZ): each entry sums over k from 0.0 in increasing order (the
+    // k-outer / j-inner product kernel), reading Z' contiguously.
+    out.hessian = z_transposed_ * (hessian * z_basis_);
     out.gradient = transposed_times(z_basis_, hessian * x_particular_ + gradient);
     return out;
 }
@@ -387,28 +382,31 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
 
     // --- Goldfarb-Idnani on the reduced problem. ---
     const Cholesky_factorization hl(hr);  // throws if H is not PD even with ridge
-    auto h_solve = [&](const Vector& rhs) { return hl.solve(rhs); };
 
-    Vector y = scaled(h_solve(gradient), -1.0);  // unconstrained optimum
+    // H^{-1} c_r depends only on the row, so each is solved on first use
+    // (while its slot is empty) and kept for the rest of the solve.
+    std::vector<Vector> hinv_rows(mi);
+    auto hinv_row = [&](std::size_t r) -> const Vector& {
+        if (hinv_rows[r].empty()) hinv_rows[r] = hl.solve(cr.row(r));
+        return hinv_rows[r];
+    };
+
+    Vector y = scaled(hl.solve(gradient), -1.0);  // unconstrained optimum
     std::vector<std::size_t> active;
+    std::vector<char> is_active(mi, 0);
     Vector u;  // multipliers of active constraints
     std::size_t iterations = 0;
     const std::size_t max_outer = max_iterations + 10 * (mi + 1);
 
     for (std::size_t outer = 0; outer < max_outer; ++outer) {
-        // Most violated inactive constraint.
+        // Most violated inactive constraint. One mat-vec sums each row's
+        // <c_r, y> from 0.0 in increasing column order, as dot() does.
+        const Vector cy = mi > 0 ? cr * y : Vector();
         double worst = -constraint_tol;
         std::size_t j = mi;
         for (std::size_t r = 0; r < mi; ++r) {
-            bool is_active = false;
-            for (std::size_t k : active) {
-                if (k == r) {
-                    is_active = true;
-                    break;
-                }
-            }
-            if (is_active) continue;
-            const double slack = dot(cr.row(r), y) - dr[r];
+            if (is_active[r]) continue;
+            const double slack = cy[r] - dr[r];
             if (slack < worst) {
                 worst = slack;
                 j = r;
@@ -423,7 +421,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
         // shedding dual-blocking constraints along the way.
         for (std::size_t inner = 0; inner <= mi + 1; ++inner) {
             ++iterations;
-            const Vector hic = h_solve(cj);
+            const Vector& hic = hinv_row(j);
 
             Vector r_dir;  // dual step for active multipliers
             Vector zdir = hic;
@@ -433,7 +431,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
                 for (std::size_t k = 0; k < q; ++k) nact.set_col(k, cr.row(active[k]));
                 // M = N' H^{-1} N, rhs = N' H^{-1} c.
                 Matrix hin(nz, q);
-                for (std::size_t k = 0; k < q; ++k) hin.set_col(k, h_solve(nact.col(k)));
+                for (std::size_t k = 0; k < q; ++k) hin.set_col(k, hinv_row(active[k]));
                 Matrix m(q, q);
                 for (std::size_t a2 = 0; a2 < q; ++a2) {
                     for (std::size_t b2 = 0; b2 < q; ++b2) {
@@ -475,10 +473,12 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
             }
             if (t == t2 && std::isfinite(t2)) {
                 active.push_back(j);
+                is_active[j] = 1;
                 u.push_back(uj);
                 break;
             }
             // Dual step only: drop the blocking constraint and retry.
+            is_active[active[drop]] = 0;
             active.erase(active.begin() + static_cast<std::ptrdiff_t>(drop));
             u.erase(u.begin() + static_cast<std::ptrdiff_t>(drop));
         }
@@ -494,7 +494,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     // than trusting the loop bound.
     double violation = 0.0;
     for (std::size_t r = 0; r < mi; ++r) {
-        violation = std::max(violation, dr[r] - dot(cr.row(r), result.x));
+        violation = std::max(violation, dr[r] - row_dot(cr, r, result.x));
     }
     if (violation > 100.0 * constraint_tol) {
         throw std::runtime_error("solve_qp_dual: failed to reach primal feasibility");

@@ -91,6 +91,7 @@ class Qp_constraint_prep {
   private:
     std::size_t n_ = 0;
     Matrix z_basis_;
+    Matrix z_transposed_;  ///< Z', the left factor of reduce_objective's Z'HZ
     Vector x_particular_;
     Matrix reduced_ineq_;
     Vector reduced_rhs_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -117,6 +118,24 @@ TEST(Csv, WriteReadRoundTrip) {
         EXPECT_DOUBLE_EQ(back.column("time")[r], t.column("time")[r]);
         EXPECT_DOUBLE_EQ(back.column("value")[r], t.column("value")[r]);
     }
+}
+
+TEST(Csv, WriteFormatsEachValueAsPercent17g) {
+    // The profile CSVs' bytes: printf's %.17g, the text an ostream writes
+    // at setprecision(17), for signed zeros, rounding cases, the exponent
+    // switch, denormals and non-finite values.
+    Table t;
+    t.add_column("v", {0.0, -0.0, 0.1, 1.0 / 3.0, 1e16, 1e17, 1e-5,
+                       std::numeric_limits<double>::denorm_min(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN(), -2.5});
+    std::ostringstream out;
+    write_csv(out, t);
+    EXPECT_EQ(out.str(),
+              "v\n0\n-0\n0.10000000000000001\n0.33333333333333331\n10000000000000000\n"
+              "1e+17\n1.0000000000000001e-05\n4.9406564584124654e-324\ninf\n-inf\nnan\n"
+              "-2.5\n");
 }
 
 TEST(Csv, FileRoundTrip) {

@@ -650,6 +650,9 @@ int run_experiment_mode(const Cli_options& cli) {
                     "peak");
         Series_writer writer("phi", grid);
         std::vector<std::pair<std::string, double>> lambdas;
+        // The condition's genes share one basis, so one design matrix
+        // samples them all, bit for bit as Single_cell_estimate::sample.
+        Matrix design;
         auto scores = condition.synchrony.begin();
         for (const Batch_entry& gene : condition.genes) {
             if (!gene.estimate.has_value()) {
@@ -657,7 +660,8 @@ int run_experiment_mode(const Cli_options& cli) {
                 std::printf("  %-16s FAILED: %s\n", gene.label.c_str(), gene.error.c_str());
                 continue;
             }
-            writer.add(gene.label, gene.estimate->sample(grid));
+            if (design.empty()) design = gene.estimate->basis().design_matrix(grid);
+            writer.add(gene.label, design * gene.estimate->coefficients());
             lambdas.emplace_back(gene.label, gene.lambda);
             if (scores != condition.synchrony.end() && scores->label == gene.label) {
                 std::printf("  %-16s %-10.3e %-8.3f %-8.3f %-8.3f\n", gene.label.c_str(),
@@ -818,6 +822,7 @@ int cmd_stream(const Cli_options& cli) {
     // Final per-gene summary + profile CSV (lambda comments included, so
     // `report --json` can carry the smoothness weight forward).
     const Vector grid = linspace(0.0, 1.0, 201);
+    const Matrix design = session.artifacts().basis->design_matrix(grid);
     Series_writer writer("phi", grid);
     std::vector<std::pair<std::string, double>> lambdas;
     std::printf("  %-16s %-9s %-10s %-8s %-10s\n", "gene", "observed", "converged",
@@ -828,7 +833,7 @@ int cmd_stream(const Cli_options& cli) {
         std::printf("  %-16s %zu/%-7zu %-10s %-8.3f %-10.3e\n", label.c_str(),
                     stream.observed(), times.size(), stream.converged() ? "yes" : "no",
                     stream.order_parameter(), stream.options().lambda);
-        writer.add(label, stream.current().sample(grid));
+        writer.add(label, design * stream.current().coefficients());
         lambdas.emplace_back(label, stream.options().lambda);
     }
     const std::string output = cli.output.empty() ? "streamed.csv" : cli.output;
