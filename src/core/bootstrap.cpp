@@ -125,9 +125,10 @@ Confidence_band bootstrap_confidence_band(const Deconvolver& deconvolver,
     Vector column(samples.size());
     for (std::size_t p = 0; p < phi_grid.size(); ++p) {
         for (std::size_t s = 0; s < samples.size(); ++s) column[s] = samples[s][p];
-        band.lower[p] = quantile(column, tail);
-        band.median[p] = quantile(column, 0.5);
-        band.upper[p] = quantile(column, 1.0 - tail);
+        std::sort(column.begin(), column.end());
+        band.lower[p] = quantile_sorted(column, tail);
+        band.median[p] = quantile_sorted(column, 0.5);
+        band.upper[p] = quantile_sorted(column, 1.0 - tail);
     }
     return band;
 }

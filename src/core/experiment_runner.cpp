@@ -152,12 +152,12 @@ void score_condition(Condition_result& out, const Basis& basis, const Vector& sc
 ///                  ▲                                           │
 ///                  └──────────── score_{c-1} ◄─────────────────┘
 ///
-/// Every kernel node is a root (async cache requests were issued up
-/// front, duplicates already joined in flight), so kernel simulation of
-/// condition k+1 runs while condition k's solves drain. The prep/score
-/// chain hands the warm-start state from condition to condition, so each
-/// gene's inputs are those of a condition-by-condition loop whatever the
-/// thread count or the order in which kernels finish.
+/// Every kernel node is a root, so kernel simulation of condition k+1 runs
+/// while condition k's solves drain; kernel nodes of conditions sharing a
+/// key share one resolution through the cache. The prep/score chain hands
+/// the warm-start state from condition to condition, so each gene's inputs
+/// are those of a condition-by-condition loop whatever the thread count
+/// or the order in which kernels finish.
 Experiment_result run_graph(const Experiment_spec& spec, const Volume_model& volume_model,
                             Kernel_cache& cache) {
     const std::size_t n = spec.conditions.size();
@@ -167,18 +167,6 @@ Experiment_result run_graph(const Experiment_spec& spec, const Volume_model& vol
     result.conditions.resize(n);
     for (std::size_t c = 0; c < n; ++c) {
         result.conditions[c].name = resolved_condition_name(spec.conditions[c], c);
-    }
-
-    // Issue every condition's kernel request up front, in condition order
-    // on this thread: distinct keys become independently runnable build
-    // nodes, repeated keys join the first request's in-flight resolution
-    // — so the cache counters are those of resolving conditions in order.
-    std::vector<Kernel_cache::Async_request> requests;
-    requests.reserve(n);
-    for (const Experiment_condition& condition : spec.conditions) {
-        requests.push_back(cache.get_or_build_async(condition.cell_cycle, volume_model,
-                                                    condition.panel.front().times,
-                                                    spec.kernel));
     }
 
     /// Solve inputs produced by prep_c, consumed by solve_c's gene tasks.
@@ -203,8 +191,11 @@ Experiment_result run_graph(const Experiment_spec& spec, const Volume_model& vol
     for (std::size_t c = 0; c < n; ++c) {
         kernel_nodes[c] = graph.add_node(
             "kernel:" + result.conditions[c].name, 1,
-            [&result, &requests, c](std::size_t) {
-                result.conditions[c].kernel = requests[c].get();
+            [&spec, &result, &volume_model, &cache, c](std::size_t) {
+                const Experiment_condition& condition = spec.conditions[c];
+                result.conditions[c].kernel =
+                    cache.get_or_build(condition.cell_cycle, volume_model,
+                                       condition.panel.front().times, spec.kernel);
             });
     }
     for (std::size_t c = 0; c < n; ++c) {

@@ -15,11 +15,11 @@
 // The run is one Task_graph on one Worker_pool: per condition a kernel
 // node, a prep node (design + warm grids), a per-gene solve batch, and a
 // scoring node, where only the stages that truly depend on each other are
-// ordered. Kernel simulation of condition k+1 (an async Kernel_cache
-// request) overlaps the solves of condition k, which is where a cold
-// multi-condition run spends its serial time. For panels too large for
-// one machine, shard_experiment splits the gene panels deterministically
-// across processes; per-shard outputs merge losslessly
+// ordered. Kernel simulation of condition k+1 (a root node resolving
+// through the Kernel_cache) overlaps the solves of condition k, which is
+// where a cold multi-condition run spends its serial time. For panels
+// too large for one machine, shard_experiment splits the gene panels
+// deterministically across processes; per-shard outputs merge losslessly
 // (`cellsync_deconvolve merge-results`).
 //
 // Results are deterministic for a fixed spec: identical whether kernels

@@ -2,7 +2,7 @@
 // them.
 //
 // The concurrency surface of this codebase — Worker_pool's scheduler
-// state, Kernel_cache's memoization maps and in-flight request latches,
+// state, Kernel_cache's memoization and in-flight maps,
 // Stream_session's run serialization — is
 // lock-and-condition-variable code whose invariants ("states_ is only
 // touched under mutex_", "the pool is never shared between two

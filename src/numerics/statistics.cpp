@@ -28,14 +28,18 @@ double coefficient_of_variation(const Vector& v) {
 }
 
 double quantile(Vector v, double q) {
-    if (v.empty()) throw std::invalid_argument("quantile: empty input");
-    if (!(q >= 0.0 && q <= 1.0)) throw std::invalid_argument("quantile: q outside [0,1]");
     std::sort(v.begin(), v.end());
-    const double pos = q * static_cast<double>(v.size() - 1);
+    return quantile_sorted(v, q);
+}
+
+double quantile_sorted(const Vector& sorted, double q) {
+    if (sorted.empty()) throw std::invalid_argument("quantile: empty input");
+    if (!(q >= 0.0 && q <= 1.0)) throw std::invalid_argument("quantile: q outside [0,1]");
+    const double pos = q * static_cast<double>(sorted.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return v[lo] * (1.0 - frac) + v[hi] * frac;
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double median(Vector v) { return quantile(std::move(v), 0.5); }

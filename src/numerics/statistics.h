@@ -23,6 +23,10 @@ double coefficient_of_variation(const Vector& v);
 /// q outside [0,1].
 double quantile(Vector v, double q);
 
+/// quantile() of input already sorted ascending: reading several
+/// quantiles of one sample sorts it once.
+double quantile_sorted(const Vector& sorted, double q);
+
 /// Median (q = 0.5 quantile).
 double median(Vector v);
 

@@ -125,10 +125,10 @@ TEST(ConcurrencyStress, WorkerPoolConstructionTeardownChurn) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel_cache: N threads joining one in-flight async build.
+// Kernel_cache: N threads joining one in-flight build.
 // ---------------------------------------------------------------------
 
-TEST(ConcurrencyStress, AsyncJoinersShareOneKernelBuild) {
+TEST(ConcurrencyStress, JoinersShareOneKernelBuild) {
     Kernel_cache cache;
     const Cell_cycle_config config;
     const Smooth_volume_model vm;
@@ -142,7 +142,7 @@ TEST(ConcurrencyStress, AsyncJoinersShareOneKernelBuild) {
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             arrive_and_wait(arrivals, kThreads);
-            grids[t] = cache.get_or_build_async(config, vm, times, tiny_options()).get();
+            grids[t] = cache.get_or_build(config, vm, times, tiny_options());
         });
     }
     for (std::thread& thread : threads) thread.join();
@@ -169,44 +169,6 @@ TEST(ConcurrencyStress, AsyncJoinersShareOneKernelBuild) {
                 << "entry (" << m << ", " << c << ")";
         }
     }
-}
-
-TEST(ConcurrencyStress, AbandonedAsyncRequestIsResolvedByLaterJoiners) {
-    // A request dropped without get() leaves its shared state in flight;
-    // joiners racing on the same key must elect one resolver among
-    // themselves and all land on one grid.
-    Kernel_cache cache;
-    const Cell_cycle_config config;
-    const Smooth_volume_model vm;
-    const Vector times{0.0, 45.0};
-
-    {
-        Kernel_cache::Async_request dropped =
-            cache.get_or_build_async(config, vm, times, tiny_options(11));
-        EXPECT_TRUE(dropped.valid());
-        // never calls get()
-    }
-    EXPECT_EQ(cache.stats().builds, 0u);
-
-    constexpr int kThreads = 6;
-    std::vector<std::shared_ptr<const Kernel_grid>> grids(kThreads);
-    std::atomic<int> arrivals{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            arrive_and_wait(arrivals, kThreads);
-            grids[t] =
-                cache.get_or_build_async(config, vm, times, tiny_options(11)).get();
-        });
-    }
-    for (std::thread& thread : threads) thread.join();
-
-    ASSERT_NE(grids[0], nullptr);
-    for (int t = 1; t < kThreads; ++t) {
-        EXPECT_EQ(grids[t].get(), grids[0].get()) << "thread " << t;
-    }
-    EXPECT_EQ(cache.stats().builds, 1u);
 }
 
 TEST(ConcurrencyStress, StatsSnapshotsRaceWithResolutions) {

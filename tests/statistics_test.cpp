@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace cellsync {
@@ -32,6 +35,21 @@ TEST(Statistics, QuantileInterpolates) {
     EXPECT_DOUBLE_EQ(quantile(v, 1.0), 4.0);
     EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.5);
     EXPECT_THROW(quantile(v, 1.5), std::invalid_argument);
+}
+
+TEST(Statistics, SortedQuantileMatchesQuantileBitForBit) {
+    // Duplicates and both zeros: the sorted form must read the same
+    // interpolation quantile() computes after its own sort.
+    const Vector v{0.7, -0.0, 3.25, 0.0, -1.5, 0.7, 1e-300, -0.0, 2.0, 0.7, -1.5};
+    Vector sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_sorted(sorted, q)),
+                  std::bit_cast<std::uint64_t>(quantile(v, q)))
+            << "q = " << q;
+    }
+    EXPECT_THROW(quantile_sorted({}, 0.5), std::invalid_argument);
+    EXPECT_THROW(quantile_sorted(sorted, -0.1), std::invalid_argument);
 }
 
 TEST(Statistics, MedianUnsortedInput) {

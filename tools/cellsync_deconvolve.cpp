@@ -34,9 +34,9 @@
 //            anything else CSV).
 //            cache: resolve a kernel through --cache-dir (build on miss,
 //            reuse on hit) — use it to pre-warm a cache shared by later
-//            runs — then print the cache manifest (entries, bytes,
-//            recency). Without --times/--times-from, just prints the
-//            manifest.
+//            runs — then list the directory's entries (hash, bytes,
+//            provenance). Without --times/--times-from, just lists an
+//            existing directory (a missing one is an error).
 //            convert: re-encode a saved kernel between the CSV and binary
 //            formats (--input -> --output). The input format is
 //            auto-detected; the output format is --kernel-format when
@@ -58,18 +58,16 @@
 // Sharded experiments: `run --shards N --shard-index i` deconvolves only
 // the genes whose label hashes to shard i (deterministic, label-stable
 // across conditions, so lambda warm-start chains are preserved). Launch
-// one process per shard — on one machine or many, optionally against a
-// shared `--cache-dir` opened with `--cache-read-only` — then combine
-// each condition's `<stem>.<condition>.shard<i>of<N>.csv` outputs with
-// `merge-results`.
+// one process per shard — on one machine or many, optionally against one
+// shared `--cache-dir` (entries are write-once and renamed into place, so
+// processes may share a directory) — then combine each condition's
+// `<stem>.<condition>.shard<i>of<N>.csv` outputs with `merge-results`.
 //
 // Common options:
 //   --output PATH       profile CSV / kernel CSV destination
-//   --cache-dir DIR     disk-backed kernel cache (run, stream, kernel cache)
-//   --cache-max-bytes N LRU size cap for --cache-dir (0 = unbounded)
-//   --cache-read-only   serve --cache-dir without ever writing (no new
-//                       entries, no manifest updates, no eviction) —
-//                       safe for many processes sharing one directory
+//   --cache-dir DIR     disk-backed kernel cache (run, stream, kernel cache);
+//                       processes may share one directory, and on a
+//                       read-only one misses stay in memory
 //   --shards N --shard-index I   experiment runs: keep only shard I of
 //                       the gene panels (see "Sharded experiments")
 //   --kernel PATH       reuse a saved kernel (single-series run; CSV or
@@ -165,8 +163,6 @@ struct Cli_options {
     std::string json_path;                ///< report / kernel cache --json destination
     std::string trace_path;               ///< --trace Chrome-trace destination
     std::string metrics_json_path;        ///< --metrics-json snapshot destination
-    std::uint64_t cache_max_bytes = 0;    ///< LRU cap for --cache-dir
-    bool cache_read_only = false;         ///< shared-directory fleet mode
     std::size_t shards = 1;               ///< experiment gene-panel shards
     std::size_t shard_index = 0;          ///< this process's shard
     bool stop_when_converged = false;     ///< stream: end once all genes stabilize
@@ -280,8 +276,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--json") options.json_path = next_value(i);
             else if (arg == "--trace") options.trace_path = next_value(i);
             else if (arg == "--metrics-json") options.metrics_json_path = next_value(i);
-            else if (arg == "--cache-max-bytes") options.cache_max_bytes = parse_strict_uint64(next_value(i));
-            else if (arg == "--cache-read-only") options.cache_read_only = true;
             else if (arg == "--shards") options.shards = parse_strict_uint64(next_value(i));
             else if (arg == "--shard-index") options.shard_index = parse_strict_uint64(next_value(i));
             else if (arg == "--stop-when-converged") options.stop_when_converged = true;
@@ -340,11 +334,10 @@ Constraint_options constraints_from(const Cli_options& cli) {
     return constraints;
 }
 
-Kernel_cache_limits cache_limits_from(const Cli_options& cli) {
-    Kernel_cache_limits limits;
-    limits.max_disk_bytes = cli.cache_max_bytes;
-    limits.read_only = cli.cache_read_only;
-    return limits;
+/// The --cache-dir cache, or a memory-only one without the flag.
+std::unique_ptr<Kernel_cache> cache_from(const Cli_options& cli) {
+    if (cli.cache_dir.empty()) return std::make_unique<Kernel_cache>();
+    return std::make_unique<Kernel_cache>(cli.cache_dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,6 +371,7 @@ class Telemetry_session {
             std::ofstream out(trace_path);
             if (!out) throw std::runtime_error("cannot open '" + trace_path + "' for writing");
             recorder.write_chrome_trace(out);
+            out.flush();
             if (!out) throw std::runtime_error("write failed for '" + trace_path + "'");
             std::printf("wrote trace %s\n", trace_path.c_str());
         }
@@ -385,6 +379,7 @@ class Telemetry_session {
             std::ofstream out(metrics_path);
             if (!out) throw std::runtime_error("cannot open '" + metrics_path + "' for writing");
             telemetry::write_metrics_json(out, telemetry::Metrics_registry::instance().snapshot());
+            out.flush();
             if (!out) throw std::runtime_error("write failed for '" + metrics_path + "'");
             std::printf("wrote metrics %s\n", metrics_path.c_str());
         }
@@ -419,6 +414,7 @@ void write_profiles_with_lambdas(const std::string& path, const Table& table,
         out << "# lambda:" << gene << "=" << buffer << "\n";
     }
     write_csv(out, table);
+    out.flush();
     if (!out) throw std::runtime_error("write failed for '" + path + "'");
 }
 
@@ -513,7 +509,7 @@ int run_single(const Cli_options& cli) {
         std::printf("kernel: loaded from %s (%zu times x %zu bins)\n",
                     cli.kernel_path.c_str(), kernel->time_count(), kernel->bin_count());
     } else if (!cli.cache_dir.empty()) {
-        Kernel_cache cache(cli.cache_dir, cache_limits_from(cli));
+        Kernel_cache cache(cli.cache_dir);
         kernel = *cache.get_or_build(config, *volume, data.times, kernel_options_from(cli));
         const Kernel_cache_stats stats = cache.stats();
         std::printf("kernel: %s via cache %s\n",
@@ -622,21 +618,13 @@ int run_experiment_mode(const Cli_options& cli) {
     }
 
     const std::unique_ptr<Volume_model> volume = volume_from(cli);
-    std::unique_ptr<Kernel_cache> cache;
-    if (!cli.cache_dir.empty()) {
-        cache = std::make_unique<Kernel_cache>(cli.cache_dir, cache_limits_from(cli));
-    } else {
-        cache = std::make_unique<Kernel_cache>();
-    }
+    const std::unique_ptr<Kernel_cache> cache = cache_from(cli);
 
     const Experiment_result result = run_experiment(spec, *volume, *cache);
     std::printf("kernels: %zu simulated, %zu from disk, %zu from memory%s%s\n",
                 result.cache_stats.builds, result.cache_stats.disk_hits,
                 result.cache_stats.memory_hits, cli.cache_dir.empty() ? "" : " via ",
                 cli.cache_dir.c_str());
-    if (result.cache_stats.evictions > 0) {
-        std::printf("kernels: %zu LRU evictions\n", result.cache_stats.evictions);
-    }
 
     const Vector grid = linspace(0.0, 1.0, 201);
     const std::string stem =
@@ -761,12 +749,7 @@ int cmd_stream(const Cli_options& cli) {
     session_options.stream.convergence = cli.convergence;
 
     const std::unique_ptr<Volume_model> volume = volume_from(cli);
-    std::unique_ptr<Kernel_cache> cache;
-    if (!cli.cache_dir.empty()) {
-        cache = std::make_unique<Kernel_cache>(cli.cache_dir, cache_limits_from(cli));
-    } else {
-        cache = std::make_unique<Kernel_cache>();
-    }
+    const std::unique_ptr<Kernel_cache> cache = cache_from(cli);
     Stream_session session(config_from(cli), *volume, times, *cache, session_options);
     const Kernel_cache_stats cache_stats = cache->stats();
     std::printf("session: %zu-point grid (t = %.0f..%.0f min), kernel %s, lambda %.3e, "
@@ -900,84 +883,72 @@ int cmd_kernel_convert(const Cli_options& cli) {
     return 0;
 }
 
-void print_manifest(const Kernel_cache& cache) {
-    const Kernel_cache_manifest manifest = cache.manifest();
-    if (manifest.max_bytes > 0) {
-        std::printf("manifest: %zu entries, %.1f KiB of %.1f KiB cap\n",
-                    manifest.entries.size(),
-                    static_cast<double>(manifest.total_bytes) / 1024.0,
-                    static_cast<double>(manifest.max_bytes) / 1024.0);
-    } else {
-        std::printf("manifest: %zu entries, %.1f KiB (no size cap)\n",
-                    manifest.entries.size(),
-                    static_cast<double>(manifest.total_bytes) / 1024.0);
-    }
-    std::printf("  %-18s %10s %8s  %s\n", "entry", "bytes", "last-use", "provenance");
-    for (const Kernel_cache_entry_info& entry : manifest.entries) {
+/// `kernel cache` text listing: a total line, then one row per entry.
+void print_entries(const std::vector<Kernel_cache_entry_info>& entries,
+                   std::uint64_t total_bytes) {
+    std::printf("cache: %zu entries, %.1f KiB\n", entries.size(),
+                static_cast<double>(total_bytes) / 1024.0);
+    std::printf("  %-18s %10s  %s\n", "entry", "bytes", "provenance");
+    for (const Kernel_cache_entry_info& entry : entries) {
         std::string provenance = entry.key;
         if (const auto times = provenance.find("times="); times != std::string::npos) {
             provenance = provenance.substr(0, times) + "times=...";
         }
-        std::printf("  %-18s %10llu %8llu  %s\n", entry.hash.c_str(),
-                    static_cast<unsigned long long>(entry.bytes),
-                    static_cast<unsigned long long>(entry.last_use), provenance.c_str());
+        std::printf("  %-18s %10llu  %s\n", entry.hash.c_str(),
+                    static_cast<unsigned long long>(entry.bytes), provenance.c_str());
     }
 }
 
-/// Machine-readable counterpart of `print_manifest` for `kernel cache
-/// --json`: the manifest plus the full `Kernel_cache_stats` counters
-/// (including the eviction total the text output only shows when
-/// nonzero).
-void write_cache_json(const std::string& json_path, const Kernel_cache& cache) {
-    const Kernel_cache_manifest manifest = cache.manifest();
-    const Kernel_cache_stats stats = cache.stats();
+/// Machine-readable counterpart of `print_entries` for `kernel cache
+/// --json`: this command's cache counters plus every entry's full key.
+void write_cache_json(const std::string& json_path, const Kernel_cache_stats& stats,
+                      const std::vector<Kernel_cache_entry_info>& entries,
+                      std::uint64_t total_bytes) {
     std::ofstream out(json_path);
     if (!out) throw std::runtime_error("cannot open '" + json_path + "' for writing");
-    out << "{\n  \"schema\": \"cellsync-cache-v1\",\n  \"stats\": {";
+    out << "{\n  \"schema\": \"cellsync-cache-v2\",\n  \"stats\": {";
     out << "\"memory_hits\": " << stats.memory_hits;
     out << ", \"disk_hits\": " << stats.disk_hits;
     out << ", \"builds\": " << stats.builds;
-    out << ", \"evictions\": " << stats.evictions;
-    out << "},\n  \"manifest\": {\"total_bytes\": " << manifest.total_bytes;
-    out << ", \"max_bytes\": " << manifest.max_bytes;
-    out << ", \"entries\": [";
-    for (std::size_t e = 0; e < manifest.entries.size(); ++e) {
-        const Kernel_cache_entry_info& entry = manifest.entries[e];
+    out << "},\n  \"total_bytes\": " << total_bytes;
+    out << ",\n  \"entries\": [";
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+        const Kernel_cache_entry_info& entry = entries[e];
         out << (e ? ",\n    {" : "\n    {");
         out << "\"hash\": \"" << json_escape(entry.hash) << "\"";
         out << ", \"bytes\": " << entry.bytes;
-        out << ", \"last_use\": " << entry.last_use;
         out << ", \"key\": \"" << json_escape(entry.key) << "\"}";
     }
-    out << "\n  ]}\n}\n";
+    out << "\n  ]\n}\n";
+    out.flush();
     if (!out) throw std::runtime_error("write failed for '" + json_path + "'");
 }
 
 int cmd_kernel_cache(const Cli_options& cli) {
     if (cli.cache_dir.empty()) usage_error("kernel cache needs --cache-dir DIR");
-    Kernel_cache cache(cli.cache_dir, cache_limits_from(cli));
-    if (cli.times_spec.empty() && cli.times_from.empty()) {
-        // Stats-only mode: inspect the cache without touching any entry.
-        print_manifest(cache);
-        if (!cli.json_path.empty()) {
-            write_cache_json(cli.json_path, cache);
-            std::printf("wrote %s\n", cli.json_path.c_str());
-        }
-        return 0;
+    const bool listing = cli.times_spec.empty() && cli.times_from.empty();
+    if (listing && !std::filesystem::is_directory(cli.cache_dir)) {
+        // Listing never creates a directory: a mistyped path is an error,
+        // not an empty cache.
+        throw std::runtime_error("no cache directory '" + cli.cache_dir + "'");
     }
-    const Vector times = resolve_times(cli);
-    const std::unique_ptr<Volume_model> volume = volume_from(cli);
-    const auto kernel =
-        cache.get_or_build(config_from(cli), *volume, times, kernel_options_from(cli));
-    const Kernel_cache_stats stats = cache.stats();
-    const char* source = stats.builds > 0 ? "simulated (cache miss)" : "reused from disk";
-    std::printf("%s: %zu times x %zu bins in %s", source, kernel->time_count(),
-                kernel->bin_count(), cli.cache_dir.c_str());
-    if (stats.evictions > 0) std::printf(" (%zu LRU evictions)", stats.evictions);
-    std::printf("\n");
-    print_manifest(cache);
+    const Vector times = listing ? Vector{} : resolve_times(cli);
+    Kernel_cache cache(cli.cache_dir);
+    if (!listing) {
+        const std::unique_ptr<Volume_model> volume = volume_from(cli);
+        const auto kernel =
+            cache.get_or_build(config_from(cli), *volume, times, kernel_options_from(cli));
+        const char* source =
+            cache.stats().builds > 0 ? "simulated (cache miss)" : "reused from disk";
+        std::printf("%s: %zu times x %zu bins in %s\n", source, kernel->time_count(),
+                    kernel->bin_count(), cli.cache_dir.c_str());
+    }
+    const std::vector<Kernel_cache_entry_info> entries = cache.entries();
+    std::uint64_t total_bytes = 0;
+    for (const Kernel_cache_entry_info& entry : entries) total_bytes += entry.bytes;
+    print_entries(entries, total_bytes);
     if (!cli.json_path.empty()) {
-        write_cache_json(cli.json_path, cache);
+        write_cache_json(cli.json_path, cache.stats(), entries, total_bytes);
         std::printf("wrote %s\n", cli.json_path.c_str());
     }
     return 0;
@@ -1054,6 +1025,7 @@ void write_json_report(
         out << "\n    ]}";
     }
     out << "\n  ]\n}\n";
+    out.flush();
     if (!out) throw std::runtime_error("write failed for '" + json_path + "'");
 }
 

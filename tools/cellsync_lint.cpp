@@ -1032,10 +1032,10 @@ std::optional<std::vector<Finding>> check_tree(const std::string& root,
     namespace fs = std::filesystem;
 
     std::string manifest_text;
-    const fs::path manifest_path = fs::path(root) / "src" / "layers.manifest";
-    if (!read_file(manifest_path, manifest_text)) {
+    const fs::path layers_path = fs::path(root) / "src" / "layers.manifest";
+    if (!read_file(layers_path, manifest_text)) {
         std::fprintf(stderr, "cellsync_lint: cannot read '%s'\n",
-                     manifest_path.string().c_str());
+                     layers_path.string().c_str());
         return std::nullopt;
     }
     std::vector<std::string> manifest_errors;
