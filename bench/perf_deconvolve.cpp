@@ -109,7 +109,7 @@ std::vector<Batch_entry> run_panel_pooled(const Deconvolver& deconvolver,
                                           const Batch_options& options, Worker_pool& pool) {
     const Batch_options resolved = resolve_batch_options(*deconvolver.artifacts(), options);
     std::vector<Batch_entry> out(panel.size());
-    pool.parallel_for(panel.size(), [&](std::size_t g) {
+    pool.parallel_for("panel", panel.size(), [&](std::size_t g) {
         out[g] = deconvolve_one(deconvolver, panel[g], resolved.lambda_grid, resolved);
     });
     return out;

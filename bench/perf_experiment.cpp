@@ -6,11 +6,11 @@
 //    every kernel, the warm pass (a fresh cache instance, so no memory
 //    entries) must serve all of them from disk — zero population
 //    simulations — and reproduce every per-gene coefficient bit-for-bit.
-// 2. The task graph at one thread vs hardware threads on a cold cache:
-//    with more threads the graph overlaps condition k+1's kernel
-//    simulation with condition k's solves, so the wall time can only come
-//    in below the one-thread reference while every per-gene estimate stays
-//    bit-identical (asserted by CI from this harness's JSON).
+// 2. The runner at one thread vs hardware threads on a cold cache: more
+//    threads simulate the conditions' kernels, build their designs and
+//    solve each condition's genes in parallel, while every per-gene
+//    estimate stays bit-identical to the one-thread reference (asserted by
+//    CI from this harness's JSON).
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -148,16 +148,17 @@ void run_cache_comparison(cellsync::bench::Bench_json& json) {
     std::filesystem::remove_all(dir);
 }
 
-/// The task graph at one thread vs hardware threads, on cold in-memory
+/// The runner at one thread vs hardware threads, on cold in-memory
 /// caches: every kernel must be simulated in both runs, so the saving is
-/// exactly what the extra threads overlap (condition k+1's simulation with
-/// condition k's solves, and the solves of one condition with each
-/// other). On a single-core host the two times converge (the scheduler
+/// exactly what the extra threads run side by side (the three kernel
+/// simulations, the three design builds, and the solves of one
+/// condition). On a single-core host the two times converge (the pool
 /// must not cost anything) while every additional core widens the gap.
-/// One thread is the reference: every node runs in turn on the calling
-/// thread, so nothing overlaps. Min-of-`repeats` runs absorbs timer
-/// noise, and smaller kernels than the cache comparison keep this cheap
-/// enough for CI to run and assert bit-identity on every push.
+/// One thread is the reference: every task runs in turn on the calling
+/// thread. Min-of-`repeats` runs absorbs timer noise, and smaller kernels
+/// than the cache comparison keep this cheap enough for CI to run and
+/// assert bit-identity on every push. The JSON keys keep their
+/// historical `pipeline_` prefix.
 void run_thread_comparison(cellsync::bench::Bench_json& json) {
     constexpr int repeats = 5;
     const Smooth_volume_model volume;
@@ -193,7 +194,7 @@ void run_thread_comparison(cellsync::bench::Bench_json& json) {
     compare_genes(one_thread, threaded, genes, identical, max_diff);
     const double speedup = threaded_ms > 0.0 ? one_thread_ms / threaded_ms : 0.0;
 
-    std::printf("task graph: %zu conditions x 4 genes, cold caches, %zu hardware threads, "
+    std::printf("runner: %zu conditions x 4 genes, cold caches, %zu hardware threads, "
                 "min of %d\n",
                 conditions_count, cores, repeats);
     char threads_label[32];
@@ -204,14 +205,14 @@ void run_thread_comparison(cellsync::bench::Bench_json& json) {
                 threaded.cache_stats.builds);
     std::printf("  speedup                : %9.2fx\n", speedup);
     if (cores == 1) {
-        std::printf("  (single-core host: kernel/solve overlap needs a second core; "
-                    "expect parity here and a widening gap per added core)\n");
+        std::printf("  (single-core host: parallel kernels and solves need a second "
+                    "core; expect parity here and a widening gap per added core)\n");
     }
     std::printf("  identical genes        : %zu/%zu (max |diff| %.3e)\n\n", identical,
                 genes, max_diff);
 
     json.add("pipeline_one_thread_cold_ms", one_thread_ms);
-    json.add("pipeline_pipelined_cold_ms", threaded_ms);
+    json.add("pipeline_threaded_cold_ms", threaded_ms);
     json.add("pipeline_speedup", speedup);
     json.add("pipeline_hardware_threads", static_cast<double>(cores));
     json.add("pipeline_builds", static_cast<double>(threaded.cache_stats.builds));

@@ -49,7 +49,7 @@ int main() {
 
     // --- Batch deconvolution: one design precomputation for the whole
     // panel, then per-gene CV + estimate through deconvolve_one, the unit
-    // run_experiment schedules as one task-graph node per gene. ---
+    // run_experiment runs as one worker-pool task per gene. ---
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(16), kernel,
                                   caulobacter);
     Batch_options batch_options;

@@ -4,9 +4,9 @@
 // 1. Two conditions — wildtype Caulobacter and a fast-cycling strain —
 //    each with a three-gene panel generated through the forward model.
 // 2. One run_experiment call resolves both kernels through a shared
-//    Kernel_cache, runs every (condition x gene) solve as a node of one
-//    task graph over a shared design per kernel, and warm-starts lambda
-//    selection for the second condition from the first's per-gene
+//    Kernel_cache, builds one design per kernel, solves each condition's
+//    genes as one worker-pool batch over that design, and warm-starts
+//    lambda selection for the second condition from the first's per-gene
 //    choices.
 // 3. Per-condition synchrony scores separate cycle-regulated genes
 //    (high order parameter, low entropy) from constitutive ones.

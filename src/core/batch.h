@@ -4,8 +4,8 @@
 // regulating the cell cycle": the kernel Q(phi, t) is a property of the
 // population, not the gene, so one simulation serves every series sampled
 // at the same times. This module defines the per-gene unit of work; the
-// experiment runner (core/experiment_runner.h) schedules it as task-graph
-// nodes, one per gene.
+// experiment runner (core/experiment_runner.h) runs one per gene, each
+// condition's genes as one worker-pool batch.
 #pragma once
 
 #include <exception>

@@ -85,7 +85,7 @@ Confidence_band bootstrap_confidence_band(const Deconvolver& deconvolver,
     // seeded from (seed, replicate index): the result cannot depend on
     // thread count or scheduling.
     std::vector<std::optional<Vector>> slots(bootstrap.replicates);
-    pool.parallel_for(bootstrap.replicates, [&](std::size_t rep) {
+    pool.parallel_for("bootstrap", bootstrap.replicates, [&](std::size_t rep) {
         Rng rng(mix_seed(bootstrap.seed, rep));
         Measurement_series resampled = series;
         for (std::size_t i = 0; i < m; ++i) {

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <map>
 #include <stdexcept>
 
 #include "core/batch.h"
-#include "core/task_graph.h"
 #include "core/telemetry.h"
+#include "core/trace.h"
 #include "core/worker_pool.h"
 #include "numerics/fnv.h"
 #include "population/synchrony.h"
@@ -88,7 +87,7 @@ std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
                                    const std::map<std::string, double>& previous_lambda) {
     const Experiment_condition& condition = spec.conditions[c];
     std::vector<Vector> grids(condition.panel.size());
-    if (spec.warm_start_lambda && spec.batch.select_lambda && c > 0) {
+    if (spec.batch.select_lambda && c > 0) {
         for (std::size_t g = 0; g < condition.panel.size(); ++g) {
             const auto it = previous_lambda.find(condition.panel[g].label);
             if (it != previous_lambda.end()) {
@@ -145,106 +144,74 @@ void score_condition(Condition_result& out, const Basis& basis, const Vector& sc
     }
 }
 
-/// The whole run as one Task_graph, executed by one Worker_pool. Per
-/// condition c —
+/// The whole run as flat batches on one Worker_pool:
 ///
-///   kernel_c ──► prep_c ──► solve_c (one task per gene) ──► score_c
-///                  ▲                                           │
-///                  └──────────── score_{c-1} ◄─────────────────┘
+///   1. `kernels`: every condition's kernel through the cache (conditions
+///      sharing a key share one resolution);
+///   2. `designs`: one design per distinct kernel (the cache key covers
+///      the full cell-cycle config, so an identical grid pointer implies
+///      an identical design);
+///   3. per condition, in order, `solve:<condition>` (one task per gene),
+///      then scoring and the warm-start hand-off on this thread.
 ///
-/// Every kernel node is a root, so kernel simulation of condition k+1 runs
-/// while condition k's solves drain; kernel nodes of conditions sharing a
-/// key share one resolution through the cache. The prep/score chain hands
-/// the warm-start state from condition to condition, so each gene's inputs
-/// are those of a condition-by-condition loop whatever the thread count
-/// or the order in which kernels finish.
-Experiment_result run_graph(const Experiment_spec& spec, const Volume_model& volume_model,
-                            Kernel_cache& cache) {
+/// Each gene's inputs are those of a condition-by-condition loop, so the
+/// results do not depend on the thread count. A failed kernel ends the
+/// run after the first batch, before any gene is solved.
+Experiment_result run_batches(const Experiment_spec& spec, const Volume_model& volume_model,
+                              Kernel_cache& cache) {
     const std::size_t n = spec.conditions.size();
-    const Vector score_phi = make_score_phi();
-
     Experiment_result result;
     result.conditions.resize(n);
     for (std::size_t c = 0; c < n; ++c) {
         result.conditions[c].name = resolved_condition_name(spec.conditions[c], c);
     }
-
-    /// Solve inputs produced by prep_c, consumed by solve_c's gene tasks.
-    struct Condition_work {
-        std::shared_ptr<const Deconvolver> deconvolver;
-        Batch_options resolved;
-        std::vector<Vector> grids;
-    };
-    std::vector<Condition_work> work(n);
-    std::map<std::string, double> previous_lambda;
-    // Conditions resolving to the same cached kernel share one design (the
-    // cache key covers the full cell-cycle config, so an identical grid
-    // pointer implies an identical design). Only prep nodes touch the map,
-    // and those are chained, so no synchronization is needed.
-    std::map<const Kernel_grid*, std::shared_ptr<const Design_artifacts>> designs;
-
-    Task_graph graph;
-    std::vector<Task_graph::Node_id> kernel_nodes(n);
-    std::vector<Task_graph::Node_id> score_nodes(n);
-    // Kernel nodes first: they get threads first when several nodes are
-    // ready, which is right — they are the long poles being hidden.
-    for (std::size_t c = 0; c < n; ++c) {
-        kernel_nodes[c] = graph.add_node(
-            "kernel:" + result.conditions[c].name, 1,
-            [&spec, &result, &volume_model, &cache, c](std::size_t) {
-                const Experiment_condition& condition = spec.conditions[c];
-                result.conditions[c].kernel =
-                    cache.get_or_build(condition.cell_cycle, volume_model,
-                                       condition.panel.front().times, spec.kernel);
-            });
-    }
-    for (std::size_t c = 0; c < n; ++c) {
-        std::vector<Task_graph::Node_id> prep_deps = {kernel_nodes[c]};
-        if (c > 0) prep_deps.push_back(score_nodes[c - 1]);
-        const Task_graph::Node_id prep = graph.add_node(
-            "prep:" + result.conditions[c].name, 1,
-            [&spec, &result, &work, &designs, &previous_lambda, c](std::size_t) {
-                Condition_result& out = result.conditions[c];
-                std::shared_ptr<const Design_artifacts>& design =
-                    designs[out.kernel.get()];
-                if (!design) {
-                    design = make_design_artifacts(
-                        std::make_shared<Natural_spline_basis>(spec.basis_size),
-                        *out.kernel, spec.conditions[c].cell_cycle,
-                        spec.batch.deconvolution.constraints);
-                }
-                work[c].deconvolver = std::make_shared<const Deconvolver>(design);
-                work[c].resolved = resolve_batch_options(*design, spec.batch);
-                work[c].grids = warm_grids_for(spec, c, previous_lambda);
-                out.genes.resize(spec.conditions[c].panel.size());
-            },
-            std::move(prep_deps));
-        const Task_graph::Node_id solve = graph.add_node(
-            "solve:" + result.conditions[c].name, spec.conditions[c].panel.size(),
-            [&spec, &result, &work, c](std::size_t g) {
-                const Condition_work& w = work[c];
-                const Vector& grid =
-                    w.grids[g].empty() ? w.resolved.lambda_grid : w.grids[g];
-                result.conditions[c].genes[g] = deconvolve_one(
-                    *w.deconvolver, spec.conditions[c].panel[g], grid, w.resolved);
-            },
-            {prep});
-        score_nodes[c] = graph.add_node(
-            "score:" + result.conditions[c].name, 1,
-            [&result, &work, &score_phi, &previous_lambda, c](std::size_t) {
-                score_condition(result.conditions[c], work[c].deconvolver->basis(), score_phi,
-                                previous_lambda);
-            },
-            {solve});
-    }
-
     Worker_pool pool(spec.threads);
-    pool.run(graph);
+
+    pool.parallel_for("kernels", n, [&](std::size_t c) {
+        const Experiment_condition& condition = spec.conditions[c];
+        result.conditions[c].kernel = cache.get_or_build(
+            condition.cell_cycle, volume_model, condition.panel.front().times, spec.kernel);
+    });
+
+    // design_of[c] indexes condition c's design; first_user[d] is the
+    // first condition on design d's kernel.
+    std::map<const Kernel_grid*, std::size_t> design_of_kernel;
+    std::vector<std::size_t> design_of(n);
+    std::vector<std::size_t> first_user;
+    for (std::size_t c = 0; c < n; ++c) {
+        const auto [it, added] =
+            design_of_kernel.emplace(result.conditions[c].kernel.get(), first_user.size());
+        if (added) first_user.push_back(c);
+        design_of[c] = it->second;
+    }
+    std::vector<std::shared_ptr<const Design_artifacts>> designs(first_user.size());
+    pool.parallel_for("designs", designs.size(), [&](std::size_t d) {
+        const std::size_t c = first_user[d];
+        designs[d] = make_design_artifacts(
+            std::make_shared<Natural_spline_basis>(spec.basis_size),
+            *result.conditions[c].kernel, spec.conditions[c].cell_cycle,
+            spec.batch.deconvolution.constraints);
+    });
+
+    const Vector score_phi = make_score_phi();
+    std::map<std::string, double> previous_lambda;
+    for (std::size_t c = 0; c < n; ++c) {
+        const Experiment_condition& condition = spec.conditions[c];
+        Condition_result& out = result.conditions[c];
+        const std::shared_ptr<const Design_artifacts>& design = designs[design_of[c]];
+        const Deconvolver deconvolver(design);
+        const Batch_options resolved = resolve_batch_options(*design, spec.batch);
+        const std::vector<Vector> grids = warm_grids_for(spec, c, previous_lambda);
+        out.genes.resize(condition.panel.size());
+        pool.parallel_for("solve:" + out.name, condition.panel.size(), [&](std::size_t g) {
+            const Vector& grid = grids[g].empty() ? resolved.lambda_grid : grids[g];
+            out.genes[g] = deconvolve_one(deconvolver, condition.panel[g], grid, resolved);
+        });
+        const telemetry::Trace_span score_span("score:" + out.name, "experiment");
+        score_condition(out, deconvolver.basis(), score_phi, previous_lambda);
+    }
     return result;
 }
-
-/// FNV-1a 64-bit over a gene label — the shard assignment hash.
-std::uint64_t label_hash(const std::string& label) { return fnv1a64(label); }
 
 }  // namespace
 
@@ -252,7 +219,7 @@ Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model, Kernel_cache& cache) {
     validate_spec(spec);
     const Kernel_cache_stats before = cache.stats();
-    Experiment_result result = run_graph(spec, volume_model, cache);
+    Experiment_result result = run_batches(spec, volume_model, cache);
     result.cache_stats = cache.stats() - before;
     return result;
 }
@@ -290,7 +257,7 @@ Experiment_spec shard_experiment(const Experiment_spec& spec, std::size_t shards
         kept.name = resolved_condition_name(condition, c);
         kept.panel.clear();
         for (const Measurement_series& series : condition.panel) {
-            if (label_hash(series.label) % shards == shard_index) {
+            if (fnv1a64(series.label) % shards == shard_index) {
                 kept.panel.push_back(series);
             }
         }

@@ -12,14 +12,13 @@
 // previous condition's per-gene choices, and scores each reconstructed
 // profile's synchrony (order parameter / entropy).
 //
-// The run is one Task_graph on one Worker_pool: per condition a kernel
-// node, a prep node (design + warm grids), a per-gene solve batch, and a
-// scoring node, where only the stages that truly depend on each other are
-// ordered. Kernel simulation of condition k+1 (a root node resolving
-// through the Kernel_cache) overlaps the solves of condition k, which is
-// where a cold multi-condition run spends its serial time. For panels
-// too large for one machine, shard_experiment splits the gene panels
-// deterministically across processes; per-shard outputs merge losslessly
+// The run is three flat phases on one Worker_pool: every condition's
+// kernel in one batch (conditions sharing a cache key share one
+// resolution), one design per distinct kernel in a second, then the
+// conditions in order, each one batch of per-gene solves followed by
+// scoring and the warm-start hand-off. For panels too large for one
+// machine, shard_experiment splits the gene panels deterministically
+// across processes; per-shard outputs merge losslessly
 // (`cellsync_deconvolve merge-results`).
 //
 // Results are deterministic for a fixed spec: identical whether kernels
@@ -51,14 +50,13 @@ struct Experiment_spec {
     std::size_t basis_size = 18;  ///< Nc natural-spline knots
     Batch_options batch;          ///< deconvolution, lambda grid, CV controls
     std::size_t threads = 0;      ///< worker parallelism (0 = hardware)
-    /// Narrow each gene's lambda grid around the same gene's selection in
-    /// the previous condition (adjacent conditions share biology, so the
-    /// optimal smoothness rarely moves far). A gene with no successful
-    /// earlier condition uses the full grid. Deterministic: the warm grid
-    /// depends only on previous results, never on cache state.
-    bool warm_start_lambda = true;
-    /// Shape of the narrowed grid: its point count and its half-width in
-    /// decades around the previous lambda.
+    /// Lambda selection in condition c > 0 narrows each gene's grid to
+    /// `warm_grid_points` lambdas spanning +/- `warm_grid_decades` around
+    /// the same gene's selection in the most recent condition where it
+    /// succeeded (adjacent conditions share biology, so the optimal
+    /// smoothness rarely moves far); a gene with no successful earlier
+    /// condition uses the full grid. Deterministic: the warm grid depends
+    /// only on previous results, never on cache state.
     static constexpr std::size_t warm_grid_points = 7;
     static constexpr double warm_grid_decades = 1.0;
 };
@@ -99,7 +97,9 @@ struct Experiment_result {
 /// names (after empty names resolve to their positional "conditionN"
 /// label — duplicates would merge two conditions' results and warm-start
 /// lambdas under one label); per-gene estimation failures are reported
-/// in the corresponding Batch_entry::error instead of aborting.
+/// in the corresponding Batch_entry::error instead of aborting. A kernel
+/// that cannot be resolved ends the run with its error (the first one, if
+/// several fail) before any gene is solved.
 Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model, Kernel_cache& cache);
 

@@ -4,7 +4,7 @@
 //
 //  - `telemetry::Clock` / `telemetry::Stopwatch` — the only place the
 //    process reads a wall/monotonic clock. Everything that times
-//    anything (scheduler queue waits, cache build latency, streaming
+//    anything (trace spans, cache build latency, streaming
 //    appends, the bench harnesses) goes through this seam, and the repo
 //    lint bans `std::chrono::*_clock::now()` elsewhere. One seam means
 //    one audit point for the determinism contract: clock reads feed

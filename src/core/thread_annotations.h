@@ -1,11 +1,11 @@
 // Clang thread-safety annotations and the annotated lock types built on
 // them.
 //
-// The concurrency surface of this codebase — Worker_pool's scheduler
+// The concurrency surface of this codebase — Worker_pool's batch
 // state, Kernel_cache's memoization and in-flight maps,
 // Stream_session's run serialization — is
-// lock-and-condition-variable code whose invariants ("states_ is only
-// touched under mutex_", "the pool is never shared between two
+// lock-and-condition-variable code whose invariants ("next_ is only
+// claimed under mutex_", "the pool is never shared between two
 // batches") were previously enforced by convention and by tests that
 // happen to interleave the right way. These macros make the invariants
 // machine-checked: under clang, `-Wthread-safety -Werror=thread-safety`

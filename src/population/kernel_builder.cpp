@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "population/phase_distribution.h"
 
@@ -108,6 +109,19 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     }
     if (options.n_cells == 0 || options.n_bins == 0) {
         throw std::invalid_argument("build_kernel: n_cells and n_bins must be positive");
+    }
+    // Before anything allocates; by division, as times x bins may overflow.
+    if (options.n_cells > max_kernel_cells) {
+        throw std::invalid_argument("build_kernel: n_cells " + std::to_string(options.n_cells) +
+                                    " exceeds the cap of " +
+                                    std::to_string(max_kernel_cells) + " cells");
+    }
+    if (options.n_bins > max_kernel_values / times.size()) {
+        throw std::invalid_argument("build_kernel: n_bins " + std::to_string(options.n_bins) +
+                                    " at " + std::to_string(times.size()) +
+                                    " times exceeds the cap of " +
+                                    std::to_string(max_kernel_values) +
+                                    " kernel values (times x bins)");
     }
 
     Population_simulator sim(config, options.n_cells, options.seed);

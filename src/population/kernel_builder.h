@@ -9,6 +9,7 @@
 // and backwards (assembling the deconvolution's kernel matrix).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -58,6 +59,15 @@ class Kernel_grid {
     double bin_width_ = 0.0;
 };
 
+/// Size caps checked before anything is allocated, so neither a hostile
+/// flag nor a corrupt file's dimensions become a giant allocation:
+/// build_kernel and kernel_io accept at most 2^27 kernel values (times x
+/// bins, 1 GiB of doubles), and build_kernel at most 2^24 initial cells
+/// (4x a 4M-cell reference kernel; the simulator reserves twice that
+/// many 32-byte cell records, 1 GiB).
+inline constexpr std::uint64_t max_kernel_values = std::uint64_t{1} << 27;
+inline constexpr std::size_t max_kernel_cells = std::size_t{1} << 24;
+
 /// Monte-Carlo kernel construction parameters.
 struct Kernel_build_options {
     std::size_t n_cells = 100000;  ///< initial population size
@@ -67,8 +77,9 @@ struct Kernel_build_options {
 
 /// Build Q(phi, t) at the given measurement times (minutes, ascending,
 /// starting at >= 0) by simulating the configured population.
-/// Throws std::invalid_argument for empty/descending times or zero
-/// cells/bins.
+/// Throws std::invalid_argument for empty/descending times, zero
+/// cells/bins, more than max_kernel_cells cells, or more than
+/// max_kernel_values kernel values.
 Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& volume_model,
                          const Vector& times, const Kernel_build_options& options = {});
 

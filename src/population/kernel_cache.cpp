@@ -209,8 +209,9 @@ std::shared_ptr<const Kernel_grid> Kernel_cache::get_or_build(
                 kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
                 from_disk = true;
             } catch (const std::exception& e) {
-                std::fprintf(stderr, "Kernel_cache: discarding unreadable entry %s (%s)\n",
-                             entry.c_str(), e.what());
+                // The reader's message names the entry's path.
+                std::fprintf(stderr, "Kernel_cache: discarding unreadable entry: %s\n",
+                             e.what());
             }
         }
         if (!kernel) {

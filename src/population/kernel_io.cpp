@@ -184,12 +184,12 @@ Kernel_grid decode_kernel_binary(std::string_view bytes) {
     }
     const std::uint64_t values =
         static_cast<std::uint64_t>(time_count) * static_cast<std::uint64_t>(bin_count);
-    // Dimension sanity before anything is allocated from them: a cap far
-    // above any plausible kernel (2^27 values = 1 GiB of doubles), and —
-    // since the axes are stored raw — the file must at least hold them
-    // plus one value-block header and the checksum. Together these keep
-    // a corrupt or crafted dims field from becoming a giant allocation.
-    if (values > (1ull << 27)) {
+    // Dimension sanity before anything is allocated from them: the
+    // max_kernel_values cap build_kernel also applies, and — since the
+    // axes are stored raw — the file must at least hold them plus one
+    // value-block header and the checksum. Together these keep a corrupt
+    // or crafted dims field from becoming a giant allocation.
+    if (values > max_kernel_values) {
         throw std::runtime_error("read_kernel_binary: implausible grid dimensions (" +
                                  std::to_string(time_count) + " x " +
                                  std::to_string(bin_count) + ")");
@@ -353,7 +353,15 @@ Kernel_grid read_kernel_auto(std::istream& in, Kernel_format* detected) {
 Kernel_grid read_kernel_file(const std::string& path, Kernel_format* detected) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("read_kernel_file: cannot open '" + path + "'");
-    return read_kernel_auto(in, detected);
+    // Every rejection names the file and keeps its exception type.
+    const std::string where = "read_kernel_file: '" + path + "': ";
+    try {
+        return read_kernel_auto(in, detected);
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(where + e.what());
+    } catch (const std::runtime_error& e) {
+        throw std::runtime_error(where + e.what());
+    }
 }
 
 }  // namespace cellsync

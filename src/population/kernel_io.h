@@ -70,7 +70,8 @@ Kernel_grid read_kernel_binary(std::istream& in);
 Kernel_grid read_kernel_auto(std::istream& in, Kernel_format* detected = nullptr);
 
 /// Read from a file with format auto-detection; throws std::runtime_error
-/// on open failure plus the per-format parse errors above.
+/// on open failure plus the per-format parse errors above, each of the
+/// same type with the path prefixed to its message.
 Kernel_grid read_kernel_file(const std::string& path, Kernel_format* detected = nullptr);
 
 }  // namespace cellsync

@@ -100,7 +100,7 @@ std::vector<Stream_update> Stream_session::append_timepoint(
     }
 
     std::vector<Stream_update> updates(records.size());
-    pool_.parallel_for(records.size(), [&](std::size_t r) {
+    pool_.parallel_for("stream", records.size(), [&](std::size_t r) {
         const Stream_record& record = records[r];
         Streaming_deconvolver& stream = *targets[r];
         Stream_update& update = updates[r];

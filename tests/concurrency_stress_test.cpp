@@ -1,7 +1,7 @@
 // Concurrency stress tests — the workload the TSan CI leg exists for.
 //
 // Each test hammers one of the lock-protected seams (Worker_pool's
-// run-generation handoff, Kernel_cache's shared in-flight resolutions,
+// batch-generation handoff, Kernel_cache's shared in-flight resolutions,
 // Stream_session's run serialization) with more contention than any
 // normal workload produces, then asserts the determinism contract still
 // holds: bit-identical results against a serial reference. Under
@@ -21,7 +21,6 @@
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
-#include "core/task_graph.h"
 #include "core/worker_pool.h"
 #include "population/kernel_cache.h"
 #include "spline/spline_basis.h"
@@ -46,13 +45,13 @@ void arrive_and_wait(std::atomic<int>& arrivals, int expected) {
 }
 
 // ---------------------------------------------------------------------
-// Worker_pool: run-generation churn.
+// Worker_pool: batch-generation churn.
 //
-// Every run() bumps the pool's generation and re-publishes graph state;
-// a worker descheduled between waking and claiming must never touch a
-// later run's state (or the by-then-destroyed graph of its own run).
-// Back-to-back runs of short graphs maximize the window where workers
-// from run N are still draining while the caller is publishing run N+1.
+// Every parallel_for bumps the pool's generation and re-publishes the
+// batch; a worker descheduled between waking and claiming must never
+// touch a later batch (or the by-then-destroyed task of its own).
+// Back-to-back short batches maximize the window where workers from
+// batch N are still draining while the caller is publishing batch N+1.
 // ---------------------------------------------------------------------
 
 TEST(ConcurrencyStress, WorkerPoolGenerationChurn) {
@@ -61,16 +60,9 @@ TEST(ConcurrencyStress, WorkerPoolGenerationChurn) {
     for (int iter = 0; iter < 200; ++iter) {
         std::vector<double> a(kSlots, 0.0);
         std::vector<double> b(kSlots, 0.0);
-        Task_graph graph;
-        const Task_graph::Node_id first = graph.add_node(
-            "fill", kSlots, [&a, iter](std::size_t i) {
-                a[i] = static_cast<double>(i) + iter;
-            });
-        const Task_graph::Node_id barrier = graph.add_node("barrier", 0, {}, {first});
-        graph.add_node(
-            "double", kSlots, [&a, &b](std::size_t i) { b[i] = 2.0 * a[i]; },
-            {barrier});
-        pool.run(graph);
+        pool.parallel_for("fill", kSlots,
+                          [&a, iter](std::size_t i) { a[i] = static_cast<double>(i) + iter; });
+        pool.parallel_for("double", kSlots, [&a, &b](std::size_t i) { b[i] = 2.0 * a[i]; });
         for (std::size_t i = 0; i < kSlots; ++i) {
             ASSERT_EQ(a[i], static_cast<double>(i) + iter) << "iter " << iter;
             ASSERT_EQ(b[i], 2.0 * a[i]) << "iter " << iter;
@@ -79,28 +71,26 @@ TEST(ConcurrencyStress, WorkerPoolGenerationChurn) {
 }
 
 TEST(ConcurrencyStress, WorkerPoolSurvivesThrowingRunsBetweenCleanOnes) {
-    // A throwing node still drains, cancels its dependents, and must
-    // leave the pool reusable: the next generation starts from a clean
-    // scheduler state with the same worker threads.
+    // A throwing batch still drains every index and must leave the pool
+    // reusable: the next generation starts from a clean batch state with
+    // the same worker threads.
     Worker_pool pool(4);
     for (int iter = 0; iter < 50; ++iter) {
         std::vector<int> ran(8, 0);
-        Task_graph graph;
-        const Task_graph::Node_id boom = graph.add_node(
-            "boom", 8, [&ran](std::size_t i) {
-                ran[i] = 1;
-                if (i == 3) throw std::runtime_error("stress failure");
-            });
-        graph.add_node(
-            "cancelled", 8, [](std::size_t) { FAIL() << "dependent of a failed node ran"; },
-            {boom});
-        EXPECT_THROW(pool.run(graph), std::runtime_error);
+        EXPECT_THROW(pool.parallel_for("boom", ran.size(),
+                                       [&ran](std::size_t i) {
+                                           ran[i] = 1;
+                                           if (i == 3) {
+                                               throw std::runtime_error("stress failure");
+                                           }
+                                       }),
+                     std::runtime_error);
         for (std::size_t i = 0; i < ran.size(); ++i) {
-            EXPECT_EQ(ran[i], 1) << "failed node left index " << i << " undrained";
+            EXPECT_EQ(ran[i], 1) << "failed batch left index " << i << " undrained";
         }
 
         std::vector<double> out(8, 0.0);
-        pool.parallel_for(out.size(),
+        pool.parallel_for("clean", out.size(),
                           [&out](std::size_t i) { out[i] = static_cast<double>(i); });
         for (std::size_t i = 0; i < out.size(); ++i) {
             ASSERT_EQ(out[i], static_cast<double>(i)) << "iter " << iter;
@@ -116,7 +106,7 @@ TEST(ConcurrencyStress, WorkerPoolConstructionTeardownChurn) {
         Worker_pool pool(3);
         if (iter % 2 == 0) {
             std::vector<double> out(4, 0.0);
-            pool.parallel_for(out.size(),
+            pool.parallel_for("fill", out.size(),
                               [&out](std::size_t i) { out[i] = static_cast<double>(i + 1); });
             ASSERT_EQ(out[3], 4.0);
         }

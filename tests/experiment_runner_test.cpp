@@ -1,21 +1,24 @@
 // End-to-end: a 3-condition synthetic experiment through the experiment
-// runner — kernels via the cache, per-gene solves as task-graph nodes on a
+// runner — kernels via the cache, per-gene solves as pool batches on a
 // shared design per kernel, warm-started lambda selection, profile
-// synchrony scores, per-gene failure isolation, and cold/warm and
-// thread-count determinism of the whole pipeline.
+// synchrony scores, per-gene failure isolation, a failed kernel ending
+// the run, and cold/warm and thread-count determinism of the whole run.
 #include "core/experiment_runner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
+#include "core/telemetry.h"
 #include "numerics/statistics.h"
 #include "spline/spline_basis.h"
 
@@ -194,12 +197,11 @@ void expect_bit_identical_genes(const Experiment_result& a, const Experiment_res
     }
 }
 
-TEST(ExperimentRunner, GraphIsThreadCountInvariant) {
-    // The task graph overlaps kernel simulation of condition k+1 with
-    // condition k's solves and spreads genes over the pool; none of that
-    // may show in the results. Per-gene lambdas and coefficients, the
-    // cache counters, and the synchrony scores at 2 and 4 threads match
-    // the one-thread run exactly.
+TEST(ExperimentRunner, RunIsThreadCountInvariant) {
+    // The runner resolves kernels, builds designs and solves genes on the
+    // pool; none of that may show in the results. Per-gene lambdas and
+    // coefficients, the cache counters, and the synchrony scores at 2 and
+    // 4 threads match the one-thread run exactly.
     Experiment_spec spec = make_spec();
     spec.threads = 1;
     Kernel_cache one_thread_cache;
@@ -255,8 +257,7 @@ Experiment_result reference_loop(const Experiment_spec& spec, const Volume_model
         for (const Measurement_series& series : condition.panel) {
             Vector grid = resolved.lambda_grid;
             const auto previous = previous_lambda.find(series.label);
-            if (spec.warm_start_lambda && spec.batch.select_lambda && c > 0 &&
-                previous != previous_lambda.end()) {
+            if (spec.batch.select_lambda && c > 0 && previous != previous_lambda.end()) {
                 const double decades = Experiment_spec::warm_grid_decades;
                 grid = default_lambda_grid(Experiment_spec::warm_grid_points,
                                            previous->second * std::pow(10.0, -decades),
@@ -272,10 +273,9 @@ Experiment_result reference_loop(const Experiment_spec& spec, const Volume_model
     return out;
 }
 
-TEST(ExperimentRunner, GraphMatchesSequentialReferenceLoop) {
-    // At one thread the pool claims the lowest ready node id first, so a
-    // missing score_{c-1} -> prep_c edge would not show there; a parallel
-    // run compared against an independent sequential loop would.
+TEST(ExperimentRunner, MatchesSequentialReferenceLoop) {
+    // The runner at 1 and 4 threads against an independent sequential
+    // loop over the public per-gene calls.
     Experiment_spec spec = make_spec();
     const Experiment_result reference = reference_loop(spec, Smooth_volume_model{});
     for (const std::size_t threads : {1u, 4u}) {
@@ -284,7 +284,7 @@ TEST(ExperimentRunner, GraphMatchesSequentialReferenceLoop) {
     }
 }
 
-TEST(ExperimentRunner, FailingGeneIsIsolatedInsideTheGraph) {
+TEST(ExperimentRunner, FailingGeneIsIsolated) {
     // 1.7e308 is finite, so the spec validates, but the gene's QP optimum
     // overflows and its solve throws. Only that gene may fail.
     const Experiment_spec clean = make_spec();
@@ -326,6 +326,53 @@ TEST(ExperimentRunner, FailingGeneIsIsolatedInsideTheGraph) {
     // full lambda grid there; the reference loop does exactly that.
     ASSERT_TRUE(one_thread.conditions[1].genes[1].estimate.has_value());
     expect_bit_identical_genes(one_thread, reference_loop(poisoned, Smooth_volume_model{}));
+}
+
+/// The smooth volume model, except that it throws for a cell whose
+/// transition phase lies past 0.5: only a condition with a late
+/// transition fails to build its kernel.
+class Late_transition_failing_volume final : public Volume_model {
+  public:
+    double relative_volume(double phi, double phi_sst) const override {
+        check(phi_sst);
+        return smooth_.relative_volume(phi, phi_sst);
+    }
+    double derivative(double phi, double phi_sst) const override {
+        check(phi_sst);
+        return smooth_.derivative(phi, phi_sst);
+    }
+    std::string name() const override { return "late-transition-failing"; }
+
+  private:
+    static void check(double phi_sst) {
+        if (phi_sst > 0.5) throw std::domain_error("late transition phase rejected");
+    }
+    Smooth_volume_model smooth_;
+};
+
+TEST(ExperimentRunner, FailedKernelEndsTheRunBeforeAnySolve) {
+    // The second condition's kernel throws. run_experiment rethrows that
+    // error, type and message, and solves no gene, not even the first
+    // condition's, whose kernel is fine.
+    Experiment_spec spec = make_spec();
+    Experiment_condition late = spec.conditions[0];
+    late.name = "late";
+    late.cell_cycle.mu_sst = 0.6;
+    late.cell_cycle.cv_sst = 0.01;
+    spec.conditions = {spec.conditions[0], late};
+
+    const telemetry::Counter& genes_done = telemetry::counter("experiment.genes_done");
+    for (const std::size_t threads : {1u, 4u}) {
+        spec.threads = threads;
+        const std::uint64_t before = genes_done.value();
+        try {
+            run_experiment(spec, Late_transition_failing_volume{});
+            ADD_FAILURE() << "expected std::domain_error with " << threads << " threads";
+        } catch (const std::domain_error& e) {
+            EXPECT_STREQ(e.what(), "late transition phase rejected");
+        }
+        EXPECT_EQ(genes_done.value(), before) << threads << " threads";
+    }
 }
 
 TEST(ExperimentRunner, CacheStatsArePerRunDeltas) {

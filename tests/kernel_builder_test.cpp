@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "spline/spline_basis.h"
 
@@ -198,6 +200,42 @@ TEST(BuildKernel, ValidationErrors) {
     bad = small_options();
     bad.n_bins = 0;
     EXPECT_THROW(build_kernel(config, vm, {0.0, 10.0}, bad), std::invalid_argument);
+}
+
+/// build_kernel's std::invalid_argument message for `options`, or "" if
+/// it does not throw one.
+std::string cap_error(const Vector& times, const Kernel_build_options& options) {
+    try {
+        build_kernel(Cell_cycle_config{}, Smooth_volume_model{}, times, options);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(BuildKernel, CapsCellsAndKernelValuesBeforeAllocating) {
+    // Every case here would allocate far beyond memory (or overflow the
+    // simulator's reserve) if it got past the checks.
+    const Vector times = {0.0, 30.0, 60.0};
+    for (const std::size_t cells :
+         {max_kernel_cells + 1, std::numeric_limits<std::size_t>::max()}) {
+        Kernel_build_options options = small_options();
+        options.n_cells = cells;
+        const std::string message = cap_error(times, options);
+        EXPECT_NE(message.find("n_cells " + std::to_string(cells)), std::string::npos)
+            << message;
+    }
+    // 3 x (2^27 / 3 + 1) is just over the cap; the largest count would
+    // overflow a times x bins product.
+    for (const std::size_t bins : {static_cast<std::size_t>(max_kernel_values / 3 + 1),
+                                   std::numeric_limits<std::size_t>::max()}) {
+        Kernel_build_options options = small_options();
+        options.n_bins = bins;
+        const std::string message = cap_error(times, options);
+        EXPECT_NE(message.find("n_bins " + std::to_string(bins) + " at 3 times"),
+                  std::string::npos)
+            << message;
+    }
 }
 
 TEST(BuildKernel, VolumeModelChangesKernel) {

@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace cellsync {
 namespace {
@@ -228,6 +230,45 @@ TEST(KernelIo, BinaryRejectsChecksumMismatch) {
     bytes[bytes.size() / 2] ^= 0x40;  // flip one payload bit
     std::istringstream in(bytes);
     EXPECT_THROW(read_kernel_binary(in), std::runtime_error);
+}
+
+TEST(KernelIo, FileRejectionsNameThePathAndKeepTheirType) {
+    std::ostringstream out;
+    write_kernel_binary(out, small_kernel());
+    const std::string bytes = out.str();
+    std::string corrupt = bytes;
+    corrupt[corrupt.size() / 2] ^= 0x40;
+    struct Case {
+        std::string name;
+        std::string content;
+        bool invariant_violation;  ///< std::invalid_argument, else std::runtime_error
+    };
+    const Case cases[] = {
+        {"truncated.bin", bytes.substr(0, bytes.size() / 2), false},
+        {"corrupt.bin", corrupt, false},
+        {"not_a_kernel.csv", "time,value\n0,1\n", false},
+        {"unnormalized.csv", "phi,t0\n0.25,2.0\n0.75,2.0\n", true},
+    };
+    for (const Case& c : cases) {
+        const std::string path = ::testing::TempDir() + "/cellsync_rejected_" + c.name;
+        {
+            std::ofstream file(path, std::ios::binary);
+            file << c.content;
+        }
+        try {
+            read_kernel_file(path);
+            ADD_FAILURE() << c.name << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_TRUE(c.invariant_violation) << c.name << ": " << e.what();
+            EXPECT_NE(std::string(e.what()).find("'" + path + "'"), std::string::npos)
+                << e.what();
+        } catch (const std::runtime_error& e) {
+            EXPECT_FALSE(c.invariant_violation) << c.name << ": " << e.what();
+            EXPECT_NE(std::string(e.what()).find("'" + path + "'"), std::string::npos)
+                << e.what();
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(KernelIo, FileRoundTripAutoDetectsBothFormats) {

@@ -18,7 +18,6 @@
 #include "biology/gene_profiles.h"
 #include "core/experiment_runner.h"
 #include "core/forward_model.h"
-#include "core/task_graph.h"
 #include "core/trace.h"
 #include "core/worker_pool.h"
 
@@ -180,30 +179,28 @@ TEST(Trace, SpanNestingIsPreservedAcrossThreads) {
     }
 }
 
-TEST(Trace, WorkerPoolEmitsSchedulerSpans) {
+TEST(Trace, WorkerPoolTaskSpansCarryTheBatchName) {
     Trace_recorder& recorder = Trace_recorder::instance();
     recorder.enable();
 
     Worker_pool pool(3);
     std::vector<double> out(8, 0.0);
-    Task_graph graph;
-    const Task_graph::Node_id fill = graph.add_node(
-        "fill", out.size(), [&out](std::size_t i) { out[i] = static_cast<double>(i); });
-    graph.add_node(
-        "double", out.size(), [&out](std::size_t i) { out[i] *= 2.0; }, {fill});
-    pool.run(graph);
+    pool.parallel_for("fill", out.size(),
+                      [&out](std::size_t i) { out[i] = static_cast<double>(i); });
+    pool.parallel_for("double", out.size(), [&out](std::size_t i) { out[i] *= 2.0; });
     recorder.disable();
 
-    bool task_span = false;
-    bool node_span = false;
+    // One `scheduler` span per task, named after its batch, with the
+    // task's index as an arg.
+    std::map<std::string, std::size_t> spans_per_batch;
     for (const Trace_event& event : recorder.collect()) {
-        if (event.category == "scheduler" && event.name == "fill") task_span = true;
-        if (event.category == "scheduler.node" && event.name == "node:double") {
-            node_span = true;
-        }
+        if (event.category != "scheduler") continue;
+        ++spans_per_batch[event.name];
+        EXPECT_NE(event.args_json.find("\"index\""), std::string::npos) << event.args_json;
     }
-    EXPECT_TRUE(task_span) << "no per-task scheduler span recorded";
-    EXPECT_TRUE(node_span) << "no per-node resolve span recorded";
+    EXPECT_EQ(spans_per_batch.size(), 2u);
+    EXPECT_EQ(spans_per_batch["fill"], out.size());
+    EXPECT_EQ(spans_per_batch["double"], out.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], 2.0 * static_cast<double>(i));
     }
@@ -297,16 +294,19 @@ TEST(Trace, TracedExperimentIsBitIdenticalToUntraced) {
                 }
             }
         }
-        // The traced run actually captured scheduler and QP spans —
-        // bit-identity above wasn't vacuous.
-        bool scheduler = false;
-        bool qp = false;
+        // The traced run actually captured the runner's batches, its
+        // scoring and QP spans — bit-identity above wasn't vacuous.
+        std::map<std::string, std::string> category_of;
         for (const Trace_event& event : recorder.collect()) {
-            scheduler = scheduler || event.category.rfind("scheduler", 0) == 0;
-            qp = qp || event.category == "qp";
+            category_of[event.name] = event.category;
         }
-        EXPECT_TRUE(scheduler);
-        EXPECT_TRUE(qp);
+        for (const char* batch : {"kernels", "designs", "solve:reference", "solve:fast"}) {
+            EXPECT_EQ(category_of[batch], "scheduler") << batch;
+        }
+        for (const char* score : {"score:reference", "score:fast"}) {
+            EXPECT_EQ(category_of[score], "experiment") << score;
+        }
+        EXPECT_EQ(category_of["qp.active_set.solve"], "qp");
     }
 }
 

@@ -7,11 +7,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 namespace cellsync {
@@ -36,8 +38,34 @@ TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
         Worker_pool pool(threads);
         EXPECT_EQ(pool.thread_count(), threads);
         std::vector<std::atomic<int>> hits(257);
-        pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+        pool.parallel_for("batch", hits.size(), [&](std::size_t i) { ++hits[i]; });
         for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
+}
+
+TEST(WorkerPool, CallingThreadTakesPartInEveryBatch) {
+    // Two tasks on a two-thread pool, each waiting until both have
+    // started: the batch can only finish if the calling thread runs one of
+    // them. The bounded wait turns a regression into a failure, not a hang.
+    Worker_pool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int round = 0; round < 20; ++round) {
+        std::atomic<int> started{0};
+        std::atomic<bool> timed_out{false};
+        std::vector<std::thread::id> ran_on(2);
+        pool.parallel_for("batch", ran_on.size(), [&](std::size_t i) {
+            ran_on[i] = std::this_thread::get_id();
+            ++started;
+            for (int wait_ms = 0; started.load() < 2; ++wait_ms) {
+                if (wait_ms == 5000) {
+                    timed_out = true;
+                    return;
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        });
+        ASSERT_FALSE(timed_out.load()) << "round " << round;
+        EXPECT_TRUE(ran_on[0] == caller || ran_on[1] == caller) << "round " << round;
     }
 }
 
@@ -48,7 +76,7 @@ TEST(WorkerPool, SlotWritesAreDeterministic) {
     auto run = [](std::size_t threads) {
         Worker_pool pool(threads);
         std::vector<double> out(100);
-        pool.parallel_for(out.size(), [&](std::size_t i) {
+        pool.parallel_for("batch", out.size(), [&](std::size_t i) {
             out[i] = static_cast<double>(i * i) + 0.5;
         });
         return out;
@@ -61,7 +89,7 @@ TEST(WorkerPool, ReusableAcrossBatches) {
     Worker_pool pool(4);
     for (int round = 0; round < 25; ++round) {
         std::atomic<std::size_t> total{0};
-        pool.parallel_for(50, [&](std::size_t i) { total += i; });
+        pool.parallel_for("batch", 50, [&](std::size_t i) { total += i; });
         EXPECT_EQ(total.load(), 50u * 49u / 2u);
     }
 }
@@ -75,7 +103,7 @@ TEST(WorkerPool, RapidBackToBackBatchesNeverLeakAcrossGenerations) {
     for (int round = 0; round < 2000; ++round) {
         const std::size_t count = 1 + static_cast<std::size_t>(round % 4);
         std::atomic<std::size_t> ran{0};
-        pool.parallel_for(count, [&](std::size_t) { ++ran; });
+        pool.parallel_for("batch", count, [&](std::size_t) { ++ran; });
         ASSERT_EQ(ran.load(), count) << "round " << round;
     }
 }
@@ -83,7 +111,7 @@ TEST(WorkerPool, RapidBackToBackBatchesNeverLeakAcrossGenerations) {
 TEST(WorkerPool, FirstExceptionPropagatesAfterDrain) {
     Worker_pool pool(3);
     std::vector<std::atomic<int>> hits(40);
-    EXPECT_THROW(pool.parallel_for(hits.size(),
+    EXPECT_THROW(pool.parallel_for("batch", hits.size(),
                                    [&](std::size_t i) {
                                        ++hits[i];
                                        if (i == 7) throw std::runtime_error("task 7");
@@ -93,7 +121,7 @@ TEST(WorkerPool, FirstExceptionPropagatesAfterDrain) {
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     // The pool survives a throwing batch.
     std::atomic<int> ok{0};
-    pool.parallel_for(10, [&](std::size_t) { ++ok; });
+    pool.parallel_for("batch", 10, [&](std::size_t) { ++ok; });
     EXPECT_EQ(ok.load(), 10);
 }
 
@@ -108,7 +136,7 @@ TEST(WorkerPool, EveryTaskThrowingStillDrainsAndRethrowsExactlyOne) {
     std::vector<std::atomic<int>> hits(64);
     for (int round = 0; round < 5; ++round) {
         for (auto& h : hits) h = 0;
-        EXPECT_THROW(pool.parallel_for(hits.size(),
+        EXPECT_THROW(pool.parallel_for("batch", hits.size(),
                                        [&](std::size_t i) {
                                            ++hits[i];
                                            throw std::runtime_error(
@@ -118,7 +146,7 @@ TEST(WorkerPool, EveryTaskThrowingStillDrainsAndRethrowsExactlyOne) {
         for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     }
     std::atomic<int> ok{0};
-    pool.parallel_for(16, [&](std::size_t) { ++ok; });
+    pool.parallel_for("batch", 16, [&](std::size_t) { ++ok; });
     EXPECT_EQ(ok.load(), 16);
 }
 
@@ -127,7 +155,7 @@ TEST(WorkerPool, NonStdExceptionPropagatesWithoutTerminate) {
     // exception_ptr rather than std::terminate-ing the worker.
     Worker_pool pool(2);
     std::atomic<int> ran{0};
-    EXPECT_THROW(pool.parallel_for(8,
+    EXPECT_THROW(pool.parallel_for("batch", 8,
                                    [&](std::size_t i) {
                                        ++ran;
                                        if (i == 3) throw 42;  // NOLINT
@@ -139,7 +167,7 @@ TEST(WorkerPool, NonStdExceptionPropagatesWithoutTerminate) {
 TEST(WorkerPool, EmptyBatchIsNoOp) {
     Worker_pool pool(2);
     bool ran = false;
-    pool.parallel_for(0, [&](std::size_t) { ran = true; });
+    pool.parallel_for("batch", 0, [&](std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 

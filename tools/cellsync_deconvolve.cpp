@@ -13,7 +13,7 @@
 //              CSV is wide format: a `time` column plus one column per
 //              gene, optionally paired with `<gene>_sigma`. All
 //              (condition x gene) solves share kernels through the cache
-//              and one design per kernel, and run as one task graph;
+//              and one design per kernel, a condition's genes in parallel;
 //              lambda selection is warm-started across adjacent
 //              conditions. Writes `<output stem>.<condition>.csv` per
 //              condition and prints per-condition synchrony scores.
@@ -74,15 +74,14 @@
 //                       binary, auto-detected)
 //   --save-kernel PATH  persist the simulated kernel (single-series run)
 //   --kernel-format F   csv | bin | binary (kernel build / kernel convert)
-//   --cells N --bins N --seed N     simulation controls
+//   --cells N --bins N --seed N     simulation controls (at most 2^24
+//                       cells and 2^27 kernel values, times x bins)
 //   --basis N           spline knots Nc >= 4        (default 18)
 //   --lambda X          fixed smoothness weight >= 0 (default: 5-fold CV
 //                       for run; 1e-3 for stream)
 //   --mu-sst X --cycle-minutes X    organism model defaults
 //   --linear-volume     use the 2009 linear volume model
 //   --no-positivity / --no-conservation / --no-rate-continuity
-//   --no-warm-start     experiment run (--condition): full lambda grid
-//                       for every condition
 //   --bootstrap N       confidence band from N >= 10 replicates, 0 = none
 //                       (single-series run only)
 //   --threads N         worker threads, at most 1024 (default: hardware)
@@ -156,7 +155,6 @@ struct Cli_options {
     bool positivity = true;
     bool conservation = true;
     bool rate_continuity = true;
-    bool warm_start = true;
     std::size_t bootstrap = 0;
     std::uint64_t seed = 20110605;
     std::size_t threads = 0;
@@ -236,7 +234,13 @@ Cli_options parse_args(int argc, char** argv, int first) {
                 options.kernel_format = kernel_format_from_string(next_value(i));
             else if (arg == "--times") options.times_spec = next_value(i);
             else if (arg == "--times-from") options.times_from = next_value(i);
-            else if (arg == "--cells") options.cells = parse_strict_uint64(next_value(i));
+            else if (arg == "--cells") {
+                options.cells = parse_strict_uint64(next_value(i));
+                if (options.cells > max_kernel_cells) {
+                    throw std::invalid_argument("at most " + std::to_string(max_kernel_cells) +
+                                                " cells, got " + std::to_string(options.cells));
+                }
+            }
             else if (arg == "--bins") options.bins = parse_strict_uint64(next_value(i));
             else if (arg == "--basis") {
                 options.basis = parse_strict_uint64(next_value(i));
@@ -259,7 +263,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--no-positivity") options.positivity = false;
             else if (arg == "--no-conservation") options.conservation = false;
             else if (arg == "--no-rate-continuity") options.rate_continuity = false;
-            else if (arg == "--no-warm-start") options.warm_start = false;
             else if (arg == "--bootstrap") {
                 options.bootstrap = parse_strict_uint64(next_value(i));
                 if (options.bootstrap > 0) bootstrap_options_from(options).validate();
@@ -576,7 +579,6 @@ int run_experiment_mode(const Cli_options& cli) {
     spec.kernel = kernel_options_from(cli);
     spec.basis_size = cli.basis;
     spec.threads = cli.threads;
-    spec.warm_start_lambda = cli.warm_start;
     spec.batch.deconvolution.constraints = constraints_from(cli);
     spec.batch.lambda_grid = default_lambda_grid(15, 1e-7, 1e1);
     if (cli.lambda.has_value()) {
@@ -690,9 +692,6 @@ int cmd_run(const Cli_options& cli) {
     if (cli.shards > 1 && cli.conditions.empty()) {
         usage_error("--shards applies to experiment runs (--condition)");
     }
-    if (!cli.warm_start && cli.conditions.empty()) {
-        usage_error("--no-warm-start applies to experiment runs (--condition)");
-    }
     if (!cli.conditions.empty() &&
         (!cli.kernel_path.empty() || !cli.save_kernel_path.empty())) {
         // Experiment kernels go through the cache; silently discarding a
@@ -722,7 +721,6 @@ int cmd_stream(const Cli_options& cli) {
     }
     if (cli.bootstrap > 0) usage_error("--bootstrap applies to single-series runs only");
     if (cli.shards > 1) usage_error("--shards applies to experiment runs (--condition)");
-    if (!cli.warm_start) usage_error("--no-warm-start applies to experiment runs (--condition)");
     if (!cli.kernel_path.empty() || !cli.save_kernel_path.empty()) {
         // Streaming kernels go through the cache; silently re-simulating
         // past a user-supplied kernel file would mislead.

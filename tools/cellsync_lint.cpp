@@ -433,7 +433,7 @@ const std::vector<Rule>& rules() {
         {"det-execution",
          {"<execution>", "std::execution"},
          "parallel algorithms order reductions nondeterministically; all "
-         "parallelism goes through the deterministic Worker_pool / Task_graph",
+         "parallelism goes through the deterministic Worker_pool::parallel_for",
          /*keep_strings=*/false, /*cmake_files=*/false, library_sources_only},
         {"det-volatile",
          {"volatile"},
