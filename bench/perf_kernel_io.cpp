@@ -1,9 +1,9 @@
 // Performance: kernel serialization formats — CSV vs cellsync-kernel-bin-v1.
 //
 // The fleet workload rereads cached kernels constantly (every cold start,
-// every read-only shard pointed at a shared pre-warmed directory), so the
-// bytes on disk and the parse time per load are the costs that scale with
-// the fleet. This harness serializes one production-shaped kernel both
+// every process pointed at a shared pre-warmed directory), so the bytes
+// on disk and the parse time per load are the costs that scale with the
+// fleet. This harness serializes one production-shaped kernel both
 // ways, measures size and parse time, and asserts the loaded grids are
 // bit-identical to the simulated one — all captured in
 // BENCH_kernel_io.json. The parse gap is the headline (the binary layout

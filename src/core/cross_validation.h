@@ -24,9 +24,10 @@ struct Lambda_selection {
     std::string method;///< "kfold" or "gcv"
 };
 
-/// Logarithmically spaced lambda grid (default 25 points, 1e-8 .. 1e2).
-/// Throws std::invalid_argument for count < 2 or non-positive bounds.
-Vector default_lambda_grid(std::size_t count = 25, double lo = 1e-8, double hi = 1e2);
+/// Logarithmically spaced lambda grid; the defaults (15 points on
+/// 1e-7 .. 1e1) are the grid every `run` searches. Throws
+/// std::invalid_argument for count < 2 or non-positive bounds.
+Vector default_lambda_grid(std::size_t count = 15, double lo = 1e-7, double hi = 1e1);
 
 /// k-fold CV: folds are contiguous-free random partitions of the
 /// measurement indices (seeded). Each fold is predicted from a model

@@ -9,7 +9,6 @@
 #include "core/telemetry.h"
 #include "core/trace.h"
 #include "core/worker_pool.h"
-#include "numerics/fnv.h"
 #include "population/synchrony.h"
 #include "spline/spline_basis.h"
 
@@ -41,9 +40,7 @@ void validate_spec(const Experiment_spec& spec) {
             }
         }
     }
-    if (spec.basis_size < Natural_spline_basis::min_knots) {
-        throw std::invalid_argument("run_experiment: basis_size too small");
-    }
+    Natural_spline_basis::validate_knot_count(spec.basis_size);
     for (const Experiment_condition& condition : spec.conditions) {
         if (condition.panel.empty()) {
             throw std::invalid_argument("run_experiment: condition '" + condition.name +
@@ -228,42 +225,6 @@ Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model) {
     Kernel_cache cache;
     return run_experiment(spec, volume_model, cache);
-}
-
-Experiment_spec shard_experiment(const Experiment_spec& spec, std::size_t shards,
-                                 std::size_t shard_index) {
-    if (shards == 0) {
-        throw std::invalid_argument("shard_experiment: shards must be >= 1");
-    }
-    if (shard_index >= shards) {
-        throw std::invalid_argument("shard_experiment: shard_index " +
-                                    std::to_string(shard_index) + " out of range for " +
-                                    std::to_string(shards) + " shards");
-    }
-    // Tag this process's metrics with its shard assignment so merged
-    // dashboards can tell shard streams apart.
-    telemetry::gauge("experiment.shard_count").set(static_cast<double>(shards));
-    telemetry::gauge("experiment.shard_index").set(static_cast<double>(shard_index));
-    if (shards == 1) return spec;
-    Experiment_spec out = spec;
-    out.conditions.clear();
-    for (std::size_t c = 0; c < spec.conditions.size(); ++c) {
-        const Experiment_condition& condition = spec.conditions[c];
-        Experiment_condition kept = condition;
-        // Pin the unsharded run's resolved name: dropping a fully
-        // filtered condition shifts positions, and a positional
-        // "conditionN" label that differed between shards would let
-        // merge-results silently combine two different conditions.
-        kept.name = resolved_condition_name(condition, c);
-        kept.panel.clear();
-        for (const Measurement_series& series : condition.panel) {
-            if (fnv1a64(series.label) % shards == shard_index) {
-                kept.panel.push_back(series);
-            }
-        }
-        if (!kept.panel.empty()) out.conditions.push_back(std::move(kept));
-    }
-    return out;
 }
 
 }  // namespace cellsync

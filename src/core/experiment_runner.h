@@ -16,10 +16,7 @@
 // kernel in one batch (conditions sharing a cache key share one
 // resolution), one design per distinct kernel in a second, then the
 // conditions in order, each one batch of per-gene solves followed by
-// scoring and the warm-start hand-off. For panels too large for one
-// machine, shard_experiment splits the gene panels deterministically
-// across processes; per-shard outputs merge losslessly
-// (`cellsync_deconvolve merge-results`).
+// scoring and the warm-start hand-off.
 //
 // Results are deterministic for a fixed spec: identical whether kernels
 // were simulated or served from cache, and for any thread count.
@@ -48,7 +45,9 @@ struct Experiment_spec {
     std::vector<Experiment_condition> conditions;
     Kernel_build_options kernel;  ///< Monte-Carlo controls shared by all conditions
     std::size_t basis_size = 18;  ///< Nc natural-spline knots
-    Batch_options batch;          ///< deconvolution, lambda grid, CV controls
+    /// Deconvolution, lambda grid and CV controls; an empty grid
+    /// searches default_lambda_grid() (15 points on 1e-7 .. 1e1).
+    Batch_options batch;
     std::size_t threads = 0;      ///< worker parallelism (0 = hardware)
     /// Lambda selection in condition c > 0 narrows each gene's grid to
     /// `warm_grid_points` lambdas spanning +/- `warm_grid_decades` around
@@ -107,19 +106,5 @@ Experiment_result run_experiment(const Experiment_spec& spec,
 /// sharing a configuration still share one simulation within the run).
 Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model);
-
-/// Deterministic gene-level shard of an experiment for process-level
-/// fan-out (`run --shards N --shard-index i` on the CLI): keeps, in
-/// every condition, exactly the genes whose label hashes (FNV-1a) to
-/// `shard_index` modulo `shards`, and drops conditions left with an
-/// empty panel. The same label lands in the same shard in every
-/// condition, so each gene's lambda warm-start chain is preserved
-/// intact — every kept gene's estimate is bit-identical to its estimate
-/// in the unsharded run, and per-shard outputs merge losslessly. A
-/// shard may end up with zero conditions (more shards than genes);
-/// callers should treat that as "nothing to do", not an error. Throws
-/// std::invalid_argument if shards == 0 or shard_index >= shards.
-Experiment_spec shard_experiment(const Experiment_spec& spec, std::size_t shards,
-                                 std::size_t shard_index);
 
 }  // namespace cellsync

@@ -1,11 +1,10 @@
 // FNV-1a 64-bit hashing — the repo's one non-cryptographic hash.
 //
-// Three subsystems rely on the same function: kernel cache entry stems
-// (key -> hex file name), experiment gene-shard assignment (label -> shard
-// index), and the binary kernel format's trailing checksum. One shared
-// definition keeps them from drifting: the cache stems and the shard
-// assignment are persisted / cross-process contracts, so the constants
-// below must never change for v1 artifacts.
+// Two subsystems rely on the same function: kernel cache entry stems
+// (key -> hex file name) and the binary kernel format's trailing
+// checksum. One shared definition keeps them from drifting: both are
+// persisted contracts, so the constants below must never change for v1
+// artifacts.
 #pragma once
 
 #include <cstdint>

@@ -6,26 +6,27 @@
 
 namespace cellsync {
 
-namespace {
-
-void require_min_knots(std::size_t count) {
-    if (count < Natural_spline_basis::min_knots) {
+void Natural_spline_basis::validate_knot_count(std::size_t count) {
+    if (count < min_knots) {
         throw std::invalid_argument("Natural_spline_basis: need at least " +
-                                    std::to_string(Natural_spline_basis::min_knots) +
-                                    " knots");
+                                    std::to_string(min_knots) + " knots, got " +
+                                    std::to_string(count));
+    }
+    if (count > max_knots) {
+        throw std::invalid_argument("Natural_spline_basis: at most " +
+                                    std::to_string(max_knots) + " knots, got " +
+                                    std::to_string(count));
     }
 }
 
-}  // namespace
-
 Natural_spline_basis::Natural_spline_basis(std::size_t count) {
-    require_min_knots(count);
+    validate_knot_count(count);
     knots_ = linspace(0.0, 1.0, count);
     build();
 }
 
 Natural_spline_basis::Natural_spline_basis(Vector knots) : knots_(std::move(knots)) {
-    require_min_knots(knots_.size());
+    validate_knot_count(knots_.size());
     if (std::abs(knots_.front()) > 1e-12 || std::abs(knots_.back() - 1.0) > 1e-12) {
         throw std::invalid_argument("Natural_spline_basis: knots must span [0, 1]");
     }

@@ -18,13 +18,20 @@ class Natural_spline_basis final : public Basis {
   public:
     /// Fewest knots either constructor accepts.
     static constexpr std::size_t min_knots = 4;
+    /// Most knots either constructor accepts: the basis holds one O(n)
+    /// cardinal spline per knot and its penalty costs O(n^3), so larger
+    /// counts are rejected before anything is allocated.
+    static constexpr std::size_t max_knots = 512;
 
-    /// Uniform knot grid of `count >= min_knots` knots on [0, 1].
-    /// Throws std::invalid_argument for smaller counts.
+    /// Throws std::invalid_argument unless min_knots <= count <= max_knots.
+    static void validate_knot_count(std::size_t count);
+
+    /// Uniform knot grid of min_knots..max_knots knots on [0, 1].
+    /// Throws std::invalid_argument for other counts.
     explicit Natural_spline_basis(std::size_t count);
 
     /// Arbitrary strictly ascending knots spanning [0, 1] (first knot 0,
-    /// last knot 1), at least min_knots of them. Throws
+    /// last knot 1), min_knots..max_knots of them. Throws
     /// std::invalid_argument otherwise.
     explicit Natural_spline_basis(Vector knots);
 

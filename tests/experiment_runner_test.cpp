@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -393,109 +392,6 @@ TEST(ExperimentRunner, CacheStatsArePerRunDeltas) {
     expect_bit_identical_genes(first, second);
 }
 
-TEST(ExperimentRunner, ShardsPartitionGenesAndStayBitIdentical) {
-    const Experiment_spec full_spec = make_spec();
-    const Experiment_result full = run_experiment(full_spec, Smooth_volume_model{});
-
-    constexpr std::size_t shards = 2;
-    std::vector<Experiment_result> shard_results;
-    std::size_t sharded_genes = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-        const Experiment_spec shard = shard_experiment(full_spec, shards, s);
-        for (const Experiment_condition& condition : shard.conditions) {
-            sharded_genes += condition.panel.size();
-        }
-        if (!shard.conditions.empty()) {
-            shard_results.push_back(run_experiment(shard, Smooth_volume_model{}));
-        }
-    }
-    // Every (condition x gene) pair lands in exactly one shard...
-    std::size_t full_genes = 0;
-    for (const Experiment_condition& condition : full_spec.conditions) {
-        full_genes += condition.panel.size();
-    }
-    EXPECT_EQ(sharded_genes, full_genes);
-
-    // ...and each sharded estimate equals the unsharded run's bit for bit
-    // (per-gene warm-start chains are label-local, so dropping other
-    // genes cannot perturb a kept gene).
-    std::size_t compared = 0;
-    for (const Experiment_result& shard : shard_results) {
-        for (const Condition_result& condition : shard.conditions) {
-            const auto full_condition = std::find_if(
-                full.conditions.begin(), full.conditions.end(),
-                [&](const Condition_result& c) { return c.name == condition.name; });
-            ASSERT_NE(full_condition, full.conditions.end()) << condition.name;
-            for (const Batch_entry& gene : condition.genes) {
-                const auto reference = std::find_if(
-                    full_condition->genes.begin(), full_condition->genes.end(),
-                    [&](const Batch_entry& e) { return e.label == gene.label; });
-                ASSERT_NE(reference, full_condition->genes.end()) << gene.label;
-                ASSERT_TRUE(gene.estimate.has_value()) << gene.error;
-                ASSERT_TRUE(reference->estimate.has_value()) << reference->error;
-                EXPECT_EQ(gene.lambda, reference->lambda) << gene.label;
-                const Vector& a = gene.estimate->coefficients();
-                const Vector& b = reference->estimate->coefficients();
-                ASSERT_EQ(a.size(), b.size());
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                    EXPECT_EQ(a[i], b[i]) << condition.name << " " << gene.label;
-                }
-                ++compared;
-            }
-        }
-    }
-    EXPECT_EQ(compared, sharded_genes);
-}
-
-TEST(ExperimentRunner, ShardingPinsResolvedNamesOfUnnamedConditions) {
-    // Unnamed conditions resolve to positional "conditionN" labels. When
-    // a fully filtered condition is dropped from a shard, the survivors
-    // must keep the labels of the *unsharded* run — otherwise two shards
-    // could write files under one name for different conditions and
-    // merge-results would silently combine them.
-    const Measurement_series gene_a = Measurement_series::with_unit_sigma(
-        "geneA", linspace(0.0, 150.0, 11), Vector(11, 1.0));
-    const Measurement_series gene_b = Measurement_series::with_unit_sigma(
-        "geneB", linspace(0.0, 150.0, 11), Vector(11, 2.0));
-    Experiment_spec spec;
-    spec.conditions.resize(3);  // all unnamed
-    spec.conditions[0].panel = {gene_a, gene_b};
-    spec.conditions[1].panel = {gene_a};  // drops entirely from one shard
-    spec.conditions[2].panel = {gene_a, gene_b};
-
-    bool saw_drop = false;
-    for (std::size_t s = 0; s < 2; ++s) {
-        const Experiment_spec sharded = shard_experiment(spec, 2, s);
-        for (const Experiment_condition& condition : sharded.conditions) {
-            // Names come from the unsharded positions; the panel content
-            // must match that original condition's genes.
-            ASSERT_TRUE(condition.name == "condition0" || condition.name == "condition1" ||
-                        condition.name == "condition2")
-                << condition.name;
-        }
-        if (sharded.conditions.size() == 2) {
-            saw_drop = true;
-            EXPECT_EQ(sharded.conditions[0].name, "condition0");
-            EXPECT_EQ(sharded.conditions[1].name, "condition2")
-                << "a dropped condition must not shift later names";
-        }
-    }
-    EXPECT_TRUE(saw_drop) << "geneA lands in exactly one shard, so the single-gene "
-                             "condition must vanish from the other";
-}
-
-TEST(ExperimentRunner, ShardValidation) {
-    const Experiment_spec spec = make_spec();
-    EXPECT_THROW(shard_experiment(spec, 0, 0), std::invalid_argument);
-    EXPECT_THROW(shard_experiment(spec, 2, 2), std::invalid_argument);
-    // shards == 1 is the identity.
-    const Experiment_spec same = shard_experiment(spec, 1, 0);
-    ASSERT_EQ(same.conditions.size(), spec.conditions.size());
-    for (std::size_t c = 0; c < spec.conditions.size(); ++c) {
-        EXPECT_EQ(same.conditions[c].panel.size(), spec.conditions[c].panel.size());
-    }
-}
-
 TEST(ExperimentRunner, ValidationErrors) {
     const Smooth_volume_model vm;
     Experiment_spec empty;
@@ -515,6 +411,13 @@ TEST(ExperimentRunner, ValidationErrors) {
         "b", linspace(0.0, 120.0, 11), Vector(11, 1.0));
     mismatched.conditions[0].panel = {a, b};
     EXPECT_THROW(run_experiment(mismatched, vm), std::invalid_argument);
+
+    // A basis above the knot cap is rejected before any kernel is built.
+    Experiment_spec huge_basis;
+    huge_basis.conditions.resize(1);
+    huge_basis.conditions[0].panel = {a};
+    huge_basis.basis_size = Natural_spline_basis::max_knots + 1;
+    EXPECT_THROW(run_experiment(huge_basis, vm), std::invalid_argument);
 }
 
 TEST(ExperimentRunner, DuplicateConditionNamesRejected) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "numerics/quadrature.h"
 
@@ -42,6 +43,20 @@ TEST(NaturalSplineBasis, ReproducesLinearFunctions) {
 TEST(NaturalSplineBasis, MinimumKnotCountEnforced) {
     EXPECT_THROW(Natural_spline_basis(3), std::invalid_argument);
     EXPECT_NO_THROW(Natural_spline_basis(4));
+}
+
+TEST(NaturalSplineBasis, MaximumKnotCountEnforced) {
+    // Both constructors reject a count above the cap before building.
+    const std::size_t too_many = Natural_spline_basis::max_knots + 1;
+    try {
+        Natural_spline_basis basis(too_many);
+        FAIL() << "expected the knot cap to reject " << too_many << " knots";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("at most 512 knots, got 513"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(Natural_spline_basis(linspace(0.0, 1.0, too_many)), std::invalid_argument);
+    EXPECT_NO_THROW(Natural_spline_basis(linspace(0.0, 1.0, Natural_spline_basis::max_knots)));
 }
 
 TEST(NaturalSplineBasis, CustomKnotsValidated) {

@@ -4,10 +4,12 @@
 //
 // Subcommands:
 //
-//   run      Deconvolve measurements. Two modes:
+//   run      Deconvolve measurements. Two modes, one per-gene call
+//            (deconvolve_one: 5-fold CV over 15 lambdas on 1e-7..1e1,
+//            or a fixed --lambda, then the constrained estimate):
 //            * single series:  --input data.csv  (columns time, value,
-//              optional sigma); writes the profile CSV exactly as the
-//              historical single-command tool did.
+//              optional sigma); writes the profile CSV, plus a
+//              bootstrap band with --bootstrap.
 //            * experiment:     --condition NAME=panel.csv[,mu_sst=X]
 //              [,cycle_minutes=Y] repeated once per condition. Each panel
 //              CSV is wide format: a `time` column plus one column per
@@ -47,36 +49,22 @@
 //            --json PATH additionally writes a machine-readable report
 //            (per-gene scores plus the lambda recorded in the profile
 //            CSV's `# lambda:` comments).
-//   merge-results
-//            Merge per-shard profile CSVs of one condition (written by
-//            `run --shards N --shard-index i`) into a single profile
-//            CSV: phi grids must agree exactly, gene columns must be
-//            disjoint, and `# lambda:` comments are carried over. The
-//            merged per-gene values are bit-identical to an unsharded
-//            run's.
 //
-// Sharded experiments: `run --shards N --shard-index i` deconvolves only
-// the genes whose label hashes to shard i (deterministic, label-stable
-// across conditions, so lambda warm-start chains are preserved). Launch
-// one process per shard — on one machine or many, optionally against one
-// shared `--cache-dir` (entries are write-once and renamed into place, so
-// processes may share a directory) — then combine each condition's
-// `<stem>.<condition>.shard<i>of<N>.csv` outputs with `merge-results`.
+// Every rejected input file (CSV, panel, record log, kernel) is named in
+// the error, exit 1.
 //
 // Common options:
 //   --output PATH       profile CSV / kernel CSV destination
 //   --cache-dir DIR     disk-backed kernel cache (run, stream, kernel cache);
 //                       processes may share one directory, and on a
 //                       read-only one misses stay in memory
-//   --shards N --shard-index I   experiment runs: keep only shard I of
-//                       the gene panels (see "Sharded experiments")
 //   --kernel PATH       reuse a saved kernel (single-series run; CSV or
 //                       binary, auto-detected)
 //   --save-kernel PATH  persist the simulated kernel (single-series run)
 //   --kernel-format F   csv | bin | binary (kernel build / kernel convert)
 //   --cells N --bins N --seed N     simulation controls (at most 2^24
 //                       cells and 2^27 kernel values, times x bins)
-//   --basis N           spline knots Nc >= 4        (default 18)
+//   --basis N           spline knots Nc, 4..512     (default 18)
 //   --lambda X          fixed smoothness weight >= 0 (default: 5-fold CV
 //                       for run; 1e-3 for stream)
 //   --mu-sst X --cycle-minutes X    organism model defaults
@@ -100,6 +88,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -109,7 +98,7 @@
 #include <fstream>
 
 #include "core/bootstrap.h"
-#include "core/cross_validation.h"
+#include "core/batch.h"
 #include "core/experiment_runner.h"
 #include "core/telemetry.h"
 #include "core/trace.h"
@@ -161,8 +150,6 @@ struct Cli_options {
     std::string json_path;                ///< report / kernel cache --json destination
     std::string trace_path;               ///< --trace Chrome-trace destination
     std::string metrics_json_path;        ///< --metrics-json snapshot destination
-    std::size_t shards = 1;               ///< experiment gene-panel shards
-    std::size_t shard_index = 0;          ///< this process's shard
     bool stop_when_converged = false;     ///< stream: end once all genes stabilize
     Stream_convergence convergence;       ///< stream thresholds
 };
@@ -244,11 +231,7 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--bins") options.bins = parse_strict_uint64(next_value(i));
             else if (arg == "--basis") {
                 options.basis = parse_strict_uint64(next_value(i));
-                if (options.basis < Natural_spline_basis::min_knots) {
-                    throw std::invalid_argument(
-                        "need at least " + std::to_string(Natural_spline_basis::min_knots) +
-                        " knots, got " + std::to_string(options.basis));
-                }
+                Natural_spline_basis::validate_knot_count(options.basis);
             }
             else if (arg == "--lambda") {
                 const std::string text = next_value(i);
@@ -279,8 +262,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--json") options.json_path = next_value(i);
             else if (arg == "--trace") options.trace_path = next_value(i);
             else if (arg == "--metrics-json") options.metrics_json_path = next_value(i);
-            else if (arg == "--shards") options.shards = parse_strict_uint64(next_value(i));
-            else if (arg == "--shard-index") options.shard_index = parse_strict_uint64(next_value(i));
             else if (arg == "--stop-when-converged") options.stop_when_converged = true;
             else if (arg == "--coef-tol") {
                 options.convergence.coefficient_tol = parse_strict_double(next_value(i));
@@ -335,6 +316,37 @@ Constraint_options constraints_from(const Cli_options& cli) {
     constraints.conservation = cli.conservation;
     constraints.rate_continuity = cli.rate_continuity;
     return constraints;
+}
+
+/// The per-gene options of both `run` modes: the constraints, and a
+/// fixed --lambda or per-gene CV. The lambda grid stays empty, so
+/// resolve_batch_options fills in default_lambda_grid().
+Batch_options batch_options_from(const Cli_options& cli) {
+    Batch_options options;
+    options.deconvolution.constraints = constraints_from(cli);
+    if (cli.lambda.has_value()) {
+        options.select_lambda = false;
+        options.deconvolution.lambda = *cli.lambda;
+    }
+    return options;
+}
+
+/// Runs `read` and rethrows a rejection as `'<path>': <message>`, so the
+/// error names the input file it came from.
+template <typename Read>
+auto naming_input(const std::string& path, Read read) {
+    try {
+        return read();
+    } catch (const std::exception& e) {
+        throw std::runtime_error("'" + path + "': " + e.what());
+    }
+}
+
+/// Reads the CSV at `path` and converts its table with `convert`; a
+/// rejection by the reader or the conversion names the file.
+template <typename Convert>
+auto read_csv_input(const std::string& path, Convert convert) {
+    return naming_input(path, [&] { return convert(read_csv_file(path)); });
 }
 
 /// The --cache-dir cache, or a memory-only one without the flag.
@@ -472,11 +484,12 @@ Vector resolve_times(const Cli_options& cli) {
         return linspace(lo, hi, static_cast<std::size_t>(count));
     }
     if (!cli.times_from.empty()) {
-        const Table table = read_csv_file(cli.times_from);
-        if (!table.has_column("time")) {
-            usage_error("--times-from file '" + cli.times_from + "' has no 'time' column");
-        }
-        return table.column("time");
+        return read_csv_input(cli.times_from, [&](const Table& table) {
+            if (!table.has_column("time")) {
+                usage_error("--times-from file '" + cli.times_from + "' has no 'time' column");
+            }
+            return table.column("time");
+        });
     }
     usage_error("a time grid is required: --times LO:HI:COUNT or --times-from data.csv");
 }
@@ -494,12 +507,13 @@ Kernel_format format_for_output(const Cli_options& cli, const std::string& path)
 }
 
 // ---------------------------------------------------------------------------
-// run: single series (the historical behavior).
+// run: single series, one deconvolve_one call plus the optional bootstrap.
 // ---------------------------------------------------------------------------
 
 int run_single(const Cli_options& cli) {
     const std::string output = cli.output.empty() ? "deconvolved.csv" : cli.output;
-    const Measurement_series data = series_from_table(read_csv_file(cli.input), cli.input);
+    const Measurement_series data = read_csv_input(
+        cli.input, [&](const Table& table) { return series_from_table(table, cli.input); });
     std::printf("loaded %zu measurements from %s (t = %.0f..%.0f min)\n", data.size(),
                 cli.input.c_str(), data.times.front(), data.times.back());
 
@@ -530,23 +544,21 @@ int run_single(const Cli_options& cli) {
 
     // One shared design (kernel matrix, penalty, constraint blocks + QP
     // reduction) serves the CV sweep, the estimate and every bootstrap
-    // replicate.
-    Deconvolution_options options;
-    options.constraints = constraints_from(cli);
-    const Deconvolver deconvolver(make_design_artifacts(
-        std::make_shared<Natural_spline_basis>(cli.basis), *kernel, config, options.constraints));
-
-    if (cli.lambda.has_value()) {
-        options.lambda = *cli.lambda;
-        std::printf("lambda: fixed at %.3e\n", options.lambda);
+    // replicate. A failed estimate carries the gene-labeled error.
+    Batch_options options = batch_options_from(cli);
+    const Deconvolver deconvolver(
+        make_design_artifacts(std::make_shared<Natural_spline_basis>(cli.basis), *kernel,
+                              config, options.deconvolution.constraints));
+    options = resolve_batch_options(*deconvolver.artifacts(), options);
+    const Batch_entry entry = deconvolve_one(deconvolver, data, options.lambda_grid, options);
+    if (!entry.estimate.has_value()) throw std::runtime_error(entry.error);
+    if (options.select_lambda) {
+        std::printf("lambda: %.3e (5-fold CV)\n", entry.lambda);
     } else {
-        const Lambda_selection sel = select_lambda_kfold(
-            deconvolver, data, options, default_lambda_grid(15, 1e-7, 1e1), 5);
-        options.lambda = sel.best_lambda;
-        std::printf("lambda: %.3e (5-fold CV)\n", options.lambda);
+        std::printf("lambda: fixed at %.3e\n", entry.lambda);
     }
 
-    const Single_cell_estimate estimate = deconvolver.estimate(data, options);
+    const Single_cell_estimate& estimate = *entry.estimate;
     std::printf("fit: chi^2=%.3f over %zu points, roughness=%.3f, %zu active "
                 "positivity rows\n",
                 estimate.chi_squared, data.size(), estimate.roughness,
@@ -556,9 +568,10 @@ int run_single(const Cli_options& cli) {
     Series_writer writer("phi", grid);
     writer.add("f", estimate.sample(grid));
     if (cli.bootstrap > 0) {
+        options.deconvolution.lambda = entry.lambda;
         Worker_pool pool(cli.threads);
         const Confidence_band band = bootstrap_confidence_band(
-            deconvolver, data, options, grid, bootstrap_options_from(cli), pool);
+            deconvolver, data, options.deconvolution, grid, bootstrap_options_from(cli), pool);
         writer.add("f_lower90", band.lower)
             .add("f_median", band.median)
             .add("f_upper90", band.upper);
@@ -579,12 +592,7 @@ int run_experiment_mode(const Cli_options& cli) {
     spec.kernel = kernel_options_from(cli);
     spec.basis_size = cli.basis;
     spec.threads = cli.threads;
-    spec.batch.deconvolution.constraints = constraints_from(cli);
-    spec.batch.lambda_grid = default_lambda_grid(15, 1e-7, 1e1);
-    if (cli.lambda.has_value()) {
-        spec.batch.select_lambda = false;
-        spec.batch.deconvolution.lambda = *cli.lambda;
-    }
+    spec.batch = batch_options_from(cli);
 
     for (const Condition_request& request : cli.conditions) {
         Experiment_condition condition;
@@ -594,29 +602,11 @@ int run_experiment_mode(const Cli_options& cli) {
         if (request.cycle_minutes.has_value()) {
             condition.cell_cycle.mean_cycle_minutes = *request.cycle_minutes;
         }
-        condition.panel = panel_from_table(read_csv_file(request.panel_path));
+        condition.panel = read_csv_input(request.panel_path, panel_from_table);
         std::printf("condition %-12s: %zu genes x %zu timepoints from %s\n",
                     condition.name.c_str(), condition.panel.size(),
                     condition.panel.front().size(), request.panel_path.c_str());
         spec.conditions.push_back(std::move(condition));
-    }
-
-    // Shard-tag the metrics stream even for the 1-shard case, so merged
-    // dashboards always know which process a snapshot came from.
-    telemetry::gauge("experiment.shard_count").set(static_cast<double>(cli.shards));
-    telemetry::gauge("experiment.shard_index").set(static_cast<double>(cli.shard_index));
-    if (cli.shards > 1) {
-        spec = shard_experiment(spec, cli.shards, cli.shard_index);
-        std::size_t kept = 0;
-        for (const Experiment_condition& condition : spec.conditions) {
-            kept += condition.panel.size();
-        }
-        std::printf("shard %zu of %zu: %zu genes across %zu conditions\n", cli.shard_index,
-                    cli.shards, kept, spec.conditions.size());
-        if (spec.conditions.empty()) {
-            std::printf("shard %zu holds no genes; nothing to do\n", cli.shard_index);
-            return 0;
-        }
     }
 
     const std::unique_ptr<Volume_model> volume = volume_from(cli);
@@ -663,12 +653,7 @@ int run_experiment_mode(const Cli_options& cli) {
                             gene.lambda);
             }
         }
-        std::string path = stem + "." + condition.name;
-        if (cli.shards > 1) {
-            path += ".shard" + std::to_string(cli.shard_index) + "of" +
-                    std::to_string(cli.shards);
-        }
-        path += ".csv";
+        const std::string path = stem + "." + condition.name + ".csv";
         write_profiles_with_lambdas(path, writer.table(), lambdas);
         std::printf("  wrote %s\n", path.c_str());
     }
@@ -684,13 +669,6 @@ int cmd_run(const Cli_options& cli) {
     }
     if (!cli.conditions.empty() && cli.bootstrap > 0) {
         usage_error("--bootstrap applies to single-series runs only");
-    }
-    if (cli.shards == 0) usage_error("--shards must be >= 1");
-    if (cli.shard_index >= cli.shards) {
-        usage_error("--shard-index must be < --shards");
-    }
-    if (cli.shards > 1 && cli.conditions.empty()) {
-        usage_error("--shards applies to experiment runs (--condition)");
     }
     if (!cli.conditions.empty() &&
         (!cli.kernel_path.empty() || !cli.save_kernel_path.empty())) {
@@ -720,7 +698,6 @@ int cmd_stream(const Cli_options& cli) {
                     "time,gene,value[,sigma] log)");
     }
     if (cli.bootstrap > 0) usage_error("--bootstrap applies to single-series runs only");
-    if (cli.shards > 1) usage_error("--shards applies to experiment runs (--condition)");
     if (!cli.kernel_path.empty() || !cli.save_kernel_path.empty()) {
         // Streaming kernels go through the cache; silently re-simulating
         // past a user-supplied kernel file would mislead.
@@ -736,7 +713,7 @@ int cmd_stream(const Cli_options& cli) {
         std::fprintf(stderr, "cellsync_deconvolve: cannot open '%s'\n", cli.input.c_str());
         return 1;
     }
-    Record_stream records(in);
+    Record_stream records = naming_input(cli.input, [&] { return Record_stream(in); });
 
     Stream_session_options session_options;
     session_options.basis_size = cli.basis;
@@ -760,7 +737,8 @@ int cmd_stream(const Cli_options& cli) {
     bool stopped_early = false;
     std::size_t timepoints = 0;
     for (;;) {
-        const std::vector<Expression_record> batch = records.next_timepoint();
+        const std::vector<Expression_record> batch =
+            naming_input(cli.input, [&] { return records.next_timepoint(); });
         if (batch.empty()) break;
         const double t = batch.front().time;
         std::vector<Stream_record> updates_in;
@@ -1035,7 +1013,7 @@ int cmd_report(const Cli_options& cli, const std::vector<std::string>& inputs) {
     if (!cli.input.empty()) paths.insert(paths.begin(), cli.input);
     std::vector<std::pair<std::string, std::vector<Profile_report>>> json_files;
     for (const std::string& path : paths) {
-        const Table table = read_csv_file(path);
+        const Table table = read_csv_input(path, std::identity{});
         if (!table.has_column("phi")) {
             std::fprintf(stderr, "report: %s has no 'phi' column, skipping\n", path.c_str());
             continue;
@@ -1088,68 +1066,17 @@ int cmd_report(const Cli_options& cli, const std::vector<std::string>& inputs) {
     return 0;
 }
 
-// ---------------------------------------------------------------------------
-// merge-results: combine per-shard profile CSVs of one condition
-// ---------------------------------------------------------------------------
-
-int cmd_merge_results(const Cli_options& cli, const std::vector<std::string>& inputs) {
-    std::vector<std::string> paths = inputs;
-    if (!cli.input.empty()) paths.insert(paths.begin(), cli.input);
-    if (paths.empty()) {
-        usage_error("merge-results needs per-shard profile CSVs (positional paths)");
-    }
-    // A single path is the identity merge — legitimate when a condition's
-    // genes all hashed into one shard — so launchers can always pass
-    // whatever shard files exist without special-casing.
-    if (cli.output.empty()) usage_error("merge-results needs --output PATH");
-
-    // The shard CSVs round-trip doubles exactly (written at full
-    // precision), so the merged per-gene columns are bit-identical to an
-    // unsharded run's; only the column order differs (shard-file order).
-    std::optional<Series_writer> writer;
-    std::vector<std::pair<std::string, double>> lambdas;
-    std::size_t genes = 0;
-    for (const std::string& path : paths) {
-        const Table table = read_csv_file(path);
-        if (!table.has_column("phi")) {
-            usage_error("merge-results: '" + path + "' has no 'phi' column");
-        }
-        const Vector phi = table.column("phi");
-        if (!writer) {
-            writer.emplace("phi", phi);
-        } else if (writer->table().column(0) != phi) {
-            usage_error("merge-results: '" + path +
-                        "' is on a different phi grid than the first shard");
-        }
-        for (std::size_t c = 0; c < table.column_count(); ++c) {
-            const std::string& name = table.names()[c];
-            if (name == "phi") continue;
-            if (writer->table().has_column(name)) {
-                usage_error("merge-results: profile '" + name + "' appears in '" + path +
-                            "' and an earlier shard (shards must be disjoint)");
-            }
-            writer->add(name, table.column(c));
-            ++genes;
-        }
-        for (const auto& lambda : read_lambda_comments(path)) lambdas.push_back(lambda);
-    }
-    write_profiles_with_lambdas(cli.output, writer->table(), lambdas);
-    std::printf("merged %zu profiles from %zu shards into %s\n", genes, paths.size(),
-                cli.output.c_str());
-    return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     if (argc < 2) {
-        usage_error("missing subcommand (run, stream, kernel build, kernel cache, report, "
-                    "merge-results)");
+        usage_error("missing subcommand (run, stream, kernel build, kernel cache, kernel "
+                    "convert, report)");
     }
     const std::string command = argv[1];
     std::string mode;  // kernel build | cache | convert
     int first = 2;
-    // Positional profile CSVs are allowed after `report` and `merge-results`.
+    // Positional profile CSVs are allowed after `report`.
     std::vector<std::string> inputs;
     if (command == "kernel") {
         if (argc < 3) usage_error("kernel needs a mode: build, cache, or convert");
@@ -1158,7 +1085,7 @@ int main(int argc, char** argv) {
             usage_error("unknown kernel mode '" + mode + "' (build, cache, or convert)");
         }
         first = 3;
-    } else if (command == "report" || command == "merge-results") {
+    } else if (command == "report") {
         for (; first < argc && argv[first][0] != '-'; ++first) inputs.emplace_back(argv[first]);
     } else if (command != "run" && command != "stream") {
         usage_error("unknown subcommand '" + command + "'");
@@ -1170,7 +1097,6 @@ int main(int argc, char** argv) {
         if (command == "run") status = cmd_run(cli);
         else if (command == "stream") status = cmd_stream(cli);
         else if (command == "report") status = cmd_report(cli, inputs);
-        else if (command == "merge-results") status = cmd_merge_results(cli, inputs);
         else if (mode == "build") status = cmd_kernel_build(cli);
         else if (mode == "cache") status = cmd_kernel_cache(cli);
         else status = cmd_kernel_convert(cli);

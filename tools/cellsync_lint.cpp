@@ -1,9 +1,9 @@
 // cellsync_lint — the repo checker.
 //
-// cellsync promises the same profiles for any thread count, shard split
-// or build host. Generic tools prove generic properties: clang's
-// -Wthread-safety proves the locking discipline, TSan catches the races a
-// run actually exercises, clang-tidy flags the usual bug patterns. What
+// cellsync promises the same profiles for any thread count or build host.
+// Generic tools prove generic properties: clang's -Wthread-safety proves
+// the locking discipline, TSan catches the races a run actually
+// exercises, clang-tidy flags the usual bug patterns. What
 // none of them can know is *this repo's* contracts — the policies and the
 // program shape that keep the bit-identity guarantee honest. This checker
 // enforces those mechanically, in CI and as ctests. It reads every C++
