@@ -1,19 +1,17 @@
-// Ablation: basis resolution Nc and basis family.
+// Ablation: basis resolution Nc.
 //
 // Sweeps the number of natural-spline knots (too few = bias, too many =
-// variance absorbed by the regularizer) and compares against the clamped
-// cubic B-spline alternative at matched sizes.
+// variance absorbed by the regularizer).
 #include <cstdio>
 
 #include "bench_util.h"
 
 #include "biology/gene_profiles.h"
-#include "spline/bspline.h"
 
 int main() {
     using namespace cellsync;
     using namespace cellsync::bench;
-    print_header("ablation_basis", "basis size sweep, natural splines vs B-splines");
+    print_header("ablation_basis", "natural-spline basis size sweep");
 
     Experiment_defaults defaults;
     defaults.kernel_cells = 50000;
@@ -24,32 +22,21 @@ int main() {
 
     std::printf("truth: %s, 10%% noise, lambda by CV, mean nrmse over 4 realizations\n\n",
                 truth.name.c_str());
-    std::printf("  Nc   natural-spline   b-spline\n");
+    std::printf("  Nc   natural-spline\n");
     for (std::size_t nc : {6u, 8u, 12u, 16u, 20u, 28u, 36u}) {
-        std::printf("  %2zu", nc);
-        for (int family = 0; family < 2; ++family) {
-            std::shared_ptr<Basis> basis;
-            if (family == 0) {
-                basis = std::make_shared<Natural_spline_basis>(nc);
-            } else {
-                basis = std::make_shared<Bspline_basis>(nc);
-            }
-            const Deconvolver deconvolver(basis, kernel, defaults.cell_cycle);
-            double total = 0.0;
-            for (int rep = 0; rep < 4; ++rep) {
-                Rng rng(900 + static_cast<std::uint64_t>(rep));
-                const Measurement_series data =
-                    forward_measurements_noisy(kernel, truth.f, noise, rng);
-                const Single_cell_estimate estimate =
-                    deconvolve_cv(deconvolver, data, defaults);
-                total += score_recovery(estimate, truth.f).nrmse;
-            }
-            std::printf("  %14.3f", total / 4.0);
+        const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(nc), kernel,
+                                      defaults.cell_cycle);
+        double total = 0.0;
+        for (int rep = 0; rep < 4; ++rep) {
+            Rng rng(900 + static_cast<std::uint64_t>(rep));
+            const Measurement_series data =
+                forward_measurements_noisy(kernel, truth.f, noise, rng);
+            const Single_cell_estimate estimate = deconvolve_cv(deconvolver, data, defaults);
+            total += score_recovery(estimate, truth.f).nrmse;
         }
-        std::printf("\n");
+        std::printf("  %2zu  %14.3f\n", nc, total / 4.0);
     }
     std::printf("\nreading: error should plateau once Nc exceeds the data's resolving\n");
-    std::printf("power (the regularizer absorbs extra knots); the two families should\n");
-    std::printf("track each other closely, confirming the method is basis-robust.\n");
+    std::printf("power (the regularizer absorbs extra knots).\n");
     return 0;
 }

@@ -1,15 +1,13 @@
 // Ablation: which of the paper's constraints earn their keep?
 //
 // Sweeps estimator variants — unconstrained ridge, +positivity,
-// +RNA-conservation, +rate-continuity (the 2011 addition), and NNLS
-// (positivity only, no smoothness) — across noise levels, averaging
-// recovery error over noise realizations.
+// +RNA-conservation, +rate-continuity (the 2011 addition) — across noise
+// levels, averaging recovery error over noise realizations.
 #include <cstdio>
 
 #include "bench_util.h"
 
 #include "biology/gene_profiles.h"
-#include "numerics/nnls.h"
 
 int main() {
     using namespace cellsync;
@@ -21,8 +19,8 @@ int main() {
     defaults.kernel_cells = 50000;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = default_kernel(defaults, volume);
-    const auto basis = std::make_shared<Natural_spline_basis>(defaults.basis_size);
-    const Deconvolver deconvolver(basis, kernel, defaults.cell_cycle);
+    const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(defaults.basis_size),
+                                  kernel, defaults.cell_cycle);
     const Gene_profile truth = ftsz_like_profile();
 
     struct Variant {
@@ -67,37 +65,7 @@ int main() {
         std::printf("\n");
     }
 
-    // NNLS baseline: positivity only, no smoothness penalty at all.
-    std::printf("  %-20s", "NNLS baseline");
-    for (double level : {0.0, 0.05, 0.10, 0.20}) {
-        double total = 0.0;
-        const int reps = level == 0.0 ? 1 : 8;
-        for (int rep = 0; rep < reps; ++rep) {
-            Rng rng(100 + static_cast<std::uint64_t>(rep));
-            Measurement_series data;
-            if (level == 0.0) {
-                data = forward_measurements(kernel, truth.f);
-            } else {
-                data = forward_measurements_noisy(kernel, truth.f,
-                                                  {Noise_type::relative_gaussian, level}, rng);
-            }
-            // Whitened NNLS on the kernel matrix.
-            const Matrix& km = deconvolver.kernel_matrix();
-            const Vector w = data.weights();
-            Matrix aw(km.rows(), km.cols());
-            Vector bw(km.rows());
-            for (std::size_t m = 0; m < km.rows(); ++m) {
-                const double sw = std::sqrt(w[m]);
-                for (std::size_t i = 0; i < km.cols(); ++i) aw(m, i) = sw * km(m, i);
-                bw[m] = sw * data.values[m];
-            }
-            const Nnls_result nnls = solve_nnls(aw, bw);
-            const Single_cell_estimate estimate(basis, nnls.x);
-            total += score_recovery(estimate, truth.f).nrmse;
-        }
-        std::printf("  %7.3f", total / (level == 0.0 ? 1 : 8));
-    }
-    std::printf("\n\nreading: smoothness + physical constraints should dominate the NNLS\n");
-    std::printf("baseline, and the full 2011 set should be at least as good as 2009's.\n");
+    std::printf("\nreading: the physical constraints should dominate the unconstrained\n");
+    std::printf("ridge fit, and the full 2011 set should be at least as good as 2009's.\n");
     return 0;
 }

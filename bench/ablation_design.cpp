@@ -2,16 +2,13 @@
 //
 // Same budget of Nm = 13 measurements over 0-180 min, four layouts:
 // uniform (the paper's), front-loaded (dense early, when the population is
-// still synchronized), back-loaded, and two-cycle-spread. Scored by the
-// design criteria (A/D-optimality, effective dof) and by actual recovery
-// on noisy data — checking that the in-silico design scores predict the
-// recovery ranking.
+// still synchronized), back-loaded, and one-cycle-only. Scored by recovery
+// on noisy data.
 #include <cstdio>
 
 #include "bench_util.h"
 
 #include "biology/gene_profiles.h"
-#include "core/experiment_design.h"
 
 int main() {
     using namespace cellsync;
@@ -43,22 +40,17 @@ int main() {
     kernel_options.n_cells = defaults.kernel_cells;
     kernel_options.n_bins = defaults.kernel_bins;
     kernel_options.seed = defaults.kernel_seed;
-    const std::vector<Design_score> scores = compare_designs(
-        defaults.cell_cycle, volume, designs, *basis, 1e-3, kernel_options);
 
     const Gene_profile truth = ftsz_like_profile();
     const Noise_model noise{Noise_type::relative_gaussian, 0.10};
 
-    std::printf("design criteria at lambda = 1e-3, plus measured recovery "
-                "(mean nrmse over 6 noisy realizations):\n\n");
-    std::printf("  %-16s  %-10s  %-10s  %-8s  %-8s\n", "design", "A-crit", "-log10|D|",
-                "eff.dof", "nrmse");
-    for (std::size_t d = 0; d < designs.size(); ++d) {
-        const Kernel_grid kernel =
-            build_kernel(defaults.cell_cycle, volume, designs[d].second, kernel_options);
+    std::printf("measured recovery (mean nrmse over 6 noisy realizations):\n\n");
+    std::printf("  %-16s  %s\n", "design", "nrmse");
+    for (const auto& [label, times] : designs) {
+        const Kernel_grid kernel = build_kernel(defaults.cell_cycle, volume, times, kernel_options);
         const Deconvolver deconvolver(basis, kernel, defaults.cell_cycle);
         Experiment_defaults sweep = defaults;
-        sweep.times = designs[d].second;
+        sweep.times = times;
         double err = 0.0;
         for (int rep = 0; rep < 6; ++rep) {
             Rng rng(640 + static_cast<std::uint64_t>(rep));
@@ -67,12 +59,7 @@ int main() {
             const Single_cell_estimate estimate = deconvolve_cv(deconvolver, data, sweep);
             err += score_recovery(estimate, truth.f).nrmse;
         }
-        std::printf("  %-16s  %-10.2f  %-10.2f  %-8.2f  %-8.3f\n",
-                    scores[d].label.c_str(), scores[d].a_criterion,
-                    scores[d].neg_log10_d_criterion, scores[d].effective_dof, err / 6.0);
+        std::printf("  %-16s  %.3f\n", label.c_str(), err / 6.0);
     }
-    std::printf("\nreading: better-conditioned designs (lower A-criterion, higher\n");
-    std::printf("effective dof) should recover more accurately — the design scores are\n");
-    std::printf("computable before any experiment is run.\n");
     return 0;
 }

@@ -14,7 +14,6 @@
 #include "core/forward_model.h"
 #include "core/worker_pool.h"
 #include "perf_util.h"
-#include "spline/bspline.h"
 #include "spline/spline_basis.h"
 
 namespace {
@@ -403,30 +402,6 @@ Gram_timing time_gram_assembly(const Deconvolver& deconvolver,
     return timing;
 }
 
-void report_gram_timing(cellsync::bench::Bench_json& json, const std::string& prefix,
-                        const std::string& solve_key, const char* label,
-                        const Deconvolver& deconvolver, const Gram_timing& timing,
-                        std::size_t genes, std::size_t reps) {
-    const Matrix& kernel = deconvolver.kernel_matrix();
-    const double speedup =
-        timing.fast_ms > 0.0 ? timing.reference_ms / timing.fast_ms : 0.0;
-    std::printf("gram [%s]: %zu genes x %zu reps of %zux%zu normal-equation assembly\n",
-                label, genes, reps, kernel.rows(), kernel.cols());
-    std::printf("  reference (copy + scalar): %9.1f ms\n", timing.reference_ms);
-    std::printf("  row-subset chunked       : %9.1f ms\n", timing.fast_ms);
-    std::printf("  speedup                  : %9.2fx\n", speedup);
-    std::printf("  identical genes          : %zu/%zu\n", timing.identical, genes);
-    std::printf("  panel constrained solves : %9.1f ms (%zu genes)\n\n", timing.solve_ms,
-                genes);
-
-    json.add(prefix + "_reference_ms", timing.reference_ms);
-    json.add(prefix + "_fast_ms", timing.fast_ms);
-    json.add(prefix + "_speedup", speedup);
-    json.add(prefix + "_identical_genes", static_cast<double>(timing.identical));
-    json.add(prefix + "_genes", static_cast<double>(genes));
-    json.add(solve_key, timing.solve_ms);
-}
-
 void run_gram_comparison(cellsync::bench::Bench_json& json) {
     constexpr std::size_t genes = 50;
     constexpr std::size_t reps = 2000;
@@ -438,21 +413,31 @@ void run_gram_comparison(cellsync::bench::Bench_json& json) {
                                                  linspace(0.0, 180.0, 13), kernel_options);
     const std::vector<Measurement_series> panel = make_panel(kernel_grid, genes);
 
-    // Both bases at the production shape (13 timepoints x 18 functions):
-    // the locally supported B-spline basis and the paper's global-support
-    // natural-spline basis. Only the copy elimination and the chunked
-    // kernels contribute to the speedup.
-    const Deconvolver bspline(std::make_shared<Bspline_basis>(18), kernel_grid,
-                              Cell_cycle_config{});
-    const Gram_timing bspline_timing = time_gram_assembly(bspline, panel, reps);
-    report_gram_timing(json, "gram", "solve_panel_bspline_ms", "B-spline basis", bspline,
-                       bspline_timing, genes, reps);
+    // The production shape: 13 timepoints x 18 natural-spline functions.
+    // Only the copy elimination and the chunked kernels contribute to the
+    // speedup.
+    const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(18), kernel_grid,
+                                  Cell_cycle_config{});
+    const Gram_timing timing = time_gram_assembly(deconvolver, panel, reps);
 
-    const Deconvolver natural(std::make_shared<Natural_spline_basis>(18), kernel_grid,
-                              Cell_cycle_config{});
-    const Gram_timing natural_timing = time_gram_assembly(natural, panel, reps);
-    report_gram_timing(json, "gram_dense", "solve_panel_natural_ms",
-                       "natural-spline basis", natural, natural_timing, genes, reps);
+    const Matrix& kernel = deconvolver.kernel_matrix();
+    const double speedup =
+        timing.fast_ms > 0.0 ? timing.reference_ms / timing.fast_ms : 0.0;
+    std::printf("gram: %zu genes x %zu reps of %zux%zu normal-equation assembly\n", genes,
+                reps, kernel.rows(), kernel.cols());
+    std::printf("  reference (copy + scalar): %9.1f ms\n", timing.reference_ms);
+    std::printf("  row-subset chunked       : %9.1f ms\n", timing.fast_ms);
+    std::printf("  speedup                  : %9.2fx\n", speedup);
+    std::printf("  identical genes          : %zu/%zu\n", timing.identical, genes);
+    std::printf("  panel constrained solves : %9.1f ms (%zu genes)\n\n", timing.solve_ms,
+                genes);
+
+    json.add("gram_dense_reference_ms", timing.reference_ms);
+    json.add("gram_dense_fast_ms", timing.fast_ms);
+    json.add("gram_dense_speedup", speedup);
+    json.add("gram_dense_identical_genes", static_cast<double>(timing.identical));
+    json.add("gram_dense_genes", static_cast<double>(genes));
+    json.add("solve_panel_natural_ms", timing.solve_ms);
 }
 
 void bm_panel(benchmark::State& state) {

@@ -1,10 +1,9 @@
-// Performance: ODE integrators on the oscillator models.
+// Performance: ODE integrators on the Lotka-Volterra model.
 #include "perf_util.h"
 
 #include <cmath>
 
 #include "models/lotka_volterra.h"
-#include "models/oscillators.h"
 
 namespace {
 
@@ -32,21 +31,10 @@ void bm_lv_rk4(benchmark::State& state) {
     }
 }
 
-void bm_repressilator_rk45(benchmark::State& state) {
-    using namespace cellsync;
-    const Repressilator_params p;
-    const Ode_rhs rhs = repressilator_rhs(p);
-    for (auto _ : state) {
-        const Ode_solution sol = rk45_solve(rhs, p.initial, 0.0, 200.0);
-        benchmark::DoNotOptimize(sol.states.back().data());
-    }
-}
-
 }  // namespace
 
 BENCHMARK(bm_lv_rk45)->Arg(6)->Arg(8)->Arg(10)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_lv_rk4)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_repressilator_rk45)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
     return cellsync::bench::run_perf_harness(argc, argv, "perf_ode");

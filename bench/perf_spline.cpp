@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "spline/bspline.h"
 #include "spline/spline_basis.h"
 
 namespace {
@@ -11,16 +10,6 @@ namespace {
 void bm_natural_design_matrix(benchmark::State& state) {
     using namespace cellsync;
     const Natural_spline_basis basis(static_cast<std::size_t>(state.range(0)));
-    const Vector points = linspace(0.0, 1.0, 200);
-    for (auto _ : state) {
-        const Matrix design = basis.design_matrix(points);
-        benchmark::DoNotOptimize(design.data().data());
-    }
-}
-
-void bm_bspline_design_matrix(benchmark::State& state) {
-    using namespace cellsync;
-    const Bspline_basis basis(static_cast<std::size_t>(state.range(0)));
     const Vector points = linspace(0.0, 1.0, 200);
     for (auto _ : state) {
         const Matrix design = basis.design_matrix(points);
@@ -52,7 +41,6 @@ void bm_spline_construction(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(bm_natural_design_matrix)->Arg(12)->Arg(18)->Arg(36)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_bspline_design_matrix)->Arg(12)->Arg(18)->Arg(36)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_natural_penalty)->Arg(12)->Arg(18)->Arg(36)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_spline_construction)->Arg(16)->Arg(128)->Arg(1024)->Unit(benchmark::kMicrosecond);
 

@@ -3,16 +3,17 @@
 // bands from the residual bootstrap, and a reconstruction of the
 // transcriptional program (ordering genes by peak phase).
 //
-// The panel mixes synthetic regulators with the three genes of a Hill
-// repression-ring network, so single-cell truths exist for every series.
+// Every gene is a synthetic profile from biology/gene_profiles (a
+// three-wave program of staggered pulses, an early pulse and the ftsZ-like
+// profile), so single-cell truths exist for every series.
 #include <cstdio>
+#include <string>
 
 #include "biology/gene_profiles.h"
 #include "core/batch.h"
 #include "core/bootstrap.h"
 #include "core/forward_model.h"
 #include "population/kernel_io.h"
-#include "models/regulatory_network.h"
 #include "spline/spline_basis.h"
 
 int main() {
@@ -29,12 +30,12 @@ int main() {
     std::printf("kernel: %zu cells -> %zu time slices (saved to panel_kernel.csv)\n\n",
                 kernel_options.n_cells, kernel.time_count());
 
-    // --- The gene panel: three ring-network genes + two synthetic pulses. ---
-    const Ring_oscillator ring = ring_oscillator_network(caulobacter.mean_cycle_minutes);
+    // --- The gene panel: a three-wave program + two more synthetic genes. ---
+    const double wave_centers[] = {0.20, 0.50, 0.80};
     std::vector<Gene_profile> truths;
-    for (std::size_t g = 0; g < 3; ++g) {
-        truths.push_back(ring.network.profile(ring.initial, g, ring.period, 450.0,
-                                              "ring-gene" + std::to_string(g)));
+    for (std::size_t w = 0; w < 3; ++w) {
+        truths.push_back(pulse_profile(1.0, 4.0, wave_centers[w], 0.15));
+        truths.back().name = "wave-" + std::to_string(w + 1);
     }
     truths.push_back(pulse_profile(0.5, 6.0, 0.30, 0.15));
     truths.back().name = "early-pulse";

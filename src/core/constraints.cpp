@@ -33,7 +33,7 @@ double beta0(const Cell_cycle_config& config) {
     return integrate_against_p([](double phi) { return growth_rate_beta(phi); }, config);
 }
 
-Vector conservation_row(const Basis& basis, const Cell_cycle_config& config) {
+Vector conservation_row(const Natural_spline_basis& basis, const Cell_cycle_config& config) {
     config.validate();
     Vector row(basis.size());
     for (std::size_t i = 0; i < basis.size(); ++i) {
@@ -45,7 +45,7 @@ Vector conservation_row(const Basis& basis, const Cell_cycle_config& config) {
     return row;
 }
 
-Vector rate_continuity_row(const Basis& basis, const Cell_cycle_config& config) {
+Vector rate_continuity_row(const Natural_spline_basis& basis, const Cell_cycle_config& config) {
     config.validate();
     const double b0 = beta0(config);
     Vector row(basis.size());
@@ -62,7 +62,8 @@ Vector rate_continuity_row(const Basis& basis, const Cell_cycle_config& config) 
     return row;
 }
 
-Constraint_set build_constraints(const Basis& basis, const Cell_cycle_config& config,
+Constraint_set build_constraints(const Natural_spline_basis& basis,
+                                 const Cell_cycle_config& config,
                                  const Constraint_options& options) {
     config.validate();
     if (options.positivity && options.positivity_points < 2) {

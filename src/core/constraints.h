@@ -17,7 +17,7 @@
 
 #include "biology/cell_cycle.h"
 #include "numerics/matrix.h"
-#include "spline/basis.h"
+#include "spline/spline_basis.h"
 
 namespace cellsync {
 
@@ -50,19 +50,20 @@ struct Constraint_set {
 
 /// RNA-conservation row: a_i = psi_i(1) - 0.4 psi_i(0)
 /// - 0.6 integral(p(phi) psi_i(phi) dphi).
-Vector conservation_row(const Basis& basis, const Cell_cycle_config& config);
+Vector conservation_row(const Natural_spline_basis& basis, const Cell_cycle_config& config);
 
 /// Transcription-rate-continuity row (paper Eqs 17-19):
 /// r_i = beta0 psi_i(1) - beta0 psi_i(0) - integral(beta p psi_i)
 ///     - 0.4 psi_i'(0) - 0.6 integral(p psi_i') + psi_i'(1).
-Vector rate_continuity_row(const Basis& basis, const Cell_cycle_config& config);
+Vector rate_continuity_row(const Natural_spline_basis& basis, const Cell_cycle_config& config);
 
 /// beta0 = integral(beta(phi) p(phi) dphi) with beta(phi) = 0.4/(1-phi)
 /// (paper Eq 14).
 double beta0(const Cell_cycle_config& config);
 
 /// Assemble the full constraint set for a basis and cell-cycle model.
-Constraint_set build_constraints(const Basis& basis, const Cell_cycle_config& config,
+Constraint_set build_constraints(const Natural_spline_basis& basis,
+                                 const Cell_cycle_config& config,
                                  const Constraint_options& options = {});
 
 }  // namespace cellsync

@@ -22,7 +22,8 @@ Estimator_objective estimator_objective(const Matrix& ktwk, const Vector& ktwg,
     return out;
 }
 
-Single_cell_estimate::Single_cell_estimate(std::shared_ptr<const Basis> basis, Vector alpha)
+Single_cell_estimate::Single_cell_estimate(std::shared_ptr<const Natural_spline_basis> basis,
+                                           Vector alpha)
     : basis_(std::move(basis)), alpha_(std::move(alpha)) {
     if (!basis_) throw std::invalid_argument("Single_cell_estimate: null basis");
     if (alpha_.size() != basis_->size()) {
@@ -53,8 +54,8 @@ Vector Single_cell_estimate::sample_time(const Vector& t_minutes, double cycle_m
     return out;
 }
 
-Deconvolver::Deconvolver(std::shared_ptr<const Basis> basis, const Kernel_grid& kernel,
-                         const Cell_cycle_config& config)
+Deconvolver::Deconvolver(std::shared_ptr<const Natural_spline_basis> basis,
+                         const Kernel_grid& kernel, const Cell_cycle_config& config)
     : artifacts_(make_design_artifacts(std::move(basis), kernel, config)) {}
 
 Deconvolver::Deconvolver(std::shared_ptr<const Design_artifacts> artifacts)

@@ -18,7 +18,7 @@
 #include "core/design.h"
 #include "io/measurement.h"
 #include "population/kernel_builder.h"
-#include "spline/basis.h"
+#include "spline/spline_basis.h"
 
 namespace cellsync {
 
@@ -50,7 +50,7 @@ Estimator_objective estimator_objective(const Matrix& ktwk, const Vector& ktwg,
 /// diagnostics. The estimate is a callable function of phase.
 class Single_cell_estimate {
   public:
-    Single_cell_estimate(std::shared_ptr<const Basis> basis, Vector alpha);
+    Single_cell_estimate(std::shared_ptr<const Natural_spline_basis> basis, Vector alpha);
 
     /// f(phi).
     double operator()(double phi) const;
@@ -66,7 +66,7 @@ class Single_cell_estimate {
     Vector sample_time(const Vector& t_minutes, double cycle_minutes) const;
 
     const Vector& coefficients() const { return alpha_; }
-    const Basis& basis() const { return *basis_; }
+    const Natural_spline_basis& basis() const { return *basis_; }
 
     // -- fit diagnostics (filled by the Deconvolver) --
     double lambda = 0.0;          ///< smoothness weight used
@@ -78,7 +78,7 @@ class Single_cell_estimate {
     std::size_t active_constraints = 0;  ///< binding positivity constraints
 
   private:
-    std::shared_ptr<const Basis> basis_;
+    std::shared_ptr<const Natural_spline_basis> basis_;
     Vector alpha_;
 };
 
@@ -97,7 +97,7 @@ class Deconvolver {
   public:
     /// Build fresh artifacts for the default constraint geometry.
     /// Throws std::invalid_argument on a null basis.
-    Deconvolver(std::shared_ptr<const Basis> basis, const Kernel_grid& kernel,
+    Deconvolver(std::shared_ptr<const Natural_spline_basis> basis, const Kernel_grid& kernel,
                 const Cell_cycle_config& config);
 
     /// Bind to artifacts precomputed elsewhere (experiment runner, CLI,
@@ -113,8 +113,7 @@ class Deconvolver {
     /// Kernel time grid (the required measurement times).
     const Vector& times() const { return artifacts_->times; }
 
-    const Basis& basis() const { return *artifacts_->basis; }
-    std::shared_ptr<const Basis> basis_ptr() const { return artifacts_->basis; }
+    const Natural_spline_basis& basis() const { return *artifacts_->basis; }
     const Cell_cycle_config& config() const { return artifacts_->config; }
 
     /// The shared design-level precomputation.

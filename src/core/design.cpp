@@ -5,7 +5,7 @@
 namespace cellsync {
 
 std::shared_ptr<const Design_artifacts> make_design_artifacts(
-    std::shared_ptr<const Basis> basis, const Kernel_grid& kernel,
+    std::shared_ptr<const Natural_spline_basis> basis, const Kernel_grid& kernel,
     const Cell_cycle_config& config, const Constraint_options& constraint_options) {
     if (!basis) throw std::invalid_argument("make_design_artifacts: null basis");
     config.validate();

@@ -15,7 +15,7 @@
 #include "core/constraints.h"
 #include "numerics/qp_solver.h"
 #include "population/kernel_builder.h"
-#include "spline/basis.h"
+#include "spline/spline_basis.h"
 
 namespace cellsync {
 
@@ -23,7 +23,7 @@ namespace cellsync {
 /// make_design_artifacts(); share via std::shared_ptr — nothing in here
 /// depends on the measurement values, so concurrent readers are safe.
 struct Design_artifacts {
-    std::shared_ptr<const Basis> basis;
+    std::shared_ptr<const Natural_spline_basis> basis;
     Cell_cycle_config config;
     Vector times;          ///< kernel time grid (required measurement times)
     Matrix kernel_matrix;  ///< K(m, i) = integral Q(phi, t_m) psi_i(phi) dphi
@@ -39,7 +39,7 @@ struct Design_artifacts {
 /// Build the artifacts for one (basis, kernel, config, constraints) tuple.
 /// Throws std::invalid_argument on a null basis or invalid config.
 std::shared_ptr<const Design_artifacts> make_design_artifacts(
-    std::shared_ptr<const Basis> basis, const Kernel_grid& kernel,
+    std::shared_ptr<const Natural_spline_basis> basis, const Kernel_grid& kernel,
     const Cell_cycle_config& config, const Constraint_options& constraint_options = {});
 
 }  // namespace cellsync

@@ -99,8 +99,8 @@ std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
 /// Record the condition's selected lambdas (feeding later conditions'
 /// warm starts) and score every successful profile's synchrony. Every
 /// gene of the condition is expanded in `basis`.
-void score_condition(Condition_result& out, const Basis& basis, const Vector& score_phi,
-                     std::map<std::string, double>& previous_lambda) {
+void score_condition(Condition_result& out, const Natural_spline_basis& basis,
+                     const Vector& score_phi, std::map<std::string, double>& previous_lambda) {
     // Once per condition: the experiment-level progress counters.
     static telemetry::Counter& conditions_done = telemetry::counter("experiment.conditions_done");
     static telemetry::Counter& genes_done = telemetry::counter("experiment.genes_done");
@@ -112,8 +112,8 @@ void score_condition(Condition_result& out, const Basis& basis, const Vector& sc
     }
 
     // One design matrix samples every profile: each entry sums over the
-    // basis in Basis::expand's order, so the values match sample() bit for
-    // bit.
+    // basis in Natural_spline_basis::expand's order, so the values match
+    // sample() bit for bit.
     const Matrix score_design = basis.design_matrix(score_phi);
     for (const Batch_entry& entry : out.genes) {
         if (!entry.estimate.has_value()) continue;

@@ -1,7 +1,6 @@
 #include "numerics/linear_solve.h"
 
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,13 +11,12 @@ namespace {
 struct Lu_factors {
     Matrix lu;                     // packed L (unit diagonal, below) and U (on/above)
     std::vector<std::size_t> piv;  // row permutation
-    int sign = 1;                  // permutation sign, for determinants
 };
 
 Lu_factors lu_factor(const Matrix& a) {
     if (a.rows() != a.cols()) throw std::invalid_argument("lu_factor: matrix must be square");
     const std::size_t n = a.rows();
-    Lu_factors f{a, std::vector<std::size_t>(n), 1};
+    Lu_factors f{a, std::vector<std::size_t>(n)};
     std::iota(f.piv.begin(), f.piv.end(), std::size_t{0});
 
     for (std::size_t k = 0; k < n; ++k) {
@@ -38,7 +36,6 @@ Lu_factors lu_factor(const Matrix& a) {
         if (p != k) {
             for (std::size_t j = 0; j < n; ++j) std::swap(f.lu(k, j), f.lu(p, j));
             std::swap(f.piv[k], f.piv[p]);
-            f.sign = -f.sign;
         }
         for (std::size_t i = k + 1; i < n; ++i) {
             f.lu(i, k) /= f.lu(k, k);
@@ -85,22 +82,6 @@ Matrix lu_solve(const Matrix& a, const Matrix& b) {
     for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, lu_apply(f, b.col(j)));
     return x;
 }
-
-double determinant(const Matrix& a) {
-    if (a.rows() != a.cols()) throw std::invalid_argument("determinant: matrix must be square");
-    if (a.rows() == 0) return 1.0;
-    Lu_factors f;
-    try {
-        f = lu_factor(a);
-    } catch (const std::runtime_error&) {
-        return 0.0;
-    }
-    double d = static_cast<double>(f.sign);
-    for (std::size_t i = 0; i < a.rows(); ++i) d *= f.lu(i, i);
-    return d;
-}
-
-Matrix inverse(const Matrix& a) { return lu_solve(a, Matrix::identity(a.rows())); }
 
 Matrix cholesky(const Matrix& a) {
     if (a.rows() != a.cols()) throw std::invalid_argument("cholesky: matrix must be square");
@@ -278,25 +259,6 @@ Vector qr_least_squares(const Matrix& a, const Vector& b) {
     Vector x(n, 0.0);
     for (std::size_t j = 0; j < n; ++j) x[perm[j]] = xp[j];
     return x;
-}
-
-double condition_number_1(const Matrix& a) {
-    if (a.rows() != a.cols() || a.rows() == 0)
-        throw std::invalid_argument("condition_number_1: matrix must be square and non-empty");
-    auto norm1 = [](const Matrix& m) {
-        double best = 0.0;
-        for (std::size_t j = 0; j < m.cols(); ++j) {
-            double s = 0.0;
-            for (std::size_t i = 0; i < m.rows(); ++i) s += std::abs(m(i, j));
-            best = std::max(best, s);
-        }
-        return best;
-    };
-    try {
-        return norm1(a) * norm1(inverse(a));
-    } catch (const std::runtime_error&) {
-        return std::numeric_limits<double>::infinity();
-    }
 }
 
 }  // namespace cellsync

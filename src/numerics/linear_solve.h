@@ -20,21 +20,14 @@ Vector lu_solve(const Matrix& a, const Vector& b);
 /// Solve A X = B column-by-column (B as matrix). Same contracts as lu_solve.
 Matrix lu_solve(const Matrix& a, const Matrix& b);
 
-/// Determinant via LU (sign-tracked product of pivots). Square input only.
-double determinant(const Matrix& a);
-
-/// Inverse via LU; prefer the solve forms when possible. Throws on singular.
-Matrix inverse(const Matrix& a);
-
 /// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
 /// Returns lower-triangular L. Throws std::runtime_error if A is not
 /// positive definite (non-positive pivot encountered).
 Matrix cholesky(const Matrix& a);
 
 /// Reusable Cholesky factorization A = L L^T: factor once, solve many
-/// right-hand sides. The factor-once/solve-many split is what the QP
-/// backends and the KKT cache build on. Throws std::runtime_error if A is
-/// not positive definite.
+/// right-hand sides. Throws std::runtime_error if A is not positive
+/// definite.
 class Cholesky_factorization {
   public:
     explicit Cholesky_factorization(const Matrix& a);
@@ -86,9 +79,5 @@ Vector ldlt_solve(const Matrix& a, const Vector& b);
 /// QR with column pivoting. Works for any rows >= 1; rank-deficient columns
 /// get zero coefficients. Throws on dimension mismatch.
 Vector qr_least_squares(const Matrix& a, const Vector& b);
-
-/// Estimated 1-norm condition number via explicit inverse (small dense
-/// matrices only). Returns +inf for singular input instead of throwing.
-double condition_number_1(const Matrix& a);
 
 }  // namespace cellsync

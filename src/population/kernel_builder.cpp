@@ -80,7 +80,7 @@ Vector Kernel_grid::apply_sampled(const Vector& f_values) const {
     return g;
 }
 
-Matrix Kernel_grid::basis_matrix(const Basis& basis) const {
+Matrix Kernel_grid::basis_matrix(const Natural_spline_basis& basis) const {
     // K(m, i) = sum_b Q(phi_b, t_m) psi_i(phi_b) dphi  (midpoint rule on the
     // kernel's own bins — the kernel is piecewise constant by construction,
     // so this is the natural exact pairing).

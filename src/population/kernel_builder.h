@@ -15,7 +15,7 @@
 
 #include "numerics/matrix.h"
 #include "population/population_simulator.h"
-#include "spline/basis.h"
+#include "spline/spline_basis.h"
 
 namespace cellsync {
 
@@ -50,7 +50,7 @@ class Kernel_grid {
     /// Kernel matrix K with K(m, i) = integral Q(phi, t_m) psi_i(phi) dphi
     /// for the given basis (the linear map from basis coefficients to
     /// model-predicted measurements Ghat, paper Eq 5).
-    Matrix basis_matrix(const Basis& basis) const;
+    Matrix basis_matrix(const Natural_spline_basis& basis) const;
 
   private:
     Vector times_;

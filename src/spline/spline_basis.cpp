@@ -1,5 +1,6 @@
 #include "spline/spline_basis.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -64,6 +65,40 @@ double Natural_spline_basis::second_derivative(std::size_t i, double x) const {
         throw std::out_of_range("Natural_spline_basis::second_derivative: bad index");
     }
     return cardinal_[i].second_derivative(x);
+}
+
+Matrix Natural_spline_basis::design_matrix(const Vector& points) const {
+    Matrix b(points.size(), size());
+    for (std::size_t i = 0; i < size(); ++i) {
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            b(p, i) = value(i, std::clamp(points[p], 0.0, 1.0));
+        }
+    }
+    return b;
+}
+
+double Natural_spline_basis::expand(const Vector& alpha, double x) const {
+    if (alpha.size() != size()) {
+        throw std::invalid_argument("Natural_spline_basis::expand: coefficient count");
+    }
+    double s = 0.0;
+    for (std::size_t i = 0; i < alpha.size(); ++i) s += alpha[i] * value(i, x);
+    return s;
+}
+
+double Natural_spline_basis::expand_derivative(const Vector& alpha, double x) const {
+    if (alpha.size() != size()) {
+        throw std::invalid_argument("Natural_spline_basis::expand_derivative: coefficient count");
+    }
+    double s = 0.0;
+    for (std::size_t i = 0; i < alpha.size(); ++i) s += alpha[i] * derivative(i, x);
+    return s;
+}
+
+Vector Natural_spline_basis::expand_on(const Vector& alpha, const Vector& points) const {
+    Vector y(points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) y[p] = expand(alpha, points[p]);
+    return y;
 }
 
 Matrix Natural_spline_basis::penalty_matrix() const {

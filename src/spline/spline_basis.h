@@ -1,20 +1,23 @@
 // Cardinal natural cubic spline basis on [0, 1] — the basis of paper Eq 4.
 //
-// psi_i is the natural cubic spline interpolating the i-th unit vector on
-// the knot grid, so the coefficient alpha_i equals the expansion's value at
-// knot i. That makes positivity constraints and results directly readable
-// in expression units.
+// The single-cell expression is expanded as f_alpha(phi) =
+// sum_i alpha_i psi_i(phi). psi_i is the natural cubic spline interpolating
+// the i-th unit vector on the knot grid, so the coefficient alpha_i equals
+// the expansion's value at knot i. That makes positivity constraints and
+// results directly readable in expression units.
 #pragma once
 
 #include <vector>
 
-#include "spline/basis.h"
+#include "numerics/matrix.h"
+#include "numerics/vector_ops.h"
 #include "spline/cubic_spline.h"
 
 namespace cellsync {
 
-/// Cardinal natural-spline basis with Nc knots.
-class Natural_spline_basis final : public Basis {
+/// Cardinal natural-spline basis with Nc knots: a family of C2 basis
+/// functions {psi_i} on the phase interval [0, 1].
+class Natural_spline_basis {
   public:
     /// Fewest knots either constructor accepts.
     static constexpr std::size_t min_knots = 4;
@@ -35,14 +38,38 @@ class Natural_spline_basis final : public Basis {
     /// std::invalid_argument otherwise.
     explicit Natural_spline_basis(Vector knots);
 
-    std::size_t size() const override { return knots_.size(); }
-    double value(std::size_t i, double x) const override;
-    double derivative(std::size_t i, double x) const override;
-    double second_derivative(std::size_t i, double x) const override;
+    /// Number of basis functions Nc.
+    std::size_t size() const { return knots_.size(); }
 
-    /// Exact penalty matrix: natural-spline second derivatives are
-    /// piecewise linear, so each product integrates in closed form.
-    Matrix penalty_matrix() const override;
+    /// psi_i(x). Throws std::out_of_range unless i < size().
+    double value(std::size_t i, double x) const;
+
+    /// psi_i'(x).
+    double derivative(std::size_t i, double x) const;
+
+    /// psi_i''(x).
+    double second_derivative(std::size_t i, double x) const;
+
+    /// Second-derivative penalty Gram matrix
+    /// Omega_ij = integral_0^1 psi_i''(x) psi_j''(x) dx (paper Eq 5's
+    /// regularizer in coefficient space). Natural-spline second
+    /// derivatives are piecewise linear, so each product integrates in
+    /// closed form.
+    Matrix penalty_matrix() const;
+
+    /// Design matrix B with B(p, i) = psi_i(points[p]), points clamped to
+    /// [0, 1].
+    Matrix design_matrix(const Vector& points) const;
+
+    /// Evaluate the expansion sum_i alpha_i psi_i at x.
+    /// Throws std::invalid_argument if alpha.size() != size().
+    double expand(const Vector& alpha, double x) const;
+
+    /// Evaluate the expansion derivative at x.
+    double expand_derivative(const Vector& alpha, double x) const;
+
+    /// Sample the expansion on a grid of points.
+    Vector expand_on(const Vector& alpha, const Vector& points) const;
 
     const Vector& knots() const { return knots_; }
 

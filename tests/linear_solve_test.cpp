@@ -65,21 +65,6 @@ TEST(LuSolve, MatrixRhsSolvesColumnwise) {
     EXPECT_NEAR(x(1, 1), 0.25, 1e-14);
 }
 
-TEST(Determinant, KnownValues) {
-    EXPECT_NEAR(determinant(Matrix{{1.0, 2.0}, {3.0, 4.0}}), -2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(determinant(Matrix::identity(4)), 1.0);
-    EXPECT_DOUBLE_EQ(determinant(Matrix{{1.0, 2.0}, {2.0, 4.0}}), 0.0);
-}
-
-TEST(Inverse, TimesOriginalIsIdentity) {
-    Rng rng(2);
-    const Matrix a = random_matrix(4, rng);
-    const Matrix prod = a * inverse(a);
-    for (std::size_t i = 0; i < 4; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            EXPECT_NEAR(prod(i, j), i == j ? 1.0 : 0.0, 1e-10);
-}
-
 TEST(Cholesky, FactorReconstructsMatrix) {
     Rng rng(3);
     const Matrix a = random_spd(6, rng);
@@ -147,14 +132,6 @@ TEST(QrLeastSquares, ResidualOrthogonalToColumns) {
     const Vector b = rng.normal_vector(10);
     const Vector r = b - a * qr_least_squares(a, b);
     EXPECT_LT(norm_inf(transposed_times(a, r)), 1e-10);
-}
-
-TEST(ConditionNumber, IdentityIsOne) {
-    EXPECT_NEAR(condition_number_1(Matrix::identity(5)), 1.0, 1e-12);
-}
-
-TEST(ConditionNumber, SingularIsInfinite) {
-    EXPECT_TRUE(std::isinf(condition_number_1(Matrix{{1.0, 2.0}, {2.0, 4.0}})));
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "core/deconvolver.h"
 #include "numerics/quadrature.h"
+#include "numerics/rng.h"
 
 namespace cellsync {
 namespace {
@@ -120,8 +124,29 @@ TEST(NaturalSplineBasis, DesignMatrixShapesAndValues) {
     EXPECT_EQ(b.rows(), 11u);
     EXPECT_EQ(b.cols(), 5u);
     EXPECT_NEAR(b(0, 0), 1.0, 1e-12);  // first knot, first cardinal
-    const Matrix d = basis.derivative_matrix(pts);
-    EXPECT_EQ(d.rows(), 11u);
+}
+
+TEST(NaturalSplineBasis, DesignMatrixSamplingMatchesEstimateBitForBit) {
+    // run, stream and the experiment runner sample every profile as
+    // design_matrix(grid) * alpha; the output bytes rely on that matching
+    // Single_cell_estimate::sample (expand) exactly, not just closely.
+    Rng rng(2011);
+    for (const std::size_t nc : {4u, 7u, 18u, 33u}) {
+        const auto basis = std::make_shared<const Natural_spline_basis>(nc);
+        for (const std::size_t points : {2u, 5u, 200u, 201u}) {
+            const Vector grid = linspace(0.0, 1.0, points);
+            const Single_cell_estimate estimate(basis, rng.normal_vector(nc));
+            const Vector via_design = basis->design_matrix(grid) * estimate.coefficients();
+            const Vector via_sample = estimate.sample(grid);
+            ASSERT_EQ(via_design.size(), points);
+            ASSERT_EQ(via_sample.size(), points);
+            for (std::size_t p = 0; p < points; ++p) {
+                EXPECT_EQ(std::memcmp(&via_design[p], &via_sample[p], sizeof(double)), 0)
+                    << "Nc=" << nc << " points=" << points << " p=" << p << ": "
+                    << via_design[p] << " vs " << via_sample[p];
+            }
+        }
+    }
 }
 
 TEST(NaturalSplineBasis, ExpandValidatesCoefficientCount) {

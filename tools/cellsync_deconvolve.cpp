@@ -433,20 +433,6 @@ void write_profiles_with_lambdas(const std::string& path, const Table& table,
     if (!out) throw std::runtime_error("write failed for '" + path + "'");
 }
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
-
 /// Time grid for the kernel subcommands: LO:HI:N or a CSV's time column.
 Vector resolve_times(const Cli_options& cli) {
     if (!cli.times_spec.empty() && !cli.times_from.empty()) {
@@ -891,9 +877,9 @@ void write_cache_json(const std::string& json_path, const Kernel_cache_stats& st
     for (std::size_t e = 0; e < entries.size(); ++e) {
         const Kernel_cache_entry_info& entry = entries[e];
         out << (e ? ",\n    {" : "\n    {");
-        out << "\"hash\": \"" << json_escape(entry.hash) << "\"";
+        out << "\"hash\": \"" << telemetry::json_escape(entry.hash) << "\"";
         out << ", \"bytes\": " << entry.bytes;
-        out << ", \"key\": \"" << json_escape(entry.key) << "\"}";
+        out << ", \"key\": \"" << telemetry::json_escape(entry.key) << "\"}";
     }
     out << "\n  ]\n}\n";
     out.flush();
@@ -977,12 +963,12 @@ void write_json_report(
     out << "{\n  \"report\": [";
     for (std::size_t f = 0; f < files.size(); ++f) {
         out << (f ? ",\n    {" : "\n    {");
-        out << "\"file\": \"" << json_escape(files[f].first) << "\", \"profiles\": [";
+        out << "\"file\": \"" << telemetry::json_escape(files[f].first) << "\", \"profiles\": [";
         const std::vector<Profile_report>& profiles = files[f].second;
         for (std::size_t p = 0; p < profiles.size(); ++p) {
             const Profile_report& profile = profiles[p];
             out << (p ? ",\n      {" : "\n      {");
-            out << "\"name\": \"" << json_escape(profile.name) << "\"";
+            out << "\"name\": \"" << telemetry::json_escape(profile.name) << "\"";
             out << ", \"positive_mass\": " << (profile.positive_mass ? "true" : "false");
             if (profile.positive_mass) {
                 std::snprintf(buffer, sizeof(buffer), "%.12g", profile.order_parameter);
