@@ -14,7 +14,6 @@ int main() {
     print_header("ablation_basis", "natural-spline basis size sweep");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 50000;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = default_kernel(defaults, volume);
     const Gene_profile truth = ftsz_like_profile();

@@ -19,7 +19,6 @@ int main() {
     print_header("ablation_bootstrap", "empirical coverage of nominal-90% bands");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 40000;
     defaults.basis_size = 14;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = default_kernel(defaults, volume);

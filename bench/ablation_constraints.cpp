@@ -16,7 +16,6 @@ int main() {
                  "constraint sets x noise levels (mean nrmse over 8 realizations)");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 50000;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = default_kernel(defaults, volume);
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(defaults.basis_size),

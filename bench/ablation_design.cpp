@@ -16,7 +16,6 @@ int main() {
     print_header("ablation_design", "sampling layouts at fixed budget Nm = 13");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 40000;
     const Smooth_volume_model volume;
     const auto basis = std::make_shared<Natural_spline_basis>(defaults.basis_size);
 
@@ -37,9 +36,7 @@ int main() {
     };
 
     Kernel_build_options kernel_options;
-    kernel_options.n_cells = defaults.kernel_cells;
     kernel_options.n_bins = defaults.kernel_bins;
-    kernel_options.seed = defaults.kernel_seed;
 
     const Gene_profile truth = ftsz_like_profile();
     const Noise_model noise{Noise_type::relative_gaussian, 0.10};

@@ -17,7 +17,6 @@ int main() {
     print_header("ablation_lambda", "regularization sweep + CV/GCV vs oracle");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 50000;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = default_kernel(defaults, volume);
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(defaults.basis_size),

@@ -16,7 +16,6 @@ int main() {
     print_header("ablation_measurements", "sampling density sweep (mean over 4 realizations)");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 50000;
     const Smooth_volume_model volume;
     const Gene_profile truth = ftsz_like_profile();
     const Noise_model noise{Noise_type::relative_gaussian, 0.10};

@@ -18,24 +18,20 @@ int main() {
     print_header("ablation_musst", "SW->ST transition phase: 0.15 (2011) vs 0.25 (2009)");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 50000;
     const Smooth_volume_model volume;
 
     Cell_cycle_config model_2011;  // mu_sst = 0.15 default
     Cell_cycle_config model_2009;
     model_2009.mu_sst = 0.25;
 
-    auto kernel_for = [&](const Cell_cycle_config& config, std::uint64_t seed) {
-        Kernel_build_options options;
-        options.n_cells = defaults.kernel_cells;
-        options.n_bins = defaults.kernel_bins;
-        options.seed = seed;
-        return build_kernel(config, volume, defaults.times, options);
-    };
-    const Kernel_grid gen_2011 = kernel_for(model_2011, 7);
-    const Kernel_grid gen_2009 = kernel_for(model_2009, 7);
-    const Kernel_grid inv_2011 = kernel_for(model_2011, 8);
-    const Kernel_grid inv_2009 = kernel_for(model_2009, 8);
+    // Data come from 50k simulated cells, the inversions use the computed
+    // kernels.
+    const Kernel_grid gen_2011 = simulated_kernel(defaults, model_2011, volume, 50000, 7);
+    const Kernel_grid gen_2009 = simulated_kernel(defaults, model_2009, volume, 50000, 7);
+    Experiment_defaults inverting_2009 = defaults;
+    inverting_2009.cell_cycle = model_2009;
+    const Kernel_grid inv_2011 = default_kernel(defaults, volume);
+    const Kernel_grid inv_2009 = default_kernel(inverting_2009, volume);
 
     const Deconvolver dec_2011(std::make_shared<Natural_spline_basis>(defaults.basis_size),
                                inv_2011, model_2011);

@@ -13,7 +13,6 @@ int main() {
     print_header("ablation_noise", "noise level x type sweep (mean nrmse over 6 realizations)");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 50000;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = default_kernel(defaults, volume);
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(defaults.basis_size),

@@ -17,15 +17,16 @@ int main() {
     print_header("ablation_volume_model", "smooth (2011, Eq 11) vs linear (2009) kernels");
 
     Experiment_defaults defaults;
-    defaults.kernel_cells = 50000;
     const Smooth_volume_model smooth;
     const Linear_volume_model linear;
-    const Kernel_grid kernel_smooth = default_kernel(defaults, smooth);
-    Experiment_defaults alt = defaults;
-    alt.kernel_seed += 1;  // independent population for inversion kernels
-    const Kernel_grid inv_smooth = default_kernel(alt, smooth);
-    const Kernel_grid inv_linear = default_kernel(alt, linear);
-    const Kernel_grid kernel_linear = default_kernel(defaults, linear);
+    // Data come from 50k simulated cells, the inversions use the computed
+    // kernels.
+    const Kernel_grid kernel_smooth =
+        simulated_kernel(defaults, defaults.cell_cycle, smooth, 50000, 20110605);
+    const Kernel_grid inv_smooth = default_kernel(defaults, smooth);
+    const Kernel_grid inv_linear = default_kernel(defaults, linear);
+    const Kernel_grid kernel_linear =
+        simulated_kernel(defaults, defaults.cell_cycle, linear, 50000, 20110605);
 
     const Deconvolver dec_smooth(std::make_shared<Natural_spline_basis>(defaults.basis_size),
                                  inv_smooth, defaults.cell_cycle);

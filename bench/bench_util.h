@@ -83,9 +83,7 @@ class Bench_json {
 struct Experiment_defaults {
     Cell_cycle_config cell_cycle;                  ///< Caulobacter paper model
     Vector times = linspace(0.0, 180.0, 13);       ///< 15-min microarray-style sampling
-    std::size_t kernel_cells = 100000;
     std::size_t kernel_bins = 200;
-    std::uint64_t kernel_seed = 20110605;          ///< DAC 2011 anaheim
     std::size_t basis_size = 18;
     Vector lambda_grid = default_lambda_grid(13, 1e-7, 1e0);
     std::size_t cv_folds = 5;
@@ -95,10 +93,22 @@ struct Experiment_defaults {
 inline Kernel_grid default_kernel(const Experiment_defaults& defaults,
                                   const Volume_model& volume) {
     Kernel_build_options options;
-    options.n_cells = defaults.kernel_cells;
     options.n_bins = defaults.kernel_bins;
-    options.seed = defaults.kernel_seed;
     return build_kernel(defaults.cell_cycle, volume, defaults.times, options);
+}
+
+/// A Monte-Carlo kernel for the experiment from `cells` cells and `seed`:
+/// data generated through it and deconvolved with default_kernel meet
+/// a kernel other than the one that made them.
+inline Kernel_grid simulated_kernel(const Experiment_defaults& defaults,
+                                    const Cell_cycle_config& config,
+                                    const Volume_model& volume, std::size_t cells,
+                                    std::uint64_t seed) {
+    Kernel_build_options options;
+    options.n_cells = cells;
+    options.n_bins = defaults.kernel_bins;
+    options.seed = seed;
+    return simulate_kernel(config, volume, defaults.times, options);
 }
 
 /// Deconvolve with CV-selected lambda; returns the estimate.

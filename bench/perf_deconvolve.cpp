@@ -28,7 +28,6 @@ struct Pipeline_fixture {
 
     static Pipeline_fixture make(std::size_t basis_size) {
         Kernel_build_options options;
-        options.n_cells = 30000;
         options.n_bins = 200;
         Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                           linspace(0.0, 180.0, 13), options);
@@ -209,7 +208,6 @@ void run_panel_comparison(cellsync::bench::Bench_json& json) {
     constexpr std::size_t pool_threads = 4;
 
     Kernel_build_options kernel_options;
-    kernel_options.n_cells = 20000;
     kernel_options.n_bins = 200;
     const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                             linspace(0.0, 180.0, 13), kernel_options);
@@ -407,7 +405,6 @@ void run_gram_comparison(cellsync::bench::Bench_json& json) {
     constexpr std::size_t reps = 2000;
 
     Kernel_build_options kernel_options;
-    kernel_options.n_cells = 20000;
     kernel_options.n_bins = 200;
     const Kernel_grid kernel_grid = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                                  linspace(0.0, 180.0, 13), kernel_options);

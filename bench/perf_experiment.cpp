@@ -2,12 +2,12 @@
 // comparisons.
 //
 // 1. Cold vs warm kernel cache: one 3-condition experiment run twice
-//    against the same disk cache directory — the cold pass simulates
-//    every kernel, the warm pass (a fresh cache instance, so no memory
-//    entries) must serve all of them from disk — zero population
-//    simulations — and reproduce every per-gene coefficient bit-for-bit.
+//    against the same disk cache directory — the cold pass builds every
+//    kernel, the warm pass (a fresh cache instance, so no memory
+//    entries) must serve all of them from disk — zero kernel builds —
+//    and reproduce every per-gene coefficient bit-for-bit.
 // 2. The runner at one thread vs hardware threads on a cold cache: more
-//    threads simulate the conditions' kernels, build their designs and
+//    threads build the conditions' kernels and their designs and
 //    solve each condition's genes in parallel, while every per-gene
 //    estimate stays bit-identical to the one-thread reference (asserted by
 //    CI from this harness's JSON).
@@ -28,12 +28,10 @@ using namespace cellsync;
 
 constexpr std::size_t conditions_count = 3;
 
-Experiment_spec make_experiment(std::size_t n_cells = 150000) {
+Experiment_spec make_experiment() {
     const Vector times = linspace(0.0, 180.0, 13);
     Experiment_spec spec;
-    spec.kernel.n_cells = n_cells;
     spec.kernel.n_bins = 200;
-    spec.kernel.seed = 20110605;
     spec.basis_size = 18;
     spec.batch.lambda_grid = default_lambda_grid(7, 1e-6, 1e-1);
     // Hardware concurrency: honest scaling on any host (a fixed count
@@ -110,7 +108,7 @@ void run_cache_comparison(cellsync::bench::Bench_json& json) {
         cold_watch.elapsed_ms();
 
     // Fresh instance: the memory map is empty, so every kernel must come
-    // off disk. builds == 0 is the "skips all population simulation" claim.
+    // off disk. builds == 0 is the "skips every kernel build" claim.
     Kernel_cache warm_cache(dir);
     const cellsync::bench::Stopwatch warm_watch;
     const Experiment_result warm = run_experiment(spec, volume, warm_cache);
@@ -123,9 +121,9 @@ void run_cache_comparison(cellsync::bench::Bench_json& json) {
     compare_genes(cold, warm, genes, identical, max_diff);
     const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
 
-    std::printf("experiment: %zu conditions x 4 genes, %zu-cell kernels\n",
-                cold.conditions.size(), spec.kernel.n_cells);
-    std::printf("  cold (simulating)  : %9.1f ms (%zu kernel builds)\n", cold_ms,
+    std::printf("experiment: %zu conditions x 4 genes, %zu-bin kernels\n",
+                cold.conditions.size(), spec.kernel.n_bins);
+    std::printf("  cold (building)    : %9.1f ms (%zu kernel builds)\n", cold_ms,
                 cold_cache.stats().builds);
     std::printf("  warm (disk cache)  : %9.1f ms (%zu builds, %zu disk hits)\n", warm_ms,
                 warm_cache.stats().builds, warm_cache.stats().disk_hits);
@@ -149,22 +147,21 @@ void run_cache_comparison(cellsync::bench::Bench_json& json) {
 }
 
 /// The runner at one thread vs hardware threads, on cold in-memory
-/// caches: every kernel must be simulated in both runs, so the saving is
+/// caches: every kernel must be built in both runs, so the saving is
 /// exactly what the extra threads run side by side (the three kernel
-/// simulations, the three design builds, and the solves of one
+/// builds, the three design builds, and the solves of one
 /// condition). On a single-core host the two times converge (the pool
 /// must not cost anything) while every additional core widens the gap.
 /// One thread is the reference: every task runs in turn on the calling
-/// thread. Min-of-`repeats` runs absorbs timer noise, and smaller kernels
-/// than the cache comparison keep this cheap enough for CI to run and
-/// assert bit-identity on every push. The JSON keys keep their
-/// historical `pipeline_` prefix.
+/// thread. Min-of-`repeats` runs absorbs timer noise and keeps this cheap
+/// enough for CI to run and assert bit-identity on every push. The JSON
+/// keys keep their historical `pipeline_` prefix.
 void run_thread_comparison(cellsync::bench::Bench_json& json) {
     constexpr int repeats = 5;
     const Smooth_volume_model volume;
     const std::size_t cores = std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
-    Experiment_spec spec = make_experiment(60000);
+    Experiment_spec spec = make_experiment();
 
     Experiment_result one_thread;
     double one_thread_ms = 0.0;
@@ -223,7 +220,6 @@ void run_thread_comparison(cellsync::bench::Bench_json& json) {
 
 Kernel_build_options micro_options() {
     Kernel_build_options o;
-    o.n_cells = 10000;
     o.n_bins = 200;
     return o;
 }
@@ -262,7 +258,7 @@ void bm_cache_cold_build(benchmark::State& state) {
     const Smooth_volume_model volume;
     const Vector times = linspace(0.0, 180.0, 13);
     for (auto _ : state) {
-        Kernel_cache cache;  // fresh: every iteration simulates
+        Kernel_cache cache;  // fresh: every iteration builds
         const auto kernel = cache.get_or_build(config, volume, times, micro_options());
         benchmark::DoNotOptimize(kernel.get());
     }
@@ -291,8 +287,8 @@ int main(int argc, char** argv) {
         }
     }
     // Thread comparison first: it is the tighter measurement (min of
-    // repeats on ~100 ms runs) and deserves the fresh process, before the
-    // 150k-cell cache comparison grows the allocator.
+    // repeats) and deserves the fresh process, before the cache
+    // comparison grows the allocator.
     if (want_thread_comparison) run_thread_comparison(json);
     if (want_cache_comparison) run_cache_comparison(json);
     return cellsync::bench::run_perf_harness(argc, argv, std::move(json));

@@ -5,7 +5,7 @@
 // on disk and the parse time per load are the costs that scale with the
 // fleet. This harness serializes one production-shaped kernel both
 // ways, measures size and parse time, and asserts the loaded grids are
-// bit-identical to the simulated one — all captured in
+// bit-identical to the built one — all captured in
 // BENCH_kernel_io.json. The parse gap is the headline (the binary layout
 // skips text formatting entirely); the size gap tracks how many phase
 // bins the synchronized population leaves exactly zero (zero runs are
@@ -31,9 +31,7 @@ struct Kernel_io_fixture {
 const Kernel_io_fixture& fixture() {
     static const Kernel_io_fixture fixed = [] {
         Kernel_build_options options;
-        options.n_cells = 40000;
         options.n_bins = 200;
-        options.seed = 20110605;
         Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                           linspace(0.0, 180.0, 13), options);
         std::ostringstream csv, binary;
@@ -93,7 +91,7 @@ void run_kernel_io_comparison(cellsync::bench::Bench_json& json) {
     const double csv_ms = time_parses(fix.csv, /*binary=*/false);
     const double bin_ms = time_parses(fix.binary, /*binary=*/true);
 
-    // Bit-identity of both round trips against the simulated grid.
+    // Bit-identity of both round trips against the built grid.
     std::istringstream csv_in(fix.csv), bin_in(fix.binary);
     const Kernel_grid from_csv = read_kernel(csv_in);
     const Kernel_grid from_bin = read_kernel_binary(bin_in);

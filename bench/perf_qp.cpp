@@ -65,10 +65,8 @@ struct Cv_fit_problem {
 const Cv_fit_problem& cv_fit_problem() {
     using namespace cellsync;
     static const Cv_fit_problem problem = [] {
-        Kernel_build_options options;
-        options.n_cells = 30000;
         const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
-                                                linspace(0.0, 180.0, 13), options);
+                                                linspace(0.0, 180.0, 13));
         auto design = make_design_artifacts(std::make_shared<Natural_spline_basis>(18), kernel,
                                             Cell_cycle_config{});
         // 6 iterations ending with 4 active rows: a typical CV fit takes

@@ -41,9 +41,7 @@ const Streaming_fixture& fixture() {
         const Vector times = linspace(0.0, 180.0, 13);
         Cell_cycle_config config;
         Kernel_build_options options;
-        options.n_cells = 40000;
         options.n_bins = 200;
-        options.seed = 20110605;
         const Kernel_grid kernel =
             build_kernel(config, Smooth_volume_model{}, times, options);
 

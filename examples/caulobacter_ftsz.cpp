@@ -27,11 +27,8 @@ int main(int argc, char** argv) {
     }
 
     // Kernel at the experiment's sampling times.
-    Kernel_build_options kernel_options;
-    kernel_options.n_cells = 100000;
     const Cell_cycle_config caulobacter;  // paper defaults (mu_sst = 0.15)
-    const Kernel_grid kernel =
-        build_kernel(caulobacter, Smooth_volume_model{}, data.times, kernel_options);
+    const Kernel_grid kernel = build_kernel(caulobacter, Smooth_volume_model{}, data.times);
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(16), kernel,
                                   caulobacter);
 

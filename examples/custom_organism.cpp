@@ -50,10 +50,7 @@ int main() {
     const Gene_profile truth = pulse_profile(1.0, 5.0, 0.6, 0.2);
 
     // 12 measurements over two generations.
-    Kernel_build_options kernel_options;
-    kernel_options.n_cells = 50000;
-    const Kernel_grid kernel =
-        build_kernel(organism, volume, linspace(0.0, 60.0, 12), kernel_options);
+    const Kernel_grid kernel = build_kernel(organism, volume, linspace(0.0, 60.0, 12));
     const Measurement_series data = forward_measurements(kernel, truth.f, "reporter");
 
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(14), kernel,

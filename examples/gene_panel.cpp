@@ -20,15 +20,12 @@ int main() {
     using namespace cellsync;
 
     // --- One kernel for the whole panel (and persist it for reuse). ---
-    Kernel_build_options kernel_options;
-    kernel_options.n_cells = 60000;
     const Cell_cycle_config caulobacter;
     const Smooth_volume_model volume;
-    const Kernel_grid kernel =
-        build_kernel(caulobacter, volume, linspace(0.0, 180.0, 13), kernel_options);
+    const Kernel_grid kernel = build_kernel(caulobacter, volume, linspace(0.0, 180.0, 13));
     write_kernel_file("panel_kernel.csv", kernel);
-    std::printf("kernel: %zu cells -> %zu time slices (saved to panel_kernel.csv)\n\n",
-                kernel_options.n_cells, kernel.time_count());
+    std::printf("kernel: %zu time slices x %zu bins (saved to panel_kernel.csv)\n\n",
+                kernel.time_count(), kernel.bin_count());
 
     // --- The gene panel: a three-wave program + two more synthetic genes. ---
     const double wave_centers[] = {0.20, 0.50, 0.80};

@@ -72,10 +72,8 @@ int main(int argc, char** argv) {
     const Gene_profile x1 = lotka_volterra_profile(lv, 0, period);
     const Gene_profile x2 = lotka_volterra_profile(lv, 1, period);
 
-    Kernel_build_options kernel_options;
-    kernel_options.n_cells = 100000;
     const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
-                                            linspace(0.0, 180.0, 13), kernel_options);
+                                            linspace(0.0, 180.0, 13));
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(18), kernel,
                                   Cell_cycle_config{});
 

@@ -23,8 +23,6 @@ int main() {
     const Vector times = linspace(0.0, 150.0, 11);
 
     Experiment_spec spec;
-    spec.kernel.n_cells = 20000;
-    spec.kernel.seed = 7;
     spec.basis_size = 16;
     spec.batch.lambda_grid = default_lambda_grid(9, 1e-6, 1e-1);
 
@@ -53,11 +51,11 @@ int main() {
     spec.conditions = {wildtype, fast};
 
     // The cache makes kernel reuse explicit: a disk-backed directory here
-    // would let the next process skip both simulations entirely.
+    // would let the next process skip both kernel builds entirely.
     Kernel_cache cache;
     const Experiment_result result = run_experiment(spec, volume, cache);
 
-    std::printf("multi-condition experiment: %zu conditions, %zu kernels simulated\n",
+    std::printf("multi-condition experiment: %zu conditions, %zu kernels built\n",
                 result.conditions.size(), result.cache_stats.builds);
     for (const Condition_result& condition : result.conditions) {
         std::printf("%s (mean order %.3f, mean entropy %.3f)\n", condition.name.c_str(),

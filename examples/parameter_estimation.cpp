@@ -26,10 +26,8 @@ int main() {
     // Simulated experiment: both species measured at 13 times with 5% noise.
     const Gene_profile x1 = lotka_volterra_profile(truth, 0, period);
     const Gene_profile x2 = lotka_volterra_profile(truth, 1, period);
-    Kernel_build_options kernel_options;
-    kernel_options.n_cells = 60000;
     const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
-                                            linspace(0.0, 180.0, 13), kernel_options);
+                                            linspace(0.0, 180.0, 13));
     Rng rng(5);
     const Noise_model noise{Noise_type::relative_gaussian, 0.05};
     const Measurement_series g1 = forward_measurements_noisy(kernel, x1.f, noise, rng, "x1");

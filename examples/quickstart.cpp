@@ -1,7 +1,7 @@
 // Quickstart: the full deconvolution loop in ~50 lines.
 //
 // 1. Pick a known single-cell profile f(phi).
-// 2. Simulate a Caulobacter population kernel Q(phi, t) and push f through
+// 2. Compute a Caulobacter population kernel Q(phi, t) and push f through
 //    it to create population-level measurements G(t) (what an experiment
 //    would report).
 // 3. Deconvolve G back into an estimate of f and measure the recovery,
@@ -26,11 +26,7 @@ int main() {
     // like a typical microarray time course.
     const Cell_cycle_config caulobacter;  // Caulobacter defaults
     const Smooth_volume_model volume;
-    Kernel_build_options kernel_options;
-    kernel_options.n_cells = 20000;
-    kernel_options.seed = 7;
-    const Kernel_grid kernel =
-        build_kernel(caulobacter, volume, linspace(0.0, 180.0, 13), kernel_options);
+    const Kernel_grid kernel = build_kernel(caulobacter, volume, linspace(0.0, 180.0, 13));
 
     // Forward model + 5% measurement noise = simulated experiment.
     Rng rng(11);

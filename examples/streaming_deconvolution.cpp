@@ -28,15 +28,12 @@ int main() {
     // -- the protocol: 13 samples, 15-minute spacing, Caulobacter model --
     const Vector times = linspace(0.0, 180.0, 13);
     Cell_cycle_config config;
-    Kernel_build_options kernel_options;
-    kernel_options.n_cells = 20000;  // modest, for a fast demo
 
     // -- synthetic "arriving" data: three known single-cell profiles
     //    pushed through the forward model with measurement noise --
     const Smooth_volume_model volume;
     Kernel_cache cache;  // memory-only; point it at a directory to persist
-    const Kernel_grid generation_kernel =
-        build_kernel(config, volume, times, kernel_options);
+    const Kernel_grid generation_kernel = build_kernel(config, volume, times);
     Rng rng(23);
     const Noise_model noise{Noise_type::relative_gaussian, 0.08};
     const std::vector<Measurement_series> panel = {
@@ -49,9 +46,8 @@ int main() {
     };
 
     // -- the session: kernel via cache (a repeat of the same protocol
-    //    would skip the simulation), shared design, fixed lambda --
+    //    would skip the build), shared design, fixed lambda --
     Stream_session_options options;
-    options.kernel = kernel_options;
     options.stream.lambda = 3e-4;
     options.stream.convergence.coefficient_tol = 2e-2;
     options.stream.convergence.score_tol = 2e-2;

@@ -23,10 +23,10 @@ void Cell_cycle_config::validate() const {
 Cell_parameters draw_cell_parameters(const Cell_cycle_config& config, Rng& rng) {
     config.validate();
     Cell_parameters p;
-    p.phi_sst = rng.truncated_normal(config.mu_sst, config.sigma_sst(), 0.01, 0.95);
+    p.phi_sst = rng.truncated_normal(config.mu_sst, config.sigma_sst(), phi_sst_min, phi_sst_max);
     p.cycle_minutes = rng.truncated_normal(config.mean_cycle_minutes, config.sigma_cycle(),
-                                           0.2 * config.mean_cycle_minutes,
-                                           3.0 * config.mean_cycle_minutes);
+                                           cycle_min_factor * config.mean_cycle_minutes,
+                                           cycle_max_factor * config.mean_cycle_minutes);
     return p;
 }
 

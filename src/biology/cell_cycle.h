@@ -48,9 +48,17 @@ struct Cell_parameters {
     double cycle_minutes = 150.0; ///< this cell's total cycle time T_k
 };
 
-/// Draw per-cell parameters from the population distributions. Draws are
-/// truncated to biologically sane windows (phi_sst in (0.01, 0.95),
-/// T in (0.2, 3) x mean) to exclude impossible cells from the simulation.
+/// The biologically sane windows per-cell parameters are truncated to:
+/// phi_sst in [phi_sst_min, phi_sst_max], T in [cycle_min_factor,
+/// cycle_max_factor] x the mean cycle time. draw_cell_parameters draws
+/// inside them, and build_kernel integrates over them.
+inline constexpr double phi_sst_min = 0.01;
+inline constexpr double phi_sst_max = 0.95;
+inline constexpr double cycle_min_factor = 0.2;
+inline constexpr double cycle_max_factor = 3.0;
+
+/// Draw per-cell parameters from the population distributions, truncated
+/// to the windows above to exclude impossible cells from the simulation.
 Cell_parameters draw_cell_parameters(const Cell_cycle_config& config, Rng& rng);
 
 /// Draw an initial phase for a cell according to the configured mode.

@@ -2,7 +2,7 @@
 //
 // The paper applies the method to "a set of Caulobacter genes involved in
 // regulating the cell cycle": the kernel Q(phi, t) is a property of the
-// population, not the gene, so one simulation serves every series sampled
+// population, not the gene, so one kernel serves every series sampled
 // at the same times. This module defines the per-gene unit of work; the
 // experiment runner (core/experiment_runner.h) runs one per gene, each
 // condition's genes as one worker-pool batch.

@@ -1,6 +1,6 @@
 // The deconvolution estimator — the paper's core contribution.
 //
-// Given population measurements G(t_m), a simulated kernel Q(phi, t), and a
+// Given population measurements G(t_m), the population kernel Q(phi, t), and a
 // spline basis for the unknown single-cell profile, the estimator minimizes
 //
 //   C(lambda) = sum_m (G(t_m) - Ghat(t_m))^2 / sigma_m^2

@@ -5,9 +5,9 @@
 // such datasets at once — several growth conditions or strains, each with
 // a gene panel sampled on its own time grid. The experiment runner is the
 // orchestration layer for that workload: per condition it obtains the
-// kernel through a Kernel_cache (simulation is skipped whenever the
-// (config, volume model, times, options) tuple was seen before, in memory
-// or on disk), fans every (condition x gene) solve over one shared
+// kernel through a Kernel_cache (the build is skipped whenever the
+// (config, volume model, times, bins) tuple was seen before, in memory or
+// on disk), fans every (condition x gene) solve over one shared
 // Design_artifacts per kernel, warm-starts lambda selection from the
 // previous condition's per-gene choices, and scores each reconstructed
 // profile's synchrony (order parameter / entropy).
@@ -19,7 +19,7 @@
 // scoring and the warm-start hand-off.
 //
 // Results are deterministic for a fixed spec: identical whether kernels
-// were simulated or served from cache, and for any thread count.
+// were built or served from cache, and for any thread count.
 #pragma once
 
 #include <memory>
@@ -43,7 +43,7 @@ struct Experiment_condition {
 /// Complete description of a multi-condition experiment.
 struct Experiment_spec {
     std::vector<Experiment_condition> conditions;
-    Kernel_build_options kernel;  ///< Monte-Carlo controls shared by all conditions
+    Kernel_build_options kernel;  ///< kernel controls (n_bins) shared by all conditions
     std::size_t basis_size = 18;  ///< Nc natural-spline knots
     /// Deconvolution, lambda grid and CV controls; an empty grid
     /// searches default_lambda_grid() (15 points on 1e-7 .. 1e1).
@@ -103,7 +103,7 @@ Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model, Kernel_cache& cache);
 
 /// Convenience overload with an ephemeral in-memory cache (conditions
-/// sharing a configuration still share one simulation within the run).
+/// sharing a configuration still share one kernel build within the run).
 Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model);
 

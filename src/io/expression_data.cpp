@@ -73,11 +73,11 @@ std::vector<Measurement_series> panel_from_table(const Table& table) {
 namespace {
 
 // Generated offline with tools/generate_ftsz_dataset (this repository):
-// ftsz_like_profile(0.16, 0.40, 10.0, 0.0) -> build_kernel(Caulobacter
+// ftsz_like_profile(0.16, 0.40, 10.0, 0.0) -> simulate_kernel(Caulobacter
 // defaults, smooth volume model, 50k cells, 200 bins, seed 424242, times
 // 0..150 at 15-min spacing) -> +2.0 additive microarray background ->
 // 8% relative Gaussian noise (seed 99). Values regenerate bit-identically
-// from those seeds.
+// from those seeds; expression_data_test checks that they do.
 constexpr const char* ftsz_csv = R"(time,value,sigma
 0,2.0564381669467302,0.1601671378197721
 15,2.6363067886501086,0.22648932353219528

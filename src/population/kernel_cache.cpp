@@ -68,16 +68,14 @@ Kernel_cache::Kernel_cache(std::string directory) : directory_(std::move(directo
 std::string Kernel_cache::cache_key(const Cell_cycle_config& config,
                                     const Volume_model& volume_model, const Vector& times,
                                     const Kernel_build_options& options) {
-    std::string key = "cellsync-kernel-v1;";
+    std::string key = "cellsync-kernel-v2;";
     append_double(key, "mu_sst", config.mu_sst);
     append_double(key, "cv_sst", config.cv_sst);
     append_double(key, "mean_cycle_minutes", config.mean_cycle_minutes);
     append_double(key, "cv_cycle", config.cv_cycle);
     key += "initial_mode=" + std::to_string(static_cast<int>(config.initial_mode)) + ";";
     key += "volume=" + volume_model.name() + ";";
-    key += "n_cells=" + std::to_string(options.n_cells) + ";";
     key += "n_bins=" + std::to_string(options.n_bins) + ";";
-    key += "seed=" + std::to_string(options.seed) + ";";
     key += "times=";
     for (double t : times) {
         char buffer[40];
@@ -188,7 +186,7 @@ std::shared_ptr<const Kernel_grid> Kernel_cache::get_or_build(
     }
     if (joined.valid()) return joined.get();
 
-    // Disk I/O and simulation run outside the cache mutex so a long build
+    // Disk I/O and the build run outside the cache mutex so a long build
     // never blocks unrelated lookups; joiners wait on the shared future.
     std::shared_ptr<const Kernel_grid> kernel;
     bool from_disk = false;

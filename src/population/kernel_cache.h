@@ -1,13 +1,13 @@
-// Memoization of Monte-Carlo kernel construction.
+// Memoization of kernel construction.
 //
-// build_kernel is the dominant cost of any realistic workload: a full
-// agent-based population simulation per (organism config, volume model,
-// time grid, build options) tuple. Those tuples recur constantly — every
-// gene of a panel, every condition re-run, every session on the same
-// protocol — so the cache keys kernels by the complete set of inputs the
-// simulation depends on and serves repeats from memory, or from disk
-// through the kernel_io round trip (which is bit-exact), skipping the
-// simulation entirely.
+// build_kernel is the dominant cost of a run on a cold cache: a renewal
+// solve and a quadrature over the population per (organism config,
+// volume model, time grid, bin count) tuple. Those tuples recur
+// constantly — every gene of a panel, every condition re-run, every
+// session on the same protocol — so the cache keys kernels by the
+// complete set of inputs the kernel depends on and serves repeats from
+// memory, or from disk through the kernel_io round trip (which is
+// bit-exact), skipping the build entirely.
 //
 // Layering: in-memory map first (shared_ptr hand-out, so concurrent users
 // share one grid), then the on-disk store when a directory is configured.
@@ -21,7 +21,9 @@
 // binary format (`.bin`, smaller and much faster to parse). A
 // `kernel_<hash>.csv` entry left by a cache written before that format is
 // a miss: the kernel is rebuilt and stored as `.bin`, and the stale CSV
-// is neither served nor counted.
+// is neither served nor counted. Entries keyed `cellsync-kernel-v1;`
+// hold Monte-Carlo kernels from before build_kernel computed them; their
+// sidecars never match a v2 key, so they are never served.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +45,7 @@ namespace cellsync {
 struct Kernel_cache_stats {
     std::size_t memory_hits = 0;  ///< served from the in-memory map
     std::size_t disk_hits = 0;    ///< deserialized from the cache directory
-    std::size_t builds = 0;       ///< full population simulations run
+    std::size_t builds = 0;       ///< build_kernel calls made
 };
 
 /// Component-wise difference of two counter snapshots (later - earlier):
@@ -78,10 +80,10 @@ class Kernel_cache {
 
     /// The kernel for the given inputs: in-memory entry if present, else a
     /// disk entry whose stored key matches exactly, else a fresh
-    /// build_kernel run (persisted to disk when a directory is
+    /// build_kernel call (persisted to disk when a directory is
     /// configured; a failed store leaves the kernel memory-only). The
     /// returned grid is immutable and shared; callers may keep it beyond
-    /// the cache's lifetime. Simulation and disk I/O happen outside the
+    /// the cache's lifetime. The build and disk I/O happen outside the
     /// cache lock, so a long build never blocks unrelated lookups; a
     /// caller that finds its key already being resolved waits for that
     /// resolution and shares its grid (or its exception).
@@ -104,9 +106,11 @@ class Kernel_cache {
     /// hash order; empty for a memory-only cache.
     std::vector<Kernel_cache_entry_info> entries() const;
 
-    /// Canonical key string: every input the simulation output depends on,
-    /// doubles printed round-trip exactly. Equal keys <=> bit-identical
-    /// kernels (the simulator is seeded and deterministic).
+    /// Canonical key string: every input build_kernel reads, doubles
+    /// printed round-trip exactly, under the `cellsync-kernel-v2;` prefix.
+    /// Equal keys <=> bit-identical kernels (build_kernel is
+    /// deterministic). options.n_cells and options.seed are not part of
+    /// it: only simulate_kernel reads them.
     static std::string cache_key(const Cell_cycle_config& config,
                                  const Volume_model& volume_model, const Vector& times,
                                  const Kernel_build_options& options);

@@ -1,8 +1,8 @@
 // Kernel serialization: save/load the discretized Q(phi, t) grid.
 //
-// Kernel construction is the expensive pipeline stage (a Monte-Carlo
-// population simulation); persisting the grid lets a lab simulate once per
-// organism/protocol and reuse the kernel across gene panels and sessions.
+// Kernel construction is the expensive stage of a run on a cold cache;
+// persisting the grid lets a lab build it once per organism/protocol and
+// reuse the kernel across gene panels and sessions.
 // Two formats round-trip the grid bit-exactly:
 //
 //  * CSV (interchange): first column `phi`, one further column per time

@@ -2,7 +2,7 @@
 //
 // A monitoring run streams a whole panel: every timepoint delivers one
 // record per gene. Stream_session owns the shared machinery — the kernel
-// resolved through a Kernel_cache (simulation skipped when the protocol
+// resolved through a Kernel_cache (the build skipped when the protocol
 // was seen before), one immutable Design_artifacts reused by every
 // stream (the same sharing discipline as the experiment runner), and a
 // Worker_pool that fans each timepoint's per-gene updates out in
@@ -34,7 +34,7 @@ struct Stream_session_options {
     std::size_t basis_size = 18;      ///< Nc natural-spline knots
     std::size_t threads = 0;          ///< worker parallelism (0 = hardware)
     Constraint_options constraints;   ///< geometry baked into the shared design
-    Kernel_build_options kernel;      ///< Monte-Carlo controls (cache key inputs)
+    Kernel_build_options kernel;      ///< kernel controls (n_bins; cache key input)
     Stream_options stream;            ///< defaults for every opened stream
 };
 

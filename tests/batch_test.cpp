@@ -16,9 +16,7 @@ class BatchTest : public ::testing::Test {
   protected:
     static void SetUpTestSuite() {
         Kernel_build_options options;
-        options.n_cells = 20000;
         options.n_bins = 120;
-        options.seed = 99;
         kernel_ = new Kernel_grid(build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                                linspace(0.0, 180.0, 13), options));
         deconvolver_ = new Deconvolver(std::make_shared<Natural_spline_basis>(12), *kernel_,

@@ -29,11 +29,9 @@
 namespace cellsync {
 namespace {
 
-Kernel_build_options tiny_options(std::uint64_t seed = 7) {
+Kernel_build_options tiny_options() {
     Kernel_build_options o;
-    o.n_cells = 2000;
     o.n_bins = 40;
-    o.seed = seed;
     return o;
 }
 
@@ -137,7 +135,7 @@ TEST(ConcurrencyStress, JoinersShareOneKernelBuild) {
     }
     for (std::thread& thread : threads) thread.join();
 
-    // Exactly one simulation ran; every thread holds the same grid.
+    // Exactly one build ran; every thread holds the same grid.
     ASSERT_NE(grids[0], nullptr);
     for (int t = 1; t < kThreads; ++t) {
         EXPECT_EQ(grids[t].get(), grids[0].get()) << "thread " << t;

@@ -19,9 +19,7 @@ struct Shared {
     static const Kernel_grid& kernel() {
         static const Kernel_grid k = [] {
             Kernel_build_options options;
-            options.n_cells = 25000;
             options.n_bins = 120;
-            options.seed = 606;
             return build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                 linspace(0.0, 180.0, 13), options);
         }();

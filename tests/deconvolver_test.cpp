@@ -15,16 +15,14 @@
 namespace cellsync {
 namespace {
 
-// Shared kernel fixture: building the Monte-Carlo kernel once keeps the
+// Shared kernel fixture: building the kernel once keeps the
 // whole suite fast while every test still exercises the real pipeline.
 class DeconvolverTest : public ::testing::Test {
   protected:
     static void SetUpTestSuite() {
         config_ = new Cell_cycle_config{};
         Kernel_build_options options;
-        options.n_cells = 30000;
         options.n_bins = 150;
-        options.seed = 2011;
         kernel_ = new Kernel_grid(build_kernel(*config_, Smooth_volume_model{},
                                                linspace(0.0, 180.0, 13), options));
         basis_ = new std::shared_ptr<Natural_spline_basis>(
@@ -317,7 +315,6 @@ TEST_F(DeconvolverTest, SampleTimeMapsPhaseToMinutes) {
 
 TEST(DeconvolverConstruction, NullBasisRejected) {
     Kernel_build_options options;
-    options.n_cells = 1000;
     options.n_bins = 20;
     const Kernel_grid kernel =
         build_kernel(Cell_cycle_config{}, Smooth_volume_model{}, {0.0, 30.0}, options);

@@ -26,9 +26,7 @@ class EndToEnd {
     static const Kernel_grid& kernel() {
         static const Kernel_grid k = [] {
             Kernel_build_options options;
-            options.n_cells = 40000;
             options.n_bins = 150;
-            options.seed = 1105;  // arXiv month of the paper
             return build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                 linspace(0.0, 180.0, 13), options);
         }();
@@ -149,9 +147,7 @@ TEST(EndToEndFtsz, Figure5DelayResolvedAndPostPeakDrop) {
     // experiment's tail.
     const Measurement_series data = ftsz_population_dataset();
     Kernel_build_options kernel_options;
-    kernel_options.n_cells = 40000;
     kernel_options.n_bins = 150;
-    kernel_options.seed = 31415;
     const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                             data.times, kernel_options);
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(16), kernel,
@@ -223,9 +219,7 @@ TEST(EndToEndSmallData, FewMeasurementsStillWellPosed) {
     // Nm = 5 with 16 basis functions: heavily underdetermined, held up by
     // the regularizer and constraints.
     Kernel_build_options options;
-    options.n_cells = 20000;
     options.n_bins = 100;
-    options.seed = 2;
     const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                             linspace(0.0, 160.0, 5), options);
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(16), kernel,

@@ -26,9 +26,7 @@ namespace {
 
 Kernel_build_options small_kernel() {
     Kernel_build_options o;
-    o.n_cells = 4000;
     o.n_bins = 80;
-    o.seed = 11;
     return o;
 }
 
@@ -69,7 +67,7 @@ Experiment_spec make_spec() {
     fast.panel = make_panel(fast.cell_cycle, times);
 
     // Same biology as wildtype (kernel must come from the cache, not a
-    // third simulation), fresh data realization is unnecessary: reuse.
+    // third build), fresh data realization is unnecessary: reuse.
     Experiment_condition repeat = wildtype;
     repeat.name = "repeat";
 
@@ -427,7 +425,7 @@ TEST(ExperimentRunner, DuplicateConditionNamesRejected) {
 
     // Two conditions under one label would silently merge their results
     // and warm-start lambdas; the spec must be rejected before any
-    // simulation happens, with an error naming the clash.
+    // kernel is built, with an error naming the clash.
     Experiment_spec dup;
     dup.conditions.resize(2);
     dup.conditions[0].name = "wildtype";

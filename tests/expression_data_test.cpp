@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+
+#include "biology/gene_profiles.h"
+#include "core/forward_model.h"
 
 namespace cellsync {
 namespace {
@@ -97,6 +101,37 @@ TEST(ExpressionData, FtszGenerationInfoMatchesDocumentedProvenance) {
     EXPECT_DOUBLE_EQ(info.onset, 0.16);
     EXPECT_DOUBLE_EQ(info.peak_phi, 0.40);
     EXPECT_DOUBLE_EQ(info.noise_level, 0.08);
+}
+
+TEST(ExpressionData, FtszDatasetRegeneratesBitIdenticallyFromItsRecipe) {
+    // The recipe of tools/generate_ftsz_dataset: the embedded values must
+    // be exactly what it prints, so a change to the simulator, the
+    // forward model or the noise draws cannot go unnoticed.
+    const Ftsz_generation_info info = ftsz_generation_info();
+    const Gene_profile truth =
+        ftsz_like_profile(info.onset, info.peak_phi, info.peak_level, info.final_level);
+    Kernel_build_options options;
+    options.n_cells = 50000;
+    options.n_bins = 200;
+    options.seed = info.kernel_seed;
+    const Kernel_grid kernel = simulate_kernel(Cell_cycle_config{}, Smooth_volume_model{},
+                                               linspace(0.0, 150.0, 11), options);
+    Measurement_series clean = forward_measurements(kernel, truth.f);
+    for (double& v : clean.values) v += info.background;
+    Rng rng(info.noise_seed);
+    const Measurement_series regenerated =
+        add_noise(clean, Noise_model{Noise_type::relative_gaussian, info.noise_level}, rng);
+
+    const Measurement_series embedded = ftsz_population_dataset();
+    ASSERT_EQ(regenerated.size(), embedded.size());
+    for (std::size_t m = 0; m < embedded.size(); ++m) {
+        EXPECT_EQ(std::memcmp(&regenerated.times[m], &embedded.times[m], sizeof(double)), 0)
+            << "time " << m;
+        EXPECT_EQ(std::memcmp(&regenerated.values[m], &embedded.values[m], sizeof(double)), 0)
+            << "value " << m << ": " << regenerated.values[m] << " vs " << embedded.values[m];
+        EXPECT_EQ(std::memcmp(&regenerated.sigmas[m], &embedded.sigmas[m], sizeof(double)), 0)
+            << "sigma " << m;
+    }
 }
 
 }  // namespace

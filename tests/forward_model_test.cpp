@@ -12,9 +12,7 @@ class ForwardModelTest : public ::testing::Test {
   protected:
     static void SetUpTestSuite() {
         Kernel_build_options options;
-        options.n_cells = 20000;
         options.n_bins = 100;
-        options.seed = 55;
         kernel_ = new Kernel_grid(build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                                linspace(0.0, 180.0, 13), options));
     }

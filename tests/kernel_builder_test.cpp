@@ -174,11 +174,26 @@ TEST(BuildKernel, BasisMatrixConsistentWithApply) {
     for (std::size_t m = 0; m < 5; ++m) EXPECT_NEAR(via_matrix[m], via_apply[m], 1e-10);
 }
 
-TEST(BuildKernel, DeterministicGivenSeed) {
+TEST(BuildKernel, DependsOnNoCellCountOrSeed) {
+    // The kernel is computed, not sampled: repeated calls agree bit for
+    // bit, and the Monte-Carlo controls (even zero cells) change nothing.
     const Cell_cycle_config config;
     const Smooth_volume_model vm;
     const Kernel_grid a = build_kernel(config, vm, {0.0, 90.0}, small_options());
-    const Kernel_grid b = build_kernel(config, vm, {0.0, 90.0}, small_options());
+    Kernel_build_options other = small_options();
+    other.n_cells = 0;
+    other.seed = 32;
+    const Kernel_grid b = build_kernel(config, vm, {0.0, 90.0}, other);
+    for (std::size_t m = 0; m < a.time_count(); ++m) {
+        for (std::size_t c = 0; c < a.bin_count(); ++c) EXPECT_EQ(a.q()(m, c), b.q()(m, c));
+    }
+}
+
+TEST(SimulateKernel, DeterministicGivenSeed) {
+    const Cell_cycle_config config;
+    const Smooth_volume_model vm;
+    const Kernel_grid a = simulate_kernel(config, vm, {0.0, 90.0}, small_options());
+    const Kernel_grid b = simulate_kernel(config, vm, {0.0, 90.0}, small_options());
     for (std::size_t m = 0; m < a.time_count(); ++m) {
         for (std::size_t c = 0; c < a.bin_count(); ++c) {
             EXPECT_DOUBLE_EQ(a.q()(m, c), b.q()(m, c));
@@ -195,47 +210,219 @@ TEST(BuildKernel, ValidationErrors) {
     EXPECT_THROW(build_kernel(config, vm, {10.0, 5.0}, small_options()),
                  std::invalid_argument);
     Kernel_build_options bad = small_options();
-    bad.n_cells = 0;
-    EXPECT_THROW(build_kernel(config, vm, {0.0, 10.0}, bad), std::invalid_argument);
-    bad = small_options();
     bad.n_bins = 0;
     EXPECT_THROW(build_kernel(config, vm, {0.0, 10.0}, bad), std::invalid_argument);
+    Cell_cycle_config bad_config;
+    bad_config.mean_cycle_minutes = 0.0;
+    EXPECT_THROW(build_kernel(bad_config, vm, {0.0, 10.0}, small_options()),
+                 std::invalid_argument);
 }
 
-/// build_kernel's std::invalid_argument message for `options`, or "" if
-/// it does not throw one.
-std::string cap_error(const Vector& times, const Kernel_build_options& options) {
+TEST(SimulateKernel, ValidationErrors) {
+    const Cell_cycle_config config;
+    const Smooth_volume_model vm;
+    EXPECT_THROW(simulate_kernel(config, vm, {}, small_options()), std::invalid_argument);
+    EXPECT_THROW(simulate_kernel(config, vm, {-1.0, 10.0}, small_options()),
+                 std::invalid_argument);
+    EXPECT_THROW(simulate_kernel(config, vm, {10.0, 5.0}, small_options()),
+                 std::invalid_argument);
+    Kernel_build_options bad = small_options();
+    bad.n_cells = 0;
+    EXPECT_THROW(simulate_kernel(config, vm, {0.0, 10.0}, bad), std::invalid_argument);
+    bad = small_options();
+    bad.n_bins = 0;
+    EXPECT_THROW(simulate_kernel(config, vm, {0.0, 10.0}, bad), std::invalid_argument);
+}
+
+using Kernel_function = Kernel_grid (*)(const Cell_cycle_config&, const Volume_model&,
+                                        const Vector&, const Kernel_build_options&);
+
+/// The std::invalid_argument message `build` throws for these inputs, or
+/// "" if it throws none.
+std::string rejection(Kernel_function build, const Vector& times,
+                      const Kernel_build_options& options,
+                      const Cell_cycle_config& config = {}) {
     try {
-        build_kernel(Cell_cycle_config{}, Smooth_volume_model{}, times, options);
+        build(config, Smooth_volume_model{}, times, options);
     } catch (const std::invalid_argument& e) {
         return e.what();
     }
     return "";
 }
 
-TEST(BuildKernel, CapsCellsAndKernelValuesBeforeAllocating) {
-    // Every case here would allocate far beyond memory (or overflow the
-    // simulator's reserve) if it got past the checks.
-    const Vector times = {0.0, 30.0, 60.0};
+TEST(BuildKernel, RejectsNonFiniteTimesNamingIndexAndValue) {
+    // NaN passes a `t < 0` check, and the simulator then divided every
+    // cell forever; +inf did the same. Both functions check first.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const Kernel_function build : {Kernel_function{build_kernel},
+                                        Kernel_function{simulate_kernel}}) {
+        EXPECT_NE(rejection(build, {nan}, small_options()).find("time 0 is nan"),
+                  std::string::npos);
+        EXPECT_NE(rejection(build, {inf}, small_options()).find("time 0 is inf"),
+                  std::string::npos);
+        EXPECT_NE(rejection(build, {0.0, 30.0, nan}, small_options()).find("time 2 is nan"),
+                  std::string::npos);
+        EXPECT_NE(rejection(build, {-inf, 0.0}, small_options()).find("time 0 is -inf"),
+                  std::string::npos);
+    }
+}
+
+TEST(BuildKernel, CapsTheTimeSpanInMeanCycles) {
+    // The renewal grid has 1500 steps per mean cycle, so the span is
+    // checked before anything is allocated; the message names the span,
+    // the mean cycle time and the cap.
+    const std::string message =
+        rejection(build_kernel, {0.0, 1e300}, small_options());
+    EXPECT_NE(message.find("time span 1e+300 min"), std::string::npos) << message;
+    EXPECT_NE(message.find("mean cycles of 150 min"), std::string::npos) << message;
+    EXPECT_NE(message.find("cap of 256 cycles"), std::string::npos) << message;
+    Cell_cycle_config fast;
+    fast.mean_cycle_minutes = 10.0;
+    EXPECT_NE(rejection(build_kernel, {0.0, 2561.0}, small_options(), fast).find("cap of 256"),
+              std::string::npos);
+    EXPECT_EQ(rejection(build_kernel, {0.0, 2560.0}, small_options(), fast), "");
+}
+
+TEST(BuildKernel, LongSpanStaysNormalized) {
+    // Twelve mean cycles: the population grows about 2^12-fold, which the
+    // simulator had to hold cell by cell. The computed kernel keeps a
+    // bounded, rescaled division rate, and its rows settle into the
+    // asynchronous steady state: one cycle apart, the last two rows
+    // differ far less than the first two.
+    const Kernel_grid k = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
+                                       linspace(0.0, 1800.0, 13), small_options());
+    for (std::size_t m = 0; m < k.time_count(); ++m) {
+        double mass = 0.0;
+        for (std::size_t b = 0; b < k.bin_count(); ++b) {
+            ASSERT_TRUE(std::isfinite(k.q()(m, b)));
+            mass += k.q()(m, b) * k.bin_width();
+        }
+        EXPECT_NEAR(mass, 1.0, 1e-9);
+    }
+    const auto change = [&](std::size_t m) {
+        double l1 = 0.0;
+        for (std::size_t b = 0; b < k.bin_count(); ++b) {
+            l1 += std::abs(k.q()(m + 1, b) - k.q()(m, b)) * k.bin_width();
+        }
+        return l1;
+    };
+    EXPECT_LT(change(k.time_count() - 2), 0.01 * change(0));
+}
+
+TEST(SimulateKernel, CapsCellsBeforeAllocating) {
+    // Either count would allocate far beyond memory (or overflow the
+    // simulator's reserve) if it got past the check.
     for (const std::size_t cells :
          {max_kernel_cells + 1, std::numeric_limits<std::size_t>::max()}) {
         Kernel_build_options options = small_options();
         options.n_cells = cells;
-        const std::string message = cap_error(times, options);
+        const std::string message = rejection(simulate_kernel, {0.0, 30.0, 60.0}, options);
         EXPECT_NE(message.find("n_cells " + std::to_string(cells)), std::string::npos)
             << message;
     }
+}
+
+TEST(BuildKernel, CapsKernelValuesBeforeAllocating) {
     // 3 x (2^27 / 3 + 1) is just over the cap; the largest count would
     // overflow a times x bins product.
-    for (const std::size_t bins : {static_cast<std::size_t>(max_kernel_values / 3 + 1),
-                                   std::numeric_limits<std::size_t>::max()}) {
-        Kernel_build_options options = small_options();
-        options.n_bins = bins;
-        const std::string message = cap_error(times, options);
-        EXPECT_NE(message.find("n_bins " + std::to_string(bins) + " at 3 times"),
-                  std::string::npos)
-            << message;
+    for (const Kernel_function build : {Kernel_function{build_kernel},
+                                        Kernel_function{simulate_kernel}}) {
+        for (const std::size_t bins : {static_cast<std::size_t>(max_kernel_values / 3 + 1),
+                                       std::numeric_limits<std::size_t>::max()}) {
+            Kernel_build_options options = small_options();
+            options.n_bins = bins;
+            const std::string message = rejection(build, {0.0, 30.0, 60.0}, options);
+            EXPECT_NE(message.find("n_bins " + std::to_string(bins) + " at 3 times"),
+                      std::string::npos)
+                << message;
+        }
     }
+}
+
+/// Relative Frobenius distance ||a - b|| / ||b||.
+double relative_distance(const Matrix& a, const Matrix& b) {
+    double num = 0.0;
+    double den = 0.0;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < a.cols(); ++j) {
+            num += (a(i, j) - b(i, j)) * (a(i, j) - b(i, j));
+            den += b(i, j) * b(i, j);
+        }
+    }
+    return std::sqrt(num / den);
+}
+
+TEST(BuildKernel, AgreesWithMonteCarloOracle) {
+    // The computed kernel is the expectation the simulator samples. On the
+    // production shape (13 times on 0..180 min, 200 bins, an 18-knot
+    // kernel matrix) it must sit within the oracle's own noise of a
+    // 200k-cell simulation. Each bound is 2x the worst distance over
+    // oracle seeds 1..8; the computed kernel's own error is about 1e-3
+    // (against a 32M-cell average), so the bounds are the oracle's noise.
+    struct Case {
+        const char* name;
+        double cycle_minutes;
+        double mu_sst;
+        Initial_phase_mode mode;
+        bool linear_volume;
+        double bound;
+    };
+    const Case cases[] = {
+        {"base", 150.0, 0.15, Initial_phase_mode::synchronized_swarmers, false, 8e-3},
+        {"fast, linear volume", 120.0, 0.13, Initial_phase_mode::synchronized_swarmers, true,
+         8e-3},
+        {"stationary", 150.0, 0.15, Initial_phase_mode::stationary, false, 1.6e-2},
+        {"all at zero", 150.0, 0.15, Initial_phase_mode::all_at_zero, false, 6e-3},
+    };
+    const Vector times = linspace(0.0, 180.0, 13);
+    const Natural_spline_basis basis(18);
+    for (const Case& c : cases) {
+        Cell_cycle_config config;
+        config.mean_cycle_minutes = c.cycle_minutes;
+        config.mu_sst = c.mu_sst;
+        config.initial_mode = c.mode;
+        const Smooth_volume_model smooth;
+        const Linear_volume_model linear;
+        const Volume_model& volume =
+            c.linear_volume ? static_cast<const Volume_model&>(linear) : smooth;
+        Kernel_build_options oracle;
+        oracle.n_cells = 200000;
+        oracle.seed = 1;
+        const double distance = relative_distance(
+            build_kernel(config, volume, times).basis_matrix(basis),
+            simulate_kernel(config, volume, times, oracle).basis_matrix(basis));
+        EXPECT_LT(distance, c.bound) << c.name;
+    }
+}
+
+TEST(BuildKernel, SynchronousPopulationMatchesSimulation) {
+    // No spread in T or phi_sst: every cell starts at phase 0 and divides
+    // at exactly 150 min, so the simulation is exact with any cell count.
+    // At 50 min every cell sits at phase 1/3; at 200 min the SW daughters
+    // do, and the ST daughters at 0.15 + 1/3. The divisions form a spike
+    // narrower than a phase bin, which the computed kernel must keep.
+    Cell_cycle_config config;
+    config.cv_sst = 0.0;
+    config.cv_cycle = 0.0;
+    config.initial_mode = Initial_phase_mode::all_at_zero;
+    const Smooth_volume_model vm;
+    const Vector times = {0.0, 50.0, 200.0};
+    Kernel_build_options options = small_options();
+    options.n_cells = 1000;
+    const Kernel_grid computed = build_kernel(config, vm, times, options);
+    const Kernel_grid simulated = simulate_kernel(config, vm, times, options);
+    // Every row is one or two bins of density 100 / (share of volume);
+    // the computed kernel weighs a bin by the volume at its sub-cell
+    // centres, the simulation at the exact phase.
+    for (std::size_t m = 0; m < times.size(); ++m) {
+        for (std::size_t b = 0; b < computed.bin_count(); ++b) {
+            EXPECT_NEAR(computed.q()(m, b), simulated.q()(m, b), 0.1)
+                << "t " << times[m] << ", bin " << b;
+        }
+    }
+    EXPECT_GT(simulated.q()(2, 33), 10.0);
+    EXPECT_GT(simulated.q()(2, 48), 10.0);
 }
 
 TEST(BuildKernel, VolumeModelChangesKernel) {

@@ -18,9 +18,7 @@ namespace {
 
 Kernel_build_options tiny_options() {
     Kernel_build_options o;
-    o.n_cells = 2000;
     o.n_bins = 40;
-    o.seed = 7;
     return o;
 }
 
@@ -52,14 +50,14 @@ TEST(KernelCache, MemoryHitReturnsSameGridWithoutRebuilding) {
 
     const auto first = cache.get_or_build(config, vm, times, tiny_options());
     const auto second = cache.get_or_build(config, vm, times, tiny_options());
-    EXPECT_EQ(first.get(), second.get());  // shared, not re-simulated
+    EXPECT_EQ(first.get(), second.get());  // shared, not rebuilt
     const Kernel_cache_stats stats = cache.stats();
     EXPECT_EQ(stats.builds, 1u);
     EXPECT_EQ(stats.memory_hits, 1u);
     EXPECT_EQ(stats.disk_hits, 0u);
 }
 
-TEST(KernelCache, KeyCoversEveryBuildInput) {
+TEST(KernelCache, KeyCoversEveryBuildInputAndNothingElse) {
     const Cell_cycle_config config;
     const Smooth_volume_model smooth;
     const Linear_volume_model linear;
@@ -76,14 +74,18 @@ TEST(KernelCache, KeyCoversEveryBuildInput) {
     EXPECT_NE(Kernel_cache::cache_key(config, smooth, {0.0, 45.0}, options), base);
 
     Kernel_build_options other_options = options;
-    other_options.seed = 8;
-    EXPECT_NE(Kernel_cache::cache_key(config, smooth, times, other_options), base);
-    other_options = options;
     other_options.n_bins = 41;
     EXPECT_NE(Kernel_cache::cache_key(config, smooth, times, other_options), base);
+
+    // build_kernel does not read the Monte-Carlo controls, so they are no
+    // part of the key.
     other_options = options;
     other_options.n_cells = 2001;
-    EXPECT_NE(Kernel_cache::cache_key(config, smooth, times, other_options), base);
+    other_options.seed = 8;
+    EXPECT_EQ(Kernel_cache::cache_key(config, smooth, times, other_options), base);
+    EXPECT_EQ(base.rfind("cellsync-kernel-v2;", 0), 0u) << base;
+    EXPECT_EQ(base.find("n_cells"), std::string::npos) << base;
+    EXPECT_EQ(base.find("seed"), std::string::npos) << base;
 
     // And identical inputs agree, including through copies.
     EXPECT_EQ(Kernel_cache::cache_key(Cell_cycle_config{}, Smooth_volume_model{}, times,
@@ -114,7 +116,7 @@ TEST(KernelCache, DiskRoundTripIsBitIdenticalToFreshBuild) {
     EXPECT_EQ(writer.stats().builds, 1u);
 
     // A fresh cache instance has no memory entries: the hit must come from
-    // disk and reproduce the simulated grid bit-for-bit.
+    // disk and reproduce the built grid bit-for-bit.
     Kernel_cache reader(dir);
     const auto loaded = reader.get_or_build(config, vm, times, tiny_options());
     EXPECT_EQ(reader.stats().builds, 0u);
@@ -200,7 +202,7 @@ TEST(KernelCache, ConcurrentCallsForOneKeyShareOneResolution) {
     const Smooth_volume_model vm;
     const Vector times{0.0, 30.0, 60.0};
     Kernel_build_options options = tiny_options();
-    options.n_cells = 20000;  // big enough that the second call genuinely waits
+    options.n_bins = 4000;  // a build long enough that the second call often waits
 
     // Whichever call resolves first, the other joins it in flight or
     // finds its grid in memory: one build, one memory hit, one grid.
@@ -299,7 +301,7 @@ TEST(KernelCache, TwoInstancesShareOneDirectory) {
     const Smooth_volume_model vm;
     const Vector times{0.0, 30.0, 60.0};
     Kernel_build_options options = tiny_options();
-    options.n_cells = 20000;  // long enough builds that the two stores overlap
+    options.n_bins = 4000;  // builds long enough that the two stores often overlap
     const std::string hash =
         Kernel_cache::key_hash(Kernel_cache::cache_key(config, vm, times, options));
 

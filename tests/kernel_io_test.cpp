@@ -18,9 +18,7 @@ namespace {
 
 Kernel_grid small_kernel() {
     Kernel_build_options options;
-    options.n_cells = 5000;
     options.n_bins = 50;
-    options.seed = 3;
     return build_kernel(Cell_cycle_config{}, Smooth_volume_model{}, {0.0, 30.0, 60.0},
                         options);
 }

@@ -25,9 +25,7 @@ const Session_fixture& fixture() {
         const Vector times = linspace(0.0, 150.0, 11);
         Cell_cycle_config config;
         Kernel_build_options options;
-        options.n_cells = 4000;
         options.n_bins = 60;
-        options.seed = 13;
         out.kernel = std::make_shared<const Kernel_grid>(
             build_kernel(config, Smooth_volume_model{}, times, options));
         out.artifacts = make_design_artifacts(
@@ -235,15 +233,13 @@ TEST(StreamSession, KernelCacheConstructorResolvesThroughCache) {
     Cell_cycle_config config;
     Stream_session_options options = session_options(1);
     options.basis_size = 12;
-    options.kernel.n_cells = 4000;
-    options.kernel.n_bins = 60;
-    options.kernel.seed = 13;  // same tuple as the fixture kernel
+    options.kernel.n_bins = 60;  // same inputs as the fixture kernel
     Kernel_cache cache;
     Stream_session session(config, Smooth_volume_model{}, times, cache, options);
     EXPECT_EQ(cache.stats().builds, 1u);
     ASSERT_NE(session.kernel(), nullptr);
 
-    // A second session over the same cache reuses the simulation.
+    // A second session over the same cache reuses the kernel.
     Stream_session again(config, Smooth_volume_model{}, times, cache, options);
     EXPECT_EQ(cache.stats().builds, 1u);
     EXPECT_EQ(cache.stats().memory_hits, 1u);

@@ -233,9 +233,7 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
 Experiment_spec traced_spec(std::size_t threads) {
     static const std::vector<Measurement_series> panel = [] {
         Kernel_build_options kernel_options;
-        kernel_options.n_cells = 2000;
         kernel_options.n_bins = 40;
-        kernel_options.seed = 7;
         const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
                                                 linspace(0.0, 150.0, 9), kernel_options);
         return std::vector<Measurement_series>{
@@ -246,9 +244,7 @@ Experiment_spec traced_spec(std::size_t threads) {
     }();
 
     Experiment_spec spec;
-    spec.kernel.n_cells = 2000;
     spec.kernel.n_bins = 40;
-    spec.kernel.seed = 7;
     spec.basis_size = 10;
     spec.threads = threads;
     spec.batch.select_lambda = false;

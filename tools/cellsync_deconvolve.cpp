@@ -27,10 +27,10 @@
 //            blocks); once a gene's estimate stabilizes it is reported
 //            converged, and --stop-when-converged ends the run as soon
 //            as every gene has. Requires the full time grid up front
-//            (--times or --times-from) because the kernel is simulated
+//            (--times or --times-from) because the kernel is computed
 //            for the whole protocol. The final profile CSV matches a
 //            batch `run` with the same fixed --lambda bit for bit.
-//   kernel   build: simulate a kernel and write it to --output, as CSV or
+//   kernel   build: compute a kernel and write it to --output, as CSV or
 //            in the cellsync-kernel-bin-v1 binary format (--kernel-format,
 //            default from the output extension: `.bin` is binary,
 //            anything else CSV).
@@ -60,10 +60,13 @@
 //                       read-only one misses stay in memory
 //   --kernel PATH       reuse a saved kernel (single-series run; CSV or
 //                       binary, auto-detected)
-//   --save-kernel PATH  persist the simulated kernel (single-series run)
+//   --save-kernel PATH  persist the computed kernel (single-series run)
 //   --kernel-format F   csv | bin | binary (kernel build / kernel convert)
-//   --cells N --bins N --seed N     simulation controls (at most 2^24
-//                       cells and 2^27 kernel values, times x bins)
+//   --bins N            kernel phase bins (at most 2^27 kernel values,
+//                       times x bins; default 200). The kernel is
+//                       computed, not sampled: there is no cell count or
+//                       seed, and a time grid may span at most 256 mean
+//                       cycle times
 //   --basis N           spline knots Nc, 4..512     (default 18)
 //   --lambda X          fixed smoothness weight >= 0 (default: 5-fold CV
 //                       for run; 1e-3 for stream)
@@ -134,7 +137,6 @@ struct Cli_options {
     std::optional<Kernel_format> kernel_format;  ///< kernel build/convert output
     std::string times_spec;
     std::string times_from;
-    std::size_t cells = 100000;
     std::size_t bins = 200;
     std::size_t basis = 18;
     std::optional<double> lambda;
@@ -145,7 +147,6 @@ struct Cli_options {
     bool conservation = true;
     bool rate_continuity = true;
     std::size_t bootstrap = 0;
-    std::uint64_t seed = 20110605;
     std::size_t threads = 0;
     std::string json_path;                ///< report / kernel cache --json destination
     std::string trace_path;               ///< --trace Chrome-trace destination
@@ -221,13 +222,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
                 options.kernel_format = kernel_format_from_string(next_value(i));
             else if (arg == "--times") options.times_spec = next_value(i);
             else if (arg == "--times-from") options.times_from = next_value(i);
-            else if (arg == "--cells") {
-                options.cells = parse_strict_uint64(next_value(i));
-                if (options.cells > max_kernel_cells) {
-                    throw std::invalid_argument("at most " + std::to_string(max_kernel_cells) +
-                                                " cells, got " + std::to_string(options.cells));
-                }
-            }
             else if (arg == "--bins") options.bins = parse_strict_uint64(next_value(i));
             else if (arg == "--basis") {
                 options.basis = parse_strict_uint64(next_value(i));
@@ -250,7 +244,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
                 options.bootstrap = parse_strict_uint64(next_value(i));
                 if (options.bootstrap > 0) bootstrap_options_from(options).validate();
             }
-            else if (arg == "--seed") options.seed = parse_strict_uint64(next_value(i));
             else if (arg == "--threads") {
                 options.threads = parse_strict_uint64(next_value(i));
                 if (options.threads > Worker_pool::max_threads) {
@@ -304,9 +297,7 @@ std::unique_ptr<Volume_model> volume_from(const Cli_options& cli) {
 
 Kernel_build_options kernel_options_from(const Cli_options& cli) {
     Kernel_build_options kernel_options;
-    kernel_options.n_cells = cli.cells;
     kernel_options.n_bins = cli.bins;
-    kernel_options.seed = cli.seed;
     return kernel_options;
 }
 
@@ -516,11 +507,11 @@ int run_single(const Cli_options& cli) {
         kernel = *cache.get_or_build(config, *volume, data.times, kernel_options_from(cli));
         const Kernel_cache_stats stats = cache.stats();
         std::printf("kernel: %s via cache %s\n",
-                    stats.builds > 0 ? "simulated" : "reused", cli.cache_dir.c_str());
+                    stats.builds > 0 ? "computed" : "reused", cli.cache_dir.c_str());
     } else {
         kernel = build_kernel(config, *volume, data.times, kernel_options_from(cli));
-        std::printf("kernel: simulated %zu cells (%s volume model)\n", cli.cells,
-                    volume->name().c_str());
+        std::printf("kernel: computed %zu times x %zu bins (%s volume model)\n",
+                    kernel->time_count(), kernel->bin_count(), volume->name().c_str());
     }
     if (!cli.save_kernel_path.empty()) {
         write_kernel_file(cli.save_kernel_path, *kernel,
@@ -599,7 +590,7 @@ int run_experiment_mode(const Cli_options& cli) {
     const std::unique_ptr<Kernel_cache> cache = cache_from(cli);
 
     const Experiment_result result = run_experiment(spec, *volume, *cache);
-    std::printf("kernels: %zu simulated, %zu from disk, %zu from memory%s%s\n",
+    std::printf("kernels: %zu computed, %zu from disk, %zu from memory%s%s\n",
                 result.cache_stats.builds, result.cache_stats.disk_hits,
                 result.cache_stats.memory_hits, cli.cache_dir.empty() ? "" : " via ",
                 cli.cache_dir.c_str());
@@ -659,7 +650,7 @@ int cmd_run(const Cli_options& cli) {
     if (!cli.conditions.empty() &&
         (!cli.kernel_path.empty() || !cli.save_kernel_path.empty())) {
         // Experiment kernels go through the cache; silently discarding a
-        // user-supplied kernel file would re-simulate behind their back.
+        // user-supplied kernel file would rebuild behind their back.
         usage_error("--kernel/--save-kernel apply to single-series runs only; "
                     "use --cache-dir for experiments");
     }
@@ -685,14 +676,14 @@ int cmd_stream(const Cli_options& cli) {
     }
     if (cli.bootstrap > 0) usage_error("--bootstrap applies to single-series runs only");
     if (!cli.kernel_path.empty() || !cli.save_kernel_path.empty()) {
-        // Streaming kernels go through the cache; silently re-simulating
+        // Streaming kernels go through the cache; silently rebuilding
         // past a user-supplied kernel file would mislead.
         usage_error("--kernel/--save-kernel apply to single-series runs only; "
                     "use --cache-dir for streaming");
     }
     const Vector times = resolve_times(cli);
 
-    // Open the log and validate its header before the session simulates
+    // Open the log and validate its header before the session builds
     // (and caches) a kernel: a bad --input must fail without that work.
     std::ifstream in(cli.input);
     if (!in) {
@@ -716,7 +707,7 @@ int cmd_stream(const Cli_options& cli) {
     std::printf("session: %zu-point grid (t = %.0f..%.0f min), kernel %s, lambda %.3e, "
                 "%zu worker threads\n",
                 times.size(), times.front(), times.back(),
-                cache_stats.builds > 0 ? "simulated" : "from cache",
+                cache_stats.builds > 0 ? "computed" : "from cache",
                 session_options.stream.lambda, session.thread_count());
 
     int failures = 0;
@@ -801,9 +792,8 @@ int cmd_kernel_build(const Cli_options& cli) {
         build_kernel(config_from(cli), *volume, times, kernel_options_from(cli));
     const Kernel_format format = format_for_output(cli, cli.output);
     write_kernel_file(cli.output, kernel, format);
-    std::printf("simulated %zu cells -> %zu times x %zu bins, wrote %s (%s)\n", cli.cells,
-                kernel.time_count(), kernel.bin_count(), cli.output.c_str(),
-                to_string(format));
+    std::printf("computed %zu times x %zu bins, wrote %s (%s)\n", kernel.time_count(),
+                kernel.bin_count(), cli.output.c_str(), to_string(format));
     return 0;
 }
 
@@ -901,7 +891,7 @@ int cmd_kernel_cache(const Cli_options& cli) {
         const auto kernel =
             cache.get_or_build(config_from(cli), *volume, times, kernel_options_from(cli));
         const char* source =
-            cache.stats().builds > 0 ? "simulated (cache miss)" : "reused from disk";
+            cache.stats().builds > 0 ? "computed (cache miss)" : "reused from disk";
         std::printf("%s: %zu times x %zu bins in %s\n", source, kernel->time_count(),
                     kernel->bin_count(), cli.cache_dir.c_str());
     }

@@ -1,7 +1,12 @@
 // Regenerates the embedded ftsZ dataset in src/io/expression_data.cpp.
-// Provenance: ftsz_like_profile(0.16, 0.40, 10.0, 0.0) -> build_kernel
+// Provenance: ftsz_like_profile(0.16, 0.40, 10.0, 0.0) -> simulate_kernel
 // (Caulobacter defaults, smooth volume model, 50k cells, seed 424242,
 // times 0..150 at 15-min spacing) -> 8% relative Gaussian noise (seed 99).
+// The data come from a Monte-Carlo kernel on purpose: an estimator that
+// deconvolves them with build_kernel's computed kernel then works against
+// a kernel other than the one that made the data, as with real data.
+// expression_data_test rebuilds the series by this recipe and checks the
+// embedded copy bit for bit.
 #include <cstdio>
 
 #include "biology/gene_profiles.h"
@@ -14,8 +19,8 @@ int main() {
     options.n_cells = 50000;
     options.n_bins = 200;
     options.seed = 424242;
-    const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
-                                            linspace(0.0, 150.0, 11), options);
+    const Kernel_grid kernel = simulate_kernel(Cell_cycle_config{}, Smooth_volume_model{},
+                                               linspace(0.0, 150.0, 11), options);
     // Microarray background hybridization: an additive constant on top of
     // the true concentration signal (makes the series match the paper's
     // Fig 5 top panel, which starts well above zero).
