@@ -23,8 +23,8 @@ int main() {
     const Cell_cycle_config caulobacter;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = build_kernel(caulobacter, volume, linspace(0.0, 180.0, 13));
-    write_kernel_file("panel_kernel.csv", kernel);
-    std::printf("kernel: %zu time slices x %zu bins (saved to panel_kernel.csv)\n\n",
+    write_kernel_file("panel_kernel.bin", kernel);
+    std::printf("kernel: %zu time slices x %zu bins (saved to panel_kernel.bin)\n\n",
                 kernel.time_count(), kernel.bin_count());
 
     // --- The gene panel: a three-wave program + two more synthetic genes. ---

@@ -21,9 +21,22 @@ Kernel_grid::Kernel_grid(Vector times, Vector phi_centers, Matrix q)
     if (q_.rows() != times_.size() || q_.cols() != phi_centers_.size()) {
         throw std::invalid_argument("Kernel_grid: Q shape mismatch");
     }
+    for (std::size_t i = 0; i < times_.size(); ++i) {
+        if (!std::isfinite(times_[i])) {
+            throw std::invalid_argument("Kernel_grid: time " + std::to_string(i) + " is " +
+                                        std::to_string(times_[i]) + "; times must be finite");
+        }
+    }
     for (std::size_t i = 0; i + 1 < times_.size(); ++i) {
         if (!(times_[i] < times_[i + 1])) {
             throw std::invalid_argument("Kernel_grid: times must be strictly ascending");
+        }
+    }
+    for (std::size_t i = 0; i < phi_centers_.size(); ++i) {
+        if (!(phi_centers_[i] > 0.0 && phi_centers_[i] < 1.0)) {
+            throw std::invalid_argument("Kernel_grid: phase center " + std::to_string(i) +
+                                        " is " + std::to_string(phi_centers_[i]) +
+                                        "; centers must lie in (0, 1)");
         }
     }
     for (std::size_t i = 0; i + 1 < phi_centers_.size(); ++i) {

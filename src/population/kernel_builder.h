@@ -28,7 +28,9 @@ namespace cellsync {
 class Kernel_grid {
   public:
     /// Direct construction from precomputed slices (used by tests and by
-    /// deserialization); validates shapes and row normalization. Rows whose
+    /// deserialization). Throws std::invalid_argument on a shape mismatch,
+    /// times that are not finite and strictly ascending, or phase centers
+    /// that are not strictly ascending inside (0, 1). Rows whose
     /// mass drifts from 1 within a tolerance scaled to the bin count are
     /// renormalized in place; genuinely non-normalizable rows (mass <= 0 or
     /// beyond the tolerance) throw std::invalid_argument. Rows already at

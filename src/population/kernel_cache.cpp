@@ -137,7 +137,7 @@ void Kernel_cache::store(const std::string& hash, const std::string& key,
     const std::string kernel_tmp = binary_entry_path(hash) + suffix;
     const std::string sidecar_tmp = sidecar_path(hash) + suffix;
     try {
-        write_kernel_file(kernel_tmp, kernel, Kernel_format::binary);
+        write_kernel_file(kernel_tmp, kernel);
         {
             std::ofstream sidecar(sidecar_tmp, std::ios::binary | std::ios::trunc);
             sidecar << key;

@@ -17,8 +17,8 @@
 // sidecar is compared on load, so torn writes and hash collisions degrade
 // to a rebuild, never to a wrong kernel. Several processes may therefore
 // share one directory: concurrent writers of one key publish identical
-// bytes atomically. New entries are stored in the cellsync-kernel-bin-v1
-// binary format (`.bin`, smaller and much faster to parse). A
+// bytes atomically. Entries are stored in the one kernel file format,
+// cellsync-kernel-bin-v1 (`.bin`, see kernel_io.h). A
 // `kernel_<hash>.csv` entry left by a cache written before that format is
 // a miss: the kernel is rebuilt and stored as `.bin`, and the stale CSV
 // is neither served nor counted. Entries keyed `cellsync-kernel-v1;`

@@ -5,12 +5,10 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
-#include "io/csv.h"
 #include "numerics/fnv.h"
 
 namespace cellsync {
@@ -21,14 +19,14 @@ namespace {
 // cellsync-kernel-bin-v1 layout primitives
 // ---------------------------------------------------------------------------
 
-/// Version-agnostic magic prefix: detection keys on this so future
-/// versions stay recognizably "a cellsync binary kernel" and can be
-/// rejected with a version message instead of a CSV parse error.
-constexpr std::string_view binary_magic_prefix = "cellsync-kernel-bin-";
+/// Version-agnostic magic prefix: a future revision stays recognizably
+/// a cellsync kernel and is rejected with a version message instead of
+/// as a foreign file.
+constexpr std::string_view magic_prefix = "cellsync-kernel-bin-";
 /// Full magic line of the current version (23 bytes, newline included, so
 /// `head -c 23 file` identifies a kernel from the shell).
-constexpr std::string_view binary_magic = "cellsync-kernel-bin-v1\n";
-constexpr std::uint32_t binary_version = 1;
+constexpr std::string_view magic = "cellsync-kernel-bin-v1\n";
+constexpr std::uint32_t format_version = 1;
 
 /// Q-value blocks: a u32 header whose MSB marks a run of bitwise +0.0
 /// values (no payload) and whose low 31 bits count values; literal blocks
@@ -60,7 +58,7 @@ struct Binary_cursor {
 
     void need(std::size_t n, const char* what) const {
         if (bytes.size() - pos < n) {
-            throw std::runtime_error(std::string("read_kernel_binary: truncated file (") +
+            throw std::runtime_error(std::string("read_kernel: truncated file (") +
                                      what + ")");
         }
     }
@@ -100,15 +98,15 @@ struct Binary_cursor {
     }
 };
 
-std::string encode_kernel_binary(const Kernel_grid& kernel) {
+std::string encode_kernel(const Kernel_grid& kernel) {
     const std::size_t time_count = kernel.time_count();
     const std::size_t bin_count = kernel.bin_count();
     const std::size_t values = time_count * bin_count;
     std::string out;
-    out.reserve(binary_magic.size() + 12 + 8 * (time_count + bin_count + values) + 8);
+    out.reserve(magic.size() + 12 + 8 * (time_count + bin_count + values) + 8);
 
-    out.append(binary_magic);
-    put_u32(out, binary_version);
+    out.append(magic);
+    put_u32(out, format_version);
     put_u32(out, static_cast<std::uint32_t>(time_count));
     put_u32(out, static_cast<std::uint32_t>(bin_count));
     for (double t : kernel.times()) put_f64(out, t);
@@ -158,29 +156,25 @@ std::string encode_kernel_binary(const Kernel_grid& kernel) {
     return out;
 }
 
-Kernel_grid decode_kernel_binary(std::string_view bytes) {
-    if (bytes.size() < binary_magic_prefix.size() ||
-        bytes.substr(0, binary_magic_prefix.size()) != binary_magic_prefix) {
-        throw std::runtime_error(
-            "read_kernel_binary: bad magic (not a cellsync binary kernel)");
+Kernel_grid decode_kernel(std::string_view bytes) {
+    if (!bytes.starts_with(magic_prefix)) {
+        throw std::runtime_error("read_kernel: bad magic (not a cellsync-kernel-bin-v1 file)");
     }
-    if (bytes.size() < binary_magic.size() ||
-        bytes.substr(0, binary_magic.size()) != binary_magic) {
-        throw std::runtime_error(
-            "read_kernel_binary: unrecognized format revision in magic line");
+    if (!bytes.starts_with(magic)) {
+        throw std::runtime_error("read_kernel: unrecognized format revision in magic line");
     }
 
-    Binary_cursor cursor{bytes, binary_magic.size()};
+    Binary_cursor cursor{bytes, magic.size()};
     const std::uint32_t version = cursor.u32("version");
-    if (version != binary_version) {
-        throw std::runtime_error("read_kernel_binary: unsupported version " +
+    if (version != format_version) {
+        throw std::runtime_error("read_kernel: unsupported version " +
                                  std::to_string(version) + " (this build reads version " +
-                                 std::to_string(binary_version) + ")");
+                                 std::to_string(format_version) + ")");
     }
     const std::uint32_t time_count = cursor.u32("time count");
     const std::uint32_t bin_count = cursor.u32("bin count");
     if (time_count == 0 || bin_count == 0) {
-        throw std::runtime_error("read_kernel_binary: empty grid dimensions");
+        throw std::runtime_error("read_kernel: empty grid dimensions");
     }
     const std::uint64_t values =
         static_cast<std::uint64_t>(time_count) * static_cast<std::uint64_t>(bin_count);
@@ -190,26 +184,24 @@ Kernel_grid decode_kernel_binary(std::string_view bytes) {
     // value-block header and the checksum. Together these keep a corrupt
     // or crafted dims field from becoming a giant allocation.
     if (values > max_kernel_values) {
-        throw std::runtime_error("read_kernel_binary: implausible grid dimensions (" +
+        throw std::runtime_error("read_kernel: implausible grid dimensions (" +
                                  std::to_string(time_count) + " x " +
                                  std::to_string(bin_count) + ")");
     }
     if (bytes.size() - cursor.pos <
         8ull * (static_cast<std::uint64_t>(time_count) + bin_count) + 4 + 8) {
-        throw std::runtime_error(
-            "read_kernel_binary: truncated file (too small for its dimensions)");
+        throw std::runtime_error("read_kernel: truncated file (too small for its dimensions)");
     }
 
     // Checksum before decoding the payload: a flipped byte anywhere in
     // the file (dims included) is reported as corruption, not as some
     // downstream shape or invariant error.
-    if (bytes.size() < 8) throw std::runtime_error("read_kernel_binary: truncated file");
+    if (bytes.size() < 8) throw std::runtime_error("read_kernel: truncated file");
     const std::string_view body = bytes.substr(0, bytes.size() - 8);
     Binary_cursor checksum_cursor{bytes, bytes.size() - 8};
     const std::uint64_t stored = checksum_cursor.u64("checksum");
     if (fnv1a64(body) != stored) {
-        throw std::runtime_error(
-            "read_kernel_binary: checksum mismatch (corrupt or torn file)");
+        throw std::runtime_error("read_kernel: checksum mismatch (corrupt or torn file)");
     }
 
     Vector times(time_count);
@@ -227,7 +219,7 @@ Kernel_grid decode_kernel_binary(std::string_view bytes) {
         const std::uint32_t header = cursor.u32("block header");
         const std::uint64_t count = header & ~zero_run_flag;
         if (count == 0 || decoded + count > values) {
-            throw std::runtime_error("read_kernel_binary: malformed value block");
+            throw std::runtime_error("read_kernel: malformed value block");
         }
         if (!(header & zero_run_flag)) {
             cursor.f64_array(grid + decoded, count, "values");
@@ -235,7 +227,7 @@ Kernel_grid decode_kernel_binary(std::string_view bytes) {
         decoded += count;
     }
     if (cursor.pos != bytes.size() - 8) {
-        throw std::runtime_error("read_kernel_binary: trailing bytes after value blocks");
+        throw std::runtime_error("read_kernel: trailing bytes after value blocks");
     }
     return Kernel_grid(std::move(times), std::move(phi), std::move(q));
 }
@@ -246,52 +238,17 @@ std::string slurp(std::istream& in) {
     return content.str();
 }
 
-bool looks_binary(std::string_view bytes) {
-    return bytes.size() >= binary_magic_prefix.size() &&
-           bytes.substr(0, binary_magic_prefix.size()) == binary_magic_prefix;
-}
-
 }  // namespace
 
-const char* to_string(Kernel_format format) {
-    return format == Kernel_format::binary ? "binary" : "csv";
-}
-
-Kernel_format kernel_format_from_string(const std::string& name) {
-    if (name == "csv") return Kernel_format::csv;
-    if (name == "bin" || name == "binary") return Kernel_format::binary;
-    throw std::invalid_argument("unknown kernel format '" + name +
-                                "' (want csv, bin, or binary)");
-}
-
 void write_kernel(std::ostream& out, const Kernel_grid& kernel) {
-    Table table;
-    table.add_column("phi", kernel.phi_centers());
-    for (std::size_t m = 0; m < kernel.time_count(); ++m) {
-        std::ostringstream name;
-        // Full precision: the loaded grid must reproduce the times
-        // bit-exactly (the kernel cache round trip depends on it).
-        name << "t" << std::setprecision(17) << kernel.times()[m];
-        Vector column(kernel.bin_count());
-        for (std::size_t b = 0; b < kernel.bin_count(); ++b) column[b] = kernel.q()(m, b);
-        table.add_column(name.str(), column);
-    }
-    write_csv(out, table);
-}
-
-void write_kernel_binary(std::ostream& out, const Kernel_grid& kernel) {
-    const std::string encoded = encode_kernel_binary(kernel);
+    const std::string encoded = encode_kernel(kernel);
     out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
 }
 
-void write_kernel_file(const std::string& path, const Kernel_grid& kernel,
-                       Kernel_format format) {
-    std::ofstream out(path, format == Kernel_format::binary
-                                ? std::ios::binary | std::ios::trunc
-                                : std::ios::trunc);
+void write_kernel_file(const std::string& path, const Kernel_grid& kernel) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("write_kernel_file: cannot open '" + path + "'");
-    if (format == Kernel_format::binary) write_kernel_binary(out, kernel);
-    else write_kernel(out, kernel);
+    write_kernel(out, kernel);
     // A full disk fails the buffered writes only at flush time; without
     // this check a truncated kernel would be reported as success.
     out.flush();
@@ -301,62 +258,15 @@ void write_kernel_file(const std::string& path, const Kernel_grid& kernel,
     }
 }
 
-Kernel_grid read_kernel(std::istream& in) {
-    const Table table = read_csv(in);
-    if (!table.has_column("phi")) {
-        throw std::runtime_error("read_kernel: missing 'phi' column");
-    }
-    if (table.column_count() < 2) {
-        throw std::runtime_error("read_kernel: no time-slice columns");
-    }
+Kernel_grid read_kernel(std::istream& in) { return decode_kernel(slurp(in)); }
 
-    const Vector& phi = table.column("phi");
-    Vector times;
-    Matrix q(table.column_count() - 1, phi.size());
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < table.column_count(); ++c) {
-        const std::string& name = table.names()[c];
-        if (name == "phi") continue;
-        if (name.size() < 2 || name.front() != 't') {
-            throw std::runtime_error("read_kernel: bad time column name '" + name + "'");
-        }
-        try {
-            // csv_parse_field's policy: std::from_chars with the whole
-            // field consumed, finite values only — so 't1.5junk', 'tinf',
-            // and 'tnan' are rejected instead of silently truncated.
-            times.push_back(csv_parse_field(name.substr(1), 1));
-        } catch (const std::exception&) {
-            throw std::runtime_error("read_kernel: unparseable time in column '" + name +
-                                     "' (want t<minutes> with a finite, fully numeric "
-                                     "suffix)");
-        }
-        q.set_row(row++, table.column(c));
-    }
-    return Kernel_grid(std::move(times), phi, std::move(q));
-}
-
-Kernel_grid read_kernel_binary(std::istream& in) {
-    return decode_kernel_binary(slurp(in));
-}
-
-Kernel_grid read_kernel_auto(std::istream& in, Kernel_format* detected) {
-    const std::string content = slurp(in);
-    if (looks_binary(content)) {
-        if (detected) *detected = Kernel_format::binary;
-        return decode_kernel_binary(content);
-    }
-    if (detected) *detected = Kernel_format::csv;
-    std::istringstream csv(content);
-    return read_kernel(csv);
-}
-
-Kernel_grid read_kernel_file(const std::string& path, Kernel_format* detected) {
+Kernel_grid read_kernel_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("read_kernel_file: cannot open '" + path + "'");
     // Every rejection names the file and keeps its exception type.
     const std::string where = "read_kernel_file: '" + path + "': ";
     try {
-        return read_kernel_auto(in, detected);
+        return read_kernel(in);
     } catch (const std::invalid_argument& e) {
         throw std::invalid_argument(where + e.what());
     } catch (const std::runtime_error& e) {

@@ -35,6 +35,30 @@ TEST(KernelGrid, ConstructorValidatesShapes) {
     neg(0, 0) = -1.0;
     neg(0, 1) = 3.0;
     EXPECT_THROW(Kernel_grid(times, centers, neg), std::invalid_argument);
+    // Non-finite times, even where they still ascend:
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const Vector& bad_times : {Vector{0.0, nan}, Vector{nan, 10.0}, Vector{0.0, inf},
+                                    Vector{-inf, 10.0}}) {
+        EXPECT_THROW(Kernel_grid(bad_times, centers, q), std::invalid_argument)
+            << bad_times[0] << ", " << bad_times[1];
+    }
+    // Phase centers that are non-finite or outside (0, 1), even where
+    // they still ascend:
+    const Matrix q4(2, 4, 1.0);
+    for (const Vector& bad_centers :
+         {Vector{-5.0, 0.5, 7.0, 9.0}, Vector{0.0, 0.25, 0.5, 0.75},
+          Vector{0.25, 0.5, 0.75, 1.0}, Vector{0.25, 0.5, 0.75, inf},
+          Vector{nan, 0.25, 0.5, 0.75}}) {
+        EXPECT_THROW(Kernel_grid(times, bad_centers, q4), std::invalid_argument)
+            << bad_centers[0] << " .. " << bad_centers[3];
+    }
+    try {
+        Kernel_grid({0.0, 60.0, inf}, {0.25, 0.75}, Matrix(3, 2, 1.0));
+        ADD_FAILURE() << "an infinite time was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("time 2 is inf"), std::string::npos) << e.what();
+    }
 }
 
 TEST(KernelGrid, SmallRowMassDriftIsRenormalizedNotRejected) {

@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "population/kernel_io.h"
-
 namespace cellsync {
 namespace {
 
@@ -355,16 +353,19 @@ TEST(KernelCache, EntriesListsCommittedEntriesInHashOrder) {
     std::filesystem::remove_all(dir);
 }
 
-// A cache directory from before the binary format: kernel CSVs +
-// sidecars, as written by the versions that stored entries as CSV.
+// A cache directory from before the binary format: a kernel CSV (a
+// `phi` column plus one `t<minutes>` column per time) + its sidecar, as
+// written by the versions that stored entries as CSV.
 std::string make_legacy_entry(const std::string& dir, const Cell_cycle_config& config,
                               const Volume_model& vm, const Vector& times,
                               const Kernel_build_options& options) {
     std::filesystem::create_directories(dir);
     const std::string key = Kernel_cache::cache_key(config, vm, times, options);
     const std::string hash = Kernel_cache::key_hash(key);
-    const Kernel_grid kernel = build_kernel(config, vm, times, options);
-    write_kernel_file(dir + "/kernel_" + hash + ".csv", kernel, Kernel_format::csv);
+    {
+        std::ofstream csv(dir + "/kernel_" + hash + ".csv", std::ios::binary);
+        csv << "phi,t0,t30\n0.25,1,1\n0.75,1,1\n";
+    }
     std::ofstream sidecar(dir + "/kernel_" + hash + ".key", std::ios::binary);
     sidecar << key;
     return hash;

@@ -1,8 +1,8 @@
 // Regression tests for the repo-wide strict number-parsing policy
 // (io/csv.h parse_strict_double / parse_strict_uint64) — the from_chars
 // rules every number entering the system goes through: CSV fields,
-// kernel-file time columns, manifest counters, and (since the policy
-// was extended to the CLI) every numeric cellsync_deconvolve flag.
+// record logs, and (since the policy was extended to the CLI) every
+// numeric cellsync_deconvolve flag.
 // std::stod's silent prefix parse ("1.5junk" -> 1.5) and inf/nan
 // acceptance are exactly the locale-/garbage-tolerant bug class PR 5
 // removed from kernel_io; these tests pin the strict behavior at the

@@ -30,20 +30,14 @@
 //            (--times or --times-from) because the kernel is computed
 //            for the whole protocol. The final profile CSV matches a
 //            batch `run` with the same fixed --lambda bit for bit.
-//   kernel   build: compute a kernel and write it to --output, as CSV or
-//            in the cellsync-kernel-bin-v1 binary format (--kernel-format,
-//            default from the output extension: `.bin` is binary,
-//            anything else CSV).
+//   kernel   build: compute a kernel and write it to --output in the
+//            one kernel file format, cellsync-kernel-bin-v1, whatever
+//            the path's extension.
 //            cache: resolve a kernel through --cache-dir (build on miss,
 //            reuse on hit) — use it to pre-warm a cache shared by later
 //            runs — then list the directory's entries (hash, bytes,
 //            provenance). Without --times/--times-from, just lists an
 //            existing directory (a missing one is an error).
-//            convert: re-encode a saved kernel between the CSV and binary
-//            formats (--input -> --output). The input format is
-//            auto-detected; the output format is --kernel-format when
-//            given, else follows a `.bin`/`.csv` output extension, else
-//            is the opposite of the input's. Round-trips bit-exactly.
 //   report   Recompute synchrony scores (order parameter, entropy, peak
 //            phase) for profile CSVs produced by `run` / `stream`;
 //            --json PATH additionally writes a machine-readable report
@@ -54,14 +48,12 @@
 // the error, exit 1.
 //
 // Common options:
-//   --output PATH       profile CSV / kernel CSV destination
+//   --output PATH       profile CSV / kernel file destination
 //   --cache-dir DIR     disk-backed kernel cache (run, stream, kernel cache);
 //                       processes may share one directory, and on a
 //                       read-only one misses stay in memory
-//   --kernel PATH       reuse a saved kernel (single-series run; CSV or
-//                       binary, auto-detected)
+//   --kernel PATH       reuse a saved kernel file (single-series run)
 //   --save-kernel PATH  persist the computed kernel (single-series run)
-//   --kernel-format F   csv | bin | binary (kernel build / kernel convert)
 //   --bins N            kernel phase bins (at most 2^27 kernel values,
 //                       times x bins; default 200). The kernel is
 //                       computed, not sampled: there is no cell count or
@@ -134,7 +126,6 @@ struct Cli_options {
     std::string cache_dir;
     std::string kernel_path;
     std::string save_kernel_path;
-    std::optional<Kernel_format> kernel_format;  ///< kernel build/convert output
     std::string times_spec;
     std::string times_from;
     std::size_t bins = 200;
@@ -218,8 +209,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--cache-dir") options.cache_dir = next_value(i);
             else if (arg == "--kernel") options.kernel_path = next_value(i);
             else if (arg == "--save-kernel") options.save_kernel_path = next_value(i);
-            else if (arg == "--kernel-format")
-                options.kernel_format = kernel_format_from_string(next_value(i));
             else if (arg == "--times") options.times_spec = next_value(i);
             else if (arg == "--times-from") options.times_from = next_value(i);
             else if (arg == "--bins") options.bins = parse_strict_uint64(next_value(i));
@@ -476,13 +465,6 @@ std::string output_stem(const std::string& output) {
     return dot == output.size() - 4 ? output.substr(0, dot) : output;
 }
 
-/// `.bin` paths default to the binary format, everything else to CSV —
-/// an explicit --kernel-format always wins.
-Kernel_format format_for_output(const Cli_options& cli, const std::string& path) {
-    if (cli.kernel_format.has_value()) return *cli.kernel_format;
-    return path.ends_with(".bin") ? Kernel_format::binary : Kernel_format::csv;
-}
-
 // ---------------------------------------------------------------------------
 // run: single series, one deconvolve_one call plus the optional bootstrap.
 // ---------------------------------------------------------------------------
@@ -514,8 +496,7 @@ int run_single(const Cli_options& cli) {
                     kernel->time_count(), kernel->bin_count(), volume->name().c_str());
     }
     if (!cli.save_kernel_path.empty()) {
-        write_kernel_file(cli.save_kernel_path, *kernel,
-                          format_for_output(cli, cli.save_kernel_path));
+        write_kernel_file(cli.save_kernel_path, *kernel);
         std::printf("kernel: saved to %s\n", cli.save_kernel_path.c_str());
     }
 
@@ -790,48 +771,9 @@ int cmd_kernel_build(const Cli_options& cli) {
     const std::unique_ptr<Volume_model> volume = volume_from(cli);
     const Kernel_grid kernel =
         build_kernel(config_from(cli), *volume, times, kernel_options_from(cli));
-    const Kernel_format format = format_for_output(cli, cli.output);
-    write_kernel_file(cli.output, kernel, format);
-    std::printf("computed %zu times x %zu bins, wrote %s (%s)\n", kernel.time_count(),
-                kernel.bin_count(), cli.output.c_str(), to_string(format));
-    return 0;
-}
-
-int cmd_kernel_convert(const Cli_options& cli) {
-    if (cli.input.empty() || cli.output.empty()) {
-        usage_error("kernel convert needs --input PATH and --output PATH");
-    }
-    Kernel_format from = Kernel_format::csv;
-    const Kernel_grid kernel = read_kernel_file(cli.input, &from);
-    // Output format precedence: explicit --kernel-format, then a telling
-    // output extension (so `convert a.bin b.csv` re-encodes csv->csv if
-    // asked), and only with neither does convert mean "the other format".
-    Kernel_format to;
-    if (cli.kernel_format.has_value()) {
-        to = *cli.kernel_format;
-    } else if (cli.output.ends_with(".bin")) {
-        to = Kernel_format::binary;
-    } else if (cli.output.ends_with(".csv")) {
-        to = Kernel_format::csv;
-    } else {
-        to = from == Kernel_format::csv ? Kernel_format::binary : Kernel_format::csv;
-    }
-    write_kernel_file(cli.output, kernel, to);
-    const auto bytes = [](const std::string& path) {
-        std::error_code ec;
-        const auto size = std::filesystem::file_size(path, ec);
-        return ec ? 0.0 : static_cast<double>(size);
-    };
-    const double in_bytes = bytes(cli.input), out_bytes = bytes(cli.output);
-    std::printf("%s (%s, %.1f KiB) -> %s (%s, %.1f KiB)", cli.input.c_str(),
-                to_string(from), in_bytes / 1024.0, cli.output.c_str(), to_string(to),
-                out_bytes / 1024.0);
-    if (in_bytes > 0 && out_bytes > 0) {
-        std::printf(out_bytes < in_bytes ? " — %.1fx smaller" : " — %.1fx larger",
-                    out_bytes < in_bytes ? in_bytes / out_bytes : out_bytes / in_bytes);
-    }
-    std::printf("\n%zu times x %zu bins, grid preserved bit-exactly\n",
-                kernel.time_count(), kernel.bin_count());
+    write_kernel_file(cli.output, kernel);
+    std::printf("computed %zu times x %zu bins, wrote %s\n", kernel.time_count(),
+                kernel.bin_count(), cli.output.c_str());
     return 0;
 }
 
@@ -1046,19 +988,18 @@ int cmd_report(const Cli_options& cli, const std::vector<std::string>& inputs) {
 
 int main(int argc, char** argv) {
     if (argc < 2) {
-        usage_error("missing subcommand (run, stream, kernel build, kernel cache, kernel "
-                    "convert, report)");
+        usage_error("missing subcommand (run, stream, kernel build, kernel cache, report)");
     }
     const std::string command = argv[1];
-    std::string mode;  // kernel build | cache | convert
+    std::string mode;  // kernel build | cache
     int first = 2;
     // Positional profile CSVs are allowed after `report`.
     std::vector<std::string> inputs;
     if (command == "kernel") {
-        if (argc < 3) usage_error("kernel needs a mode: build, cache, or convert");
+        if (argc < 3) usage_error("kernel needs a mode: build or cache");
         mode = argv[2];
-        if (mode != "build" && mode != "cache" && mode != "convert") {
-            usage_error("unknown kernel mode '" + mode + "' (build, cache, or convert)");
+        if (mode != "build" && mode != "cache") {
+            usage_error("unknown kernel mode '" + mode + "' (build or cache)");
         }
         first = 3;
     } else if (command == "report") {
@@ -1074,8 +1015,7 @@ int main(int argc, char** argv) {
         else if (command == "stream") status = cmd_stream(cli);
         else if (command == "report") status = cmd_report(cli, inputs);
         else if (mode == "build") status = cmd_kernel_build(cli);
-        else if (mode == "cache") status = cmd_kernel_cache(cli);
-        else status = cmd_kernel_convert(cli);
+        else status = cmd_kernel_cache(cli);
         telemetry_session.finish();
         return status;
     } catch (const std::exception& e) {
