@@ -2,9 +2,10 @@
 // single constrained solve, the full CV loop, and the headline comparison:
 // a 50-gene panel on one shared design (deconvolve_one per gene over a
 // worker pool, as the experiment runner's solve stage runs it) versus the
-// serial per-gene path that re-derives the constraint blocks and their QP
-// reduction for every solve (the behavior before shared designs). Per-gene
-// results of the two paths are compared bit-for-bit.
+// serial per-gene path that re-derives the constraint blocks, their QP
+// reduction and the reduced penalty for every solve (the behavior before
+// shared designs). Per-gene results of the two paths are compared
+// bit-for-bit.
 #include <cmath>
 #include <limits>
 
@@ -114,8 +115,10 @@ std::vector<Batch_entry> run_panel_pooled(const Deconvolver& deconvolver,
 }
 
 // The estimator before shared designs: every solve re-derives the constraint blocks
-// (quadrature rows + positivity grid) and the QP constraint reduction from
-// scratch, exactly as the seed implementation did.
+// (quadrature rows + positivity grid), the QP constraint reduction and the
+// reduced penalty from scratch, as the seed implementation did, then runs the
+// estimator's own arithmetic on them (blocks reduced at lambda = 0, plus
+// lambda times the reduced penalty), so results must match bit for bit.
 Vector cold_estimate(const Deconvolver& deconvolver, const Measurement_series& series,
                      const std::vector<std::size_t>& rows,
                      const Deconvolution_options& options) {
@@ -132,21 +135,17 @@ Vector cold_estimate(const Deconvolver& deconvolver, const Measurement_series& s
         w_sub[r] = w_full[rows[r]];
     }
 
-    Estimator_objective objective =
+    const Design_artifacts fresh = with_constraints(*deconvolver.artifacts(), options.constraints);
+    const Estimator_objective objective =
         estimator_objective(weighted_gram(k_sub, w_sub),
                             transposed_times(k_sub, hadamard(w_sub, g_sub)),
-                            deconvolver.penalty(), options.lambda);
-    Qp_problem qp;
-    qp.hessian = std::move(objective.hessian);
-    qp.gradient = std::move(objective.gradient);
-
-    const Constraint_set constraints =
-        build_constraints(deconvolver.basis(), deconvolver.config(), options.constraints);
-    qp.eq_matrix = constraints.equality;
-    qp.eq_rhs = constraints.equality_rhs;
-    qp.ineq_matrix = constraints.inequality;
-    qp.ineq_rhs = constraints.inequality_rhs;
-    return solve_qp_dual(qp).x;
+                            deconvolver.penalty(), 0.0);
+    const Reduced_objective blocks =
+        fresh.constraint_prep->reduce_objective(objective.hessian, objective.gradient);
+    return solve_qp_dual_prepared(
+               reduced_estimator_objective(blocks, fresh.reduced_penalty, options.lambda),
+               *fresh.constraint_prep)
+        .x;
 }
 
 // Serial per-gene CV + estimate mirroring deconvolve_one, on the cold path.

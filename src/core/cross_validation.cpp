@@ -57,14 +57,14 @@ Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
 
     // Random fold assignment, fixed across the lambda grid for a fair
     // sweep. Each fold's normal-equation blocks do not depend on lambda,
-    // so they are built once here for the whole grid.
+    // so they are built and reduced once here for the whole grid; each
+    // grid point then only adds lambda times the design's reduced penalty.
     const std::vector<std::size_t> perm = kfold_permutation(m, seed);
     const Vector weights = series.weights();
     const Matrix& kernel = deconvolver.kernel_matrix();
     struct Fold {
         std::vector<std::size_t> test;
-        Matrix ktwk;
-        Vector ktwg;
+        Reduced_objective blocks;  ///< lambda-free half of the reduced objective
     };
     std::vector<Fold> fold_blocks;
     for (std::size_t fold = 0; fold < folds; ++fold) {
@@ -79,8 +79,12 @@ Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
             g_train[r] = series.values[train[r]];
             w_train[r] = weights[train[r]];
         }
-        fold_blocks.push_back({std::move(test), weighted_gram_rows(kernel, train, w_train),
-                               weighted_transposed_times_rows(kernel, train, w_train, g_train)});
+        fold_blocks.push_back(
+            {std::move(test),
+             deconvolver.reduce_blocks(
+                 weighted_gram_rows(kernel, train, w_train),
+                 weighted_transposed_times_rows(kernel, train, w_train, g_train),
+                 base_options.constraints)});
     }
 
     Lambda_selection sel;
@@ -93,7 +97,7 @@ Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
         double score = 0.0;
         try {
             for (const Fold& fold : fold_blocks) {
-                const Qp_result fit = deconvolver.solve_blocks(fold.ktwk, fold.ktwg, options);
+                const Qp_result fit = deconvolver.solve_reduced(fold.blocks, options);
                 for (const std::size_t idx : fold.test) {
                     const double r = series.values[idx] - row_dot(kernel, idx, fit.x);
                     score += weights[idx] * r * r;

@@ -22,6 +22,22 @@ Estimator_objective estimator_objective(const Matrix& ktwk, const Vector& ktwg,
     return out;
 }
 
+Reduced_objective reduced_estimator_objective(const Reduced_objective& blocks,
+                                              const Reduced_objective& penalty, double lambda) {
+    const std::size_t nz = blocks.gradient.size();
+    if (blocks.hessian.rows() != nz || blocks.hessian.cols() != nz ||
+        penalty.hessian.rows() != nz || penalty.hessian.cols() != nz ||
+        penalty.gradient.size() != nz) {
+        throw std::invalid_argument("reduced_estimator_objective: block shape mismatch");
+    }
+    Reduced_objective out = blocks;
+    for (std::size_t i = 0; i < nz; ++i) {
+        for (std::size_t j = 0; j < nz; ++j) out.hessian(i, j) += lambda * penalty.hessian(i, j);
+        out.gradient[i] += lambda * penalty.gradient[i];
+    }
+    return out;
+}
+
 Single_cell_estimate::Single_cell_estimate(std::shared_ptr<const Natural_spline_basis> basis,
                                            Vector alpha)
     : basis_(std::move(basis)), alpha_(std::move(alpha)) {
@@ -138,26 +154,34 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
     return est;
 }
 
+const Design_artifacts& Deconvolver::design_for(const Constraint_options& constraints,
+                                                std::optional<Design_artifacts>& rebuilt) const {
+    if (constraints == artifacts_->constraint_options) return *artifacts_;
+    return rebuilt.emplace(with_constraints(*artifacts_, constraints));
+}
+
+Reduced_objective Deconvolver::reduce_blocks(const Matrix& ktwk, const Vector& ktwg,
+                                             const Constraint_options& constraints) const {
+    std::optional<Design_artifacts> rebuilt;
+    const Design_artifacts& design = design_for(constraints, rebuilt);
+    const Estimator_objective objective = estimator_objective(ktwk, ktwg, design.penalty, 0.0);
+    return design.constraint_prep->reduce_objective(objective.hessian, objective.gradient);
+}
+
+Qp_result Deconvolver::solve_reduced(const Reduced_objective& blocks,
+                                     const Deconvolution_options& options) const {
+    std::optional<Design_artifacts> rebuilt;
+    const Design_artifacts& design = design_for(options.constraints, rebuilt);
+    // The dual (Goldfarb-Idnani) solver: no feasible start needed and
+    // robust on the dense, near-degenerate positivity grid.
+    return solve_qp_dual_prepared(
+        reduced_estimator_objective(blocks, design.reduced_penalty, options.lambda),
+        *design.constraint_prep);
+}
+
 Qp_result Deconvolver::solve_blocks(const Matrix& ktwk, const Vector& ktwg,
                                     const Deconvolution_options& options) const {
-    const Estimator_objective objective =
-        estimator_objective(ktwk, ktwg, artifacts_->penalty, options.lambda);
-
-    // Constraint reduction: the design caches it for its own constraint
-    // geometry; any other geometry is rebuilt per call (the slow path).
-    std::shared_ptr<const Qp_constraint_prep> prep = artifacts_->constraint_prep;
-    if (options.constraints != artifacts_->constraint_options) {
-        const Constraint_set local =
-            build_constraints(*artifacts_->basis, artifacts_->config, options.constraints);
-        prep = std::make_shared<const Qp_constraint_prep>(
-            artifacts_->basis->size(), local.equality, local.equality_rhs, local.inequality,
-            local.inequality_rhs);
-    }
-
-    // The dual (Goldfarb-Idnani) solver through the shared constraint
-    // preparation: no feasible start needed and robust on the dense,
-    // near-degenerate positivity grid.
-    return solve_qp_dual_prepared(objective.hessian, objective.gradient, *prep);
+    return solve_reduced(reduce_blocks(ktwk, ktwg, options.constraints), options);
 }
 
 Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_series& series,

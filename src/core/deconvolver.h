@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/design.h"
 #include "io/measurement.h"
@@ -31,7 +32,7 @@ struct Deconvolution_options {
 /// Tiny Tikhonov term added to every normal-equation system the
 /// estimator solves (constrained QP, unconstrained estimate, hat matrix,
 /// GCV). Batch and streaming estimates agree bit for bit because both
-/// assemble their QP through estimator_objective with this one value.
+/// assemble their QP through Deconvolver::solve_blocks with this one value.
 inline constexpr double estimator_ridge = 1e-9;
 
 /// The estimator's QP objective 0.5 a'Ha + g'a over spline coefficients.
@@ -42,9 +43,21 @@ struct Estimator_objective {
 
 /// Assemble the QP objective from the weighted normal-equation blocks
 /// K'WK (`ktwk`, n x n) and K'WG (`ktwg`, length n) and the penalty Gram
-/// Omega. The one place the estimator's Hessian and gradient are formed.
+/// Omega. The one definition of the estimator's Hessian and gradient.
 Estimator_objective estimator_objective(const Matrix& ktwk, const Vector& ktwg,
                                         const Matrix& penalty, double lambda);
+
+/// The estimator objective reduced onto a constraint preparation's equality
+/// null space (x = x0 + Z y) is affine in lambda:
+///     Hr(lambda) = A + lambda P,   gr(lambda) = b + lambda p.
+/// `blocks` is (A, b), estimator_objective at lambda = 0 reduced once per
+/// set of data blocks (Deconvolver::reduce_blocks); `penalty` is (P, p),
+/// the design's Design_artifacts::reduced_penalty. This forms one lambda's
+/// objective in O(nz^2): the one place every constrained estimate, CV fit
+/// and completing stream solve assembles the QP it solves. Throws
+/// std::invalid_argument on a shape mismatch.
+Reduced_objective reduced_estimator_objective(const Reduced_objective& blocks,
+                                              const Reduced_objective& penalty, double lambda);
 
 /// The recovered single-cell expression profile f(phi) with fit
 /// diagnostics. The estimate is a callable function of phase.
@@ -138,12 +151,27 @@ class Deconvolver {
                                           const std::vector<std::size_t>& rows,
                                           const Deconvolution_options& options) const;
 
-    /// The constrained QP over precomputed normal-equation blocks K'WK
-    /// (`ktwk`, n x n) and K'WG (`ktwg`, length n): the one objective,
-    /// constraint-prep and solve path behind estimate_on_rows and the
-    /// k-fold CV sweep, which builds each fold's blocks once for the whole
-    /// lambda grid. Throws std::invalid_argument on a shape mismatch and
-    /// propagates QP failures as std::runtime_error.
+    /// The lambda-free half (A, b) of the reduced objective (see
+    /// reduced_estimator_objective) for normal-equation blocks K'WK
+    /// (`ktwk`, n x n) and K'WG (`ktwg`, length n) under the constraint
+    /// geometry `constraints`. The k-fold CV sweep reduces each fold's
+    /// blocks once for the whole lambda grid. Throws std::invalid_argument
+    /// on a shape mismatch.
+    Reduced_objective reduce_blocks(const Matrix& ktwk, const Vector& ktwg,
+                                    const Constraint_options& constraints) const;
+
+    /// The constrained QP at options.lambda over reduce_blocks' output for
+    /// options.constraints: forms the reduced objective
+    /// (reduced_estimator_objective), solves it (solve_qp_dual_prepared)
+    /// and returns the optimum as spline coefficients, with the reduced
+    /// problem's objective. Propagates QP failures as std::runtime_error.
+    Qp_result solve_reduced(const Reduced_objective& blocks,
+                            const Deconvolution_options& options) const;
+
+    /// solve_reduced(reduce_blocks(ktwk, ktwg, options.constraints),
+    /// options): the solve behind estimate_on_rows and a stream's
+    /// completing solve. The k-fold CV sweep calls the same two halves, so
+    /// all of them agree bit for bit on equal blocks.
     Qp_result solve_blocks(const Matrix& ktwk, const Vector& ktwg,
                            const Deconvolution_options& options) const;
 
@@ -152,6 +180,11 @@ class Deconvolver {
     Matrix hat_matrix(const Measurement_series& series, double lambda) const;
 
   private:
+    /// The design a solve under `constraints` runs on: the bound artifacts,
+    /// or a copy rebuilt for other constraint options (the slow path) held
+    /// in `rebuilt`.
+    const Design_artifacts& design_for(const Constraint_options& constraints,
+                                       std::optional<Design_artifacts>& rebuilt) const;
     void check_series(const Measurement_series& series) const;
     Single_cell_estimate package(Vector alpha, const Measurement_series& series,
                                  double lambda) const;

@@ -34,6 +34,11 @@ struct Design_artifacts {
     /// Equality null-space reduction + reduced inequality rows, shared by
     /// every constrained solve against this design.
     std::shared_ptr<const Qp_constraint_prep> constraint_prep;
+    /// The penalty's share of every reduced estimator objective, per unit
+    /// lambda: 2 Omega (the lambda coefficient of estimator_objective's
+    /// Hessian) reduced onto constraint_prep, Z'(2 Omega)Z and
+    /// Z'(2 Omega x0). See reduced_estimator_objective (core/deconvolver.h).
+    Reduced_objective reduced_penalty;
 };
 
 /// Build the artifacts for one (basis, kernel, config, constraints) tuple.
@@ -41,5 +46,11 @@ struct Design_artifacts {
 std::shared_ptr<const Design_artifacts> make_design_artifacts(
     std::shared_ptr<const Natural_spline_basis> basis, const Kernel_grid& kernel,
     const Cell_cycle_config& config, const Constraint_options& constraint_options = {});
+
+/// Copy of `design` with its constraint blocks, their QP preparation and
+/// the reduced penalty rebuilt for `constraint_options`: the estimator's
+/// slow path for a geometry the design was not built for.
+Design_artifacts with_constraints(const Design_artifacts& design,
+                                  const Constraint_options& constraint_options);
 
 }  // namespace cellsync

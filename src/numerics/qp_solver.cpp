@@ -301,6 +301,28 @@ std::vector<Vector> null_space_basis(const Matrix& a) {
     return null_basis;
 }
 
+/// Givens rotation taking (a, b) to (rho, 0): c a + s b = rho, c b - s a = 0.
+struct Givens {
+    double c;
+    double s;
+    double rho;
+};
+
+Givens givens(double a, double b) {
+    const double rho = std::hypot(a, b);
+    return {a / rho, b / rho, rho};
+}
+
+/// Apply g to two rows of length n: (x, y) <- (c x + s y, c y - s x).
+void rotate_rows(double* x, double* y, std::size_t n, const Givens& g) {
+    for (std::size_t k = 0; k < n; ++k) {
+        const double xk = x[k];
+        const double yk = y[k];
+        x[k] = g.c * xk + g.s * yk;
+        y[k] = g.c * yk - g.s * xk;
+    }
+}
+
 }  // namespace
 
 Qp_constraint_prep::Qp_constraint_prep(std::size_t n, const Matrix& eq_matrix,
@@ -378,30 +400,42 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     static telemetry::Histogram& iteration_histogram =
         telemetry::histogram("qp.active_set.iterations");
 
-    const Matrix hr = ridged_hessian(hessian, gradient);
-
-    // --- Goldfarb-Idnani on the reduced problem. ---
-    const Cholesky_factorization hl(hr);  // throws if H is not PD even with ridge
-
-    // H^{-1} c_r depends only on the row, so each is solved on first use
-    // (while its slot is empty) and kept for the rest of the solve.
-    std::vector<Vector> hinv_rows(mi);
-    auto hinv_row = [&](std::size_t r) -> const Vector& {
-        if (hinv_rows[r].empty()) hinv_rows[r] = hl.solve(cr.row(r));
-        return hinv_rows[r];
-    };
+    // --- Goldfarb-Idnani in factor form. ---
+    // H = L L' is factored once (throws if H is not PD even with the
+    // ridge). J = L^{-T} Q and the upper-triangular R of the active rows N
+    // satisfy J'N = [R; 0]. For a row c, d = J'c gives the dual step
+    // r = R^{-1} d1 and the primal step z = J2 d2; adding or dropping a row
+    // updates J and R with Givens rotations instead of refactoring. J is
+    // kept transposed (row k of jt is column k of J, and jt starts as
+    // L^{-1}), so d is one mat-vec and every rotation runs along rows.
+    const Cholesky_factorization hl(ridged_hessian(hessian, gradient));
+    const Matrix& l = hl.lower();
+    Matrix jt(nz, nz);
+    for (std::size_t c = 0; c < nz; ++c) {
+        jt(c, c) = 1.0 / l(c, c);
+        for (std::size_t i = c + 1; i < nz; ++i) {
+            double s = 0.0;
+            for (std::size_t k = c; k < i; ++k) s -= l(i, k) * jt(k, c);
+            jt(i, c) = s / l(i, i);
+        }
+    }
+    Matrix rr(nz, nz);  // R in the leading q x q block, q = active.size()
 
     Vector y = scaled(hl.solve(gradient), -1.0);  // unconstrained optimum
     std::vector<std::size_t> active;
     std::vector<char> is_active(mi, 0);
     Vector u;  // multipliers of active constraints
+    Vector z(nz);
+    Vector r_dir(nz);
+    Vector cy;
     std::size_t iterations = 0;
+    bool feasible = false;
     const std::size_t max_outer = max_iterations + 10 * (mi + 1);
 
     for (std::size_t outer = 0; outer < max_outer; ++outer) {
         // Most violated inactive constraint. One mat-vec sums each row's
         // <c_r, y> from 0.0 in increasing column order, as dot() does.
-        const Vector cy = mi > 0 ? cr * y : Vector();
+        cy = mi > 0 ? cr * y : Vector();
         double worst = -constraint_tol;
         std::size_t j = mi;
         for (std::size_t r = 0; r < mi; ++r) {
@@ -412,7 +446,10 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
                 j = r;
             }
         }
-        if (j == mi) break;  // primal feasible: done
+        if (j == mi) {  // primal feasible: done
+            feasible = true;
+            break;
+        }
 
         const Vector cj = cr.row(j);
         double uj = 0.0;
@@ -421,36 +458,24 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
         // shedding dual-blocking constraints along the way.
         for (std::size_t inner = 0; inner <= mi + 1; ++inner) {
             ++iterations;
-            const Vector& hic = hinv_row(j);
-
-            Vector r_dir;  // dual step for active multipliers
-            Vector zdir = hic;
-            if (!active.empty()) {
-                const std::size_t q = active.size();
-                Matrix nact(nz, q);
-                for (std::size_t k = 0; k < q; ++k) nact.set_col(k, cr.row(active[k]));
-                // M = N' H^{-1} N, rhs = N' H^{-1} c.
-                Matrix hin(nz, q);
-                for (std::size_t k = 0; k < q; ++k) hin.set_col(k, hinv_row(active[k]));
-                Matrix m(q, q);
-                for (std::size_t a2 = 0; a2 < q; ++a2) {
-                    for (std::size_t b2 = 0; b2 < q; ++b2) {
-                        double s = 0.0;
-                        for (std::size_t k = 0; k < nz; ++k) s += nact(k, a2) * hin(k, b2);
-                        m(a2, b2) = s;
-                    }
-                }
-                const Vector rhs = transposed_times(nact, hic);
-                r_dir = ldlt_solve(m, rhs);
-                zdir = hic - hin * r_dir;
+            const std::size_t q = active.size();
+            Vector d = jt * cj;
+            for (std::size_t k = q; k-- > 0;) {
+                double s = d[k];
+                for (std::size_t i = k + 1; i < q; ++i) s -= rr(k, i) * r_dir[i];
+                r_dir[k] = s / rr(k, k);
+            }
+            std::fill(z.begin(), z.end(), 0.0);
+            for (std::size_t k = q; k < nz; ++k) {
+                for (std::size_t i = 0; i < nz; ++i) z[i] += d[k] * jt(k, i);
             }
 
-            const double ztc = dot(zdir, cj);
+            const double ztc = dot(z, cj);
             // Dual blocking step t1.
             double t1 = std::numeric_limits<double>::infinity();
-            std::size_t drop = active.size();
-            for (std::size_t k = 0; k < active.size(); ++k) {
-                if (!r_dir.empty() && r_dir[k] > multiplier_tol) {
+            std::size_t drop = q;
+            for (std::size_t k = 0; k < q; ++k) {
+                if (r_dir[k] > multiplier_tol) {
                     const double cand = u[k] / r_dir[k];
                     if (cand < t1) {
                         t1 = cand;
@@ -466,43 +491,86 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
                 throw std::runtime_error("solve_qp_dual: constraints are infeasible");
             }
 
-            if (std::isfinite(t2) || t == t1) {
-                if (std::isfinite(t2) && ztc > 1e-14) axpy(t, zdir, y);
-                for (std::size_t k = 0; k < u.size(); ++k) u[k] -= t * (r_dir.empty() ? 0.0 : r_dir[k]);
-                uj += t;
-            }
-            if (t == t2 && std::isfinite(t2)) {
+            if (std::isfinite(t2)) axpy(t, z, y);
+            for (std::size_t k = 0; k < q; ++k) u[k] -= t * r_dir[k];
+            uj += t;
+            if (t == t2) {
+                // Add j: rotate d2 into d[q], carrying J along, and append
+                // d[0..q] to R as its new last column.
+                for (std::size_t k = nz; k-- > q + 1;) {
+                    if (d[k] == 0.0) continue;
+                    const Givens g = givens(d[k - 1], d[k]);
+                    d[k - 1] = g.rho;
+                    d[k] = 0.0;
+                    rotate_rows(&jt(k - 1, 0), &jt(k, 0), nz, g);
+                }
+                for (std::size_t i = 0; i <= q; ++i) rr(i, q) = d[i];
                 active.push_back(j);
                 is_active[j] = 1;
                 u.push_back(uj);
                 break;
             }
-            // Dual step only: drop the blocking constraint and retry.
+            // Dual step only: drop the blocking constraint, delete its
+            // column of R and rotate the Hessenberg rest back to upper
+            // triangular, carrying J along, then retry.
+            for (std::size_t k = drop; k + 1 < q; ++k) {
+                for (std::size_t i = 0; i <= k + 1; ++i) rr(i, k) = rr(i, k + 1);
+            }
+            for (std::size_t k = drop; k + 1 < q; ++k) {
+                if (rr(k + 1, k) == 0.0) continue;
+                const Givens g = givens(rr(k, k), rr(k + 1, k));
+                rr(k, k) = g.rho;
+                rr(k + 1, k) = 0.0;
+                rotate_rows(&rr(k, k + 1), &rr(k + 1, k + 1), q - k - 2, g);
+                rotate_rows(&jt(k, 0), &jt(k + 1, 0), nz, g);
+            }
             is_active[active[drop]] = 0;
             active.erase(active.begin() + static_cast<std::ptrdiff_t>(drop));
             u.erase(u.begin() + static_cast<std::ptrdiff_t>(drop));
         }
     }
 
-    if (!all_finite(y)) throw std::runtime_error("solve_qp_dual: non-finite optimum");
-    Qp_result result;
-    result.x = std::move(y);
-    result.iterations = iterations == 0 ? 1 : iterations;
-    result.active_set = std::move(active);
-    std::sort(result.active_set.begin(), result.active_set.end());
-    // The dual method terminates at primal feasibility; verify it rather
-    // than trusting the loop bound.
-    double violation = 0.0;
-    for (std::size_t r = 0; r < mi; ++r) {
-        violation = std::max(violation, dr[r] - row_dot(cr, r, result.x));
+    // A finite y can still overflow the objective (H ~ I, g ~ -1e160):
+    // neither is returned.
+    const double objective = 0.5 * dot(y, hessian * y) + dot(gradient, y);
+    if (!all_finite(y) || !std::isfinite(objective)) {
+        throw std::runtime_error("solve_qp_dual: non-finite optimum");
     }
+    // The dual method terminates at primal feasibility; verify it rather
+    // than trusting the loop bound. The last scan's mat-vec already holds
+    // C y unless the loop ran out.
+    if (!feasible && mi > 0) cy = cr * y;
+    double violation = 0.0;
+    for (std::size_t r = 0; r < mi; ++r) violation = std::max(violation, dr[r] - cy[r]);
     if (violation > 100.0 * constraint_tol) {
         throw std::runtime_error("solve_qp_dual: failed to reach primal feasibility");
     }
+    Qp_result result;
+    result.x = std::move(y);
+    result.objective = objective;
+    result.iterations = iterations == 0 ? 1 : iterations;
+    result.active_set = std::move(active);
+    std::sort(result.active_set.begin(), result.active_set.end());
     result.converged = true;
-    result.objective = 0.5 * dot(result.x, hessian * result.x) + dot(gradient, result.x);
     cold_solves.add();
     iteration_histogram.record(static_cast<double>(result.iterations));
+    return result;
+}
+
+Qp_result solve_qp_dual_prepared(const Reduced_objective& reduced,
+                                 const Qp_constraint_prep& prep) {
+    if (prep.fully_determined()) {
+        // The equalities alone pin x.
+        Qp_result result;
+        result.x = prep.x_particular();
+        result.iterations = 1;
+        result.converged = true;
+        return result;
+    }
+    // Reduced problem: min 0.5 y'Hr y + gr'y  s.t.  Cr y >= dr.
+    Qp_result result = solve_qp_dual_reduced(reduced.hessian, reduced.gradient,
+                                             prep.reduced_inequality(), prep.reduced_ineq_rhs());
+    result.x = prep.z_basis() * result.x + prep.x_particular();
     return result;
 }
 
@@ -512,23 +580,7 @@ Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
     if (hessian.rows() != n || hessian.cols() != n || gradient.size() != n) {
         throw std::invalid_argument("solve_qp_dual_prepared: Hessian/gradient shape mismatch");
     }
-    Qp_result result;
-    if (prep.fully_determined()) {
-        // The equalities alone pin x.
-        result.x = prep.x_particular();
-        result.iterations = 1;
-        result.converged = true;
-    } else {
-        // Reduced problem: min 0.5 y'Hr y + gr'y  s.t.  Cr y >= dr.
-        const Reduced_objective reduced_obj = prep.reduce_objective(hessian, gradient);
-        Qp_result reduced =
-            solve_qp_dual_reduced(reduced_obj.hessian, reduced_obj.gradient,
-                                  prep.reduced_inequality(), prep.reduced_ineq_rhs());
-        result.x = prep.z_basis() * reduced.x + prep.x_particular();
-        result.iterations = reduced.iterations;
-        result.active_set = std::move(reduced.active_set);
-        result.converged = reduced.converged;
-    }
+    Qp_result result = solve_qp_dual_prepared(prep.reduce_objective(hessian, gradient), prep);
     result.objective = 0.5 * dot(result.x, hessian * result.x) + dot(gradient, result.x);
     return result;
 }

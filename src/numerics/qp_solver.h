@@ -9,12 +9,15 @@
 //
 // with H symmetric positive (semi-)definite. Problem sizes are tiny
 // (tens of unknowns, tens of constraints). Production solves go through
-// one path: the Goldfarb-Idnani dual iteration on the reduced problem
-// (solve_qp_dual_reduced), reached through a shared constraint
-// preparation (solve_qp_dual_prepared) or, for a stream that maintains
-// its reduced blocks incrementally, called directly. The primal
-// active-set solve_qp is the independent reference the tests compare
-// that path against. Solver tolerances are fixed constants.
+// one path: the Goldfarb-Idnani dual iteration in factor form on the
+// reduced problem (solve_qp_dual_reduced), reached through a shared
+// constraint preparation (solve_qp_dual_prepared). Its callers pass an
+// objective already reduced onto the preparation's null space: the
+// estimator forms it per lambda from blocks reduced once (see
+// reduced_estimator_objective in core/deconvolver.h), and a stream keeps
+// it up to date by rank-one updates. The primal active-set solve_qp is the
+// independent reference the tests compare that path against. Solver
+// tolerances are fixed constants.
 #pragma once
 
 #include "numerics/matrix.h"
@@ -100,16 +103,31 @@ class Qp_constraint_prep {
 /// Goldfarb-Idnani dual iteration on a reduced, inequality-only QP:
 /// min 0.5 y'H y + g'y  s.t.  C y >= d, with H made strictly convex by a
 /// scaled internal ridge. This is the core shared by solve_qp_dual, the
-/// prepared solve path and a stream's mid-stream solves. Throws
-/// std::invalid_argument on shape mismatch and std::runtime_error on
-/// infeasibility, a non-PD Hessian, a non-finite Hessian or gradient, or
-/// a non-finite optimum.
+/// estimator and a stream's mid-stream solves. Starting from the
+/// unconstrained optimum, it repeatedly takes the most violated inactive
+/// row and steps toward its boundary, dropping active rows whose
+/// multipliers would turn negative. It runs in factor form (Goldfarb &
+/// Idnani, Math. Programming 27, 1983): the ridged H = LL' is factored
+/// once, and J = L^{-T}Q with the upper-triangular R of the active rows N
+/// (J'N = [R; 0]) gives each step's directions; Givens rotations update
+/// both when a row is added or dropped. Throws std::invalid_argument on
+/// shape mismatch and std::runtime_error on infeasibility, a non-PD
+/// Hessian, a non-finite Hessian or gradient, or a non-finite optimum or
+/// optimal objective.
 Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
                                 const Matrix& ineq_matrix, const Vector& ineq_rhs);
 
-/// Goldfarb-Idnani solve of the full QP reusing a shared constraint
-/// preparation; numerically identical to solve_qp_dual on the same
-/// problem, minus the per-solve constraint reduction work.
+/// Goldfarb-Idnani solve on a shared constraint preparation, from an
+/// objective already reduced onto its null space: solves the reduced
+/// problem and maps the optimum back, x = x0 + Z y. The reported objective
+/// is the reduced problem's, 0.5 y'Hr y + gr'y (0 when the equalities pin
+/// x).
+Qp_result solve_qp_dual_prepared(const Reduced_objective& reduced,
+                                 const Qp_constraint_prep& prep);
+
+/// The same for a full-space objective: reduces it first (reduce_objective)
+/// and reports the full objective 0.5 x'Hx + g'x. Numerically identical to
+/// solve_qp_dual on the same problem, minus the constraint reduction.
 Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
                                  const Qp_constraint_prep& prep);
 

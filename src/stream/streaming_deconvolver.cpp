@@ -40,12 +40,9 @@ Streaming_deconvolver::Streaming_deconvolver(
 
     // Seed the reduced state with the objective of the still-empty
     // normal-equation state: H0 = 2 (lambda Omega + ridge I), g0 = 0.
-    const Estimator_objective empty =
-        estimator_objective(gram_, ktwg_, artifacts_->penalty, options_.lambda);
-    Reduced_objective reduced =
-        artifacts_->constraint_prep->reduce_objective(empty.hessian, empty.gradient);
-    reduced_hessian_ = std::move(reduced.hessian);
-    reduced_gradient_ = std::move(reduced.gradient);
+    reduced_ = reduced_estimator_objective(
+        Deconvolver(artifacts_).reduce_blocks(gram_, ktwg_, artifacts_->constraint_options),
+        artifacts_->reduced_penalty, options_.lambda);
 
     // Circularly-open scoring grid (phi = 1 aliases phi = 0 and must not
     // be double-counted), coarse by default — see Stream_convergence. The
@@ -105,8 +102,7 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     // floating-point subtraction would not restore the old bits.
     const Matrix gram_before = gram_;
     const Vector ktwg_before = ktwg_;
-    const Matrix reduced_hessian_before = reduced_hessian_;
-    const Vector reduced_gradient_before = reduced_gradient_;
+    const Reduced_objective reduced_before = reduced_;
     const Vector row = artifacts_->kernel_matrix.row(m);
     const std::size_t n = row.size();
     const double w = 1.0 / (sigma * sigma);
@@ -128,10 +124,10 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
         const Vector kr = transposed_times(prep.z_basis(), row);
         for (std::size_t i = 0; i < nz; ++i) {
             const double wi = 2.0 * w * kr[i];
-            for (std::size_t j = 0; j < nz; ++j) reduced_hessian_(i, j) += wi * kr[j];
+            for (std::size_t j = 0; j < nz; ++j) reduced_.hessian(i, j) += wi * kr[j];
         }
         const double c = 2.0 * w * (dot(row, prep.x_particular()) - value);
-        if (c != 0.0) axpy(c, kr, reduced_gradient_);
+        if (c != 0.0) axpy(c, kr, reduced_.gradient);
     }
 
     values_.push_back(value);
@@ -152,8 +148,7 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     } catch (...) {
         gram_ = gram_before;
         ktwg_ = ktwg_before;
-        reduced_hessian_ = reduced_hessian_before;
-        reduced_gradient_ = reduced_gradient_before;
+        reduced_ = reduced_before;
         values_.pop_back();
         sigmas_.pop_back();
         weights_.pop_back();
@@ -166,28 +161,19 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
 }
 
 void Streaming_deconvolver::solve_and_package() {
-    const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
     Qp_result result;
     if (complete()) {
-        // The solve that completes the series assembles its objective
-        // through the same estimator_objective as
-        // Deconvolver::estimate_on_rows and runs the identical prepared
-        // path, so the final estimate's bits depend only on the
-        // accumulated state.
-        const Estimator_objective objective =
-            estimator_objective(gram_, ktwg_, artifacts_->penalty, options_.lambda);
-        result = solve_qp_dual_prepared(objective.hessian, objective.gradient, prep);
-    } else if (prep.fully_determined()) {
-        // The equalities pin the solution; nothing varies with the data.
-        result.x = prep.x_particular();
-        result.converged = true;
-        result.iterations = 1;
+        // The solve that completes the series is Deconvolver::solve_blocks,
+        // the one behind estimate_on_rows, so the final estimate's bits
+        // depend only on the accumulated state.
+        Deconvolution_options options;
+        options.lambda = options_.lambda;
+        options.constraints = artifacts_->constraint_options;
+        result = Deconvolver(artifacts_).solve_blocks(gram_, ktwg_, options);
     } else {
         // Mid-stream: solve directly on the incrementally maintained
         // reduced problem.
-        result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_,
-                                       prep.reduced_inequality(), prep.reduced_ineq_rhs());
-        result.x = prep.z_basis() * result.x + prep.x_particular();
+        result = solve_qp_dual_prepared(reduced_, *artifacts_->constraint_prep);
     }
 
     Single_cell_estimate est(artifacts_->basis, result.x);

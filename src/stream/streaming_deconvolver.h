@@ -10,12 +10,12 @@
 // their projections onto the constraint preparation's equality null
 // space — and on each appended measurement performs a rank-one update
 // plus a Goldfarb-Idnani re-solve directly on the reduced blocks
-// (solve_qp_dual_reduced), the same dual iteration the batch path runs.
+// (solve_qp_dual_prepared), the same dual iteration the batch path runs.
 //
 // Bit-identity contract: the accumulation order of the incremental state
 // mirrors weighted_gram / transposed_times exactly, and the solve on the
-// final timepoint goes through the identical cold prepared path the
-// batch estimator uses, so once the stream has seen the complete series
+// final timepoint is Deconvolver::solve_blocks, the one the batch
+// estimator uses, so once the stream has seen the complete series
 // the estimate equals Deconvolver::estimate on that series bit for bit
 // (same lambda, same design artifacts). Asserted by
 // tests/streaming_deconvolver_test.cpp and bench/perf_streaming.
@@ -136,14 +136,13 @@ class Streaming_deconvolver {
     // build over the same rows.
     Matrix gram_;   // sum_m w_m k_m k_m'
     Vector ktwg_;   // sum_m k_m (w_m G_m)
-    // The same state projected onto the constraint preparation's equality
-    // null space (x = x0 + Z y), also rank-one updated: mid-stream solves
-    // run directly on the reduced problem, skipping the O(n^2 nz)
-    // reduction the prepared path performs per solve. Only the final
-    // (complete-series) solve re-reduces from gram_ via the cold prepared
-    // path, which is what pins the bit-identity guarantee.
-    Matrix reduced_hessian_;   // Z' (2 (G + lambda Omega + ridge I)) Z
-    Vector reduced_gradient_;  // Z' (H x0 + g)
+    // The reduced objective of that state on the constraint preparation's
+    // equality null space (x = x0 + Z y), also rank-one updated: mid-stream
+    // solves run directly on it, with no reduction per solve. Only the
+    // final (complete-series) solve reduces gram_ through
+    // Deconvolver::solve_blocks, which is what pins the bit-identity
+    // guarantee.
+    Reduced_objective reduced_;  // Z' (2 (G + lambda Omega + ridge I)) Z, Z' (H x0 + g)
     std::size_t observed_ = 0;
     Vector values_;   // observed measurements, grid order
     Vector sigmas_;   // their standard deviations

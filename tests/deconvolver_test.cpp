@@ -219,8 +219,9 @@ TEST_F(DeconvolverTest, OverflowingMeasurementThrowsInsteadOfNanProfile) {
 TEST_F(DeconvolverTest, ProductionShapeQpPassesKktCertificate) {
     // The QP the program solves: natural-spline Nc = 18 design with the
     // default constraints (101-point positivity grid, conservation, rate
-    // continuity). At each lambda the production prepared dual must pass
-    // the KKT check at a tolerance scaled to ||H||, match the primal
+    // continuity). At each lambda the estimator's own solve (solve_blocks)
+    // must pass the KKT check of the full problem built from
+    // estimator_objective at a tolerance scaled to ||H||, match the primal
     // reference's objective, and be exactly what estimate() returns. (The
     // primal can cycle on this grid for some profiles and lambdas; these
     // inputs are ones it solves.)
@@ -236,13 +237,16 @@ TEST_F(DeconvolverTest, ProductionShapeQpPassesKktCertificate) {
     std::vector<std::size_t> all(data.size());
     for (std::size_t m = 0; m < all.size(); ++m) all[m] = m;
 
+    const Matrix ktwk = weighted_gram_rows(artifacts->kernel_matrix, all, w);
+    const Vector ktwg =
+        weighted_transposed_times_rows(artifacts->kernel_matrix, all, w, data.values);
+
     for (const double lambda : {1e-5, 1e-3, 1e-1}) {
-        const Estimator_objective objective = estimator_objective(
-            weighted_gram_rows(artifacts->kernel_matrix, all, w),
-            weighted_transposed_times_rows(artifacts->kernel_matrix, all, w, data.values),
-            artifacts->penalty, lambda);
-        const Qp_result dual = solve_qp_dual_prepared(objective.hessian, objective.gradient,
-                                                      *artifacts->constraint_prep);
+        Deconvolution_options options;
+        options.lambda = lambda;
+        const Qp_result dual = deconvolver.solve_blocks(ktwk, ktwg, options);
+        const Estimator_objective objective =
+            estimator_objective(ktwk, ktwg, artifacts->penalty, lambda);
 
         Qp_problem problem;
         problem.hessian = objective.hessian;
@@ -254,13 +258,13 @@ TEST_F(DeconvolverTest, ProductionShapeQpPassesKktCertificate) {
         const double scale = std::max(1.0, objective.hessian.norm_inf());
         EXPECT_LT(kkt_violation(problem, dual), 1e-8 * scale) << "lambda " << lambda;
 
+        // solve_blocks reports the reduced problem's objective, which is the
+        // full one: the constraints' right-hand sides are zero, so x0 = 0.
         const Qp_result primal = solve_qp(problem);
         EXPECT_NEAR(dual.objective, primal.objective,
                     1e-6 * std::max(1.0, std::abs(primal.objective)))
             << "lambda " << lambda;
 
-        Deconvolution_options options;
-        options.lambda = lambda;
         const Single_cell_estimate est = deconvolver.estimate(data, options);
         EXPECT_EQ(est.coefficients(), dual.x) << "lambda " << lambda;
         EXPECT_EQ(est.active_constraints, dual.active_set.size());

@@ -270,6 +270,10 @@ TEST(QpDualSolver, OverflowingOptimumNeverReturned) {
     const Matrix ineq = Matrix::identity(2);
     const Vector rhs{0.0, 0.0};
     EXPECT_THROW(solve_qp_dual_reduced(hessian, gradient, ineq, rhs), std::runtime_error);
+    // A finite optimum x = (1e160, 1e160) whose objective overflows
+    // (0.5 x'x + g'x = inf - inf): not returned as "converged" either.
+    EXPECT_THROW(solve_qp_dual_reduced(Matrix::identity(2), Vector{-1e160, -1e160}, ineq, rhs),
+                 std::runtime_error);
 }
 
 TEST(QpDualSolver, PreparedSolveMatchesColdDualSolve) {
@@ -304,8 +308,35 @@ TEST(QpDualSolver, PreparedSolveMatchesColdDualSolve) {
 }
 
 // Property suite: random strictly convex problems with random box
-// constraints must satisfy the KKT conditions at the reported optimum.
+// constraints, or with dense random rows, must satisfy the KKT conditions
+// at the reported optimum.
 class QpRandomProblems : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Dense random inequality rows, more rows than unknowns, with the
+/// right-hand side taken from the strictly feasible point x = 0 (each row
+/// has slack 0.1..1.1 there, and the primal reference starts from it). The
+/// unconstrained optimum violates many rows, so drops and nearly dependent
+/// rows, rare on x >= 0 boxes, come up.
+Qp_problem dense_rows_problem(std::uint64_t seed) {
+    Rng rng(seed);
+    const std::size_t n = 3 + rng.index(6);
+    const std::size_t m = 2 * n + rng.index(2 * n);
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal();
+    Qp_problem p;
+    p.hessian = gram(a);
+    for (std::size_t i = 0; i < n; ++i) p.hessian(i, i) += static_cast<double>(n);
+    p.gradient = scaled(rng.normal_vector(n), 3.0 * static_cast<double>(n));
+    p.eq_matrix = Matrix(0, n);
+    p.ineq_matrix = Matrix(m, n);
+    p.ineq_rhs.assign(m, 0.0);
+    for (std::size_t r = 0; r < m; ++r) {
+        for (std::size_t j = 0; j < n; ++j) p.ineq_matrix(r, j) = rng.normal();
+        p.ineq_rhs[r] = -(0.1 + rng.uniform());
+    }
+    return p;
+}
 
 TEST_P(QpRandomProblems, KktHoldsAtReportedOptimum) {
     Rng rng(GetParam());
@@ -336,8 +367,33 @@ TEST_P(QpRandomProblems, KktHoldsAtReportedOptimum) {
     EXPECT_NEAR(rd.objective, r.objective, 1e-6 * std::max(1.0, std::abs(r.objective)));
 }
 
+TEST_P(QpRandomProblems, DenseRowsKktHoldsAtReportedOptimum) {
+    const Qp_problem p = dense_rows_problem(GetParam());
+    const Qp_result r = solve_qp(p);
+    EXPECT_TRUE(r.converged);
+    EXPECT_LT(kkt_violation(p, r), 1e-6);
+
+    const Qp_result rd = solve_qp_dual(p);
+    EXPECT_LT(kkt_violation(p, rd), 1e-6);
+    EXPECT_NEAR(rd.objective, r.objective, 1e-6 * std::max(1.0, std::abs(r.objective)));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, QpRandomProblems,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
+
+TEST(QpDualSolver, DenseRowsDropActiveRows) {
+    // Each dual iteration adds or drops one row, so iterations = adds +
+    // drops and active rows = adds - drops: a solve with more iterations
+    // than active rows + 1 dropped a row and re-triangularized its factor
+    // (one with no iteration reports 1 and no active row). Some of the
+    // QpRandomProblems dense-row solves must.
+    std::size_t dropping = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const Qp_result r = solve_qp_dual(dense_rows_problem(seed));
+        if (r.iterations > r.active_set.size() + 1) ++dropping;
+    }
+    EXPECT_GT(dropping, 0u);
+}
 
 }  // namespace
 }  // namespace cellsync

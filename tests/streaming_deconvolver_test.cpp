@@ -27,11 +27,10 @@ struct Stream_fixture {
 };
 
 /// The fixture keeps the 4000-cell Monte-Carlo kernel these tests were
-/// written against. The mid-stream bound of 1e-8 lies inside the
-/// rounding spread of the pulse gene's prefix solves: over kernels of
-/// the same population the gap after 4 to 7 appends ranges from 4e-10
-/// (this kernel) to 1.2e-8 (build_kernel's, or 100k simulated cells from
-/// seed 1).
+/// written against. Over kernels of the same population the pulse gene's
+/// largest mid-stream gap is 2.5e-11 (this kernel), 1.0e-11
+/// (build_kernel's) and 1.5e-11 (100k simulated cells from seed 1), far
+/// inside the bound of 1e-8.
 const Stream_fixture& fixture() {
     static const Stream_fixture fixed = [] {
         Stream_fixture out;
