@@ -7,7 +7,10 @@
 // Symmetric division (E. coli-like): both daughters inherit half the
 // mother's volume and restart at phase 0. In cellsync terms that is a
 // degenerate transition phase near 0 plus a custom volume model, with the
-// Caulobacter-specific division-balance constraints switched off.
+// Caulobacter-specific division-balance constraints switched off. Like
+// every cellsync population it starts as a swarmer isolate, phi(0)
+// uniform on [0, mu_sst): with mu_sst = 0.02 that is a nearly synchronous
+// start at phase 0.
 #include <cstdio>
 
 #include "biology/gene_profiles.h"
@@ -44,7 +47,6 @@ int main() {
     organism.cv_sst = 0.0;    // and deterministic
     organism.mean_cycle_minutes = 30.0;
     organism.cv_cycle = 0.10;
-    organism.initial_mode = Initial_phase_mode::all_at_zero;
 
     const Exponential_volume_model volume;
     const Gene_profile truth = pulse_profile(1.0, 5.0, 0.6, 0.2);

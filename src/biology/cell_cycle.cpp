@@ -1,6 +1,5 @@
 #include "biology/cell_cycle.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace cellsync {
@@ -30,23 +29,10 @@ Cell_parameters draw_cell_parameters(const Cell_cycle_config& config, Rng& rng) 
     return p;
 }
 
-double draw_initial_phase(const Cell_cycle_config& config, const Cell_parameters& params,
-                          Rng& rng) {
-    switch (config.initial_mode) {
-        case Initial_phase_mode::all_at_zero:
-            return 0.0;
-        case Initial_phase_mode::synchronized_swarmers:
-            // A fresh swarmer isolate: every cell is somewhere in its SW
-            // stage, uniformly (Evinger & Agabian; paper Sec 2.1).
-            return rng.uniform(0.0, params.phi_sst);
-        case Initial_phase_mode::stationary: {
-            // Steady-state age distribution of an exponentially growing
-            // population: density 2 ln(2) 2^{-phi}; sample by inversion.
-            const double u = rng.uniform();
-            return -std::log2(1.0 - u * 0.5);
-        }
-    }
-    throw std::invalid_argument("draw_initial_phase: unknown initial mode");
+double draw_initial_phase(const Cell_parameters& params, Rng& rng) {
+    // A fresh swarmer isolate: every cell is somewhere in its SW stage,
+    // uniformly (Evinger & Agabian; paper Sec 2.1).
+    return rng.uniform(0.0, params.phi_sst);
 }
 
 double advance_phase(double phi0, double t_minutes, const Cell_parameters& params) {

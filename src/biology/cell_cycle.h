@@ -4,19 +4,14 @@
 // 1/T_k (T_k = the cell's total cycle time). The SW->ST transition phase
 // phi_sst_k is normally distributed across the population with mean 0.15
 // (2011 update) and CV 0.13. At phi = 1 the cell divides into an SW
-// daughter (phi = 0) and an ST daughter (phi = its own phi_sst).
+// daughter (phi = 0) and an ST daughter (phi = its own phi_sst). Every
+// population starts as a synchronized swarmer isolate: phi_k(0) uniform
+// on [0, phi_sst_k) (paper Sec 2.1).
 #pragma once
 
 #include "numerics/rng.h"
 
 namespace cellsync {
-
-/// How the initial population is distributed in phase at t = 0.
-enum class Initial_phase_mode {
-    synchronized_swarmers,  ///< phi_k(0) ~ Uniform(0, phi_sst_k): fresh SW isolate (paper default)
-    all_at_zero,            ///< every cell starts exactly at phi = 0
-    stationary,             ///< phases from the asynchronous steady-state age distribution
-};
 
 /// Population-level cell-cycle parameters.
 ///
@@ -29,7 +24,6 @@ struct Cell_cycle_config {
     double cv_sst = 0.13;          ///< CV of the transition phase
     double mean_cycle_minutes = 150.0;  ///< mean total cycle time T
     double cv_cycle = 0.12;        ///< CV of the cycle time
-    Initial_phase_mode initial_mode = Initial_phase_mode::synchronized_swarmers;
 
     /// Validate ranges; throws std::invalid_argument with a description of
     /// the offending field.
@@ -61,9 +55,9 @@ inline constexpr double cycle_max_factor = 3.0;
 /// to the windows above to exclude impossible cells from the simulation.
 Cell_parameters draw_cell_parameters(const Cell_cycle_config& config, Rng& rng);
 
-/// Draw an initial phase for a cell according to the configured mode.
-double draw_initial_phase(const Cell_cycle_config& config, const Cell_parameters& params,
-                          Rng& rng);
+/// Draw a cell's phase at t = 0 in a synchronized swarmer isolate:
+/// uniform on [0, params.phi_sst), somewhere in its SW stage.
+double draw_initial_phase(const Cell_parameters& params, Rng& rng);
 
 /// Phase of a (non-dividing) cell at time t given its phase at time 0:
 /// phi(t) = phi0 + t / T. The caller handles division when the result

@@ -1,6 +1,5 @@
 #include "core/experiment_runner.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include "core/telemetry.h"
 #include "core/trace.h"
 #include "core/worker_pool.h"
-#include "population/synchrony.h"
 #include "spline/spline_basis.h"
 
 namespace cellsync {
@@ -65,18 +63,6 @@ Vector warm_grid(double center, std::size_t points, double decades) {
                                center * std::pow(10.0, decades));
 }
 
-/// Profiles are scored on the first 200 points of the standard 201-point
-/// output grid — phi = 0, 0.005, ..., 0.995. Dropping the phi = 1 sample
-/// keeps the grid circularly open (phi = 0 and 1 are the same angle and
-/// must not be double-counted), and using the output grid's own points
-/// lets `cellsync_deconvolve report` reproduce these scores exactly from
-/// a saved profile CSV.
-Vector make_score_phi() {
-    Vector score_phi = linspace(0.0, 1.0, 201);
-    score_phi.pop_back();
-    return score_phi;
-}
-
 /// Per-gene warm-started lambda grids for condition `c`: narrowed around
 /// each gene's selection in the most recent condition where it succeeded
 /// (empty grid = fall back to the shared grid).
@@ -117,18 +103,13 @@ void score_condition(Condition_result& out, const Natural_spline_basis& basis,
     const Matrix score_design = basis.design_matrix(score_phi);
     for (const Batch_entry& entry : out.genes) {
         if (!entry.estimate.has_value()) continue;
-        const Vector values = score_design * entry.estimate->coefficients();
-        Gene_synchrony scores;
-        scores.label = entry.label;
         try {
-            scores.order_parameter = profile_order_parameter(score_phi, values);
-            scores.entropy = profile_entropy(values);
+            out.synchrony.push_back(
+                {score_profile(score_phi, score_design * entry.estimate->coefficients()),
+                 entry.label});
         } catch (const std::invalid_argument&) {
-            continue;  // no positive mass: synchrony is undefined, skip
+            // no positive mass: synchrony is undefined, skip
         }
-        const auto peak = std::max_element(values.begin(), values.end());
-        scores.peak_phi = score_phi[static_cast<std::size_t>(peak - values.begin())];
-        out.synchrony.push_back(std::move(scores));
     }
     if (!out.synchrony.empty()) {
         for (const Gene_synchrony& s : out.synchrony) {
@@ -190,7 +171,9 @@ Experiment_result run_batches(const Experiment_spec& spec, const Volume_model& v
             spec.batch.deconvolution.constraints);
     });
 
-    const Vector score_phi = make_score_phi();
+    // The output grid of `run`, so `report` reproduces these scores from
+    // a saved profile CSV.
+    const Vector score_phi = linspace(0.0, 1.0, 201);
     std::map<std::string, double> previous_lambda;
     for (std::size_t c = 0; c < n; ++c) {
         const Experiment_condition& condition = spec.conditions[c];

@@ -28,6 +28,7 @@
 
 #include "core/batch.h"
 #include "population/kernel_cache.h"
+#include "population/synchrony.h"
 
 namespace cellsync {
 
@@ -60,13 +61,10 @@ struct Experiment_spec {
     static constexpr double warm_grid_decades = 1.0;
 };
 
-/// Synchrony scores of one reconstructed profile (see
-/// profile_order_parameter / profile_entropy in population/synchrony.h).
-struct Gene_synchrony {
+/// Synchrony scores of one reconstructed profile (score_profile in
+/// population/synchrony.h).
+struct Gene_synchrony : Profile_scores {
     std::string label;
-    double order_parameter = 0.0;  ///< 1 = sharply phase-localized expression
-    double entropy = 0.0;          ///< 1 = flat (constitutive) expression
-    double peak_phi = 0.0;         ///< phase of maximal expression
 };
 
 /// Everything produced for one condition.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <numbers>
 #include <stdexcept>
 #include <string>
 
@@ -268,7 +267,8 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     // Every division makes an SW daughter, which divides after T, and an
     // ST daughter, which divides after T (1 - s), with fresh draws of
     // s = phi_sst and T. On renewal steps of h, g holds the law of those
-    // two lifetimes; D0 holds the divisions of the initial cells.
+    // two lifetimes; D0 holds the divisions of the initial cells, a
+    // synchronized swarmer isolate.
     const Quadrature s_q =
         truncated_normal_quadrature(config.mu_sst, config.sigma_sst(), phi_sst_min, phi_sst_max);
     const double t_lo = cycle_min_factor * mean_cycle;
@@ -302,46 +302,16 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     }
     const auto cdf = [&](double tau) { return interpolate(cycle_cdf, tau / h, 1.0); };
 
-    // d holds the hat masses of D0. Those of a law with CDF C are
-    // (C(tau + h) - C(tau - h)) / 2 to second order.
+    // d holds the hat masses of D0: phi0 ~ U(0, s), so the initial cells
+    // divide uniformly on [T (1 - s), T].
     Vector d(std::max(steps, window), 0.0);
-    switch (config.initial_mode) {
-        case Initial_phase_mode::synchronized_swarmers:
-            // phi0 ~ U(0, s): divisions uniform on [T (1 - s), T].
-            for (std::size_t j = 0; j < t_q.nodes.size(); ++j) {
-                for (std::size_t i = 0; i < s_q.nodes.size(); ++i) {
-                    add_uniform(d, h, t_q.nodes[j] * (1.0 - s_q.nodes[i]), t_q.nodes[j],
-                                t_q.weights[j] * s_q.weights[i]);
-                }
-            }
-            for (std::size_t k = 1; k < window; ++k) d[k] += d[k - 1];
-            break;
-        case Initial_phase_mode::stationary:
-            // phi0 has density 2 ln 2 2^-phi0, so the divisions at
-            // tau = T (1 - phi0) have CDF 2^(tau / T) - 1 on [0, T].
-            for (std::size_t j = 0; j < t_q.nodes.size(); ++j) {
-                const double cycle = t_q.nodes[j];
-                const auto at = [&](std::size_t k) {
-                    const double tau = static_cast<double>(k) * h;
-                    return tau >= cycle ? 1.0 : std::expm1(tau * std::numbers::ln2 / cycle);
-                };
-                double before = 0.0;
-                double here = 0.0;
-                for (std::size_t k = 0; before < 1.0 && k + 1 < window; ++k) {
-                    const double after = at(k + 1);
-                    d[k] += t_q.weights[j] * 0.5 * (after - before);
-                    before = here;
-                    here = after;
-                }
-            }
-            break;
-        case Initial_phase_mode::all_at_zero:
-            // Every initial cell divides at its own T.
-            for (std::size_t k = 0; k + 1 < window; ++k) {
-                d[k] = 0.5 * (cycle_cdf[k + 1] - (k > 0 ? cycle_cdf[k - 1] : 0.0));
-            }
-            break;
+    for (std::size_t j = 0; j < t_q.nodes.size(); ++j) {
+        for (std::size_t i = 0; i < s_q.nodes.size(); ++i) {
+            add_uniform(d, h, t_q.nodes[j] * (1.0 - s_q.nodes[i]), t_q.nodes[j],
+                        t_q.weights[j] * s_q.weights[i]);
+        }
     }
+    for (std::size_t k = 1; k < window; ++k) d[k] += d[k - 1];
     d.resize(steps);
 
     // D = D0 + D * g grows like exp(rho tau / h); solve for the rescaled
@@ -377,7 +347,6 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     const std::size_t grid = n_sub + 1;
     const double sub_width = 1.0 / static_cast<double>(n_sub);
     const auto sub_point = [&](std::size_t p) { return (static_cast<double>(p) + 0.5) * sub_width; };
-    const bool swarmers = config.initial_mode == Initial_phase_mode::synchronized_swarmers;
     const std::size_t rows = std::clamp<std::size_t>(grid_values_per_pass / grid, 1, times.size());
 
     // Sums over s that no time changes: volume[p] = sum_s w_s v(phi_p, s);
@@ -399,7 +368,6 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     Vector older(rows * grid);
     Vector stalked(rows * n_sub);
     Vector initial(rows * n_sub);
-    Vector tail(t_q.nodes.size() + 1);
     Matrix q(times.size(), n_bins, 0.0);
     for (std::size_t pass = 0; pass < times.size(); pass += rows) {
         const std::size_t count = std::min(rows, times.size() - pass);
@@ -457,7 +425,6 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
                     const std::size_t c = p - whole;
                     out[p] += v[p] * (fr[c] + part * (fr[c - 1] - fr[c]));
                 }
-                if (!swarmers) continue;
                 const double* o = &older[r * grid];
                 out = &initial[r * n_sub];
                 for (std::size_t p = first; p < n_sub; ++p) {
@@ -471,45 +438,14 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
             const std::size_t m = pass + r;
             const double t = times[m];
             const double* fr = &f[r * n_sub];
-            const double* o = &older[r * grid];
             // Initial cells that have not divided yet, in the same
-            // rescaled units.
+            // rescaled units: phi0 = phi - t / T uniform on [0, s), so the
+            // T in [t / phi, t / (phi - s)).
             const double initial_scale = std::exp(-rho * t / h);
-            if (config.initial_mode == Initial_phase_mode::stationary) {
-                // Their phase phi0 + t / T needs T > t; tail[j] sums
-                // w_T 2^(t / T) over the nodes from j on.
-                tail.back() = 0.0;
-                for (std::size_t j = t_q.nodes.size(); j-- > 0;) {
-                    const double cycle = t_q.nodes[j];
-                    tail[j] = tail[j + 1] + (cycle > t ? t_q.weights[j] * std::exp2(t / cycle) : 0.0);
-                }
-            }
             for (std::size_t p = 0; p < n_sub; ++p) {
-                const double phi = sub_point(p);
-                double unborn = 0.0;
-                switch (config.initial_mode) {
-                    case Initial_phase_mode::synchronized_swarmers: {
-                        // phi0 = phi - t / T uniform on [0, s): the T in
-                        // [t / phi, t / (phi - s)).
-                        const double younger = cdf(t / phi);
-                        unborn = initial[r * n_sub + p] + swarming[p] -
-                                 younger * (swarming[p] + settled[p]);
-                        break;
-                    }
-                    case Initial_phase_mode::stationary: {
-                        const auto first = static_cast<std::size_t>(
-                            std::lower_bound(t_q.nodes.begin(), t_q.nodes.end(), t / phi) -
-                            t_q.nodes.begin());
-                        unborn = volume[p] * 2.0 * std::numbers::ln2 * std::exp2(-phi) * tail[first];
-                        break;
-                    }
-                    case Initial_phase_mode::all_at_zero: {
-                        // Phase t / T: the T in (t / phi_hi, t / phi_lo].
-                        const double mass = t == 0.0 ? (p == 0 ? 1.0 : 0.0) : o[p] - o[p + 1];
-                        unborn = volume[p] * mass / sub_width;
-                        break;
-                    }
-                }
+                const double younger = cdf(t / sub_point(p));
+                const double unborn =
+                    initial[r * n_sub + p] + swarming[p] - younger * (swarming[p] + settled[p]);
                 q(m, p / sub_cells_per_bin) +=
                     volume[p] * fr[p] + stalked[r * n_sub + p] + initial_scale * unborn;
             }

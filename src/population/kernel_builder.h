@@ -88,10 +88,12 @@ struct Kernel_build_options {
 
 /// Compute Q(phi, t) at the given measurement times (minutes, finite,
 /// ascending, starting at >= 0) as the expected volume-weighted phase
-/// density of the configured population. The division rate D solves the
-/// renewal equation D = D0 + D * g on steps of mean T / 1500, where g is
-/// the law of the two daughters' lifetimes T and T (1 - phi_sst) and D0
-/// that of the initial cells' divisions; phi_sst and T are integrated by
+/// density of the configured population, started as a synchronized
+/// swarmer isolate (phi(0) uniform on [0, phi_sst), paper Sec 2.1). The
+/// division rate D solves the renewal equation D = D0 + D * g on steps of
+/// mean T / 1500, where g is the law of the two daughters' lifetimes T and
+/// T (1 - phi_sst) and D0 that of the initial cells' divisions, uniform on
+/// [T (1 - phi_sst), T]; phi_sst and T are integrated by
 /// 64-node midpoint quadrature over their truncated normals, and each bin
 /// averages 4 sub-cells. Deterministic and re-entrant; memory is linear
 /// in the span, the window of g and the bin count. Throws

@@ -73,7 +73,6 @@ std::string Kernel_cache::cache_key(const Cell_cycle_config& config,
     append_double(key, "cv_sst", config.cv_sst);
     append_double(key, "mean_cycle_minutes", config.mean_cycle_minutes);
     append_double(key, "cv_cycle", config.cv_cycle);
-    key += "initial_mode=" + std::to_string(static_cast<int>(config.initial_mode)) + ";";
     key += "volume=" + volume_model.name() + ";";
     key += "n_bins=" + std::to_string(options.n_bins) + ";";
     key += "times=";

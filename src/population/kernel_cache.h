@@ -23,7 +23,10 @@
 // a miss: the kernel is rebuilt and stored as `.bin`, and the stale CSV
 // is neither served nor counted. Entries keyed `cellsync-kernel-v1;`
 // hold Monte-Carlo kernels from before build_kernel computed them; their
-// sidecars never match a v2 key, so they are never served.
+// sidecars never match a v2 key, so they are never served. Neither are
+// the v2 sidecars written while the initial population was a choice:
+// their key has one more field, so the same kernel is rebuilt once under
+// the shorter key, and the old entry is left in place.
 #pragma once
 
 #include <cstddef>

@@ -16,7 +16,7 @@ Population_simulator::Population_simulator(const Cell_cycle_config& config,
         Simulated_cell cell;
         cell.params = draw_cell_parameters(config_, rng_);
         cell.birth_time = 0.0;
-        cell.birth_phase = draw_initial_phase(config_, cell.params, rng_);
+        cell.birth_phase = draw_initial_phase(cell.params, rng_);
         cells_.push_back(cell);
     }
 }

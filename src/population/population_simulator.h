@@ -44,9 +44,9 @@ struct Snapshot_entry {
 /// Forward-only population simulator.
 class Population_simulator {
   public:
-    /// Create `initial_cells` cells at t = 0 according to the config's
-    /// initial-phase mode. Throws std::invalid_argument for zero cells or
-    /// an invalid config.
+    /// Create `initial_cells` cells at t = 0 as a synchronized swarmer
+    /// isolate (draw_initial_phase). Throws std::invalid_argument for zero
+    /// cells or an invalid config.
     Population_simulator(const Cell_cycle_config& config, std::size_t initial_cells,
                          std::uint64_t seed);
 

@@ -80,4 +80,20 @@ double profile_entropy(const Vector& values) {
     return h / std::log(static_cast<double>(p.size()));
 }
 
+Profile_scores score_profile(const Vector& phi, const Vector& values) {
+    if (phi.size() != values.size()) {
+        throw std::invalid_argument("score_profile: grid/profile size mismatch");
+    }
+    const bool closed = phi.size() > 2 && phi.front() == 0.0 && phi.back() == 1.0;
+    const auto end = static_cast<std::ptrdiff_t>(closed ? phi.size() - 1 : phi.size());
+    const Vector open_phi(phi.begin(), phi.begin() + end);
+    const Vector open_values(values.begin(), values.begin() + end);
+    Profile_scores scores;
+    scores.order_parameter = profile_order_parameter(open_phi, open_values);
+    scores.entropy = profile_entropy(open_values);
+    const auto peak = std::max_element(open_values.begin(), open_values.end());
+    scores.peak_phi = open_phi[static_cast<std::size_t>(peak - open_values.begin())];
+    return scores;
+}
+
 }  // namespace cellsync

@@ -24,11 +24,12 @@ double phase_entropy(const std::vector<Snapshot_entry>& snapshot, std::size_t bi
 
 // -- profile-level variants -------------------------------------------------
 //
-// The experiment runner scores reconstructed single-cell profiles f(phi)
-// with the same two metrics: the profile, clamped at zero and normalized
-// to unit mass, is treated as the phase density of the expression it
-// represents. A sharply cell-cycle-regulated gene scores r -> 1 / entropy
-// -> 0; a constitutive (flat) gene scores r -> 0 / entropy -> 1.
+// The experiment runner and `cellsync_deconvolve report` score
+// reconstructed single-cell profiles f(phi) with the same two metrics:
+// the profile, clamped at zero and normalized to unit mass, is treated
+// as the phase density of the expression it represents. A sharply
+// cell-cycle-regulated gene scores r -> 1 / entropy -> 0; a constitutive
+// (flat) gene scores r -> 0 / entropy -> 1.
 
 /// Order parameter r = |sum_b p_b exp(2 pi i phi_b)| of a sampled profile
 /// (values at `phi`, negatives clamped to 0, normalized to probabilities).
@@ -40,5 +41,22 @@ double profile_order_parameter(const Vector& phi, const Vector& values);
 /// 0 when all mass is at one sample, 1 for a flat profile. Same
 /// preconditions as profile_order_parameter (needs >= 2 samples).
 double profile_entropy(const Vector& values);
+
+/// The synchrony scores of one sampled profile.
+struct Profile_scores {
+    double order_parameter = 0.0;  ///< 1 = sharply phase-localized expression
+    double entropy = 0.0;          ///< 1 = flat (constitutive) expression
+    double peak_phi = 0.0;         ///< phase of the first maximum
+};
+
+/// Order parameter, entropy and peak phase of a profile sampled at `phi`.
+/// A closed grid (more than 2 points from phi = 0 to phi = 1) loses its
+/// phi = 1 sample first: 0 and 1 are the same circular angle and must not
+/// be counted twice. So the 201-point output grid of `run` and `stream`
+/// scores like its first 200 points, and `cellsync_deconvolve report`
+/// reproduces from a saved profile CSV the scores `run` printed. Throws
+/// std::invalid_argument as profile_order_parameter does, in particular
+/// when the clamped profile has no positive mass.
+Profile_scores score_profile(const Vector& phi, const Vector& values);
 
 }  // namespace cellsync

@@ -107,7 +107,6 @@ std::vector<Stream_update> Stream_session::append_timepoint(
         update.label = record.gene;
         try {
             stream.append(time, record.value, record.sigma);
-            update.estimate = stream.current();
             update.converged = stream.converged();
             update.coefficient_delta = stream.last_coefficient_delta();
             update.score_delta = stream.last_score_delta();

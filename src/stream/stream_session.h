@@ -19,7 +19,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,8 +53,7 @@ struct Stream_update {
     double coefficient_delta = 0.0;
     double score_delta = 0.0;
     double order_parameter = 0.0;
-    std::optional<Single_cell_estimate> estimate;  ///< empty if the update failed
-    std::string error;  ///< labeled failure ("gene '<label>' [<type>]: <message>")
+    std::string error;  ///< labeled failure ("gene '<label>' [<type>]: <message>"), else empty
 };
 
 class Stream_session {

@@ -66,37 +66,13 @@ TEST(DrawCellParameters, DrawsAreTruncatedToSaneWindows) {
 }
 
 TEST(DrawInitialPhase, SynchronizedSwarmersStartInSwStage) {
-    const Cell_cycle_config config;  // default mode: synchronized swarmers
+    const Cell_cycle_config config;
     Rng rng(5);
     for (int i = 0; i < 2000; ++i) {
         const Cell_parameters p = draw_cell_parameters(config, rng);
-        const double phi0 = draw_initial_phase(config, p, rng);
+        const double phi0 = draw_initial_phase(p, rng);
         EXPECT_GE(phi0, 0.0);
         EXPECT_LE(phi0, p.phi_sst);  // paper: phi_k(0) <= phi_sst_k
-    }
-}
-
-TEST(DrawInitialPhase, AllAtZeroMode) {
-    Cell_cycle_config config;
-    config.initial_mode = Initial_phase_mode::all_at_zero;
-    Rng rng(5);
-    const Cell_parameters p = draw_cell_parameters(config, rng);
-    EXPECT_DOUBLE_EQ(draw_initial_phase(config, p, rng), 0.0);
-}
-
-TEST(DrawInitialPhase, StationaryModeMatchesExponentialAgeDensity) {
-    // Steady state of a doubling population: density 2 ln2 * 2^{-phi};
-    // mean = 1/ln2 - 1 ~ 0.4427.
-    Cell_cycle_config config;
-    config.initial_mode = Initial_phase_mode::stationary;
-    Rng rng(7);
-    Vector draws(40000);
-    const Cell_parameters p{0.15, 150.0};
-    for (double& d : draws) d = draw_initial_phase(config, p, rng);
-    EXPECT_NEAR(mean(draws), 1.0 / std::log(2.0) - 1.0, 0.005);
-    for (double d : draws) {
-        EXPECT_GE(d, 0.0);
-        EXPECT_LE(d, 1.0);
     }
 }
 

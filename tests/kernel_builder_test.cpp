@@ -388,16 +388,12 @@ TEST(BuildKernel, AgreesWithMonteCarloOracle) {
         const char* name;
         double cycle_minutes;
         double mu_sst;
-        Initial_phase_mode mode;
         bool linear_volume;
         double bound;
     };
     const Case cases[] = {
-        {"base", 150.0, 0.15, Initial_phase_mode::synchronized_swarmers, false, 8e-3},
-        {"fast, linear volume", 120.0, 0.13, Initial_phase_mode::synchronized_swarmers, true,
-         8e-3},
-        {"stationary", 150.0, 0.15, Initial_phase_mode::stationary, false, 1.6e-2},
-        {"all at zero", 150.0, 0.15, Initial_phase_mode::all_at_zero, false, 6e-3},
+        {"base", 150.0, 0.15, false, 8e-3},
+        {"fast, linear volume", 120.0, 0.13, true, 8e-3},
     };
     const Vector times = linspace(0.0, 180.0, 13);
     const Natural_spline_basis basis(18);
@@ -405,7 +401,6 @@ TEST(BuildKernel, AgreesWithMonteCarloOracle) {
         Cell_cycle_config config;
         config.mean_cycle_minutes = c.cycle_minutes;
         config.mu_sst = c.mu_sst;
-        config.initial_mode = c.mode;
         const Smooth_volume_model smooth;
         const Linear_volume_model linear;
         const Volume_model& volume =
@@ -421,32 +416,42 @@ TEST(BuildKernel, AgreesWithMonteCarloOracle) {
 }
 
 TEST(BuildKernel, SynchronousPopulationMatchesSimulation) {
-    // No spread in T or phi_sst: every cell starts at phase 0 and divides
-    // at exactly 150 min, so the simulation is exact with any cell count.
-    // At 50 min every cell sits at phase 1/3; at 200 min the SW daughters
-    // do, and the ST daughters at 0.15 + 1/3. The divisions form a spike
-    // narrower than a phase bin, which the computed kernel must keep.
+    // No spread in T or phi_sst, and phi_sst at the floor of its window:
+    // the initial swarmers fill phase [0, 0.01), and each divides between
+    // 148.5 and 150 min. The times are chosen so that every band of cells
+    // lies inside whole bins of 0.02, so the simulation is exact with any
+    // cell count: at 48.75 min every cell is in [0.325, 0.335), bin 16;
+    // at 199.5 min, when every initial cell has divided and no daughter
+    // has, the SW daughters fill [0.33, 0.34), bin 16, and the ST
+    // daughters [0.34, 0.35), bin 17. The computed kernel must put each
+    // band in its bin. It smooths a band edge over up to half a sub-cell,
+    // so the times keep every band edge off the bin edges, but for phase
+    // 0, below which there is nothing, and the edge the two daughter
+    // bands share, where their spills nearly cancel.
     Cell_cycle_config config;
+    config.mu_sst = phi_sst_min;
     config.cv_sst = 0.0;
     config.cv_cycle = 0.0;
-    config.initial_mode = Initial_phase_mode::all_at_zero;
     const Smooth_volume_model vm;
-    const Vector times = {0.0, 50.0, 200.0};
+    const Vector times = {0.0, 48.75, 199.5};
     Kernel_build_options options = small_options();
+    options.n_bins = 50;
     options.n_cells = 1000;
     const Kernel_grid computed = build_kernel(config, vm, times, options);
     const Kernel_grid simulated = simulate_kernel(config, vm, times, options);
-    // Every row is one or two bins of density 100 / (share of volume);
-    // the computed kernel weighs a bin by the volume at its sub-cell
-    // centres, the simulation at the exact phase.
+    // Every row is one bin of density 50, or two bins that share it by
+    // volume; the computed kernel weighs a bin by the volume at its
+    // sub-cell centres, the simulation at the exact phase.
     for (std::size_t m = 0; m < times.size(); ++m) {
         for (std::size_t b = 0; b < computed.bin_count(); ++b) {
             EXPECT_NEAR(computed.q()(m, b), simulated.q()(m, b), 0.1)
                 << "t " << times[m] << ", bin " << b;
         }
     }
-    EXPECT_GT(simulated.q()(2, 33), 10.0);
-    EXPECT_GT(simulated.q()(2, 48), 10.0);
+    EXPECT_DOUBLE_EQ(simulated.q()(0, 0), 50.0);
+    EXPECT_DOUBLE_EQ(simulated.q()(1, 16), 50.0);
+    EXPECT_GT(simulated.q()(2, 16), 10.0);
+    EXPECT_GT(simulated.q()(2, 17), 10.0);
 }
 
 TEST(BuildKernel, VolumeModelChangesKernel) {

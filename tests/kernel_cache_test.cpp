@@ -84,6 +84,9 @@ TEST(KernelCache, KeyCoversEveryBuildInputAndNothingElse) {
     EXPECT_EQ(base.rfind("cellsync-kernel-v2;", 0), 0u) << base;
     EXPECT_EQ(base.find("n_cells"), std::string::npos) << base;
     EXPECT_EQ(base.find("seed"), std::string::npos) << base;
+    // Every population starts as a swarmer isolate: the initial
+    // population is no input.
+    EXPECT_EQ(base.find("initial"), std::string::npos) << base;
 
     // And identical inputs agree, including through copies.
     EXPECT_EQ(Kernel_cache::cache_key(Cell_cycle_config{}, Smooth_volume_model{}, times,

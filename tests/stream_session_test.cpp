@@ -101,8 +101,10 @@ TEST(StreamSession, UpdatesFollowRecordOrderAndAutoOpenStreams) {
             EXPECT_EQ(all[m][g].label, fixture().panel[g].label);
             EXPECT_TRUE(all[m][g].error.empty()) << all[m][g].error;
             EXPECT_EQ(all[m][g].observed, m + 1);
-            ASSERT_TRUE(all[m][g].estimate.has_value());
         }
+    }
+    for (const std::string& label : labels) {
+        EXPECT_TRUE(session.find_stream(label)->has_estimate()) << label;
     }
 }
 
@@ -169,12 +171,13 @@ TEST(StreamSession, ThrowingUpdateSurfacesAsLabeledErrorNotHangOrAbort) {
     ASSERT_EQ(updates.size(), 2u);
 
     EXPECT_TRUE(updates[0].error.empty()) << updates[0].error;
-    ASSERT_TRUE(updates[0].estimate.has_value());
+    EXPECT_TRUE(session.find_stream("good")->has_estimate());
 
     // The failure is labeled with the gene and exception type (the batch
-    // error format, labeled_task_error), the estimate slot stays empty,
-    // and the failed stream did not advance.
-    EXPECT_FALSE(updates[1].estimate.has_value());
+    // error format, labeled_task_error), the failed stream holds no
+    // estimate, and it did not advance.
+    EXPECT_FALSE(updates[1].error.empty());
+    EXPECT_FALSE(session.find_stream("bad")->has_estimate());
     EXPECT_NE(updates[1].error.find("bad"), std::string::npos) << updates[1].error;
     EXPECT_NE(updates[1].error.find("invalid_argument"), std::string::npos)
         << updates[1].error;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numbers>
 #include <stdexcept>
 
 namespace cellsync {
@@ -91,6 +93,33 @@ TEST(Synchrony, ProfileMetricValidationErrors) {
     // All-nonpositive profile has no mass to normalize.
     EXPECT_THROW(profile_entropy({-1.0, 0.0, -0.5}), std::invalid_argument);
     EXPECT_THROW(profile_order_parameter({0.1, 0.5}, {0.0, -1.0}), std::invalid_argument);
+}
+
+TEST(Synchrony, ClosedGridScoresLikeItsOpenPart) {
+    // The 201-point output grid repeats phi = 0 as phi = 1. score_profile
+    // drops that last sample, so the closed grid scores exactly like its
+    // first 200 points; here the duplicate is also the global maximum,
+    // which would otherwise move the peak to phi = 1.
+    const Vector phi = linspace(0.0, 1.0, 201);
+    Vector values(201);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        values[i] = 1.0 + std::cos(2.0 * std::numbers::pi * phi[i]) + 0.5 * phi[i];
+    }
+    const Vector open_phi(phi.begin(), phi.end() - 1);
+    const Vector open_values(values.begin(), values.end() - 1);
+    const Profile_scores closed = score_profile(phi, values);
+    const Profile_scores open = score_profile(open_phi, open_values);
+    EXPECT_EQ(closed.order_parameter, open.order_parameter);
+    EXPECT_EQ(closed.entropy, open.entropy);
+    EXPECT_EQ(closed.peak_phi, open.peak_phi);
+    EXPECT_EQ(open.order_parameter, profile_order_parameter(open_phi, open_values));
+    EXPECT_EQ(open.entropy, profile_entropy(open_values));
+    EXPECT_EQ(open.peak_phi, phi[199]);
+}
+
+TEST(Synchrony, ScoreProfileRejectsMismatchAndNoPositiveMass) {
+    EXPECT_THROW(score_profile({0.0, 0.5, 1.0}, {1.0, 2.0}), std::invalid_argument);
+    EXPECT_THROW(score_profile(linspace(0.0, 1.0, 5), Vector(5, -1.0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 //            (deconvolve_one: 5-fold CV over 15 lambdas on 1e-7..1e1,
 //            or a fixed --lambda, then the constrained estimate):
 //            * single series:  --input data.csv  (columns time, value,
-//              optional sigma); writes the profile CSV, plus a
-//              bootstrap band with --bootstrap.
+//              optional sigma); writes the profile CSV (column `f`,
+//              its lambda in a `# lambda:f=` line), plus a bootstrap
+//              band with --bootstrap.
 //            * experiment:     --condition NAME=panel.csv[,mu_sst=X]
 //              [,cycle_minutes=Y] repeated once per condition. Each panel
 //              CSV is wide format: a `time` column plus one column per
@@ -536,7 +537,7 @@ int run_single(const Cli_options& cli) {
         std::printf("bootstrap: %zu replicates, mean 90%% band width %.3f\n",
                     band.replicates_used, band.mean_width());
     }
-    writer.write(output);
+    write_profiles_with_lambdas(output, writer.table(), {{"f", entry.lambda}});
     std::printf("wrote %s\n", output.c_str());
     return 0;
 }
@@ -855,11 +856,8 @@ int cmd_kernel_cache(const Cli_options& cli) {
 /// One profile's scores, as shared by the text and JSON report outputs.
 struct Profile_report {
     std::string name;
-    bool positive_mass = false;
-    double order_parameter = 0.0;
-    double entropy = 0.0;
-    double peak_phi = 0.0;
-    std::optional<double> lambda;  ///< from the CSV's `# lambda:` comments
+    std::optional<Profile_scores> scores;  ///< empty: no positive mass
+    std::optional<double> lambda;          ///< from the CSV's `# lambda:` comments
 };
 
 /// The `# lambda:<gene>=<value>` comment lines written by `run` and
@@ -901,13 +899,13 @@ void write_json_report(
             const Profile_report& profile = profiles[p];
             out << (p ? ",\n      {" : "\n      {");
             out << "\"name\": \"" << telemetry::json_escape(profile.name) << "\"";
-            out << ", \"positive_mass\": " << (profile.positive_mass ? "true" : "false");
-            if (profile.positive_mass) {
-                std::snprintf(buffer, sizeof(buffer), "%.12g", profile.order_parameter);
+            out << ", \"positive_mass\": " << (profile.scores.has_value() ? "true" : "false");
+            if (profile.scores.has_value()) {
+                std::snprintf(buffer, sizeof(buffer), "%.12g", profile.scores->order_parameter);
                 out << ", \"order_parameter\": " << buffer;
-                std::snprintf(buffer, sizeof(buffer), "%.12g", profile.entropy);
+                std::snprintf(buffer, sizeof(buffer), "%.12g", profile.scores->entropy);
                 out << ", \"entropy\": " << buffer;
-                std::snprintf(buffer, sizeof(buffer), "%.12g", profile.peak_phi);
+                std::snprintf(buffer, sizeof(buffer), "%.12g", profile.scores->peak_phi);
                 out << ", \"peak_phi\": " << buffer;
             }
             if (profile.lambda.has_value()) {
@@ -936,14 +934,7 @@ int cmd_report(const Cli_options& cli, const std::vector<std::string>& inputs) {
             std::fprintf(stderr, "report: %s has no 'phi' column, skipping\n", path.c_str());
             continue;
         }
-        Vector phi = table.column("phi");
-        // Profile CSVs are written on the closed 0..1 grid; phi = 0 and 1
-        // are the same circular angle, so drop the duplicate before
-        // scoring — this makes report reproduce exactly the scores `run`
-        // printed for the same profile.
-        const bool closed_grid =
-            phi.size() > 2 && phi.front() == 0.0 && phi.back() == 1.0;
-        if (closed_grid) phi.pop_back();
+        const Vector& phi = table.column("phi");
         const std::vector<std::pair<std::string, double>> lambdas =
             read_lambda_comments(path);
         std::vector<Profile_report> profiles;
@@ -952,24 +943,16 @@ int cmd_report(const Cli_options& cli, const std::vector<std::string>& inputs) {
         for (std::size_t c = 0; c < table.column_count(); ++c) {
             const std::string& name = table.names()[c];
             if (name == "phi") continue;
-            Vector values = table.column(c);
-            if (closed_grid) values.pop_back();
             Profile_report profile;
             profile.name = name;
             for (const auto& [gene, lambda] : lambdas) {
                 if (gene == name) profile.lambda = lambda;
             }
             try {
-                profile.order_parameter = profile_order_parameter(phi, values);
-                profile.entropy = profile_entropy(values);
-                profile.positive_mass = true;
-                std::size_t peak = 0;
-                for (std::size_t i = 1; i < values.size(); ++i) {
-                    if (values[i] > values[peak]) peak = i;
-                }
-                profile.peak_phi = phi[peak];
+                profile.scores = score_profile(phi, table.column(c));
                 std::printf("  %-16s %-8.3f %-8.3f %-8.3f\n", name.c_str(),
-                            profile.order_parameter, profile.entropy, profile.peak_phi);
+                            profile.scores->order_parameter, profile.scores->entropy,
+                            profile.scores->peak_phi);
             } catch (const std::invalid_argument&) {
                 std::printf("  %-16s (no positive mass)\n", name.c_str());
             }
