@@ -192,6 +192,25 @@ void bm_cold_resolve_full_pass(benchmark::State& state) {
     }
 }
 
+/// Session set-up at the stream workload's width: construct a session on
+/// the shared design and open one stream per gene, as the first
+/// timepoint of a 192-gene record log does.
+void bm_session_open(benchmark::State& state) {
+    const Streaming_fixture& fix = fixture();
+    Stream_session_options options;
+    options.threads = 1;
+    options.stream = stream_options();
+    std::vector<std::string> labels;
+    for (std::int64_t g = 0; g < state.range(0); ++g) {
+        labels.push_back("gene" + std::to_string(g));
+    }
+    for (auto _ : state) {
+        Stream_session session(fix.artifacts, options);
+        for (const std::string& label : labels) session.open_stream(label);
+        benchmark::DoNotOptimize(session.stream_count());
+    }
+}
+
 /// Session fan-out: one timepoint batch across the whole panel.
 void bm_session_timepoint(benchmark::State& state) {
     const Streaming_fixture& fix = fixture();
@@ -216,6 +235,7 @@ void bm_session_timepoint(benchmark::State& state) {
 BENCHMARK(bm_stream_full_pass)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_cold_resolve_full_pass)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_session_timepoint)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_session_open)->Arg(192)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
     cellsync::bench::Bench_json json("streaming");

@@ -11,55 +11,86 @@ namespace cellsync {
 
 namespace {
 
-// Integrate g(phi) p(phi) over the support of p intersected with [0, 1].
 // The transition-phase density is narrow (sigma ~ 0.02), so integrating
 // over mean +/- 8 sigma clipped to [0, 1] captures all mass; Gauss-Legendre
-// with 64 points is far beyond the needed accuracy for smooth g.
-double integrate_against_p(const std::function<double(double)>& g,
+// with 64 points is far beyond the needed accuracy for smooth g. The rule
+// depends on the config alone, so each caller builds it once and shares it
+// across every integral it takes. Empty for the degenerate sigma = 0
+// distribution, which integrate_against_p evaluates at its mean.
+Quadrature_rule transition_rule(const Cell_cycle_config& config) {
+    const double mu = config.mu_sst;
+    const double sigma = config.sigma_sst();
+    if (sigma == 0.0) return {};
+    const double lo = std::max(0.0, mu - 8.0 * sigma);
+    const double hi = std::min(1.0, mu + 8.0 * sigma);
+    return gauss_legendre(64, lo, hi);
+}
+
+// Integrate g(phi) p(phi) with the config's transition_rule, summing
+// w_i (g(phi_i) p(phi_i)) in node order, as integrate_gauss does.
+template <typename G>
+double integrate_against_p(const G& g, const Quadrature_rule& rule,
                            const Cell_cycle_config& config) {
     const double mu = config.mu_sst;
     const double sigma = config.sigma_sst();
     if (sigma == 0.0) return g(mu);  // degenerate distribution
-    const double lo = std::max(0.0, mu - 8.0 * sigma);
-    const double hi = std::min(1.0, mu + 8.0 * sigma);
-    return integrate_gauss(
-        [&](double phi) { return g(phi) * gaussian_pdf(phi, mu, sigma); }, lo, hi, 64);
+    double s = 0.0;
+    for (std::size_t i = 0; i < rule.nodes.size(); ++i) {
+        const double phi = rule.nodes[i];
+        s += rule.weights[i] * (g(phi) * gaussian_pdf(phi, mu, sigma));
+    }
+    return s;
 }
 
-}  // namespace
-
-double beta0(const Cell_cycle_config& config) {
-    config.validate();
-    return integrate_against_p([](double phi) { return growth_rate_beta(phi); }, config);
+double beta0(const Cell_cycle_config& config, const Quadrature_rule& rule) {
+    return integrate_against_p([](double phi) { return growth_rate_beta(phi); }, rule, config);
 }
 
-Vector conservation_row(const Natural_spline_basis& basis, const Cell_cycle_config& config) {
-    config.validate();
+Vector conservation_row(const Natural_spline_basis& basis, const Cell_cycle_config& config,
+                        const Quadrature_rule& rule) {
     Vector row(basis.size());
     for (std::size_t i = 0; i < basis.size(); ++i) {
         const double avg =
-            integrate_against_p([&](double phi) { return basis.value(i, phi); }, config);
+            integrate_against_p([&](double phi) { return basis.value(i, phi); }, rule, config);
         row[i] = basis.value(i, 1.0) - swarmer_volume_fraction * basis.value(i, 0.0) -
                  stalked_volume_fraction * avg;
     }
     return row;
 }
 
-Vector rate_continuity_row(const Natural_spline_basis& basis, const Cell_cycle_config& config) {
-    config.validate();
-    const double b0 = beta0(config);
+Vector rate_continuity_row(const Natural_spline_basis& basis, const Cell_cycle_config& config,
+                           const Quadrature_rule& rule) {
+    const double b0 = beta0(config, rule);
     Vector row(basis.size());
     for (std::size_t i = 0; i < basis.size(); ++i) {
         const double beta_avg = integrate_against_p(
-            [&](double phi) { return growth_rate_beta(phi) * basis.value(i, phi); }, config);
-        const double deriv_avg =
-            integrate_against_p([&](double phi) { return basis.derivative(i, phi); }, config);
+            [&](double phi) { return growth_rate_beta(phi) * basis.value(i, phi); }, rule,
+            config);
+        const double deriv_avg = integrate_against_p(
+            [&](double phi) { return basis.derivative(i, phi); }, rule, config);
         // integral(w1 f) - integral(w2 f') = 0 expanded per basis function.
         row[i] = b0 * basis.value(i, 1.0) - b0 * basis.value(i, 0.0) - beta_avg -
                  (swarmer_volume_fraction * basis.derivative(i, 0.0) +
                   stalked_volume_fraction * deriv_avg - basis.derivative(i, 1.0));
     }
     return row;
+}
+
+}  // namespace
+
+double beta0(const Cell_cycle_config& config) {
+    config.validate();
+    return beta0(config, transition_rule(config));
+}
+
+Vector conservation_row(const Natural_spline_basis& basis, const Cell_cycle_config& config) {
+    config.validate();
+    return conservation_row(basis, config, transition_rule(config));
+}
+
+Vector rate_continuity_row(const Natural_spline_basis& basis, const Cell_cycle_config& config) {
+    config.validate();
+    return rate_continuity_row(basis, config, transition_rule(config));
 }
 
 Constraint_set build_constraints(const Natural_spline_basis& basis,
@@ -72,8 +103,9 @@ Constraint_set build_constraints(const Natural_spline_basis& basis,
 
     Constraint_set set;
     std::vector<Vector> eq_rows;
-    if (options.conservation) eq_rows.push_back(conservation_row(basis, config));
-    if (options.rate_continuity) eq_rows.push_back(rate_continuity_row(basis, config));
+    const Quadrature_rule rule = transition_rule(config);
+    if (options.conservation) eq_rows.push_back(conservation_row(basis, config, rule));
+    if (options.rate_continuity) eq_rows.push_back(rate_continuity_row(basis, config, rule));
     set.equality = eq_rows.empty() ? Matrix(0, basis.size()) : Matrix::from_rows(eq_rows);
     set.equality_rhs.assign(set.equality.rows(), 0.0);
 

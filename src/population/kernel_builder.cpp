@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "core/trace.h"
 #include "numerics/special.h"
 #include "population/phase_distribution.h"
 
@@ -264,6 +266,11 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
             " min, above the cap of " + format_number(max_kernel_span_cycles) + " cycles");
     }
 
+    // Two traced halves: the renewal solve for the division rate, then the
+    // density passes that turn it into rows.
+    std::optional<telemetry::Trace_span> renewal_span(std::in_place, "population.kernel.renewal",
+                                                      "population");
+
     // Every division makes an SW daughter, which divides after T, and an
     // ST daughter, which divides after T (1 - s), with fresh draws of
     // s = phi_sst and T. On renewal steps of h, g holds the law of those
@@ -317,17 +324,21 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     // D = D0 + D * g grows like exp(rho tau / h); solve for the rescaled
     // D exp(-rho tau / h), which stays bounded over any span. The common
     // factor exp(rho t / h) of a row cancels when the row is normalized.
+    // g is exactly zero outside [g_first, g_end), which the convolution
+    // skips: those steps would only add zeros.
     const double rho = malthusian_rate(g);
     std::size_t g_first = 1;
     while (g[g_first] == 0.0) ++g_first;
-    for (std::size_t j = g_first; j < window; ++j) g[j] *= std::exp(-rho * static_cast<double>(j));
+    std::size_t g_end = window;
+    while (g[g_end - 1] == 0.0) --g_end;
+    for (std::size_t j = g_first; j < g_end; ++j) g[j] *= std::exp(-rho * static_cast<double>(j));
     for (std::size_t k = 0; k < std::min(steps, window); ++k) {
         d[k] *= std::exp(-rho * static_cast<double>(k));
     }
     for (std::size_t k = 0; k < steps; ++k) {
         const double dk = d[k];
         if (dk == 0.0) continue;
-        const std::size_t end = std::min(window, steps - k);
+        const std::size_t end = std::min(g_end, steps - k);
         for (std::size_t j = g_first; j < end; ++j) d[k + j] += dk * g[j];
     }
 
@@ -335,6 +346,8 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     // piecewise linear) division rate over [0, k h].
     Vector born(steps, 0.0);
     for (std::size_t k = 1; k < steps; ++k) born[k] = born[k - 1] + 0.5 * (d[k - 1] + d[k]);
+    renewal_span.reset();
+    const telemetry::Trace_span density_span("population.kernel.density", "population");
 
     // The density on n_sub sub-cells [p, p + 1] / n_sub of phase, each
     // bin averaging its own; phi_p = (p + 1/2) / n_sub is the centre of

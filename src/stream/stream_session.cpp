@@ -18,6 +18,7 @@ Stream_session::Stream_session(const Cell_cycle_config& config,
     artifacts_ =
         make_design_artifacts(std::make_shared<Natural_spline_basis>(options_.basis_size),
                               *kernel_, config, options_.constraints);
+    seed_ = std::make_unique<const Streaming_deconvolver>(artifacts_, "", options_.stream);
     const Annotated_lock lock(run_mutex_);
     thread_count_ = pool_.thread_count();
 }
@@ -26,6 +27,7 @@ Stream_session::Stream_session(std::shared_ptr<const Design_artifacts> artifacts
                                const Stream_session_options& options)
     : artifacts_(std::move(artifacts)), options_(options), pool_(options.threads) {
     if (!artifacts_) throw std::invalid_argument("Stream_session: null artifacts");
+    seed_ = std::make_unique<const Streaming_deconvolver>(artifacts_, "", options_.stream);
     const Annotated_lock lock(run_mutex_);
     thread_count_ = pool_.thread_count();
 }
@@ -34,9 +36,7 @@ Streaming_deconvolver& Stream_session::open_locked(const std::string& label) {
     if (label.empty()) throw std::invalid_argument("Stream_session: empty stream label");
     auto it = streams_.find(label);
     if (it == streams_.end()) {
-        it = streams_
-                 .emplace(label, std::make_unique<Streaming_deconvolver>(
-                                     artifacts_, label, options_.stream))
+        it = streams_.emplace(label, std::make_unique<Streaming_deconvolver>(*seed_, label))
                  .first;
         order_.push_back(label);
     }
@@ -109,7 +109,6 @@ std::vector<Stream_update> Stream_session::append_timepoint(
             stream.append(time, record.value, record.sigma);
             update.converged = stream.converged();
             update.coefficient_delta = stream.last_coefficient_delta();
-            update.score_delta = stream.last_score_delta();
             update.order_parameter = stream.order_parameter();
         } catch (const std::exception& e) {
             update.error = labeled_task_error(record.gene, e);

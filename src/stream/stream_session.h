@@ -51,7 +51,6 @@ struct Stream_update {
     std::size_t observed = 0;      ///< timepoints the stream holds after the update
     bool converged = false;
     double coefficient_delta = 0.0;
-    double score_delta = 0.0;
     double order_parameter = 0.0;
     std::string error;  ///< labeled failure ("gene '<label>' [<type>]: <message>"), else empty
 };
@@ -60,12 +59,14 @@ class Stream_session {
   public:
     /// Resolve the kernel for `times` through `cache` and build the shared
     /// design. Throws whatever kernel construction / design construction
-    /// throws (std::invalid_argument on bad config or times).
+    /// throws (std::invalid_argument on bad config or times), and
+    /// std::invalid_argument on invalid options.stream.
     Stream_session(const Cell_cycle_config& config, const Volume_model& volume_model,
                    const Vector& times, Kernel_cache& cache,
                    const Stream_session_options& options = {});
 
-    /// Adopt artifacts precomputed elsewhere (tests, custom bases).
+    /// Adopt artifacts precomputed elsewhere (tests, custom bases). Throws
+    /// std::invalid_argument on null artifacts or invalid options.stream.
     Stream_session(std::shared_ptr<const Design_artifacts> artifacts,
                    const Stream_session_options& options = {});
 
@@ -114,6 +115,10 @@ class Stream_session {
     std::shared_ptr<const Design_artifacts> artifacts_;
     std::shared_ptr<const Kernel_grid> kernel_;  // null for adopted artifacts
     Stream_session_options options_;
+    // A fresh stream on artifacts_ with options_.stream, built once: every
+    // opened stream is a relabeled copy of it. Never appended to, so a
+    // stream opened mid-session starts from the same state as the first.
+    std::unique_ptr<const Streaming_deconvolver> seed_;
     // Guards the stream registry and serializes timepoint batches: the
     // pool is never shared between two concurrent append_timepoint calls,
     // and the read accessors

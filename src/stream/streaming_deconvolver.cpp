@@ -53,6 +53,12 @@ Streaming_deconvolver::Streaming_deconvolver(
     score_design_ = artifacts_->basis->design_matrix(score_phi_);
 }
 
+Streaming_deconvolver::Streaming_deconvolver(const Streaming_deconvolver& seed,
+                                             std::string label)
+    : Streaming_deconvolver(seed) {
+    label_ = std::move(label);
+}
+
 const Single_cell_estimate& Streaming_deconvolver::current() const {
     if (!estimate_.has_value()) {
         throw std::logic_error("Streaming_deconvolver: no timepoint appended yet");

@@ -86,6 +86,11 @@ class Streaming_deconvolver {
     Streaming_deconvolver(std::shared_ptr<const Design_artifacts> artifacts,
                           std::string label, const Stream_options& options = {});
 
+    /// A copy of `seed`, state and all, under a new label. Stream_session
+    /// opens each stream as a copy of one fresh stream, so the state every
+    /// fresh stream on a design starts from is built once per session.
+    Streaming_deconvolver(const Streaming_deconvolver& seed, std::string label);
+
     const std::string& label() const { return label_; }
     const Stream_options& options() const { return options_; }
     const std::shared_ptr<const Design_artifacts>& artifacts() const { return artifacts_; }

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
 #include "biology/volume_model.h"
+#include "numerics/quadrature.h"
 #include "numerics/special.h"
 #include "spline/spline_basis.h"
 
@@ -128,6 +131,89 @@ TEST(BuildConstraints, InvalidConfigRejected) {
     bad.mu_sst = -1.0;
     EXPECT_THROW(build_constraints(basis, bad), std::invalid_argument);
 }
+
+// The rows as integrate_gauss computes them, one 64-point rule per
+// integral over the clipped window mu +/- 8 sigma, and at the mean when
+// sigma = 0. The rows share one rule per call; they must not move a bit.
+double reference_against_p(const std::function<double(double)>& g,
+                           const Cell_cycle_config& config) {
+    const double mu = config.mu_sst;
+    const double sigma = config.sigma_sst();
+    if (sigma == 0.0) return g(mu);
+    return integrate_gauss([&](double phi) { return g(phi) * gaussian_pdf(phi, mu, sigma); },
+                           std::max(0.0, mu - 8.0 * sigma), std::min(1.0, mu + 8.0 * sigma),
+                           64);
+}
+
+double reference_beta0(const Cell_cycle_config& config) {
+    return reference_against_p([](double phi) { return growth_rate_beta(phi); }, config);
+}
+
+Vector reference_conservation_row(const Natural_spline_basis& basis,
+                                  const Cell_cycle_config& config) {
+    Vector row(basis.size());
+    for (std::size_t i = 0; i < basis.size(); ++i) {
+        const double avg =
+            reference_against_p([&](double phi) { return basis.value(i, phi); }, config);
+        row[i] = basis.value(i, 1.0) - swarmer_volume_fraction * basis.value(i, 0.0) -
+                 stalked_volume_fraction * avg;
+    }
+    return row;
+}
+
+Vector reference_rate_continuity_row(const Natural_spline_basis& basis,
+                                     const Cell_cycle_config& config) {
+    const double b0 = reference_beta0(config);
+    Vector row(basis.size());
+    for (std::size_t i = 0; i < basis.size(); ++i) {
+        const double beta_avg = reference_against_p(
+            [&](double phi) { return growth_rate_beta(phi) * basis.value(i, phi); }, config);
+        const double deriv_avg =
+            reference_against_p([&](double phi) { return basis.derivative(i, phi); }, config);
+        row[i] = b0 * basis.value(i, 1.0) - b0 * basis.value(i, 0.0) - beta_avg -
+                 (swarmer_volume_fraction * basis.derivative(i, 0.0) +
+                  stalked_volume_fraction * deriv_avg - basis.derivative(i, 1.0));
+    }
+    return row;
+}
+
+void expect_bitwise_equal(const Vector& actual, const Vector& expected, const char* what) {
+    ASSERT_EQ(actual.size(), expected.size()) << what;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i], expected[i]) << what << " entry " << i;
+    }
+}
+
+struct Window_case {
+    const char* name;
+    double mu_sst;
+    double cv_sst;
+};
+
+class SharedRuleRows : public ::testing::TestWithParam<Window_case> {};
+
+TEST_P(SharedRuleRows, MatchOneRulePerIntegralBitForBit) {
+    Cell_cycle_config config;
+    config.mu_sst = GetParam().mu_sst;
+    config.cv_sst = GetParam().cv_sst;
+    const Natural_spline_basis basis(18);
+    EXPECT_EQ(beta0(config), reference_beta0(config));
+    const Vector conservation = reference_conservation_row(basis, config);
+    const Vector rate = reference_rate_continuity_row(basis, config);
+    expect_bitwise_equal(conservation_row(basis, config), conservation, "conservation_row");
+    expect_bitwise_equal(rate_continuity_row(basis, config), rate, "rate_continuity_row");
+    const Constraint_set set = build_constraints(basis, config);
+    ASSERT_EQ(set.equality.rows(), 2u);
+    expect_bitwise_equal(set.equality.row(0), conservation, "build_constraints row 0");
+    expect_bitwise_equal(set.equality.row(1), rate, "build_constraints row 1");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, SharedRuleRows,
+    ::testing::Values(Window_case{"default", 0.15, 0.13},
+                      Window_case{"clipped_at_zero", 0.02, 0.5},
+                      Window_case{"point_mass", 0.15, 0.0}),
+    [](const ::testing::TestParamInfo<Window_case>& window) { return window.param.name; });
 
 // Property sweep: both equality rows annihilate profiles that genuinely
 // satisfy the division balance — constructed here as f with

@@ -231,6 +231,53 @@ TEST(StreamSession, ConvergenceRollupCountsStreams) {
     EXPECT_EQ(stats.cold_solves, stats.updates);
 }
 
+// Every stream starts from one seed the session builds once. A stream
+// opened after the others have appended, and a standalone stream on the
+// same design, must follow the first-opened stream bit for bit.
+TEST(StreamSession, LateAndStandaloneStreamsMatchTheFirstOpened) {
+    const std::vector<Measurement_series>& panel = fixture().panel;
+    const Measurement_series& series = panel.front();
+    const Stream_session_options options = session_options(2);
+    Stream_session session(fixture().artifacts, options);
+    Streaming_deconvolver standalone(fixture().artifacts, "standalone", options.stream);
+    const auto expect_same = [](const Streaming_deconvolver& actual,
+                                const Streaming_deconvolver& expected, std::size_t m) {
+        SCOPED_TRACE(actual.label() + " at timepoint " + std::to_string(m));
+        const Vector& ca = actual.current().coefficients();
+        const Vector& ce = expected.current().coefficients();
+        ASSERT_EQ(ca.size(), ce.size());
+        for (std::size_t i = 0; i < ca.size(); ++i) EXPECT_EQ(ca[i], ce[i]) << "coefficient " << i;
+        EXPECT_EQ(actual.order_parameter(), expected.order_parameter());
+        EXPECT_EQ(actual.last_coefficient_delta(), expected.last_coefficient_delta());
+        EXPECT_EQ(actual.last_score_delta(), expected.last_score_delta());
+        EXPECT_EQ(actual.converged(), expected.converged());
+    };
+
+    // The first-opened stream, copied after each timepoint of the panel.
+    std::vector<Streaming_deconvolver> first;
+    for (std::size_t m = 0; m < series.size(); ++m) {
+        std::vector<Stream_record> records;
+        for (const Measurement_series& gene : panel) {
+            records.push_back({gene.label, gene.values[m], gene.sigmas[m]});
+        }
+        session.append_timepoint(series.times[m], records);
+        first.emplace_back(*session.find_stream(series.label), series.label);
+        standalone.append(series.times[m], series.values[m], series.sigmas[m]);
+        expect_same(standalone, first.back(), m);
+    }
+
+    // Every other stream has now appended the whole panel.
+    Streaming_deconvolver& late = session.open_stream("late");
+    EXPECT_EQ(late.observed(), 0u);
+    EXPECT_FALSE(late.has_estimate());
+    for (std::size_t m = 0; m < series.size(); ++m) {
+        const std::vector<Stream_update> updates = session.append_timepoint(
+            series.times[m], {{"late", series.values[m], series.sigmas[m]}});
+        ASSERT_TRUE(updates[0].error.empty()) << updates[0].error;
+        expect_same(late, first[m], m);
+    }
+}
+
 TEST(StreamSession, KernelCacheConstructorResolvesThroughCache) {
     const Vector times = linspace(0.0, 150.0, 11);
     Cell_cycle_config config;
