@@ -1,6 +1,7 @@
 #include "core/constraints.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "biology/volume_model.h"
@@ -15,25 +16,35 @@ namespace {
 // over mean +/- 8 sigma clipped to [0, 1] captures all mass; Gauss-Legendre
 // with 64 points is far beyond the needed accuracy for smooth g. The rule
 // depends on the config alone, so each caller builds it once and shares it
-// across every integral it takes. Empty for the degenerate sigma = 0
-// distribution, which integrate_against_p evaluates at its mean.
+// across every integral it takes. Empty when the distribution is a point
+// mass for the rule: sigma = 0, or a window too narrow for 64 distinct
+// nodes (a positive cv_sst of about 1e-16 or less leaves it a few ulps
+// wide). integrate_against_p then evaluates at the mean.
 Quadrature_rule transition_rule(const Cell_cycle_config& config) {
+    constexpr std::size_t nodes = 64;
     const double mu = config.mu_sst;
     const double sigma = config.sigma_sst();
     if (sigma == 0.0) return {};
     const double lo = std::max(0.0, mu - 8.0 * sigma);
     const double hi = std::min(1.0, mu + 8.0 * sigma);
-    return gauss_legendre(64, lo, hi);
+    if (!(lo < hi)) return {};
+    Quadrature_rule rule = gauss_legendre(nodes, lo, hi);
+    if (std::adjacent_find(rule.nodes.begin(), rule.nodes.end(), std::greater_equal<>()) !=
+        rule.nodes.end()) {
+        return {};
+    }
+    return rule;
 }
 
 // Integrate g(phi) p(phi) with the config's transition_rule, summing
-// w_i (g(phi_i) p(phi_i)) in node order, as integrate_gauss does.
+// w_i (g(phi_i) p(phi_i)) in node order, as integrate_gauss does; an
+// empty rule is the point mass at the mean.
 template <typename G>
 double integrate_against_p(const G& g, const Quadrature_rule& rule,
                            const Cell_cycle_config& config) {
     const double mu = config.mu_sst;
     const double sigma = config.sigma_sst();
-    if (sigma == 0.0) return g(mu);  // degenerate distribution
+    if (rule.nodes.empty()) return g(mu);  // degenerate distribution
     double s = 0.0;
     for (std::size_t i = 0; i < rule.nodes.size(); ++i) {
         const double phi = rule.nodes[i];

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "core/batch.h"
@@ -83,33 +84,22 @@ std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
 }
 
 /// Record the condition's selected lambdas (feeding later conditions'
-/// warm starts) and score every successful profile's synchrony. Every
-/// gene of the condition is expanded in `basis`.
-void score_condition(Condition_result& out, const Natural_spline_basis& basis,
-                     const Vector& score_phi, std::map<std::string, double>& previous_lambda) {
+/// warm starts) and collect the per-gene scores of the solve tasks
+/// (`scores`, panel order; empty for a failed gene or one without
+/// positive mass) into the condition's synchrony list and means.
+void score_condition(Condition_result& out,
+                     const std::vector<std::optional<Profile_scores>>& scores,
+                     std::map<std::string, double>& previous_lambda) {
     // Once per condition: the experiment-level progress counters.
     static telemetry::Counter& conditions_done = telemetry::counter("experiment.conditions_done");
     static telemetry::Counter& genes_done = telemetry::counter("experiment.genes_done");
     conditions_done.add();
     genes_done.add(out.genes.size());
 
-    for (const Batch_entry& entry : out.genes) {
+    for (std::size_t g = 0; g < out.genes.size(); ++g) {
+        const Batch_entry& entry = out.genes[g];
         if (entry.estimate.has_value()) previous_lambda[entry.label] = entry.lambda;
-    }
-
-    // One design matrix samples every profile: each entry sums over the
-    // basis in Natural_spline_basis::expand's order, so the values match
-    // sample() bit for bit.
-    const Matrix score_design = basis.design_matrix(score_phi);
-    for (const Batch_entry& entry : out.genes) {
-        if (!entry.estimate.has_value()) continue;
-        try {
-            out.synchrony.push_back(
-                {score_profile(score_phi, score_design * entry.estimate->coefficients()),
-                 entry.label});
-        } catch (const std::invalid_argument&) {
-            // no positive mass: synchrony is undefined, skip
-        }
+        if (scores[g].has_value()) out.synchrony.push_back({*scores[g], entry.label});
     }
     if (!out.synchrony.empty()) {
         for (const Gene_synchrony& s : out.synchrony) {
@@ -128,22 +118,23 @@ void score_condition(Condition_result& out, const Natural_spline_basis& basis,
 ///      sharing a key share one resolution);
 ///   2. `designs`: one design per distinct kernel (the cache key covers
 ///      the full cell-cycle config, so an identical grid pointer implies
-///      an identical design);
-///   3. per condition, in order, `solve:<condition>` (one task per gene),
-///      then scoring and the warm-start hand-off on this thread.
+///      an identical design), with its basis design matrix on the output
+///      grid;
+///   3. per condition, in order, `solve:<condition>` (one task per gene:
+///      solve, sample on the output grid, score), then the warm-start
+///      hand-off on this thread.
 ///
 /// Each gene's inputs are those of a condition-by-condition loop, so the
 /// results do not depend on the thread count. A failed kernel ends the
 /// run after the first batch, before any gene is solved.
 Experiment_result run_batches(const Experiment_spec& spec, const Volume_model& volume_model,
-                              Kernel_cache& cache) {
+                              Kernel_cache& cache, Worker_pool& pool) {
     const std::size_t n = spec.conditions.size();
     Experiment_result result;
     result.conditions.resize(n);
     for (std::size_t c = 0; c < n; ++c) {
         result.conditions[c].name = resolved_condition_name(spec.conditions[c], c);
     }
-    Worker_pool pool(spec.threads);
 
     pool.parallel_for("kernels", n, [&](std::size_t c) {
         const Experiment_condition& condition = spec.conditions[c];
@@ -162,46 +153,70 @@ Experiment_result run_batches(const Experiment_spec& spec, const Volume_model& v
         if (added) first_user.push_back(c);
         design_of[c] = it->second;
     }
+    const Vector output_phi = experiment_output_phi();
+    const Profile_scorer score_output(output_phi);
     std::vector<std::shared_ptr<const Design_artifacts>> designs(first_user.size());
+    // One design matrix per design samples every profile: each entry sums
+    // over the basis in Natural_spline_basis::expand's order, so the
+    // values match sample() bit for bit.
+    std::vector<Matrix> output_designs(first_user.size());
     pool.parallel_for("designs", designs.size(), [&](std::size_t d) {
         const std::size_t c = first_user[d];
         designs[d] = make_design_artifacts(
             std::make_shared<Natural_spline_basis>(spec.basis_size),
             *result.conditions[c].kernel, spec.conditions[c].cell_cycle,
             spec.batch.deconvolution.constraints);
+        output_designs[d] = designs[d]->basis->design_matrix(output_phi);
     });
 
-    // The output grid of `run`, so `report` reproduces these scores from
-    // a saved profile CSV.
-    const Vector score_phi = linspace(0.0, 1.0, 201);
     std::map<std::string, double> previous_lambda;
     for (std::size_t c = 0; c < n; ++c) {
         const Experiment_condition& condition = spec.conditions[c];
         Condition_result& out = result.conditions[c];
         const std::shared_ptr<const Design_artifacts>& design = designs[design_of[c]];
+        const Matrix& output_design = output_designs[design_of[c]];
         const Deconvolver deconvolver(design);
         const Batch_options resolved = resolve_batch_options(*design, spec.batch);
         const std::vector<Vector> grids = warm_grids_for(spec, c, previous_lambda);
-        out.genes.resize(condition.panel.size());
-        pool.parallel_for("solve:" + out.name, condition.panel.size(), [&](std::size_t g) {
+        const std::size_t genes = condition.panel.size();
+        out.genes.resize(genes);
+        out.profiles.resize(genes);
+        std::vector<std::optional<Profile_scores>> scores(genes);
+        pool.parallel_for("solve:" + out.name, genes, [&](std::size_t g) {
             const Vector& grid = grids[g].empty() ? resolved.lambda_grid : grids[g];
             out.genes[g] = deconvolve_one(deconvolver, condition.panel[g], grid, resolved);
+            if (!out.genes[g].estimate.has_value()) return;
+            out.profiles[g] = output_design * out.genes[g].estimate->coefficients();
+            try {
+                scores[g] = score_output(out.profiles[g]);
+            } catch (const std::invalid_argument&) {
+                // no positive mass: synchrony is undefined, skip
+            }
         });
         const telemetry::Trace_span score_span("score:" + out.name, "experiment");
-        score_condition(out, deconvolver.basis(), score_phi, previous_lambda);
+        score_condition(out, scores, previous_lambda);
     }
     return result;
 }
 
 }  // namespace
 
+Vector experiment_output_phi() { return linspace(0.0, 1.0, 201); }
+
 Experiment_result run_experiment(const Experiment_spec& spec,
-                                 const Volume_model& volume_model, Kernel_cache& cache) {
+                                 const Volume_model& volume_model, Kernel_cache& cache,
+                                 Worker_pool& pool) {
     validate_spec(spec);
     const Kernel_cache_stats before = cache.stats();
-    Experiment_result result = run_batches(spec, volume_model, cache);
+    Experiment_result result = run_batches(spec, volume_model, cache, pool);
     result.cache_stats = cache.stats() - before;
     return result;
+}
+
+Experiment_result run_experiment(const Experiment_spec& spec,
+                                 const Volume_model& volume_model, Kernel_cache& cache) {
+    Worker_pool pool(spec.threads);
+    return run_experiment(spec, volume_model, cache, pool);
 }
 
 Experiment_result run_experiment(const Experiment_spec& spec,

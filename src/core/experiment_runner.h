@@ -9,14 +9,14 @@
 // (config, volume model, times, bins) tuple was seen before, in memory or
 // on disk), fans every (condition x gene) solve over one shared
 // Design_artifacts per kernel, warm-starts lambda selection from the
-// previous condition's per-gene choices, and scores each reconstructed
-// profile's synchrony (order parameter / entropy).
+// previous condition's per-gene choices, and samples and scores each
+// reconstructed profile (order parameter / entropy) on the output grid.
 //
 // The run is three flat phases on one Worker_pool: every condition's
 // kernel in one batch (conditions sharing a cache key share one
 // resolution), one design per distinct kernel in a second, then the
-// conditions in order, each one batch of per-gene solves followed by
-// scoring and the warm-start hand-off.
+// conditions in order, each one batch of per-gene tasks (solve, sample,
+// score) followed by the warm-start hand-off.
 //
 // Results are deterministic for a fixed spec: identical whether kernels
 // were built or served from cache, and for any thread count.
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/batch.h"
+#include "core/worker_pool.h"
 #include "population/kernel_cache.h"
 #include "population/synchrony.h"
 
@@ -67,11 +68,20 @@ struct Gene_synchrony : Profile_scores {
     std::string label;
 };
 
+/// The phase grid every profile is sampled and scored on: 201 points on
+/// [0, 1], the grid of the profile CSVs of `run` and `stream`, so
+/// `report` reproduces the scores from a saved CSV.
+Vector experiment_output_phi();
+
 /// Everything produced for one condition.
 struct Condition_result {
     std::string name;
     std::shared_ptr<const Kernel_grid> kernel;
     std::vector<Batch_entry> genes;  ///< per-gene estimates / errors, panel order
+    /// Each gene's profile on experiment_output_phi(), panel order: the
+    /// basis design matrix on that grid times the coefficients (bit for
+    /// bit Single_cell_estimate::sample). Empty for a failed gene.
+    std::vector<Vector> profiles;
     /// Scores for the successful genes whose clamped profile has positive
     /// mass, in panel order.
     std::vector<Gene_synchrony> synchrony;
@@ -88,7 +98,8 @@ struct Experiment_result {
     Kernel_cache_stats cache_stats;
 };
 
-/// Run the experiment, resolving kernels through `cache`. Throws
+/// Run the experiment on `pool`, resolving kernels through `cache`
+/// (spec.threads is not read: the pool sets the parallelism). Throws
 /// std::invalid_argument for an empty experiment, an empty panel, a
 /// panel whose series disagree on the time grid, or duplicate condition
 /// names (after empty names resolve to their positional "conditionN"
@@ -96,7 +107,14 @@ struct Experiment_result {
 /// lambdas under one label); per-gene estimation failures are reported
 /// in the corresponding Batch_entry::error instead of aborting. A kernel
 /// that cannot be resolved ends the run with its error (the first one, if
-/// several fail) before any gene is solved.
+/// several fail) before any gene is solved. Each gene's solve, sampling
+/// and scoring run as one task of the condition's `solve:<condition>`
+/// batch.
+Experiment_result run_experiment(const Experiment_spec& spec,
+                                 const Volume_model& volume_model, Kernel_cache& cache,
+                                 Worker_pool& pool);
+
+/// The same run on a pool of spec.threads.
 Experiment_result run_experiment(const Experiment_spec& spec,
                                  const Volume_model& volume_model, Kernel_cache& cache);
 

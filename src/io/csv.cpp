@@ -1,32 +1,39 @@
 #include "io/csv.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace cellsync {
 
 namespace {
 
-std::string trim(const std::string& s) {
+std::string trim(std::string_view s) {
     const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) return "";
+    if (begin == std::string_view::npos) return "";
     const auto end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
+    return std::string(s.substr(begin, end - begin + 1));
 }
 
 }  // namespace
 
 std::vector<std::string> csv_split_fields(const std::string& line) {
+    // One field per ',' plus one, so a trailing ',' yields a final empty
+    // field; an empty line has none.
     std::vector<std::string> fields;
-    std::string field;
-    std::istringstream ss(line);
-    while (std::getline(ss, field, ',')) fields.push_back(trim(field));
-    if (!line.empty() && line.back() == ',') fields.push_back("");
-    return fields;
+    if (line.empty()) return fields;
+    const std::string_view text(line);
+    for (std::size_t begin = 0;;) {
+        const std::size_t comma = text.find(',', begin);
+        fields.push_back(trim(text.substr(begin, comma - begin)));
+        if (comma == std::string_view::npos) return fields;
+        begin = comma + 1;
+    }
 }
 
 namespace {
@@ -164,26 +171,62 @@ Table read_csv_file(const std::string& path) {
 }
 
 void write_csv(std::ostream& out, const Table& table) {
-    for (std::size_t c = 0; c < table.column_count(); ++c) {
-        out << (c ? "," : "") << table.names()[c];
+    out << csv_header(table);
+    const std::size_t rows = table.row_count();
+    const std::size_t block = csv_block_rows(table);
+    std::string text;
+    for (std::size_t begin = 0; begin < rows; begin += block) {
+        text.clear();
+        append_csv_rows(text, table, begin, std::min(rows, begin + block));
+        out << text;
     }
-    out << '\n';
+}
+
+std::string csv_header(const Table& table) {
+    std::string header;
+    for (std::size_t c = 0; c < table.column_count(); ++c) {
+        if (c) header += ',';
+        header += table.names()[c];
+    }
+    header += '\n';
+    return header;
+}
+
+void append_csv_rows(std::string& out, const Table& table, std::size_t begin,
+                     std::size_t end) {
+    if (begin > end || end > table.row_count()) {
+        throw std::out_of_range("append_csv_rows: rows [" + std::to_string(begin) + ", " +
+                                std::to_string(end) + ") of a " +
+                                std::to_string(table.row_count()) + "-row table");
+    }
+    std::vector<const double*> columns;
+    for (std::size_t c = 0; c < table.column_count(); ++c) {
+        columns.push_back(table.column(c).data());
+    }
+    // Room for the longest %.17g text (24 characters) and its separator
+    // per value, so a block is one allocation.
+    out.reserve(out.size() + (end - begin) * columns.size() * 25);
     // to_chars(general, 17) writes the bytes of an ostream at
     // setprecision(17) (printf's %.17g), without the stream's per-value
     // locale and formatting overhead.
-    std::string line;
     char buffer[32];
-    for (std::size_t r = 0; r < table.row_count(); ++r) {
-        line.clear();
-        for (std::size_t c = 0; c < table.column_count(); ++c) {
-            if (c) line += ',';
-            const auto result = std::to_chars(buffer, buffer + sizeof(buffer),
-                                              table.column(c)[r], std::chars_format::general, 17);
-            line.append(buffer, result.ptr);
+    for (std::size_t r = begin; r < end; ++r) {
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            if (c) out += ',';
+            const auto result = std::to_chars(buffer, buffer + sizeof(buffer), columns[c][r],
+                                              std::chars_format::general, 17);
+            out.append(buffer, result.ptr);
         }
-        line += '\n';
-        out << line;
+        out += '\n';
     }
+}
+
+std::size_t csv_block_rows(const Table& table) {
+    constexpr std::size_t block_cells = 4096;
+    const std::size_t rows = table.row_count();
+    const std::size_t blocks =
+        std::max<std::size_t>(1, (rows * table.column_count() + block_cells - 1) / block_cells);
+    return std::max<std::size_t>(1, (rows + blocks - 1) / blocks);
 }
 
 void write_csv_file(const std::string& path, const Table& table) {

@@ -54,7 +54,25 @@ double parse_strict_double(const std::string& text);
 std::uint64_t parse_strict_uint64(const std::string& text);
 
 /// Write a table as CSV (header + rows, '\n' line endings, max precision).
+/// Rows are formatted and written in blocks of csv_block_rows(table).
 void write_csv(std::ostream& out, const Table& table);
+
+/// The header line write_csv writes: the column names joined by ',',
+/// then '\n'.
+std::string csv_header(const Table& table);
+
+/// Append rows [begin, end) of `table` to `out` as CSV text: exactly the
+/// bytes write_csv writes for those rows, each value as printf's %.17g.
+/// Blocks of rows may be formatted independently (on several threads)
+/// and concatenated in order. Throws std::out_of_range if end exceeds
+/// the row count or begin exceeds end.
+void append_csv_rows(std::string& out, const Table& table, std::size_t begin,
+                     std::size_t end);
+
+/// Rows per block when a table is formatted in blocks of about 4,096
+/// cells: the table's rows split evenly into ceil(cells / 4096) blocks.
+/// A table of at most 4,096 cells is one block; at least 1.
+std::size_t csv_block_rows(const Table& table);
 
 /// Write a table to a file. Throws std::runtime_error on open failure
 /// and — after flushing — on any write failure, so a full disk surfaces

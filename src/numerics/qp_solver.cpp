@@ -408,18 +408,11 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     // updates J and R with Givens rotations instead of refactoring. J is
     // kept transposed (row k of jt is column k of J, and jt starts as
     // L^{-1}), so d is one mat-vec and every rotation runs along rows.
+    // J and R are built at the first violated row: a solve whose
+    // unconstrained optimum is feasible never needs them.
     const Cholesky_factorization hl(ridged_hessian(hessian, gradient));
-    const Matrix& l = hl.lower();
-    Matrix jt(nz, nz);
-    for (std::size_t c = 0; c < nz; ++c) {
-        jt(c, c) = 1.0 / l(c, c);
-        for (std::size_t i = c + 1; i < nz; ++i) {
-            double s = 0.0;
-            for (std::size_t k = c; k < i; ++k) s -= l(i, k) * jt(k, c);
-            jt(i, c) = s / l(i, i);
-        }
-    }
-    Matrix rr(nz, nz);  // R in the leading q x q block, q = active.size()
+    Matrix jt;
+    Matrix rr;  // R in the leading q x q block, q = active.size()
 
     Vector y = scaled(hl.solve(gradient), -1.0);  // unconstrained optimum
     std::vector<std::size_t> active;
@@ -449,6 +442,19 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
         if (j == mi) {  // primal feasible: done
             feasible = true;
             break;
+        }
+        if (jt.empty()) {
+            const Matrix& l = hl.lower();
+            jt = Matrix(nz, nz);
+            for (std::size_t c = 0; c < nz; ++c) {
+                jt(c, c) = 1.0 / l(c, c);
+                for (std::size_t i = c + 1; i < nz; ++i) {
+                    double s = 0.0;
+                    for (std::size_t k = c; k < i; ++k) s -= l(i, k) * jt(k, c);
+                    jt(i, c) = s / l(i, i);
+                }
+            }
+            rr = Matrix(nz, nz);
         }
 
         const Vector cj = cr.row(j);

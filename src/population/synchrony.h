@@ -5,6 +5,7 @@
 // variability the deconvolution removes in silico.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "numerics/vector_ops.h"
@@ -37,6 +38,26 @@ double phase_entropy(const std::vector<Snapshot_entry>& snapshot, std::size_t bi
 /// clamped profile has no positive mass.
 double profile_order_parameter(const Vector& phi, const Vector& values);
 
+/// cos and sin of 2 pi phi on one phase grid: the order parameter of
+/// every profile sampled on that grid without a sin and cos per sample.
+class Phase_table {
+  public:
+    Phase_table() = default;  ///< the empty grid
+    explicit Phase_table(const Vector& phi);
+
+    std::size_t size() const { return cos_.size(); }
+
+    /// profile_order_parameter(phi, values) bit for bit, or nullopt when
+    /// the clamped profile has no positive mass. Throws
+    /// std::invalid_argument when `values` does not match the grid or has
+    /// fewer than 2 samples.
+    std::optional<double> order_parameter(const Vector& values) const;
+
+  private:
+    Vector cos_;
+    Vector sin_;
+};
+
 /// Normalized Shannon entropy of a sampled profile's probability vector:
 /// 0 when all mass is at one sample, 1 for a flat profile. Same
 /// preconditions as profile_order_parameter (needs >= 2 samples).
@@ -58,5 +79,21 @@ struct Profile_scores {
 /// std::invalid_argument as profile_order_parameter does, in particular
 /// when the clamped profile has no positive mass.
 Profile_scores score_profile(const Vector& phi, const Vector& values);
+
+/// score_profile for every profile sampled on one phase grid: the grid's
+/// open part and its Phase_table are worked out once, so a profile costs
+/// no sin or cos. The experiment runner scores each gene with one.
+class Profile_scorer {
+  public:
+    explicit Profile_scorer(const Vector& phi);
+
+    /// score_profile(phi, values) bit for bit; throws as it does.
+    Profile_scores operator()(const Vector& values) const;
+
+  private:
+    std::size_t size_ = 0;  ///< samples per profile, closing phi = 1 included
+    Vector open_phi_;
+    Phase_table phases_;  ///< cos and sin of open_phi_
+};
 
 }  // namespace cellsync

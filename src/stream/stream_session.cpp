@@ -126,6 +126,12 @@ std::vector<Stream_update> Stream_session::append_timepoint(
     return updates;
 }
 
+void Stream_session::parallel_for(std::string_view name, std::size_t count,
+                                  const std::function<void(std::size_t)>& task) {
+    const Annotated_lock lock(run_mutex_);
+    pool_.parallel_for(name, count, task);
+}
+
 std::vector<std::string> Stream_session::labels() const {
     const Annotated_lock lock(run_mutex_);
     return order_;

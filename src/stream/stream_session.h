@@ -17,9 +17,11 @@
 // a dropped timepoint for the other genes.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/worker_pool.h"
@@ -94,6 +96,12 @@ class Stream_session {
     /// calls are serialized.
     std::vector<Stream_update> append_timepoint(double time,
                                                 const std::vector<Stream_record>& records);
+
+    /// Run task(i) for every i in [0, count) as one named batch on the
+    /// session's pool (Worker_pool::parallel_for), serialized against
+    /// append_timepoint. The task must not call back into the session.
+    void parallel_for(std::string_view name, std::size_t count,
+                      const std::function<void(std::size_t)>& task);
 
     /// Registered labels, in registration order.
     std::vector<std::string> labels() const;

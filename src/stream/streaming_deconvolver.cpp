@@ -3,10 +3,10 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/telemetry.h"
 #include "core/trace.h"
-#include "population/synchrony.h"
 
 namespace cellsync {
 
@@ -47,10 +47,13 @@ Streaming_deconvolver::Streaming_deconvolver(
     // Circularly-open scoring grid (phi = 1 aliases phi = 0 and must not
     // be double-counted), coarse by default — see Stream_convergence. The
     // design matrix on it turns each append's profile sampling into one
-    // small mat-vec instead of per-point basis evaluation.
-    score_phi_ = linspace(0.0, 1.0, options_.convergence.score_points + 1);
-    score_phi_.pop_back();
-    score_design_ = artifacts_->basis->design_matrix(score_phi_);
+    // small mat-vec instead of per-point basis evaluation, and the phase
+    // table its score into sums, with no sin or cos per append. Built once
+    // per session: Stream_session opens every stream as a copy of one.
+    Vector score_phi = linspace(0.0, 1.0, options_.convergence.score_points + 1);
+    score_phi.pop_back();
+    score_design_ = artifacts_->basis->design_matrix(score_phi);
+    score_phases_ = Phase_table(score_phi);
 }
 
 Streaming_deconvolver::Streaming_deconvolver(const Streaming_deconvolver& seed,
@@ -104,11 +107,10 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     // the order weighted_gram / transposed_times would have used over the
     // full prefix, so the assembled blocks stay bit-identical to a
     // from-scratch build (the basis of the final-estimate bit-identity
-    // guarantee). Snapshots make a failed solve side-effect free:
-    // floating-point subtraction would not restore the old bits.
-    const Matrix gram_before = gram_;
-    const Vector ktwg_before = ktwg_;
-    const Reduced_objective reduced_before = reduced_;
+    // guarantee). Snapshots make a failed solve side-effect free.
+    gram_before_ = gram_;
+    ktwg_before_ = ktwg_;
+    reduced_before_ = reduced_;
     const Vector row = artifacts_->kernel_matrix.row(m);
     const std::size_t n = row.size();
     const double w = 1.0 / (sigma * sigma);
@@ -152,9 +154,9 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     try {
         solve_and_package();
     } catch (...) {
-        gram_ = gram_before;
-        ktwg_ = ktwg_before;
-        reduced_ = reduced_before;
+        std::swap(gram_, gram_before_);
+        std::swap(ktwg_, ktwg_before_);
+        std::swap(reduced_, reduced_before_);
         values_.pop_back();
         sigmas_.pop_back();
         weights_.pop_back();
@@ -196,13 +198,10 @@ void Streaming_deconvolver::solve_and_package() {
     est.qp_iterations = result.iterations;
     est.active_constraints = result.active_set.size();
 
-    // Convergence bookkeeping against the previous estimate.
-    double score = 0.0;
-    try {
-        score = profile_order_parameter(score_phi_, score_design_ * est.coefficients());
-    } catch (const std::invalid_argument&) {
-        score = 0.0;  // no positive mass: treat as fully unlocalized
-    }
+    // Convergence bookkeeping against the previous estimate. A profile
+    // with no positive mass scores 0: fully unlocalized.
+    const double score =
+        score_phases_.order_parameter(score_design_ * est.coefficients()).value_or(0.0);
     if (previous_alpha_.empty()) {
         last_coefficient_delta_ = std::numeric_limits<double>::infinity();
         last_score_delta_ = std::numeric_limits<double>::infinity();

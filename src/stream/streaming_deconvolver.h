@@ -28,6 +28,7 @@
 
 #include "core/deconvolver.h"
 #include "core/design.h"
+#include "population/synchrony.h"
 
 namespace cellsync {
 
@@ -148,6 +149,12 @@ class Streaming_deconvolver {
     // Deconvolver::solve_blocks, which is what pins the bit-identity
     // guarantee.
     Reduced_objective reduced_;  // Z' (2 (G + lambda Omega + ridge I)) Z, Z' (H x0 + g)
+    // The three blocks before the current append, restored if its solve
+    // fails (floating-point subtraction would not restore the old bits).
+    // Members, so an append copies into storage it already holds.
+    Matrix gram_before_;
+    Vector ktwg_before_;
+    Reduced_objective reduced_before_;
     std::size_t observed_ = 0;
     Vector values_;   // observed measurements, grid order
     Vector sigmas_;   // their standard deviations
@@ -161,8 +168,11 @@ class Streaming_deconvolver {
     std::size_t stable_count_ = 0;
     bool converged_ = false;
     Stream_solve_stats stats_;
-    Vector score_phi_;           // circularly-open scoring grid (see .cpp)
-    Matrix score_design_;        // basis design on score_phi_: scoring is one mat-vec
+    // Scoring on the circularly-open score grid (see .cpp): the basis
+    // design on it makes sampling one mat-vec, and the phase table holds
+    // the grid's cos and sin.
+    Matrix score_design_;
+    Phase_table score_phases_;
 };
 
 }  // namespace cellsync

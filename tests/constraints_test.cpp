@@ -215,6 +215,45 @@ INSTANTIATE_TEST_SUITE_P(
                       Window_case{"point_mass", 0.15, 0.0}),
     [](const ::testing::TestParamInfo<Window_case>& window) { return window.param.name; });
 
+// A transition window too narrow for 64 distinct Gauss-Legendre nodes
+// (cv_sst of about 1e-16 or less) is the point mass at mu_sst: beta0 and
+// both rows equal their sigma = 0 values, instead of a collapsed rule's
+// 0.52294 (1e-16) or a `need lo < hi` throw that names no config field
+// (1e-17). 1e-12 still has distinct nodes and keeps its rule, which
+// integrates to beta(mu) up to the rounding of nodes a few hundred ulps
+// apart (5e-7 here).
+class VanishingWindow : public ::testing::TestWithParam<Window_case> {};
+
+TEST_P(VanishingWindow, IsThePointMassAtTheMean) {
+    Cell_cycle_config point_mass;
+    point_mass.cv_sst = 0.0;
+    Cell_cycle_config config;
+    config.cv_sst = GetParam().cv_sst;
+    const Natural_spline_basis basis(18);
+    const double b0 = beta0(config);
+    EXPECT_NEAR(b0, growth_rate_beta(config.mu_sst), 1e-5);
+    EXPECT_EQ(beta0(point_mass), growth_rate_beta(config.mu_sst));
+    const Constraint_set set = build_constraints(basis, config);
+    ASSERT_EQ(set.equality.rows(), 2u);
+    for (std::size_t i = 0; i < basis.size(); ++i) {
+        EXPECT_TRUE(std::isfinite(set.equality(0, i)));
+        EXPECT_TRUE(std::isfinite(set.equality(1, i)));
+    }
+    if (GetParam().cv_sst <= 1e-16) {
+        EXPECT_EQ(b0, beta0(point_mass));
+        expect_bitwise_equal(conservation_row(basis, config),
+                             conservation_row(basis, point_mass), "conservation_row");
+        expect_bitwise_equal(rate_continuity_row(basis, config),
+                             rate_continuity_row(basis, point_mass), "rate_continuity_row");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, VanishingWindow,
+    ::testing::Values(Window_case{"cv_1e_12", 0.15, 1e-12}, Window_case{"cv_1e_16", 0.15, 1e-16},
+                      Window_case{"cv_1e_17", 0.15, 1e-17}, Window_case{"cv_0", 0.15, 0.0}),
+    [](const ::testing::TestParamInfo<Window_case>& window) { return window.param.name; });
+
 // Property sweep: both equality rows annihilate profiles that genuinely
 // satisfy the division balance — constructed here as f with
 // f(1) = 0.4 f(0) + 0.6 f(mu_sst) for a tight transition distribution.

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace cellsync {
 namespace {
@@ -136,6 +139,82 @@ TEST(Csv, WriteFormatsEachValueAsPercent17g) {
               "v\n0\n-0\n0.10000000000000001\n0.33333333333333331\n10000000000000000\n"
               "1e+17\n1.0000000000000001e-05\n4.9406564584124654e-324\ninf\n-inf\nnan\n"
               "-2.5\n");
+}
+
+/// "c0", "c1", ...: appended, not `"c" + std::to_string(c)`, which
+/// g++ 12 misreports under -Werror=restrict once inlined.
+std::string column_name(std::size_t c) {
+    std::string name = "c";
+    name += std::to_string(c);
+    return name;
+}
+
+TEST(Csv, RowBlocksConcatenateToWriteCsvBytes) {
+    // Any split of a table's rows into blocks, formatted independently and
+    // concatenated after the header, is write_csv's text.
+    const double denormal = std::numeric_limits<double>::denorm_min();
+    const std::vector<Vector> columns = {
+        {0.0, -0.0, 1.0, -7.0, 1e300, -1e300, 12345678.0},
+        {denormal, -denormal, 2.2250738585072009e-308, 0.1, 1.0 / 3.0, 1e16, 1e17},
+        {42.0, 1e-5, -2.5, 3.0, -0.0, 123456789012345678.0, 5e-324},
+    };
+    for (const std::size_t rows : {0u, 1u, 7u}) {
+        Table table;
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            table.add_column(column_name(c),
+                             Vector(columns[c].begin(), columns[c].begin() + rows));
+        }
+        std::ostringstream out;
+        write_csv(out, table);
+        const std::string header = csv_header(table);
+        EXPECT_EQ(header, "c0,c1,c2\n");
+        for (std::size_t block = 1; block <= rows + 1; ++block) {
+            std::string text = header;
+            for (std::size_t begin = 0; begin < rows; begin += block) {
+                append_csv_rows(text, table, begin, std::min(rows, begin + block));
+            }
+            EXPECT_EQ(text, out.str()) << rows << " rows in blocks of " << block;
+        }
+    }
+    Table one;
+    one.add_column("x", {-0.0});
+    std::string text;
+    append_csv_rows(text, one, 0, 1);
+    EXPECT_EQ(text, "-0\n");
+    EXPECT_THROW(append_csv_rows(text, one, 0, 2), std::out_of_range);
+    EXPECT_THROW(append_csv_rows(text, one, 1, 0), std::out_of_range);
+}
+
+TEST(Csv, BlockRowsHoldAbout4096Cells) {
+    // 201 x 5 (run_cold's profile table) is one block; 201 x 65 and
+    // 201 x 193 (run_warm's and stream's) split evenly into 4 and 10.
+    const auto block_rows = [](std::size_t rows, std::size_t columns) {
+        Table table;
+        for (std::size_t c = 0; c < columns; ++c) {
+            table.add_column(column_name(c), Vector(rows, 1.0));
+        }
+        return csv_block_rows(table);
+    };
+    EXPECT_EQ(block_rows(201, 5), 201u);
+    EXPECT_EQ(block_rows(201, 65), 51u);
+    EXPECT_EQ(block_rows(201, 193), 21u);
+    EXPECT_EQ(block_rows(1, 10000), 1u);
+    EXPECT_EQ(block_rows(0, 3), 1u);
+    EXPECT_EQ(csv_block_rows(Table{}), 1u);
+}
+
+TEST(Csv, SplitFieldsEdgeCases) {
+    // Every field trimmed of spaces, tabs and '\r'; one field per ',' plus
+    // one, so a trailing ',' adds an empty field; an empty line has none.
+    using Fields = std::vector<std::string>;
+    EXPECT_EQ(csv_split_fields(""), Fields{});
+    EXPECT_EQ(csv_split_fields(","), (Fields{"", ""}));
+    EXPECT_EQ(csv_split_fields("a,"), (Fields{"a", ""}));
+    EXPECT_EQ(csv_split_fields(" a ,\tb\r"), (Fields{"a", "b"}));
+    EXPECT_EQ(csv_split_fields("a,,b"), (Fields{"a", "", "b"}));
+    EXPECT_EQ(csv_split_fields("a"), Fields{"a"});
+    EXPECT_EQ(csv_split_fields("  "), Fields{""});
+    EXPECT_EQ(csv_split_fields(" x y ,1e-3, "), (Fields{"x y", "1e-3", ""}));
 }
 
 TEST(Csv, FileRoundTrip) {

@@ -231,6 +231,72 @@ TEST(ExperimentRunner, RunIsThreadCountInvariant) {
     }
 }
 
+TEST(ExperimentRunner, ProfilesAndScoresComeFromTheOutputGrid) {
+    // Each gene's solve task samples its profile on the 201-point output
+    // grid and scores it there: bit for bit the basis design matrix on
+    // that grid times the coefficients, and score_profile of that
+    // product, at 1 and 4 threads. A failed gene has an empty profile and
+    // no score.
+    Experiment_spec spec = make_spec();
+    spec.conditions[0].panel[1].values[4] = 1.7e308;  // its QP optimum overflows
+    const Vector phi = linspace(0.0, 1.0, 201);
+    ASSERT_EQ(experiment_output_phi(), phi);
+    for (const std::size_t threads : {1u, 4u}) {
+        spec.threads = threads;
+        const Experiment_result result = run_experiment(spec, Smooth_volume_model{});
+        std::size_t failed = 0;
+        for (const Condition_result& condition : result.conditions) {
+            ASSERT_EQ(condition.profiles.size(), condition.genes.size());
+            auto scores = condition.synchrony.begin();
+            for (std::size_t g = 0; g < condition.genes.size(); ++g) {
+                const Batch_entry& gene = condition.genes[g];
+                if (!gene.estimate.has_value()) {
+                    ++failed;
+                    EXPECT_TRUE(condition.profiles[g].empty()) << gene.label;
+                    continue;
+                }
+                const Vector expected =
+                    gene.estimate->basis().design_matrix(phi) * gene.estimate->coefficients();
+                EXPECT_EQ(condition.profiles[g], expected) << gene.label;
+                EXPECT_EQ(condition.profiles[g], gene.estimate->sample(phi)) << gene.label;
+                const Profile_scores score = score_profile(phi, expected);
+                ASSERT_NE(scores, condition.synchrony.end()) << gene.label;
+                EXPECT_EQ(scores->label, gene.label);
+                EXPECT_EQ(scores->order_parameter, score.order_parameter) << gene.label;
+                EXPECT_EQ(scores->entropy, score.entropy) << gene.label;
+                EXPECT_EQ(scores->peak_phi, score.peak_phi) << gene.label;
+                ++scores;
+            }
+            EXPECT_EQ(scores, condition.synchrony.end());
+        }
+        EXPECT_EQ(failed, 1u);
+    }
+}
+
+TEST(ExperimentRunner, RunsOnTheCallersPool) {
+    // The overload taking a Worker_pool runs every batch on it (the
+    // pool's parallelism, not spec.threads) with the same results, and
+    // leaves the pool usable for the caller's next batch.
+    Experiment_spec spec = make_spec();
+    spec.threads = 1;
+    const Experiment_result reference = run_experiment(spec, Smooth_volume_model{});
+    Worker_pool pool(3);
+    Kernel_cache cache;
+    for (int run = 0; run < 2; ++run) {
+        const Experiment_result result =
+            run_experiment(spec, Smooth_volume_model{}, cache, pool);
+        expect_bit_identical_genes(result, reference);
+        for (std::size_t c = 0; c < reference.conditions.size(); ++c) {
+            EXPECT_EQ(result.conditions[c].profiles, reference.conditions[c].profiles);
+            EXPECT_EQ(result.conditions[c].mean_order_parameter,
+                      reference.conditions[c].mean_order_parameter);
+        }
+    }
+    std::vector<std::size_t> seen(8, 0);
+    pool.parallel_for("after", seen.size(), [&](std::size_t i) { seen[i] = i + 1; });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
 /// Sequential reference for run_experiment, built from public calls only
 /// (the calls e2ebench's replay makes): conditions one after another on
 /// this thread, a fresh design per condition, each gene through

@@ -278,6 +278,30 @@ TEST(StreamSession, LateAndStandaloneStreamsMatchTheFirstOpened) {
     }
 }
 
+TEST(StreamSession, ParallelForRunsABatchOnTheSessionPool) {
+    // Every index runs once into its own slot, a throwing task's error is
+    // rethrown after the batch, and the session keeps appending afterwards
+    // with the same results as a session that never ran a batch.
+    Stream_session session(fixture().artifacts, session_options(4));
+    Stream_session reference(fixture().artifacts, session_options(4));
+    std::vector<std::size_t> slots(37, 0);
+    session.parallel_for("fill", slots.size(), [&](std::size_t i) { slots[i] += i + 1; });
+    for (std::size_t i = 0; i < slots.size(); ++i) EXPECT_EQ(slots[i], i + 1);
+    EXPECT_THROW(session.parallel_for("throw", 5,
+                                      [](std::size_t i) {
+                                          if (i == 3) throw std::runtime_error("task 3");
+                                      }),
+                 std::runtime_error);
+    const auto updates = feed_all(session);
+    const auto expected = feed_all(reference);
+    ASSERT_EQ(updates.size(), expected.size());
+    for (const std::string& label : reference.labels()) {
+        EXPECT_EQ(session.find_stream(label)->current().coefficients(),
+                  reference.find_stream(label)->current().coefficients())
+            << label;
+    }
+}
+
 TEST(StreamSession, KernelCacheConstructorResolvesThroughCache) {
     const Vector times = linspace(0.0, 150.0, 11);
     Cell_cycle_config config;

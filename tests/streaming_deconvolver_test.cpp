@@ -146,6 +146,12 @@ TEST(StreamingDeconvolver, FailedAppendRollsBackAndStreamRecovers) {
             EXPECT_THROW(stream.append(series.times[m], std::nan(""), 1.0),
                          std::invalid_argument);
             EXPECT_EQ(stream.observed(), 4u);
+            // 1.7e308 passes those checks, but the QP optimum overflows:
+            // the solve throws after the rank-one update, which must be
+            // undone bit for bit, also when the next append fails too.
+            EXPECT_THROW(stream.append(series.times[m], 1.7e308, 1.0), std::runtime_error);
+            EXPECT_THROW(stream.append(series.times[m], -1.7e308, 1.0), std::runtime_error);
+            EXPECT_EQ(stream.observed(), 4u);
         }
         stream.append(series.times[m], series.values[m], series.sigmas[m]);
     }

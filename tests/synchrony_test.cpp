@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
+
+#include "numerics/rng.h"
 
 namespace cellsync {
 namespace {
@@ -115,6 +119,79 @@ TEST(Synchrony, ClosedGridScoresLikeItsOpenPart) {
     EXPECT_EQ(open.order_parameter, profile_order_parameter(open_phi, open_values));
     EXPECT_EQ(open.entropy, profile_entropy(open_values));
     EXPECT_EQ(open.peak_phi, phi[199]);
+}
+
+/// The order parameter with a sin and cos per sample: clamp at zero,
+/// normalize to unit mass, sum p cos(2 pi phi) and p sin(2 pi phi).
+double reference_order_parameter(const Vector& phi, const Vector& values) {
+    Vector p(values.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        p[i] = std::max(values[i], 0.0);
+        total += p[i];
+    }
+    for (double& v : p) v /= total;
+    double re = 0.0, im = 0.0;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+        const double a = 2.0 * std::numbers::pi * phi[i];
+        re += p[i] * std::cos(a);
+        im += p[i] * std::sin(a);
+    }
+    return std::sqrt(re * re + im * im);
+}
+
+TEST(Synchrony, PhaseTableScoresLikeProfileOrderParameter) {
+    // The stream's scoring grid (64 open points) and the 201-point output
+    // grid: random profiles with negative lobes score bit for bit as the
+    // per-sample sin/cos reference and profile_order_parameter, and a
+    // profile with no positive mass is nullopt where
+    // profile_order_parameter throws.
+    Rng rng(29);
+    Vector open_64 = linspace(0.0, 1.0, 65);
+    open_64.pop_back();
+    for (const Vector& phi : {open_64, linspace(0.0, 1.0, 201)}) {
+        const Phase_table table(phi);
+        ASSERT_EQ(table.size(), phi.size());
+        for (int trial = 0; trial < 50; ++trial) {
+            Vector values(phi.size());
+            for (double& v : values) v = rng.normal(0.5, 1.0);
+            const std::optional<double> r = table.order_parameter(values);
+            ASSERT_TRUE(r.has_value());
+            EXPECT_EQ(*r, reference_order_parameter(phi, values));
+            EXPECT_EQ(*r, profile_order_parameter(phi, values));
+        }
+        for (const Vector& values : {Vector(phi.size(), 0.0), Vector(phi.size(), -1.0)}) {
+            EXPECT_FALSE(table.order_parameter(values).has_value());
+            EXPECT_THROW(profile_order_parameter(phi, values), std::invalid_argument);
+        }
+        Vector one_sample(phi.size(), -1.0);
+        one_sample[phi.size() / 3] = 1e-300;
+        EXPECT_EQ(*table.order_parameter(one_sample), reference_order_parameter(phi, one_sample));
+        EXPECT_THROW(table.order_parameter(Vector(phi.size() + 1, 1.0)), std::invalid_argument);
+    }
+    EXPECT_THROW(Phase_table(Vector{0.5}).order_parameter({1.0}), std::invalid_argument);
+}
+
+TEST(Synchrony, ProfileScorerScoresEveryProfileLikeTheReference) {
+    // One scorer on the closed 201-point output grid scores profile after
+    // profile exactly as the per-sample reference on the open 200 points:
+    // order parameter, entropy and the first maximum's phase.
+    Rng rng(41);
+    const Vector phi = linspace(0.0, 1.0, 201);
+    const Vector open_phi(phi.begin(), phi.end() - 1);
+    const Profile_scorer scorer(phi);
+    for (int trial = 0; trial < 50; ++trial) {
+        Vector values(phi.size());
+        for (double& v : values) v = rng.normal(0.5, 1.0);
+        const Vector open_values(values.begin(), values.end() - 1);
+        const Profile_scores scores = scorer(values);
+        EXPECT_EQ(scores.order_parameter, reference_order_parameter(open_phi, open_values));
+        EXPECT_EQ(scores.entropy, profile_entropy(open_values));
+        const auto peak = std::max_element(open_values.begin(), open_values.end());
+        EXPECT_EQ(scores.peak_phi, open_phi[static_cast<std::size_t>(peak - open_values.begin())]);
+    }
+    EXPECT_THROW(scorer(Vector(phi.size(), -1.0)), std::invalid_argument);
+    EXPECT_THROW(scorer(Vector(phi.size() - 1, 1.0)), std::invalid_argument);
 }
 
 TEST(Synchrony, ScoreProfileRejectsMismatchAndNoPositiveMass) {

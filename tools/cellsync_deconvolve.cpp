@@ -16,7 +16,8 @@
 //              CSV is wide format: a `time` column plus one column per
 //              gene, optionally paired with `<gene>_sigma`. All
 //              (condition x gene) solves share kernels through the cache
-//              and one design per kernel, a condition's genes in parallel;
+//              and one design per kernel, a condition's genes in parallel,
+//              each task also sampling and scoring its gene's profile;
 //              lambda selection is warm-started across adjacent
 //              conditions. Writes `<output stem>.<condition>.csv` per
 //              condition and prints per-condition synchrony scores.
@@ -44,6 +45,13 @@
 //            --json PATH additionally writes a machine-readable report
 //            (per-gene scores plus the lambda recorded in the profile
 //            CSV's `# lambda:` comments).
+//
+// Every profile CSV of `run` and `stream` is sampled on 201 phase points
+// and starts with one `# lambda:<gene>=<value>` line per gene. One command
+// uses one worker pool (--threads): a table of more than about 4,096
+// values is formatted in row blocks on it, the blocks of all of `run`'s
+// tables in one batch, before the files are written in order; the bytes
+// are those of write_csv.
 //
 // Every rejected input file (CSV, panel, record log, kernel) is named in
 // the error, exit 1.
@@ -87,6 +95,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -397,21 +406,66 @@ class Telemetry_session {
     std::string metrics_path_;
 };
 
-/// Write a profile table prefixed with `# lambda:<gene>=<value>` comment
-/// lines (skipped by the CSV reader; parsed by `report --json`), so the
-/// smoothness weight each profile was estimated with travels with it.
-void write_profiles_with_lambdas(const std::string& path, const Table& table,
-                                 const std::vector<std::pair<std::string, double>>& lambdas) {
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-    for (const auto& [gene, lambda] : lambdas) {
+/// One profile CSV of `run` or `stream`: `# lambda:<gene>=<value>`
+/// comment lines (skipped by the CSV reader; parsed by `report --json`),
+/// so the smoothness weight each profile was estimated with travels with
+/// it, then the table as write_csv writes it.
+struct Profile_csv {
+    std::string path;
+    Table table;
+    std::vector<std::pair<std::string, double>> lambdas;
+    std::vector<std::string> row_blocks;  ///< the rows' text, if format_profile_csvs made it
+};
+
+/// Formats the rows of every table of more than one block
+/// (csv_block_rows) before any file is written: the blocks of all of them
+/// are one `format` batch on `pool`, a Worker_pool or a Stream_session. A
+/// one-block table is left to write_profile_csv, on the calling thread.
+template <typename Pool>
+void format_profile_csvs(std::span<Profile_csv> files, Pool& pool) {
+    struct Block {
+        Profile_csv* file;
+        std::size_t index, begin, end;
+    };
+    std::vector<Block> blocks;
+    for (Profile_csv& file : files) {
+        const std::size_t rows = file.table.row_count();
+        const std::size_t step = csv_block_rows(file.table);
+        if (rows <= step) continue;
+        file.row_blocks.assign((rows + step - 1) / step, {});
+        for (std::size_t b = 0; b < file.row_blocks.size(); ++b) {
+            blocks.push_back({&file, b, b * step, std::min(rows, (b + 1) * step)});
+        }
+    }
+    if (blocks.empty()) return;
+    pool.parallel_for("format", blocks.size(), [&](std::size_t b) {
+        const Block& block = blocks[b];
+        append_csv_rows(block.file->row_blocks[block.index], block.file->table, block.begin,
+                        block.end);
+    });
+}
+
+/// Writes one profile CSV, formatting its rows here unless
+/// format_profile_csvs did. Throws `cannot open '<path>' for writing`
+/// or, after the flush, `write failed for '<path>'`.
+void write_profile_csv(const Profile_csv& file) {
+    const telemetry::Trace_span span("io.write", "io");
+    std::ofstream out(file.path);
+    if (!out) throw std::runtime_error("cannot open '" + file.path + "' for writing");
+    for (const auto& [gene, lambda] : file.lambdas) {
         char buffer[48];
         std::snprintf(buffer, sizeof(buffer), "%.17g", lambda);
         out << "# lambda:" << gene << "=" << buffer << "\n";
     }
-    write_csv(out, table);
+    out << csv_header(file.table);
+    if (file.row_blocks.empty()) {
+        std::string rows;
+        append_csv_rows(rows, file.table, 0, file.table.row_count());
+        out << rows;
+    }
+    for (const std::string& block : file.row_blocks) out << block;
     out.flush();
-    if (!out) throw std::runtime_error("write failed for '" + path + "'");
+    if (!out) throw std::runtime_error("write failed for '" + file.path + "'");
 }
 
 /// Time grid for the kernel subcommands: LO:HI:N or a CSV's time column.
@@ -523,7 +577,7 @@ int run_single(const Cli_options& cli) {
                 estimate.chi_squared, data.size(), estimate.roughness,
                 estimate.active_constraints);
 
-    const Vector grid = linspace(0.0, 1.0, 201);
+    const Vector grid = experiment_output_phi();
     Series_writer writer("phi", grid);
     writer.add("f", estimate.sample(grid));
     if (cli.bootstrap > 0) {
@@ -537,7 +591,8 @@ int run_single(const Cli_options& cli) {
         std::printf("bootstrap: %zu replicates, mean 90%% band width %.3f\n",
                     band.replicates_used, band.mean_width());
     }
-    write_profiles_with_lambdas(output, writer.table(), {{"f", entry.lambda}});
+    // At most five columns: one block, formatted on this thread.
+    write_profile_csv({output, writer.table(), {{"f", entry.lambda}}, {}});
     std::printf("wrote %s\n", output.c_str());
     return 0;
 }
@@ -550,7 +605,6 @@ int run_experiment_mode(const Cli_options& cli) {
     Experiment_spec spec;
     spec.kernel = kernel_options_from(cli);
     spec.basis_size = cli.basis;
-    spec.threads = cli.threads;
     spec.batch = batch_options_from(cli);
 
     for (const Condition_request& request : cli.conditions) {
@@ -571,27 +625,41 @@ int run_experiment_mode(const Cli_options& cli) {
     const std::unique_ptr<Volume_model> volume = volume_from(cli);
     const std::unique_ptr<Kernel_cache> cache = cache_from(cli);
 
-    const Experiment_result result = run_experiment(spec, *volume, *cache);
+    // One pool runs the experiment's batches and formats its output.
+    Worker_pool pool(cli.threads);
+    Experiment_result result = run_experiment(spec, *volume, *cache, pool);
     std::printf("kernels: %zu computed, %zu from disk, %zu from memory%s%s\n",
                 result.cache_stats.builds, result.cache_stats.disk_hits,
                 result.cache_stats.memory_hits, cli.cache_dir.empty() ? "" : " via ",
                 cli.cache_dir.c_str());
 
-    const Vector grid = linspace(0.0, 1.0, 201);
+    // One CSV per condition of the profiles the runner sampled, all of
+    // them formatted before the first is written.
     const std::string stem =
         output_stem(cli.output.empty() ? "deconvolved.csv" : cli.output);
+    std::vector<Profile_csv> files(result.conditions.size());
+    for (std::size_t c = 0; c < files.size(); ++c) {
+        Condition_result& condition = result.conditions[c];
+        Profile_csv& file = files[c];
+        file.path = stem + "." + condition.name + ".csv";
+        file.table.add_column("phi", experiment_output_phi());
+        for (std::size_t g = 0; g < condition.genes.size(); ++g) {
+            const Batch_entry& gene = condition.genes[g];
+            if (!gene.estimate.has_value()) continue;
+            file.table.add_column(gene.label, std::move(condition.profiles[g]));
+            file.lambdas.emplace_back(gene.label, gene.lambda);
+        }
+    }
+    format_profile_csvs(files, pool);
+
     int failures = 0;
-    for (const Condition_result& condition : result.conditions) {
+    for (std::size_t c = 0; c < files.size(); ++c) {
+        const Condition_result& condition = result.conditions[c];
         std::printf("condition %-12s: mean order parameter %.3f, mean entropy %.3f\n",
                     condition.name.c_str(), condition.mean_order_parameter,
                     condition.mean_entropy);
         std::printf("  %-16s %-10s %-8s %-8s %-8s\n", "gene", "lambda", "order", "entropy",
                     "peak");
-        Series_writer writer("phi", grid);
-        std::vector<std::pair<std::string, double>> lambdas;
-        // The condition's genes share one basis, so one design matrix
-        // samples them all, bit for bit as Single_cell_estimate::sample.
-        Matrix design;
         auto scores = condition.synchrony.begin();
         for (const Batch_entry& gene : condition.genes) {
             if (!gene.estimate.has_value()) {
@@ -599,9 +667,6 @@ int run_experiment_mode(const Cli_options& cli) {
                 std::printf("  %-16s FAILED: %s\n", gene.label.c_str(), gene.error.c_str());
                 continue;
             }
-            if (design.empty()) design = gene.estimate->basis().design_matrix(grid);
-            writer.add(gene.label, design * gene.estimate->coefficients());
-            lambdas.emplace_back(gene.label, gene.lambda);
             if (scores != condition.synchrony.end() && scores->label == gene.label) {
                 std::printf("  %-16s %-10.3e %-8.3f %-8.3f %-8.3f\n", gene.label.c_str(),
                             gene.lambda, scores->order_parameter, scores->entropy,
@@ -612,9 +677,8 @@ int run_experiment_mode(const Cli_options& cli) {
                             gene.lambda);
             }
         }
-        const std::string path = stem + "." + condition.name + ".csv";
-        write_profiles_with_lambdas(path, writer.table(), lambdas);
-        std::printf("  wrote %s\n", path.c_str());
+        write_profile_csv(files[c]);
+        std::printf("  wrote %s\n", files[c].path.c_str());
     }
     return failures == 0 ? 0 : 1;
 }
@@ -738,11 +802,13 @@ int cmd_stream(const Cli_options& cli) {
                 timepoints, records.record_count(), solve_stats.updates);
 
     // Final per-gene summary + profile CSV (lambda comments included, so
-    // `report --json` can carry the smoothness weight forward).
-    const Vector grid = linspace(0.0, 1.0, 201);
+    // `report --json` can carry the smoothness weight forward), its rows
+    // formatted on the session's pool.
+    const Vector grid = experiment_output_phi();
     const Matrix design = session.artifacts().basis->design_matrix(grid);
-    Series_writer writer("phi", grid);
-    std::vector<std::pair<std::string, double>> lambdas;
+    Profile_csv file;
+    file.path = cli.output.empty() ? "streamed.csv" : cli.output;
+    file.table.add_column("phi", grid);
     std::printf("  %-16s %-9s %-10s %-8s %-10s\n", "gene", "observed", "converged",
                 "order", "lambda");
     for (const std::string& label : session.labels()) {
@@ -751,13 +817,13 @@ int cmd_stream(const Cli_options& cli) {
         std::printf("  %-16s %zu/%-7zu %-10s %-8.3f %-10.3e\n", label.c_str(),
                     stream.observed(), times.size(), stream.converged() ? "yes" : "no",
                     stream.order_parameter(), stream.options().lambda);
-        writer.add(label, design * stream.current().coefficients());
-        lambdas.emplace_back(label, stream.options().lambda);
+        file.table.add_column(label, design * stream.current().coefficients());
+        file.lambdas.emplace_back(label, stream.options().lambda);
     }
-    const std::string output = cli.output.empty() ? "streamed.csv" : cli.output;
-    if (!lambdas.empty()) {
-        write_profiles_with_lambdas(output, writer.table(), lambdas);
-        std::printf("wrote %s\n", output.c_str());
+    if (!file.lambdas.empty()) {
+        format_profile_csvs({&file, 1}, session);
+        write_profile_csv(file);
+        std::printf("wrote %s\n", file.path.c_str());
     }
     return failures == 0 ? 0 : 1;
 }
