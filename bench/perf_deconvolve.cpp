@@ -1,5 +1,6 @@
 // Performance: the end-to-end deconvolution pipeline — kernel reuse,
-// single constrained solve, the full CV loop, and the headline comparison:
+// single constrained solve, the full CV loop and the early-abandon search
+// `run` makes, and the headline comparison:
 // a 50-gene panel on one shared design (deconvolve_one per gene over a
 // worker pool, as the experiment runner's solve stage runs it) versus the
 // serial per-gene path that re-derives the constraint blocks, their QP
@@ -13,6 +14,7 @@
 #include "core/batch.h"
 #include "core/cross_validation.h"
 #include "core/forward_model.h"
+#include "core/telemetry.h"
 #include "core/worker_pool.h"
 #include "perf_util.h"
 #include "spline/spline_basis.h"
@@ -71,6 +73,22 @@ void bm_cv_lambda_selection(benchmark::State& state) {
             fixture.deconvolver, fixture.data, Deconvolution_options{}, grid, 5);
         benchmark::DoNotOptimize(sel.best_lambda);
     }
+}
+
+// The search `run` makes on the same fixture: the sweep's pick, with the
+// fits the bound rules out skipped (`fits` per call, of 5 per grid point).
+void bm_best_lambda_kfold(benchmark::State& state) {
+    const Pipeline_fixture fixture = Pipeline_fixture::make(18);
+    const Vector grid = default_lambda_grid(static_cast<std::size_t>(state.range(0)), 1e-6, 1e0);
+    const telemetry::Counter& fits = telemetry::counter("cv.fits");
+    const std::uint64_t fits_before = fits.value();
+    for (auto _ : state) {
+        const double lambda =
+            best_lambda_kfold(fixture.deconvolver, fixture.data, Deconvolution_options{}, grid, 5);
+        benchmark::DoNotOptimize(lambda);
+    }
+    state.counters["fits"] = static_cast<double>(fits.value() - fits_before) /
+                             static_cast<double>(state.iterations());
 }
 
 void bm_gcv_lambda_selection(benchmark::State& state) {
@@ -455,6 +473,7 @@ void bm_panel(benchmark::State& state) {
 BENCHMARK(bm_single_estimate)->Arg(12)->Arg(18)->Arg(28)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_unconstrained_estimate)->Arg(18)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_cv_lambda_selection)->Arg(9)->Arg(13)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_best_lambda_kfold)->Arg(13)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_gcv_lambda_selection)->Arg(13)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_panel)
     ->Args({10, 1})

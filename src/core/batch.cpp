@@ -45,9 +45,8 @@ Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_ser
     try {
         Deconvolution_options deconv = options.deconvolution;
         if (options.select_lambda) {
-            const Lambda_selection sel = select_lambda_kfold(
-                deconvolver, series, deconv, lambda_grid, options.cv_folds, options.cv_seed);
-            deconv.lambda = sel.best_lambda;
+            deconv.lambda = best_lambda_kfold(deconvolver, series, deconv, lambda_grid,
+                                              options.cv_folds, options.cv_seed);
         }
         entry.estimate = deconvolver.estimate(series, deconv);
         entry.lambda = deconv.lambda;

@@ -56,11 +56,11 @@ std::string labeled_task_error(const std::string& label, const std::exception& e
 Batch_options resolve_batch_options(const Design_artifacts& artifacts,
                                     const Batch_options& options);
 
-/// Deconvolve one series: per-gene lambda CV (when enabled) plus the
-/// constrained estimate. Series that fail validation or estimation are
-/// reported in the entry's `error` instead of throwing, so one bad gene
-/// never aborts a panel. `lambda_grid` must already be resolved
-/// (non-empty).
+/// Deconvolve one series: per-gene lambda CV (when enabled, through
+/// best_lambda_kfold) plus the constrained estimate. Series that fail
+/// validation or estimation are reported in the entry's `error` instead of
+/// throwing, so one bad gene never aborts a panel. `lambda_grid` must
+/// already be resolved (non-empty).
 Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_series& series,
                            const Vector& lambda_grid, const Batch_options& options);
 

@@ -3,13 +3,16 @@
 //
 // Two selectors are provided:
 //  * k-fold cross-validation on the full constrained estimator — the
-//    default, honest about the constraints;
+//    default, honest about the constraints (select_lambda_kfold scores
+//    the whole grid; best_lambda_kfold finds the same pick with fewer
+//    fits);
 //  * generalized cross-validation (GCV) on the unconstrained ridge path —
 //    the classical Craven-Wahba criterion, cheap enough for dense lambda
 //    grids.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/deconvolver.h"
@@ -42,6 +45,34 @@ Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
                                      const Deconvolution_options& base_options,
                                      const Vector& lambda_grid, std::size_t folds = 5,
                                      std::uint64_t seed = 77);
+
+/// The lambda select_lambda_kfold(...).best_lambda returns, with the same
+/// validation and errors, without scoring every grid point in full: a
+/// point stops at the first fold after which it can no longer win
+/// (best_kfold_index). This is the search `deconvolve_one` runs;
+/// select_lambda_kfold stays the full-curve reference.
+double best_lambda_kfold(const Deconvolver& deconvolver, const Measurement_series& series,
+                         const Deconvolution_options& base_options, const Vector& lambda_grid,
+                         std::size_t folds = 5, std::uint64_t seed = 77);
+
+/// Returns `running` plus grid point `point`'s held-out error on fold
+/// `fold`, a non-negative amount; throws std::runtime_error when that
+/// fold's fit fails.
+using Kfold_fold_scorer =
+    std::function<double(std::size_t point, std::size_t fold, double running)>;
+
+/// best_lambda_kfold's selection rule. A point's full score is its running
+/// sum over folds 0..folds-1 divided by `measurements` (+inf when a fold
+/// throws std::runtime_error), and the result is the index std::min_element
+/// picks among the full scores: the lowest score wins, ties go to the
+/// lower index, and NaN never wins except at index 0, which is returned at
+/// once. Point 0 is scored first and in full, then the others outward from
+/// index points / 2, below before above. Each point's folds run in order,
+/// and a point is dropped after the first fold at which running /
+/// measurements exceeds the best full score so far: the remaining folds
+/// could only raise it. Throws std::invalid_argument for points == 0.
+std::size_t best_kfold_index(std::size_t points, std::size_t folds, std::size_t measurements,
+                             const Kfold_fold_scorer& add_fold);
 
 /// GCV: V(lambda) = m * ||(I - A) z||^2 / tr(I - A)^2 in whitened space,
 /// with A the unconstrained hat matrix. The normal-equation blocks are

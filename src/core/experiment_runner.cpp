@@ -40,9 +40,11 @@ void validate_spec(const Experiment_spec& spec) {
         }
     }
     Natural_spline_basis::validate_knot_count(spec.basis_size);
-    for (const Experiment_condition& condition : spec.conditions) {
+    for (std::size_t c = 0; c < spec.conditions.size(); ++c) {
+        const Experiment_condition& condition = spec.conditions[c];
         if (condition.panel.empty()) {
-            throw std::invalid_argument("run_experiment: condition '" + condition.name +
+            throw std::invalid_argument("run_experiment: condition '" +
+                                        resolved_condition_name(condition, c) +
                                         "' has an empty panel");
         }
         const Vector& times = condition.panel.front().times;
@@ -51,7 +53,8 @@ void validate_spec(const Experiment_spec& spec) {
             if (series.times != times) {
                 throw std::invalid_argument(
                     "run_experiment: series '" + series.label + "' of condition '" +
-                    condition.name + "' is not on the condition's time grid");
+                    resolved_condition_name(condition, c) +
+                    "' is not on the condition's time grid");
             }
         }
     }

@@ -484,6 +484,33 @@ TEST(ExperimentRunner, ValidationErrors) {
     EXPECT_THROW(run_experiment(huge_basis, vm), std::invalid_argument);
 }
 
+TEST(ExperimentRunner, RejectionsNameAnUnnamedConditionByItsPosition) {
+    const Smooth_volume_model vm;
+    const Measurement_series a = Measurement_series::with_unit_sigma(
+        "a", linspace(0.0, 150.0, 11), Vector(11, 1.0));
+    const Measurement_series b = Measurement_series::with_unit_sigma(
+        "b", linspace(0.0, 120.0, 11), Vector(11, 1.0));
+    const auto message = [&](const std::vector<Measurement_series>& third_panel) {
+        Experiment_spec spec;
+        spec.conditions.resize(3);
+        spec.conditions[0].name = "wildtype";
+        spec.conditions[0].panel = {a};
+        spec.conditions[1].name = "fast";
+        spec.conditions[1].panel = {a};
+        spec.conditions[2].panel = third_panel;  // unnamed: "condition2"
+        try {
+            run_experiment(spec, vm);
+        } catch (const std::invalid_argument& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message({}), "run_experiment: condition 'condition2' has an empty panel");
+    EXPECT_EQ(message({a, b}),
+              "run_experiment: series 'b' of condition 'condition2' is not on the "
+              "condition's time grid");
+}
+
 TEST(ExperimentRunner, DuplicateConditionNamesRejected) {
     const Smooth_volume_model vm;
     const Measurement_series series = Measurement_series::with_unit_sigma(
