@@ -5,12 +5,12 @@
 // every arrival. The baseline re-solves each gene from scratch on every
 // arrival (Deconvolver::estimate_on_rows over the observed prefix — full
 // normal-equation rebuild + dual active-set solve). The streaming engine
-// replaces the rebuild with a rank-one update of the normal equations
-// and their reduced projection, then runs the same dual solve on the
-// reduced blocks, and its final estimate must still be bit-identical to
-// the batch estimate on the complete series. Both times, their ratio and
-// the identity are written into BENCH_streaming.json; CI asserts the
-// identity.
+// replaces the rebuild with a rank-one update of the reduced objective,
+// then runs the same dual solve on it; the append that completes the
+// series solves it as the batch estimator does, so the final estimate
+// must be bit-identical to the batch estimate on the complete series.
+// Both times, their ratio and the identity are written into
+// BENCH_streaming.json; CI asserts the identity.
 #include <cmath>
 
 #include "biology/gene_profiles.h"

@@ -13,27 +13,44 @@ namespace cellsync {
 
 namespace {
 
-std::string trim(std::string_view s) {
+std::string_view trim_view(std::string_view s) {
     const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string_view::npos) return "";
+    if (begin == std::string_view::npos) return {};
     const auto end = s.find_last_not_of(" \t\r");
-    return std::string(s.substr(begin, end - begin + 1));
+    return s.substr(begin, end - begin + 1);
+}
+
+std::string trim(std::string_view s) { return std::string(trim_view(s)); }
+
+/// Calls field(view) on each trimmed field of `line` in order: one per ','
+/// plus one, so a trailing ',' yields a final empty field; an empty line
+/// has none.
+template <typename Field>
+void for_each_field(std::string_view line, Field field) {
+    if (line.empty()) return;
+    for (std::size_t begin = 0;;) {
+        const std::size_t comma = line.find(',', begin);
+        field(trim_view(line.substr(begin, comma - begin)));
+        if (comma == std::string_view::npos) return;
+        begin = comma + 1;
+    }
 }
 
 }  // namespace
 
-std::vector<std::string> csv_split_fields(const std::string& line) {
-    // One field per ',' plus one, so a trailing ',' yields a final empty
-    // field; an empty line has none.
+std::vector<std::string> csv_split_fields(std::string_view line) {
     std::vector<std::string> fields;
-    if (line.empty()) return fields;
-    const std::string_view text(line);
-    for (std::size_t begin = 0;;) {
-        const std::size_t comma = text.find(',', begin);
-        fields.push_back(trim(text.substr(begin, comma - begin)));
-        if (comma == std::string_view::npos) return fields;
-        begin = comma + 1;
-    }
+    for_each_field(line, [&](std::string_view field) { fields.emplace_back(field); });
+    return fields;
+}
+
+std::size_t csv_split_fields(std::string_view line, std::span<std::string_view> fields) {
+    std::size_t count = 0;
+    for_each_field(line, [&](std::string_view field) {
+        if (count < fields.size()) fields[count] = field;
+        ++count;
+    });
+    return count;
 }
 
 namespace {
@@ -41,7 +58,7 @@ namespace {
 /// How a strict double parse can fail; `ok` means a finite value landed.
 enum class Number_error { ok, out_of_range, malformed, non_finite };
 
-Number_error parse_double_core(const std::string& field, double& value) {
+Number_error parse_double_core(std::string_view field, double& value) {
     value = 0.0;
     const char* first = field.data();
     const char* last = field.data() + field.size();
@@ -65,23 +82,24 @@ Number_error parse_double_core(const std::string& field, double& value) {
 
 }  // namespace
 
-double csv_parse_field(const std::string& field, std::size_t line_number) {
+double csv_parse_field(std::string_view field, std::size_t line_number) {
     double value = 0.0;
     switch (parse_double_core(field, value)) {
         case Number_error::ok:
             return value;
         case Number_error::out_of_range:
             throw std::runtime_error("CSV line " + std::to_string(line_number) +
-                                     ": field '" + field + "' is out of double range");
+                                     ": field '" + std::string(field) +
+                                     "' is out of double range");
         case Number_error::non_finite:
             throw std::runtime_error("CSV line " + std::to_string(line_number) +
-                                     ": non-finite field '" + field +
+                                     ": non-finite field '" + std::string(field) +
                                      "' (inf/nan are not valid values)");
         case Number_error::malformed:
             break;
     }
     throw std::runtime_error("CSV line " + std::to_string(line_number) +
-                             ": non-numeric field '" + field + "'");
+                             ": non-numeric field '" + std::string(field) + "'");
 }
 
 double parse_strict_double(const std::string& text) {

@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/table.h"
@@ -30,12 +32,17 @@ Table read_csv_file(const std::string& path);
 /// Split one CSV line into trimmed fields (',' separator; a trailing ','
 /// yields a final empty field) — the exact field semantics of read_csv,
 /// shared with the incremental record reader (io/stream_records.h).
-std::vector<std::string> csv_split_fields(const std::string& line);
+std::vector<std::string> csv_split_fields(std::string_view line);
+
+/// The same split with no copies: stores the first fields.size() trimmed
+/// fields of `line` as views into it and returns how many fields the line
+/// has, which may be more than it stored.
+std::size_t csv_split_fields(std::string_view line, std::span<std::string_view> fields);
 
 /// Parse one numeric CSV field under read_csv's rules: optional leading
 /// '+', finite values only. Throws std::runtime_error naming
-/// `line_number` on malformed or non-finite input.
-double csv_parse_field(const std::string& field, std::size_t line_number);
+/// `line_number` and quoting the field on malformed or non-finite input.
+double csv_parse_field(std::string_view field, std::size_t line_number);
 
 /// The repo-wide number-parsing policy (std::from_chars, whole-string,
 /// optional leading '+', finite only), outside a CSV context: the same

@@ -1,7 +1,9 @@
 #include "io/stream_records.h"
 
+#include <array>
 #include <istream>
 #include <stdexcept>
+#include <string_view>
 
 #include "io/csv.h"
 #include "io/measurement.h"
@@ -10,21 +12,23 @@ namespace cellsync {
 
 namespace {
 
-std::string trim_line(const std::string& s) {
+std::string_view trim_line(std::string_view s) {
     const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) return "";
+    if (begin == std::string_view::npos) return {};
     const auto end = s.find_last_not_of(" \t\r");
     return s.substr(begin, end - begin + 1);
 }
 
+/// Columns a header can name: time, gene, value and sigma, each once.
+constexpr std::size_t max_columns = 4;
+
 }  // namespace
 
 Record_stream::Record_stream(std::istream& in) : in_(in) {
-    std::string line;
     std::vector<std::string> header;
-    while (std::getline(in_, line)) {
+    while (std::getline(in_, line_)) {
         ++line_number_;
-        const std::string t = trim_line(line);
+        const std::string_view t = trim_line(line_);
         if (t.empty() || t.front() == '#') continue;
         header = csv_split_fields(t);
         break;
@@ -73,17 +77,20 @@ Record_stream::Record_stream(std::istream& in) : in_(in) {
 }
 
 std::optional<Expression_record> Record_stream::parse_next() {
-    std::string line;
-    while (std::getline(in_, line)) {
+    // The line lands in a buffer that keeps its capacity from line to
+    // line, and its fields are views into it: a record costs no
+    // allocation beyond its gene name's.
+    while (std::getline(in_, line_)) {
         ++line_number_;
-        const std::string t = trim_line(line);
+        const std::string_view t = trim_line(line_);
         if (t.empty() || t.front() == '#') continue;
 
-        const std::vector<std::string> fields = csv_split_fields(t);
-        if (fields.size() != column_count_) {
+        std::array<std::string_view, max_columns> fields;
+        const std::size_t count = csv_split_fields(t, fields);
+        if (count != column_count_) {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +
                                      ": expected " + std::to_string(column_count_) +
-                                     " fields, got " + std::to_string(fields.size()));
+                                     " fields, got " + std::to_string(count));
         }
         Expression_record record;
         record.time = csv_parse_field(fields[time_col_], line_number_);

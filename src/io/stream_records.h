@@ -7,7 +7,8 @@
 // (which materializes whole numeric columns), Record_stream hands records
 // back one at a time as they are pulled off the stream, holding only the
 // current line in memory; the field-splitting and number-parsing rules
-// are shared with read_csv (csv_split_fields / csv_parse_field).
+// are shared with read_csv (csv_split_fields / csv_parse_field), here in
+// their forms on string views into that line.
 #pragma once
 
 #include <iosfwd>
@@ -61,6 +62,7 @@ class Record_stream {
     std::optional<Expression_record> parse_next();
 
     std::istream& in_;
+    std::string line_;  // the line being parsed
     std::size_t time_col_ = 0;
     std::size_t gene_col_ = 0;
     std::size_t value_col_ = 0;

@@ -17,6 +17,7 @@
 // a dropped timepoint for the other genes.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -129,12 +130,20 @@ class Stream_session {
     std::unique_ptr<const Streaming_deconvolver> seed_;
     // Guards the stream registry and serializes timepoint batches: the
     // pool is never shared between two concurrent append_timepoint calls,
-    // and the read accessors
-    // (labels/converged_count/...) never observe the map mid-insert.
+    // and the read accessors (labels/converged_count/...) never observe
+    // the registry mid-insert.
     mutable Annotated_mutex run_mutex_;
-    std::map<std::string, std::unique_ptr<Streaming_deconvolver>> streams_
+    // The streams in registration order; a stream's index here is its
+    // dense id, and every reporting walk follows it.
+    std::vector<std::unique_ptr<Streaming_deconvolver>> streams_
         CELLSYNC_GUARDED_BY(run_mutex_);
-    std::vector<std::string> order_ CELLSYNC_GUARDED_BY(run_mutex_);
+    // Label -> dense id. Ordered on purpose: cellsync_lint's det-unordered
+    // rule bans hashed containers in src/.
+    std::map<std::string, std::size_t, std::less<>> ids_ CELLSYNC_GUARDED_BY(run_mutex_);
+    // Per dense id, the duplicate probe of append_timepoint: the serial of
+    // the last batch whose check met the stream.
+    std::vector<std::uint64_t> stamps_ CELLSYNC_GUARDED_BY(run_mutex_);
+    std::uint64_t batch_serial_ CELLSYNC_GUARDED_BY(run_mutex_) = 0;
     mutable Worker_pool pool_ CELLSYNC_GUARDED_BY(run_mutex_);
     std::size_t thread_count_ = 0;  ///< pool_.thread_count(), lock-free copy
 };

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -25,6 +26,16 @@ void Stream_convergence::validate() const {
     }
 }
 
+// Circularly-open scoring grid (phi = 1 aliases phi = 0 and must not be
+// double-counted), coarse by default — see Stream_convergence. The design
+// matrix on it turns each append's profile sampling into one small
+// mat-vec instead of per-point basis evaluation, and the phase table its
+// score into sums, with no sin or cos per append.
+struct Streaming_deconvolver::Score_grid {
+    Matrix design;
+    Phase_table phases;
+};
+
 Streaming_deconvolver::Streaming_deconvolver(
     std::shared_ptr<const Design_artifacts> artifacts, std::string label,
     const Stream_options& options)
@@ -35,31 +46,30 @@ Streaming_deconvolver::Streaming_deconvolver(
     }
     options_.convergence.validate();
     const std::size_t n = artifacts_->basis->size();
-    gram_ = Matrix(n, n);
-    ktwg_.assign(n, 0.0);
 
     // Seed the reduced state with the objective of the still-empty
     // normal-equation state: H0 = 2 (lambda Omega + ridge I), g0 = 0.
     reduced_ = reduced_estimator_objective(
-        Deconvolver(artifacts_).reduce_blocks(gram_, ktwg_, artifacts_->constraint_options),
+        Deconvolver(artifacts_).reduce_blocks(Matrix(n, n), Vector(n, 0.0),
+                                              artifacts_->constraint_options),
         artifacts_->reduced_penalty, options_.lambda);
+    next_ = reduced_;
 
-    // Circularly-open scoring grid (phi = 1 aliases phi = 0 and must not
-    // be double-counted), coarse by default — see Stream_convergence. The
-    // design matrix on it turns each append's profile sampling into one
-    // small mat-vec instead of per-point basis evaluation, and the phase
-    // table its score into sums, with no sin or cos per append. Built once
-    // per session: Stream_session opens every stream as a copy of one.
     Vector score_phi = linspace(0.0, 1.0, options_.convergence.score_points + 1);
     score_phi.pop_back();
-    score_design_ = artifacts_->basis->design_matrix(score_phi);
-    score_phases_ = Phase_table(score_phi);
+    score_grid_ = std::make_shared<const Score_grid>(
+        Score_grid{artifacts_->basis->design_matrix(score_phi), Phase_table(score_phi)});
 }
 
 Streaming_deconvolver::Streaming_deconvolver(const Streaming_deconvolver& seed,
                                              std::string label)
     : Streaming_deconvolver(seed) {
     label_ = std::move(label);
+    // Room for the whole series, so a session's appends never reallocate.
+    const std::size_t m = artifacts_->times.size();
+    values_.reserve(m);
+    sigmas_.reserve(m);
+    weights_.reserve(m);
 }
 
 const Single_cell_estimate& Streaming_deconvolver::current() const {
@@ -103,41 +113,9 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
                                     ": sigma must be positive with a finite weight 1/sigma^2");
     }
 
-    // Rank-one update of the normal-equation state, accumulated in exactly
-    // the order weighted_gram / transposed_times would have used over the
-    // full prefix, so the assembled blocks stay bit-identical to a
-    // from-scratch build (the basis of the final-estimate bit-identity
-    // guarantee). Snapshots make a failed solve side-effect free.
-    gram_before_ = gram_;
-    ktwg_before_ = ktwg_;
-    reduced_before_ = reduced_;
-    const Vector row = artifacts_->kernel_matrix.row(m);
-    const std::size_t n = row.size();
     const double w = 1.0 / (sigma * sigma);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double t = w * row[i];
-        for (std::size_t j = i; j < n; ++j) {
-            gram_(i, j) += t * row[j];
-            gram_(j, i) = gram_(i, j);
-        }
-    }
-    const double wg = w * value;
-    for (std::size_t j = 0; j < n; ++j) ktwg_[j] += row[j] * wg;
-
-    // The same rank-one step in the reduced space: with kr = Z'k,
-    // delta Hr = 2 w kr kr' and delta gr = 2 w (k'x0 - G_m) kr.
-    const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
-    const std::size_t nz = prep.z_basis().cols();
-    if (nz > 0) {
-        const Vector kr = transposed_times(prep.z_basis(), row);
-        for (std::size_t i = 0; i < nz; ++i) {
-            const double wi = 2.0 * w * kr[i];
-            for (std::size_t j = 0; j < nz; ++j) reduced_.hessian(i, j) += wi * kr[j];
-        }
-        const double c = 2.0 * w * (dot(row, prep.x_particular()) - value);
-        if (c != 0.0) axpy(c, kr, reduced_.gradient);
-    }
-
+    const bool completes = m + 1 == times.size();
+    if (!completes) update_reduced(m, value, w);
     values_.push_back(value);
     sigmas_.push_back(sigma);
     weights_.push_back(w);
@@ -152,39 +130,58 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
                 : std::string());
     const telemetry::Stopwatch update_timer;
     try {
-        solve_and_package();
+        package(completes ? solve_complete_series()
+                          : solve_qp_dual_prepared(next_, *artifacts_->constraint_prep));
     } catch (...) {
-        std::swap(gram_, gram_before_);
-        std::swap(ktwg_, ktwg_before_);
-        std::swap(reduced_, reduced_before_);
         values_.pop_back();
         sigmas_.pop_back();
         weights_.pop_back();
         --observed_;
         throw;
     }
+    if (!completes) std::swap(reduced_, next_);
     static telemetry::Histogram& append_us = telemetry::histogram("stream.append_us");
     append_us.record(update_timer.elapsed_us());
     return *estimate_;
 }
 
-void Streaming_deconvolver::solve_and_package() {
-    Qp_result result;
-    if (complete()) {
-        // The solve that completes the series is Deconvolver::solve_blocks,
-        // the one behind estimate_on_rows, so the final estimate's bits
-        // depend only on the accumulated state.
-        Deconvolution_options options;
-        options.lambda = options_.lambda;
-        options.constraints = artifacts_->constraint_options;
-        result = Deconvolver(artifacts_).solve_blocks(gram_, ktwg_, options);
-    } else {
-        // Mid-stream: solve directly on the incrementally maintained
-        // reduced problem.
-        result = solve_qp_dual_prepared(reduced_, *artifacts_->constraint_prep);
+void Streaming_deconvolver::update_reduced(std::size_t m, double value, double w) {
+    // With kr = Z'k for the kernel row k appended, delta Hr = 2 w kr kr'
+    // and delta gr = 2 w (k'x0 - G_m) kr.
+    const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
+    const std::size_t nz = prep.z_basis().cols();
+    if (nz == 0) return;
+    const Vector row = artifacts_->kernel_matrix.row(m);
+    const Vector kr = transposed_times(prep.z_basis(), row);
+    for (std::size_t i = 0; i < nz; ++i) {
+        const double wi = 2.0 * w * kr[i];
+        for (std::size_t j = 0; j < nz; ++j) {
+            next_.hessian(i, j) = reduced_.hessian(i, j) + wi * kr[j];
+        }
     }
+    const double c = 2.0 * w * (dot(row, prep.x_particular()) - value);
+    for (std::size_t i = 0; i < nz; ++i) {
+        next_.gradient[i] = c != 0.0 ? reduced_.gradient[i] + c * kr[i] : reduced_.gradient[i];
+    }
+}
 
-    Single_cell_estimate est(artifacts_->basis, result.x);
+Qp_result Streaming_deconvolver::solve_complete_series() const {
+    // Deconvolver::estimate on the complete series: the normal-equation
+    // blocks over every kernel row, accumulated straight off the kernel
+    // from the stored weights and values, then solve_blocks.
+    std::vector<std::size_t> rows(observed_);
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    const Matrix& kernel = artifacts_->kernel_matrix;
+    Deconvolution_options options;
+    options.lambda = options_.lambda;
+    options.constraints = artifacts_->constraint_options;
+    return Deconvolver(artifacts_).solve_blocks(
+        weighted_gram_rows(kernel, rows, weights_),
+        weighted_transposed_times_rows(kernel, rows, weights_, values_), options);
+}
+
+void Streaming_deconvolver::package(Qp_result result) {
+    Single_cell_estimate est(artifacts_->basis, std::move(result.x));
     est.lambda = options_.lambda;
     est.fitted = artifacts_->kernel_matrix * est.coefficients();
     double chi2 = 0.0;
@@ -201,7 +198,8 @@ void Streaming_deconvolver::solve_and_package() {
     // Convergence bookkeeping against the previous estimate. A profile
     // with no positive mass scores 0: fully unlocalized.
     const double score =
-        score_phases_.order_parameter(score_design_ * est.coefficients()).value_or(0.0);
+        score_grid_->phases.order_parameter(score_grid_->design * est.coefficients())
+            .value_or(0.0);
     if (previous_alpha_.empty()) {
         last_coefficient_delta_ = std::numeric_limits<double>::infinity();
         last_score_delta_ = std::numeric_limits<double>::infinity();

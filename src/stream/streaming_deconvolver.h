@@ -4,20 +4,24 @@
 // gene from a complete time course. A monitoring workload delivers the
 // same course one timepoint at a time; re-solving from scratch on every
 // arrival rebuilds the weighted normal equations over all observed rows
-// and runs the dual active-set iteration cold. The streaming estimator
-// keeps the gene's normal-equation state — the Gram block
-// sum_m w_m k_m k_m' and the right-hand side sum_m w_m G_m k_m, plus
-// their projections onto the constraint preparation's equality null
-// space — and on each appended measurement performs a rank-one update
-// plus a Goldfarb-Idnani re-solve directly on the reduced blocks
+// and runs the dual active-set iteration cold. A stream instead keeps the
+// reduced objective of its observed prefix — the weighted normal
+// equations projected onto the constraint preparation's equality null
+// space — and on each appended measurement performs a rank-one update of
+// it plus a Goldfarb-Idnani re-solve directly on the reduced blocks
 // (solve_qp_dual_prepared), the same dual iteration the batch path runs.
+// Besides that objective a stream holds only its observed values,
+// sigmas and weights and its latest estimate; the score grid is shared
+// by every stream on a session.
 //
-// Bit-identity contract: the accumulation order of the incremental state
-// mirrors weighted_gram / transposed_times exactly, and the solve on the
-// final timepoint is Deconvolver::solve_blocks, the one the batch
-// estimator uses, so once the stream has seen the complete series
-// the estimate equals Deconvolver::estimate on that series bit for bit
-// (same lambda, same design artifacts). Asserted by
+// Bit-identity contract: the append that completes the series builds its
+// normal-equation blocks from the stored weights and values with the
+// functions Deconvolver::estimate uses (weighted_gram_rows /
+// weighted_transposed_times_rows over every kernel row) and solves them
+// with Deconvolver::solve_blocks, so once the stream has seen the
+// complete series the estimate equals Deconvolver::estimate on that
+// series bit for bit (same lambda, same design artifacts): both run one
+// code path on the same inputs. Asserted by
 // tests/streaming_deconvolver_test.cpp and bench/perf_streaming.
 #pragma once
 
@@ -87,9 +91,10 @@ class Streaming_deconvolver {
     Streaming_deconvolver(std::shared_ptr<const Design_artifacts> artifacts,
                           std::string label, const Stream_options& options = {});
 
-    /// A copy of `seed`, state and all, under a new label. Stream_session
-    /// opens each stream as a copy of one fresh stream, so the state every
-    /// fresh stream on a design starts from is built once per session.
+    /// A copy of `seed`, state and all, under a new label; the copy shares
+    /// the seed's score grid. Stream_session opens each stream as a copy
+    /// of one fresh stream, so the state every fresh stream on a design
+    /// starts from is built once per session.
     Streaming_deconvolver(const Streaming_deconvolver& seed, std::string label);
 
     const std::string& label() const { return label_; }
@@ -130,31 +135,30 @@ class Streaming_deconvolver {
     Measurement_series observed_series() const;
 
   private:
-    void solve_and_package();
+    struct Score_grid;
+
+    /// The QP of the complete series, solved as Deconvolver::estimate
+    /// solves it.
+    Qp_result solve_complete_series() const;
+    /// Writes the reduced objective after appending the measurement
+    /// `value` with weight `w` at grid row `m` into next_.
+    void update_reduced(std::size_t m, double value, double w);
+    void package(Qp_result result);
 
     std::shared_ptr<const Design_artifacts> artifacts_;
     std::string label_;
     Stream_options options_;
 
-    // Incremental normal-equation state over the observed prefix, kept in
-    // exactly weighted_gram / transposed_times accumulation order so the
-    // assembled Hessian and gradient are bit-identical to a from-scratch
-    // build over the same rows.
-    Matrix gram_;   // sum_m w_m k_m k_m'
-    Vector ktwg_;   // sum_m k_m (w_m G_m)
-    // The reduced objective of that state on the constraint preparation's
-    // equality null space (x = x0 + Z y), also rank-one updated: mid-stream
-    // solves run directly on it, with no reduction per solve. Only the
-    // final (complete-series) solve reduces gram_ through
-    // Deconvolver::solve_blocks, which is what pins the bit-identity
-    // guarantee.
-    Reduced_objective reduced_;  // Z' (2 (G + lambda Omega + ridge I)) Z, Z' (H x0 + g)
-    // The three blocks before the current append, restored if its solve
-    // fails (floating-point subtraction would not restore the old bits).
-    // Members, so an append copies into storage it already holds.
-    Matrix gram_before_;
-    Vector ktwg_before_;
-    Reduced_objective reduced_before_;
+    // The reduced objective of the observed prefix on the constraint
+    // preparation's equality null space (x = x0 + Z y):
+    // Z' (2 (K'WK + lambda Omega + ridge I)) Z and Z' (H x0 + g), rank-one
+    // updated per append. Mid-stream solves run directly on it, with no
+    // reduction per solve; the completing append does not read it.
+    Reduced_objective reduced_;
+    // Spare of the same shape: an append writes the updated objective
+    // here and swaps it into reduced_ only once its solve succeeds, so a
+    // failed solve leaves reduced_ bit for bit as it was.
+    Reduced_objective next_;
     std::size_t observed_ = 0;
     Vector values_;   // observed measurements, grid order
     Vector sigmas_;   // their standard deviations
@@ -168,11 +172,9 @@ class Streaming_deconvolver {
     std::size_t stable_count_ = 0;
     bool converged_ = false;
     Stream_solve_stats stats_;
-    // Scoring on the circularly-open score grid (see .cpp): the basis
-    // design on it makes sampling one mat-vec, and the phase table holds
-    // the grid's cos and sin.
-    Matrix score_design_;
-    Phase_table score_phases_;
+    // Scoring on the circularly-open score grid (see .cpp), built once by
+    // the stream a session copies and shared read-only by every copy.
+    std::shared_ptr<const Score_grid> score_grid_;
 };
 
 }  // namespace cellsync

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
@@ -199,6 +202,76 @@ TEST(StreamSession, StructuralMisuseThrows) {
         std::invalid_argument);
     EXPECT_THROW(session.open_stream(""), std::invalid_argument);
     EXPECT_THROW(Stream_session(nullptr, session_options(1)), std::invalid_argument);
+    EXPECT_EQ(session.stream_count(), 0u);
+
+    // A rejected batch opens no stream and appends nothing, and the next
+    // valid batch proceeds as if it had never been made.
+    const Vector& times = fixture().artifacts->times;
+    const auto batch = [](std::initializer_list<const char*> genes) {
+        std::vector<Stream_record> records;
+        for (const char* gene : genes) records.push_back({gene, 1.0, 1.0});
+        return records;
+    };
+    const auto expect_rejected = [&](std::size_t m, const std::vector<Stream_record>& records,
+                                     const std::string& why) {
+        const std::vector<std::string> labels = session.labels();
+        std::vector<std::size_t> observed;
+        for (const std::string& label : labels) {
+            observed.push_back(session.find_stream(label)->observed());
+        }
+        try {
+            session.append_timepoint(times[m], records);
+            ADD_FAILURE() << "accepted a batch with " << why;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+        }
+        EXPECT_EQ(session.stream_count(), labels.size());
+        EXPECT_EQ(session.labels(), labels);
+        for (std::size_t i = 0; i < labels.size(); ++i) {
+            EXPECT_EQ(session.find_stream(labels[i])->observed(), observed[i]) << labels[i];
+        }
+    };
+    const auto expect_accepted = [&](std::size_t m, const std::vector<Stream_record>& records) {
+        const std::vector<Stream_update> updates = session.append_timepoint(times[m], records);
+        ASSERT_EQ(updates.size(), records.size());
+        for (const Stream_update& update : updates) {
+            EXPECT_TRUE(update.error.empty()) << update.error;
+            EXPECT_EQ(update.observed, m + 1) << update.label;
+        }
+    };
+    // A label new to the session named twice, among other new labels.
+    expect_rejected(0, batch({"a", "b", "a", "c"}), "gene 'a' appears twice");
+    expect_accepted(0, batch({"a", "b", "c"}));
+    // A label the session knows, named twice.
+    expect_rejected(1, batch({"a", "b", "a"}), "gene 'a' appears twice");
+    expect_accepted(1, batch({"b", "a", "c"}));
+    // A new label named twice in a batch that opens other new labels and
+    // names known ones; a known label named twice after new ones; an empty
+    // label after new ones. None of the new labels may open.
+    expect_rejected(2, batch({"x", "a", "y", "b", "x"}), "gene 'x' appears twice");
+    expect_rejected(2, batch({"x", "c", "y", "c"}), "gene 'c' appears twice");
+    expect_rejected(2, batch({"x", "y", ""}), "empty gene name");
+    EXPECT_EQ(session.find_stream("x"), nullptr);
+    EXPECT_EQ(session.find_stream("y"), nullptr);
+    expect_accepted(2, batch({"c", "a", "b"}));
+
+    // A valid batch opens its new labels in record order. Streams start
+    // at the first grid time, so the two late ones fail their first
+    // append, each on its own.
+    const std::vector<Stream_update> mixed =
+        session.append_timepoint(times[3], batch({"a", "y", "b", "x", "c"}));
+    ASSERT_EQ(mixed.size(), 5u);
+    const std::vector<std::string> registered = {"a", "b", "c", "y", "x"};
+    EXPECT_EQ(session.labels(), registered);
+    for (const std::size_t r : {0u, 2u, 4u}) {
+        EXPECT_TRUE(mixed[r].error.empty()) << mixed[r].error;
+        EXPECT_EQ(mixed[r].observed, 4u) << mixed[r].label;
+    }
+    for (const std::size_t r : {1u, 3u}) {
+        EXPECT_NE(mixed[r].error.find("expected the measurement at t=0"), std::string::npos)
+            << mixed[r].error;
+        EXPECT_EQ(mixed[r].observed, 0u) << mixed[r].label;
+    }
 }
 
 TEST(StreamSession, ConvergenceRollupCountsStreams) {

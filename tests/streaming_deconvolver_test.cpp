@@ -133,6 +133,7 @@ TEST(StreamingDeconvolver, FailedAppendRollsBackAndStreamRecovers) {
     const Single_cell_estimate batch = deconvolver.estimate(series, batch_options());
 
     Streaming_deconvolver stream(fixture().artifacts, series.label, stream_options());
+    Streaming_deconvolver reference(fixture().artifacts, series.label, stream_options());
     for (std::size_t m = 0; m < series.size(); ++m) {
         if (m == 4) {
             // Wrong grid time, bad sigma, non-finite value: each rejected
@@ -147,19 +148,77 @@ TEST(StreamingDeconvolver, FailedAppendRollsBackAndStreamRecovers) {
                          std::invalid_argument);
             EXPECT_EQ(stream.observed(), 4u);
             // 1.7e308 passes those checks, but the QP optimum overflows:
-            // the solve throws after the rank-one update, which must be
-            // undone bit for bit, also when the next append fails too.
+            // the solve throws after the rank-one update, which must leave
+            // the reduced objective bit for bit as it was, also when the
+            // next append fails too.
             EXPECT_THROW(stream.append(series.times[m], 1.7e308, 1.0), std::runtime_error);
             EXPECT_THROW(stream.append(series.times[m], -1.7e308, 1.0), std::runtime_error);
             EXPECT_EQ(stream.observed(), 4u);
         }
         stream.append(series.times[m], series.values[m], series.sigmas[m]);
+        // Every later mid-stream estimate equals that of a stream that
+        // never saw the failures.
+        reference.append(series.times[m], series.values[m], series.sigmas[m]);
+        EXPECT_EQ(stream.current().coefficients(), reference.current().coefficients())
+            << "after " << m + 1 << " appends";
     }
     const Vector& a = batch.coefficients();
     const Vector& b = stream.current().coefficients();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i], b[i]) << "coefficient " << i;
+    }
+}
+
+TEST(StreamingDeconvolver, FailedCompletingAppendRollsBackAndRetryMatchesBatch) {
+    // The append that completes the series solves its own blocks. A
+    // failed solve there must leave the stream one short of complete,
+    // holding the previous estimate and convergence state, and the retry
+    // must still equal the batch estimate bit for bit.
+    const Deconvolver deconvolver(fixture().artifacts);
+    for (const Measurement_series& series : identity_series()) {
+        SCOPED_TRACE(series.label);
+        const Single_cell_estimate batch = deconvolver.estimate(series, batch_options());
+        Streaming_deconvolver stream(fixture().artifacts, series.label, stream_options());
+        const std::size_t last = series.size() - 1;
+        for (std::size_t m = 0; m < last; ++m) {
+            stream.append(series.times[m], series.values[m], series.sigmas[m]);
+        }
+        const Single_cell_estimate before = stream.current();
+        const double coefficient_delta = stream.last_coefficient_delta();
+        const double score_delta = stream.last_score_delta();
+        const double order = stream.order_parameter();
+        const bool converged = stream.converged();
+
+        EXPECT_THROW(stream.append(series.times[last], 1.7e308, 1.0), std::runtime_error);
+        EXPECT_THROW(stream.append(series.times[last], -1.7e308, 1.0), std::runtime_error);
+        EXPECT_EQ(stream.observed(), last);
+        EXPECT_FALSE(stream.complete());
+        EXPECT_EQ(stream.stats().updates, last);
+        EXPECT_EQ(stream.current().coefficients(), before.coefficients());
+        EXPECT_EQ(stream.current().fitted, before.fitted);
+        EXPECT_EQ(stream.current().chi_squared, before.chi_squared);
+        EXPECT_EQ(stream.current().objective, before.objective);
+        EXPECT_EQ(stream.last_coefficient_delta(), coefficient_delta);
+        EXPECT_EQ(stream.last_score_delta(), score_delta);
+        EXPECT_EQ(stream.order_parameter(), order);
+        EXPECT_EQ(stream.converged(), converged);
+        EXPECT_EQ(stream.observed_series().values.size(), last);
+
+        stream.append(series.times[last], series.values[last], series.sigmas[last]);
+        ASSERT_TRUE(stream.complete());
+        const Single_cell_estimate& final = stream.current();
+        const Vector& a = batch.coefficients();
+        const Vector& b = final.coefficients();
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i], b[i]) << "coefficient " << i;
+        }
+        EXPECT_EQ(batch.chi_squared, final.chi_squared);
+        EXPECT_EQ(batch.roughness, final.roughness);
+        EXPECT_EQ(batch.objective, final.objective);
+        EXPECT_EQ(batch.qp_iterations, final.qp_iterations);
+        EXPECT_EQ(batch.active_constraints, final.active_constraints);
     }
 }
 

@@ -759,17 +759,27 @@ int cmd_stream(const Cli_options& cli) {
     int failures = 0;
     bool stopped_early = false;
     std::size_t timepoints = 0;
+    std::vector<Stream_record> updates_in;
     for (;;) {
-        const std::vector<Expression_record> batch =
+        std::vector<Expression_record> batch =
             naming_input(cli.input, [&] { return records.next_timepoint(); });
         if (batch.empty()) break;
         const double t = batch.front().time;
-        std::vector<Stream_record> updates_in;
-        updates_in.reserve(batch.size());
-        for (const Expression_record& record : batch) {
-            updates_in.push_back({record.gene, record.value, record.sigma});
+        updates_in.clear();
+        for (Expression_record& record : batch) {
+            updates_in.push_back({std::move(record.gene), record.value, record.sigma});
         }
-        const std::vector<Stream_update> updates = session.append_timepoint(t, updates_in);
+        // A batch the session rejects (a gene twice at one time) names the
+        // log and the timepoint.
+        const std::vector<Stream_update> updates = naming_input(cli.input, [&] {
+            try {
+                return session.append_timepoint(t, updates_in);
+            } catch (const std::exception& e) {
+                char time[32];
+                std::snprintf(time, sizeof(time), "%g", t);
+                throw std::runtime_error("t=" + std::string(time) + ": " + e.what());
+            }
+        });
         ++timepoints;
 
         double max_delta = 0.0;
@@ -802,23 +812,32 @@ int cmd_stream(const Cli_options& cli) {
                 timepoints, records.record_count(), solve_stats.updates);
 
     // Final per-gene summary + profile CSV (lambda comments included, so
-    // `report --json` can carry the smoothness weight forward), its rows
-    // formatted on the session's pool.
+    // `report --json` can carry the smoothness weight forward). The
+    // profiles are one `profiles` batch on the session's pool and the
+    // rows are formatted there too; the columns go in registration order.
     const Vector grid = experiment_output_phi();
     const Matrix design = session.artifacts().basis->design_matrix(grid);
+    std::vector<const Streaming_deconvolver*> estimated;
+    for (const std::string& label : session.labels()) {
+        const Streaming_deconvolver* stream = session.find_stream(label);
+        if (stream->has_estimate()) estimated.push_back(stream);
+    }
+    std::vector<Vector> profiles(estimated.size());
+    session.parallel_for("profiles", estimated.size(), [&](std::size_t g) {
+        profiles[g] = design * estimated[g]->current().coefficients();
+    });
     Profile_csv file;
     file.path = cli.output.empty() ? "streamed.csv" : cli.output;
     file.table.add_column("phi", grid);
     std::printf("  %-16s %-9s %-10s %-8s %-10s\n", "gene", "observed", "converged",
                 "order", "lambda");
-    for (const std::string& label : session.labels()) {
-        const Streaming_deconvolver& stream = *session.find_stream(label);
-        if (!stream.has_estimate()) continue;
-        std::printf("  %-16s %zu/%-7zu %-10s %-8.3f %-10.3e\n", label.c_str(),
+    for (std::size_t g = 0; g < estimated.size(); ++g) {
+        const Streaming_deconvolver& stream = *estimated[g];
+        std::printf("  %-16s %zu/%-7zu %-10s %-8.3f %-10.3e\n", stream.label().c_str(),
                     stream.observed(), times.size(), stream.converged() ? "yes" : "no",
                     stream.order_parameter(), stream.options().lambda);
-        file.table.add_column(label, design * stream.current().coefficients());
-        file.lambdas.emplace_back(label, stream.options().lambda);
+        file.table.add_column(stream.label(), std::move(profiles[g]));
+        file.lambdas.emplace_back(stream.label(), stream.options().lambda);
     }
     if (!file.lambdas.empty()) {
         format_profile_csvs({&file, 1}, session);
