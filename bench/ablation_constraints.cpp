@@ -2,7 +2,9 @@
 //
 // Sweeps estimator variants — unconstrained ridge, +positivity,
 // +RNA-conservation, +rate-continuity (the 2011 addition) — across noise
-// levels, averaging recovery error over noise realizations.
+// levels, averaging recovery error over noise realizations. Each variant
+// is its own design: a design fixes the constraint geometry it solves
+// under.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -18,8 +20,7 @@ int main() {
     Experiment_defaults defaults;
     const Smooth_volume_model volume;
     const Kernel_grid kernel = default_kernel(defaults, volume);
-    const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(defaults.basis_size),
-                                  kernel, defaults.cell_cycle);
+    const auto basis = std::make_shared<Natural_spline_basis>(defaults.basis_size);
     const Gene_profile truth = ftsz_like_profile();
 
     struct Variant {
@@ -38,6 +39,12 @@ int main() {
     std::printf("\n");
 
     for (const Variant& variant : variants) {
+        Deconvolution_options options;
+        options.constraints.positivity = variant.positivity;
+        options.constraints.conservation = variant.conservation;
+        options.constraints.rate_continuity = variant.rate;
+        const Deconvolver deconvolver(
+            make_design_artifacts(basis, kernel, defaults.cell_cycle, options.constraints));
         std::printf("  %-20s", variant.name);
         for (double level : {0.0, 0.05, 0.10, 0.20}) {
             double total = 0.0;
@@ -51,10 +58,6 @@ int main() {
                     data = forward_measurements_noisy(
                         kernel, truth.f, {Noise_type::relative_gaussian, level}, rng);
                 }
-                Deconvolution_options options;
-                options.constraints.positivity = variant.positivity;
-                options.constraints.conservation = variant.conservation;
-                options.constraints.rate_continuity = variant.rate;
                 const Single_cell_estimate estimate =
                     deconvolve_cv(deconvolver, data, defaults, options);
                 total += score_recovery(estimate, truth.f).nrmse;

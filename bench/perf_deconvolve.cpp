@@ -12,6 +12,7 @@
 
 #include "biology/gene_profiles.h"
 #include "core/batch.h"
+#include "core/constraints.h"
 #include "core/cross_validation.h"
 #include "core/forward_model.h"
 #include "core/telemetry.h"
@@ -153,16 +154,19 @@ Vector cold_estimate(const Deconvolver& deconvolver, const Measurement_series& s
         w_sub[r] = w_full[rows[r]];
     }
 
-    const Design_artifacts fresh = with_constraints(*deconvolver.artifacts(), options.constraints);
+    const Constraint_set constraints =
+        build_constraints(deconvolver.basis(), deconvolver.config(), options.constraints);
+    const Qp_constraint_prep prep(n, constraints.equality, constraints.equality_rhs,
+                                  constraints.inequality, constraints.inequality_rhs);
+    const Reduced_objective reduced_penalty =
+        prep.reduce_objective(2.0 * deconvolver.penalty(), Vector(n, 0.0));
     const Estimator_objective objective =
         estimator_objective(weighted_gram(k_sub, w_sub),
                             transposed_times(k_sub, hadamard(w_sub, g_sub)),
                             deconvolver.penalty(), 0.0);
-    const Reduced_objective blocks =
-        fresh.constraint_prep->reduce_objective(objective.hessian, objective.gradient);
+    const Reduced_objective blocks = prep.reduce_objective(objective.hessian, objective.gradient);
     return solve_qp_dual_prepared(
-               reduced_estimator_objective(blocks, fresh.reduced_penalty, options.lambda),
-               *fresh.constraint_prep)
+               reduced_estimator_objective(blocks, reduced_penalty, options.lambda), prep)
         .x;
 }
 

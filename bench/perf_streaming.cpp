@@ -12,6 +12,9 @@
 // Both times, their ratio and the identity are written into
 // BENCH_streaming.json; CI asserts the identity.
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
@@ -211,21 +214,38 @@ void bm_session_open(benchmark::State& state) {
     }
 }
 
-/// Session fan-out: one timepoint batch across the whole panel.
+/// The barrier a `stream` run crosses per timepoint: one mid-series
+/// timepoint (grid row 6 of 13, t = 90 min) across 192 streams, the
+/// fixture's panel cycled under distinct labels. The session, its stream
+/// opens and the earlier timepoints are set up, and the session torn
+/// down, outside the timed region.
 void bm_session_timepoint(benchmark::State& state) {
+    constexpr std::size_t streams = 192;
+    constexpr std::size_t timed_row = 6;
     const Streaming_fixture& fix = fixture();
     Stream_session_options options;
     options.threads = static_cast<std::size_t>(state.range(0));
     options.stream = stream_options();
+    // records[m]: every stream's record at grid row m.
+    std::vector<std::vector<Stream_record>> records(timed_row + 1);
+    for (std::size_t g = 0; g < streams; ++g) {
+        const Measurement_series& series = fix.panel[g % fix.panel.size()];
+        const std::string label = "gene" + std::to_string(g);
+        for (std::size_t m = 0; m <= timed_row; ++m) {
+            records[m].push_back({label, series.values[m], series.sigmas[m]});
+        }
+    }
+    const Vector& times = fix.artifacts->times;
+    std::optional<Stream_session> session;
     for (auto _ : state) {
         state.PauseTiming();
-        Stream_session session(fix.artifacts, options);
-        std::vector<Stream_record> records;
-        for (const Measurement_series& series : fix.panel) {
-            records.push_back({series.label, series.values[0], series.sigmas[0]});
+        session.reset();
+        session.emplace(fix.artifacts, options);
+        for (std::size_t m = 0; m < timed_row; ++m) {
+            session->append_timepoint(times[m], records[m]);
         }
         state.ResumeTiming();
-        const auto updates = session.append_timepoint(fix.artifacts->times[0], records);
+        const auto updates = session->append_timepoint(times[timed_row], records[timed_row]);
         benchmark::DoNotOptimize(updates.data());
     }
 }

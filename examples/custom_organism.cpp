@@ -55,13 +55,15 @@ int main() {
     const Kernel_grid kernel = build_kernel(organism, volume, linspace(0.0, 60.0, 12));
     const Measurement_series data = forward_measurements(kernel, truth.f, "reporter");
 
-    const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(14), kernel,
-                                  organism);
-    Deconvolution_options options;
     // The Caulobacter division-balance constraints assume the 40/60
-    // asymmetric split; a symmetric divider keeps positivity only.
+    // asymmetric split; a symmetric divider keeps positivity only. The
+    // constraints are part of the organism model, so the design is built
+    // for them.
+    Deconvolution_options options;
     options.constraints.conservation = false;
     options.constraints.rate_continuity = false;
+    const Deconvolver deconvolver(make_design_artifacts(
+        std::make_shared<Natural_spline_basis>(14), kernel, organism, options.constraints));
     const Lambda_selection sel = select_lambda_kfold(deconvolver, data, options,
                                                      default_lambda_grid(11, 1e-6, 1e0), 4);
     options.lambda = sel.best_lambda;

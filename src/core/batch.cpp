@@ -30,10 +30,9 @@ std::string labeled_task_error(const std::string& label, const std::exception& e
     return "gene '" + shown + "' [" + exception_type_name(e) + "]: " + e.what();
 }
 
-Batch_options resolve_batch_options(const Design_artifacts& artifacts,
+Batch_options resolve_batch_options(const Design_artifacts& /*artifacts*/,
                                     const Batch_options& options) {
     Batch_options resolved = options;
-    resolved.deconvolution.constraints = artifacts.constraint_options;
     if (resolved.lambda_grid.empty()) resolved.lambda_grid = default_lambda_grid();
     return resolved;
 }

@@ -48,11 +48,12 @@ std::string exception_type_name(const std::exception& e);
 /// failure string stored in Batch_entry::error and Stream_update::error.
 std::string labeled_task_error(const std::string& label, const std::exception& e);
 
-/// Normalize batch options against a design: pin the constraint geometry
-/// to the artifacts' (so the design's cached constraint blocks are always
-/// the ones used) and resolve an empty lambda_grid to
-/// default_lambda_grid(). The experiment runner normalizes through this
-/// before spawning per-gene tasks.
+/// Normalize batch options: resolve an empty lambda_grid to
+/// default_lambda_grid(). The design is not read; the signature stays
+/// because e2ebench/replay.cpp calls it. The constraint geometry passes
+/// through, so options naming another geometry than the design's make
+/// each deconvolve_one report the geometry error. The experiment runner
+/// normalizes through this before spawning per-gene tasks.
 Batch_options resolve_batch_options(const Design_artifacts& artifacts,
                                     const Batch_options& options);
 

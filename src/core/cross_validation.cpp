@@ -68,6 +68,7 @@ Kfold_setup kfold_setup(const Deconvolver& deconvolver, const Measurement_series
     for (const double lambda : lambda_grid) {
         if (lambda < 0.0) throw std::invalid_argument("Deconvolver: lambda must be >= 0");
     }
+    check_constraint_geometry(*deconvolver.artifacts(), base_options.constraints);
     folds = std::min(folds, m);
 
     const std::vector<std::size_t> perm = kfold_permutation(m, seed);
@@ -90,8 +91,7 @@ Kfold_setup kfold_setup(const Deconvolver& deconvolver, const Measurement_series
             {std::move(test),
              deconvolver.reduce_blocks(
                  weighted_gram_rows(kernel, train, w_train),
-                 weighted_transposed_times_rows(kernel, train, w_train, g_train),
-                 base_options.constraints)});
+                 weighted_transposed_times_rows(kernel, train, w_train, g_train))});
     }
     return setup;
 }

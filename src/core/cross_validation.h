@@ -37,9 +37,10 @@ Vector default_lambda_grid(std::size_t count = 15, double lo = 1e-7, double hi =
 /// fitted on the remaining rows with the full constrained estimator; the
 /// score is the weighted held-out squared error, +inf for a lambda whose
 /// constrained fit fails. `folds` is clamped to the measurement count
-/// (leave-one-out at the limit). Throws std::invalid_argument for folds < 2,
-/// an empty grid, a negative grid lambda, fewer than 3 measurements, or a
-/// series that does not match the kernel time grid.
+/// (leave-one-out at the limit). Throws std::invalid_argument, before any
+/// fit, for folds < 2, an empty grid, a negative grid lambda, fewer than 3
+/// measurements, a series off the kernel time grid, or constraints other
+/// than the design's. e2ebench/replay.cpp compiles against it.
 Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
                                      const Measurement_series& series,
                                      const Deconvolution_options& base_options,

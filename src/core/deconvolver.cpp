@@ -154,34 +154,25 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
     return est;
 }
 
-const Design_artifacts& Deconvolver::design_for(const Constraint_options& constraints,
-                                                std::optional<Design_artifacts>& rebuilt) const {
-    if (constraints == artifacts_->constraint_options) return *artifacts_;
-    return rebuilt.emplace(with_constraints(*artifacts_, constraints));
-}
-
-Reduced_objective Deconvolver::reduce_blocks(const Matrix& ktwk, const Vector& ktwg,
-                                             const Constraint_options& constraints) const {
-    std::optional<Design_artifacts> rebuilt;
-    const Design_artifacts& design = design_for(constraints, rebuilt);
-    const Estimator_objective objective = estimator_objective(ktwk, ktwg, design.penalty, 0.0);
-    return design.constraint_prep->reduce_objective(objective.hessian, objective.gradient);
+Reduced_objective Deconvolver::reduce_blocks(const Matrix& ktwk, const Vector& ktwg) const {
+    const Estimator_objective objective =
+        estimator_objective(ktwk, ktwg, artifacts_->penalty, 0.0);
+    return artifacts_->constraint_prep->reduce_objective(objective.hessian, objective.gradient);
 }
 
 Qp_result Deconvolver::solve_reduced(const Reduced_objective& blocks,
                                      const Deconvolution_options& options) const {
-    std::optional<Design_artifacts> rebuilt;
-    const Design_artifacts& design = design_for(options.constraints, rebuilt);
+    check_constraint_geometry(*artifacts_, options.constraints);
     // The dual (Goldfarb-Idnani) solver: no feasible start needed and
     // robust on the dense, near-degenerate positivity grid.
     return solve_qp_dual_prepared(
-        reduced_estimator_objective(blocks, design.reduced_penalty, options.lambda),
-        *design.constraint_prep);
+        reduced_estimator_objective(blocks, artifacts_->reduced_penalty, options.lambda),
+        *artifacts_->constraint_prep);
 }
 
 Qp_result Deconvolver::solve_blocks(const Matrix& ktwk, const Vector& ktwg,
                                     const Deconvolution_options& options) const {
-    return solve_reduced(reduce_blocks(ktwk, ktwg, options.constraints), options);
+    return solve_reduced(reduce_blocks(ktwk, ktwg), options);
 }
 
 Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_series& series,

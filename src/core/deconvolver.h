@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "core/design.h"
 #include "io/measurement.h"
@@ -25,8 +24,10 @@ namespace cellsync {
 
 /// Estimation options.
 struct Deconvolution_options {
-    double lambda = 1e-3;            ///< smoothness weight (paper Eq 5)
-    Constraint_options constraints;  ///< which physical constraints to enforce
+    double lambda = 1e-3;  ///< smoothness weight (paper Eq 5)
+    /// The design's geometry: a solve under another throws. Kept only
+    /// because e2ebench/replay.cpp reads it.
+    Constraint_options constraints;
 };
 
 /// Tiny Tikhonov term added to every normal-equation system the
@@ -103,9 +104,9 @@ class Single_cell_estimate {
 ///
 /// All gene-independent state lives in an immutable Design_artifacts that
 /// can be shared across Deconvolver instances, the experiment runner, the
-/// streaming session, and threads. Estimation with constraint options
-/// matching the artifacts reuses the cached constraint blocks and their
-/// QP reduction; differing options fall back to a per-call rebuild.
+/// streaming session, and threads. The design fixes the constraint
+/// geometry: every constrained solve runs on its constraint blocks and
+/// their QP reduction, and other options.constraints are an error.
 class Deconvolver {
   public:
     /// Build fresh artifacts for the default constraint geometry.
@@ -134,7 +135,8 @@ class Deconvolver {
 
     /// Full constrained estimate (the paper's method).
     /// Throws std::invalid_argument if the series does not match the kernel
-    /// times; propagates QP failures as std::runtime_error.
+    /// times or options.constraints differ from the design's; propagates
+    /// QP failures as std::runtime_error.
     Single_cell_estimate estimate(const Measurement_series& series,
                                   const Deconvolution_options& options = {}) const;
 
@@ -153,25 +155,28 @@ class Deconvolver {
 
     /// The lambda-free half (A, b) of the reduced objective (see
     /// reduced_estimator_objective) for normal-equation blocks K'WK
-    /// (`ktwk`, n x n) and K'WG (`ktwg`, length n) under the constraint
-    /// geometry `constraints`. The k-fold CV sweep reduces each fold's
+    /// (`ktwk`, n x n) and K'WG (`ktwg`, length n) on the design's
+    /// constraint preparation. The k-fold CV sweep reduces each fold's
     /// blocks once for the whole lambda grid. Throws std::invalid_argument
     /// on a shape mismatch.
-    Reduced_objective reduce_blocks(const Matrix& ktwk, const Vector& ktwg,
-                                    const Constraint_options& constraints) const;
+    Reduced_objective reduce_blocks(const Matrix& ktwk, const Vector& ktwg) const;
 
-    /// The constrained QP at options.lambda over reduce_blocks' output for
-    /// options.constraints: forms the reduced objective
-    /// (reduced_estimator_objective), solves it (solve_qp_dual_prepared)
-    /// and returns the optimum as spline coefficients, with the reduced
-    /// problem's objective. Propagates QP failures as std::runtime_error.
+    /// The constrained QP at options.lambda over reduce_blocks' output:
+    /// forms the reduced objective (reduced_estimator_objective), solves
+    /// it (solve_qp_dual_prepared) and returns the optimum as spline
+    /// coefficients, with the reduced problem's objective. Every solve
+    /// that takes Deconvolution_options (estimates, CV fits and a stream's
+    /// completing solve) passes through here, and it first throws
+    /// std::invalid_argument when options.constraints differ from the
+    /// design's; a stream's mid-stream solves run on the design's
+    /// preparation directly. Propagates QP failures as std::runtime_error.
     Qp_result solve_reduced(const Reduced_objective& blocks,
                             const Deconvolution_options& options) const;
 
-    /// solve_reduced(reduce_blocks(ktwk, ktwg, options.constraints),
-    /// options): the solve behind estimate_on_rows and a stream's
-    /// completing solve. The k-fold CV sweep calls the same two halves, so
-    /// all of them agree bit for bit on equal blocks.
+    /// solve_reduced(reduce_blocks(ktwk, ktwg), options): the solve behind
+    /// estimate_on_rows and a stream's completing solve. The k-fold CV
+    /// sweep calls the same two halves, so all of them agree bit for bit
+    /// on equal blocks.
     Qp_result solve_blocks(const Matrix& ktwk, const Vector& ktwg,
                            const Deconvolution_options& options) const;
 
@@ -180,11 +185,6 @@ class Deconvolver {
     Matrix hat_matrix(const Measurement_series& series, double lambda) const;
 
   private:
-    /// The design a solve under `constraints` runs on: the bound artifacts,
-    /// or a copy rebuilt for other constraint options (the slow path) held
-    /// in `rebuilt`.
-    const Design_artifacts& design_for(const Constraint_options& constraints,
-                                       std::optional<Design_artifacts>& rebuilt) const;
     void check_series(const Measurement_series& series) const;
     Single_cell_estimate package(Vector alpha, const Measurement_series& series,
                                  double lambda) const;

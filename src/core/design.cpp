@@ -1,23 +1,21 @@
 #include "core/design.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace cellsync {
 
 namespace {
 
-/// The constraint-dependent fields of `artifacts`, from its basis, config
-/// and penalty.
-void build_constraint_geometry(Design_artifacts& artifacts,
-                               const Constraint_options& constraint_options) {
-    const std::size_t n = artifacts.basis->size();
-    artifacts.constraint_options = constraint_options;
-    artifacts.constraints = build_constraints(*artifacts.basis, artifacts.config, constraint_options);
-    artifacts.constraint_prep = std::make_shared<const Qp_constraint_prep>(
-        n, artifacts.constraints.equality, artifacts.constraints.equality_rhs,
-        artifacts.constraints.inequality, artifacts.constraints.inequality_rhs);
-    artifacts.reduced_penalty =
-        artifacts.constraint_prep->reduce_objective(2.0 * artifacts.penalty, Vector(n, 0.0));
+/// "{positivity on N points, conservation, rate continuity}", listing
+/// only the constraints `c` enforces, as operator== compares them.
+std::string describe(const Constraint_options& c) {
+    std::string out;
+    const auto add = [&out](const std::string& part) { out += (out.empty() ? "" : ", ") + part; };
+    if (c.positivity) add("positivity on " + std::to_string(c.positivity_points) + " points");
+    if (c.conservation) add("conservation");
+    if (c.rate_continuity) add("rate continuity");
+    return "{" + (out.empty() ? std::string("no constraints") : out) + "}";
 }
 
 }  // namespace
@@ -34,15 +32,24 @@ std::shared_ptr<const Design_artifacts> make_design_artifacts(
     artifacts->times = kernel.times();
     artifacts->kernel_matrix = kernel.basis_matrix(*artifacts->basis);
     artifacts->penalty = artifacts->basis->penalty_matrix();
-    build_constraint_geometry(*artifacts, constraint_options);
+    const std::size_t n = artifacts->basis->size();
+    artifacts->constraint_options = constraint_options;
+    artifacts->constraints = build_constraints(*artifacts->basis, config, constraint_options);
+    artifacts->constraint_prep = std::make_shared<const Qp_constraint_prep>(
+        n, artifacts->constraints.equality, artifacts->constraints.equality_rhs,
+        artifacts->constraints.inequality, artifacts->constraints.inequality_rhs);
+    artifacts->reduced_penalty =
+        artifacts->constraint_prep->reduce_objective(2.0 * artifacts->penalty, Vector(n, 0.0));
     return artifacts;
 }
 
-Design_artifacts with_constraints(const Design_artifacts& design,
-                                  const Constraint_options& constraint_options) {
-    Design_artifacts out = design;
-    build_constraint_geometry(out, constraint_options);
-    return out;
+void check_constraint_geometry(const Design_artifacts& design,
+                               const Constraint_options& constraints) {
+    if (constraints == design.constraint_options) return;
+    throw std::invalid_argument("Deconvolver: constraint geometry " + describe(constraints) +
+                                " differs from the design's " +
+                                describe(design.constraint_options) +
+                                "; build a design for it with make_design_artifacts");
 }
 
 }  // namespace cellsync

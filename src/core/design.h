@@ -41,16 +41,18 @@ struct Design_artifacts {
     Reduced_objective reduced_penalty;
 };
 
-/// Build the artifacts for one (basis, kernel, config, constraints) tuple.
-/// Throws std::invalid_argument on a null basis or invalid config.
+/// Build the artifacts for one (basis, kernel, config, constraints) tuple:
+/// every constrained solve on the design runs under `constraint_options`
+/// (e2ebench/replay.cpp compiles against this signature). Throws
+/// std::invalid_argument on a null basis or invalid config.
 std::shared_ptr<const Design_artifacts> make_design_artifacts(
     std::shared_ptr<const Natural_spline_basis> basis, const Kernel_grid& kernel,
     const Cell_cycle_config& config, const Constraint_options& constraint_options = {});
 
-/// Copy of `design` with its constraint blocks, their QP preparation and
-/// the reduced penalty rebuilt for `constraint_options`: the estimator's
-/// slow path for a geometry the design was not built for.
-Design_artifacts with_constraints(const Design_artifacts& design,
-                                  const Constraint_options& constraint_options);
+/// Throws std::invalid_argument, naming both geometries, unless
+/// `constraints` == design.constraint_options: a solve under another
+/// geometry needs a design built for it.
+void check_constraint_geometry(const Design_artifacts& design,
+                               const Constraint_options& constraints);
 
 }  // namespace cellsync

@@ -21,17 +21,17 @@ void Stream_convergence::validate() const {
     if (stable_updates == 0) {
         throw std::invalid_argument("Stream_convergence: stable_updates must be positive");
     }
-    if (score_points < 2) {
-        throw std::invalid_argument("Stream_convergence: score_points must be >= 2");
-    }
 }
 
 // Circularly-open scoring grid (phi = 1 aliases phi = 0 and must not be
-// double-counted), coarse by default — see Stream_convergence. The design
-// matrix on it turns each append's profile sampling into one small
-// mat-vec instead of per-point basis evaluation, and the phase table its
-// score into sums, with no sin or cos per append.
+// double-counted). The design matrix on it turns each append's profile
+// sampling into one small mat-vec instead of per-point basis evaluation,
+// and the phase table its score into sums, with no sin or cos per append.
 struct Streaming_deconvolver::Score_grid {
+    /// Coarser than the 201-point output grid on purpose: the score only
+    /// feeds the convergence delta, and sampling the profile is a large
+    /// share of the per-append cost.
+    static constexpr std::size_t points = 64;
     Matrix design;
     Phase_table phases;
 };
@@ -50,12 +50,11 @@ Streaming_deconvolver::Streaming_deconvolver(
     // Seed the reduced state with the objective of the still-empty
     // normal-equation state: H0 = 2 (lambda Omega + ridge I), g0 = 0.
     reduced_ = reduced_estimator_objective(
-        Deconvolver(artifacts_).reduce_blocks(Matrix(n, n), Vector(n, 0.0),
-                                              artifacts_->constraint_options),
+        Deconvolver(artifacts_).reduce_blocks(Matrix(n, n), Vector(n, 0.0)),
         artifacts_->reduced_penalty, options_.lambda);
     next_ = reduced_;
 
-    Vector score_phi = linspace(0.0, 1.0, options_.convergence.score_points + 1);
+    Vector score_phi = linspace(0.0, 1.0, Score_grid::points + 1);
     score_phi.pop_back();
     score_grid_ = std::make_shared<const Score_grid>(
         Score_grid{artifacts_->basis->design_matrix(score_phi), Phase_table(score_phi)});

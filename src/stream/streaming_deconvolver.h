@@ -47,15 +47,10 @@ struct Stream_convergence {
     double score_tol = 1e-3;         ///< synchrony order-parameter delta
     std::size_t stable_updates = 2;  ///< consecutive qualifying appends
     std::size_t min_observed = 4;    ///< appends before convergence can trigger
-    /// Circularly-open phase samples used for the order-parameter score.
-    /// Coarser than the 200-point reporting grid on purpose: the score
-    /// only feeds the convergence delta, and sampling the profile is a
-    /// large share of the per-append cost.
-    std::size_t score_points = 64;
 
     /// Throws std::invalid_argument for a negative or NaN tolerance (a
-    /// delta is an absolute value, so it could never qualify),
-    /// stable_updates == 0, or fewer than 2 score_points.
+    /// delta is an absolute value, so it could never qualify) or
+    /// stable_updates == 0.
     void validate() const;
 };
 

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
+#include "core/telemetry.h"
 #include "spline/spline_basis.h"
 
 namespace cellsync {
@@ -127,10 +132,10 @@ TEST_F(BatchTest, FixedLambdaPath) {
     }
 }
 
-TEST_F(BatchTest, ResolveBatchOptionsPinsDesignGeometryAndFillsGrid) {
-    // A design built for a non-default geometry applies it even when the
-    // per-call options carry defaults: no silent per-solve rebuild, no
-    // two-option-structs-out-of-sync trap.
+TEST_F(BatchTest, ResolveBatchOptionsFillsGridAndLeavesGeometryToTheDesign) {
+    // resolve_batch_options only fills the grid: the constraint geometry
+    // passes through, so default options on a design built for another
+    // geometry are reported per gene, not silently solved under either.
     Constraint_options geometry;
     geometry.rate_continuity = false;
     geometry.positivity_points = 61;
@@ -141,7 +146,7 @@ TEST_F(BatchTest, ResolveBatchOptionsPinsDesignGeometryAndFillsGrid) {
     options.select_lambda = false;
     options.deconvolution.lambda = 1e-3;
     const Batch_options resolved = resolve_batch_options(*deconvolver.artifacts(), options);
-    EXPECT_TRUE(resolved.deconvolution.constraints == geometry);
+    EXPECT_TRUE(resolved.deconvolution.constraints == Constraint_options{});
     EXPECT_EQ(resolved.lambda_grid, default_lambda_grid());
     // Everything else passes through.
     EXPECT_EQ(resolved.deconvolution.lambda, 1e-3);
@@ -154,16 +159,105 @@ TEST_F(BatchTest, ResolveBatchOptionsPinsDesignGeometryAndFillsGrid) {
     EXPECT_EQ(resolve_batch_options(*deconvolver.artifacts(), options).lambda_grid,
               options.lambda_grid);
 
-    // The resolved options estimate under the design's geometry.
     const Measurement_series series = gene_panel(*kernel_)[0];
     const Batch_entry entry =
         deconvolve_one(deconvolver, series, resolved.lambda_grid, resolved);
-    ASSERT_TRUE(entry.estimate.has_value()) << entry.error;
-    Deconvolution_options reference_options;
-    reference_options.lambda = 1e-3;
-    reference_options.constraints = geometry;
-    EXPECT_EQ(entry.estimate->coefficients(),
-              deconvolver.estimate(series, reference_options).coefficients());
+    EXPECT_FALSE(entry.estimate.has_value());
+    EXPECT_NE(entry.error.find("gene 'early-gene' [std::invalid_argument]: Deconvolver: "
+                               "constraint geometry {positivity on 101 points, conservation, "
+                               "rate continuity} differs from the design's {positivity on 61 "
+                               "points, conservation}"),
+              std::string::npos)
+        << entry.error;
+}
+
+TEST_F(BatchTest, SolveUnderAnotherGeometryIsRejectedBeforeAnyFit) {
+    // A design fixes its constraint geometry: a solve whose options name
+    // another one throws, naming both, and no QP runs. Both directions:
+    // default options on a rebuilt-geometry design, and the reverse.
+    Constraint_options other;
+    other.rate_continuity = false;
+    other.positivity_points = 41;
+    const Deconvolver other_design(make_design_artifacts(
+        std::make_shared<Natural_spline_basis>(12), *kernel_, Cell_cycle_config{}, other));
+    Deconvolution_options on_default;
+    on_default.lambda = 1e-3;
+    Deconvolution_options on_other = on_default;
+    on_other.constraints = other;
+    const std::string default_text = "{positivity on 101 points, conservation, rate continuity}";
+    const std::string other_text = "{positivity on 41 points, conservation}";
+
+    const Measurement_series series = gene_panel(*kernel_)[0];
+    const Vector grid = default_lambda_grid(5, 1e-5, 1e-1);
+    std::vector<std::size_t> rows(series.size());
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    const Vector w = series.weights();
+    const Matrix ktwk = weighted_gram(deconvolver_->kernel_matrix(), w);
+    const Vector ktwg =
+        transposed_times(deconvolver_->kernel_matrix(), hadamard(w, series.values));
+    const telemetry::Counter& solves = telemetry::counter("qp.active_set.solves");
+
+    struct Mismatch {
+        const Deconvolver& deconvolver;
+        const Deconvolution_options& options;
+        std::string asked, built;
+    };
+    for (const Mismatch& c : {Mismatch{*deconvolver_, on_other, other_text, default_text},
+                              Mismatch{other_design, on_default, default_text, other_text}}) {
+        const Deconvolver& d = c.deconvolver;
+        const std::vector<std::pair<const char*, std::function<void()>>> calls = {
+            {"estimate", [&] { d.estimate(series, c.options); }},
+            {"estimate_on_rows", [&] { d.estimate_on_rows(series, rows, c.options); }},
+            {"solve_blocks", [&] { d.solve_blocks(ktwk, ktwg, c.options); }},
+            {"select_lambda_kfold", [&] { select_lambda_kfold(d, series, c.options, grid); }},
+            {"best_lambda_kfold", [&] { best_lambda_kfold(d, series, c.options, grid); }},
+        };
+        const std::uint64_t solves_before = solves.value();
+        for (const auto& [name, call] : calls) {
+            try {
+                call();
+                ADD_FAILURE() << name << " solved under " << c.asked << " on a design built for "
+                              << c.built;
+            } catch (const std::invalid_argument& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("constraint geometry " + c.asked), std::string::npos)
+                    << name << ": " << what;
+                EXPECT_NE(what.find("the design's " + c.built), std::string::npos)
+                    << name << ": " << what;
+            }
+        }
+        EXPECT_EQ(solves.value(), solves_before) << "a QP ran before the rejection";
+
+        // deconvolve_one reports it as the gene's labeled error, with or
+        // without lambda selection.
+        for (const bool select_lambda : {true, false}) {
+            Batch_options options;
+            options.deconvolution = c.options;
+            options.select_lambda = select_lambda;
+            const Batch_entry entry = deconvolve_one(d, series, grid, options);
+            EXPECT_FALSE(entry.estimate.has_value());
+            EXPECT_NE(entry.error.find("gene 'early-gene' [std::invalid_argument]: "
+                                       "Deconvolver: constraint geometry " +
+                                       c.asked),
+                      std::string::npos)
+                << entry.error;
+        }
+    }
+
+    // Geometries equal under Constraint_options::operator== are one
+    // geometry: with positivity off, positivity_points is not part of it.
+    Constraint_options free;
+    free.positivity = false;
+    free.conservation = false;
+    free.rate_continuity = false;
+    const Deconvolver free_design(make_design_artifacts(
+        std::make_shared<Natural_spline_basis>(12), *kernel_, Cell_cycle_config{}, free));
+    Deconvolution_options on_free = on_default;
+    on_free.constraints = free;
+    Deconvolution_options on_free_other_points = on_free;
+    on_free_other_points.constraints.positivity_points = 41;
+    EXPECT_EQ(free_design.estimate(series, on_free_other_points).coefficients(),
+              free_design.estimate(series, on_free).coefficients());
 }
 
 TEST(PeakOrdering, GridValidation) {

@@ -30,19 +30,49 @@ class CrossValidationTest : public ::testing::Test {
                                                linspace(0.0, 180.0, 13), options));
         deconvolver_ = new Deconvolver(std::make_shared<Natural_spline_basis>(12), *kernel_,
                                        Cell_cycle_config{});
+        rebuilt_deconvolver_ = new Deconvolver(
+            make_design_artifacts(std::make_shared<Natural_spline_basis>(12), *kernel_,
+                                  Cell_cycle_config{}, rebuilt().constraints));
     }
     static void TearDownTestSuite() {
+        delete rebuilt_deconvolver_;
         delete deconvolver_;
         delete kernel_;
+        rebuilt_deconvolver_ = nullptr;
         deconvolver_ = nullptr;
         kernel_ = nullptr;
     }
+
+    /// The second geometry the sweep tests run.
+    static const Deconvolution_options& rebuilt() {
+        static const Deconvolution_options options = [] {
+            Deconvolution_options o;
+            o.constraints.rate_continuity = false;
+            o.constraints.positivity_points = 41;
+            return o;
+        }();
+        return options;
+    }
+
+    /// Each (deconvolver, options) pair a sweep test runs: the default
+    /// geometry, then rebuilt() on a second design built for it.
+    struct Geometry {
+        const Deconvolver& deconvolver;
+        const Deconvolution_options& options;
+    };
+    static std::vector<Geometry> geometries() {
+        static const Deconvolution_options defaults;
+        return {{*deconvolver_, defaults}, {*rebuilt_deconvolver_, rebuilt()}};
+    }
+
     static Kernel_grid* kernel_;
     static Deconvolver* deconvolver_;
+    static Deconvolver* rebuilt_deconvolver_;
 };
 
 Kernel_grid* CrossValidationTest::kernel_ = nullptr;
 Deconvolver* CrossValidationTest::deconvolver_ = nullptr;
+Deconvolver* CrossValidationTest::rebuilt_deconvolver_ = nullptr;
 
 TEST(LambdaGrid, DefaultGridIsLogSpaced) {
     const Vector grid = default_lambda_grid();
@@ -176,19 +206,13 @@ TEST_F(CrossValidationTest, SweepMatchesPerFitPathBitForBit) {
         forward_measurements_noisy(*kernel_, sinusoid_profile(3.0, 2.0).f, noise, rng);
     const Vector grid = default_lambda_grid(15, 1e-7, 1e1);
 
-    // The design's own constraint geometry (cached prep), then another one
-    // (the prep rebuilt per fit).
-    Deconvolution_options rebuilt;
-    rebuilt.constraints.rate_continuity = false;
-    rebuilt.constraints.positivity_points = 41;
     for (const Measurement_series& data : {pulse, sinusoid}) {
-        for (const Deconvolution_options& options : {Deconvolution_options{}, rebuilt}) {
-            const Lambda_selection sel =
-                select_lambda_kfold(*deconvolver_, data, options, grid, 5);
+        for (const auto& [deconvolver, options] : geometries()) {
+            const Lambda_selection sel = select_lambda_kfold(deconvolver, data, options, grid, 5);
             ASSERT_EQ(sel.scores.size(), grid.size());
             for (std::size_t li = 0; li < grid.size(); ++li) {
                 EXPECT_EQ(sel.scores[li],
-                          per_fit_score(*deconvolver_, data, options, grid[li], 5, 77))
+                          per_fit_score(deconvolver, data, options, grid[li], 5, 77))
                     << "lambda " << grid[li];
             }
         }
@@ -257,9 +281,6 @@ TEST_F(CrossValidationTest, BestLambdaMatchesTheFullSweep) {
     // decade around a previous pick) and the smallest grid.
     const std::vector<Vector> grids = {default_lambda_grid(), default_lambda_grid(7, 1e-4, 1e-2),
                                        default_lambda_grid(2, 1e-5, 1e-1)};
-    Deconvolution_options rebuilt;
-    rebuilt.constraints.rate_continuity = false;
-    rebuilt.constraints.positivity_points = 41;
 
     std::size_t interior_picks = 0;
     for (const Gene_profile& profile : profiles) {
@@ -269,12 +290,10 @@ TEST_F(CrossValidationTest, BestLambdaMatchesTheFullSweep) {
                 forward_measurements_noisy(*kernel_, profile.f, noise, rng);
             for (const Vector& grid : grids) {
                 for (const std::size_t folds : {2u, 5u, 13u}) {
-                    // The design's own constraint geometry, then a rebuilt one.
-                    for (const Deconvolution_options& options :
-                         {Deconvolution_options{}, rebuilt}) {
+                    for (const auto& [deconvolver, options] : geometries()) {
                         const Lambda_selection sel =
-                            select_lambda_kfold(*deconvolver_, data, options, grid, folds);
-                        EXPECT_EQ(best_lambda_kfold(*deconvolver_, data, options, grid, folds),
+                            select_lambda_kfold(deconvolver, data, options, grid, folds);
+                        EXPECT_EQ(best_lambda_kfold(deconvolver, data, options, grid, folds),
                                   sel.best_lambda)
                             << profile.name << " seed " << noise_seed << ", " << grid.size()
                             << " points, " << folds << " folds";

@@ -30,6 +30,14 @@ struct Shared {
                                    Cell_cycle_config{});
         return d;
     }
+    /// A deconvolver on the shared kernel whose design is built for the
+    /// geometry of `options`: a design fixes the constraints it solves
+    /// under.
+    static Deconvolver for_options(const Deconvolution_options& options) {
+        return Deconvolver(make_design_artifacts(std::make_shared<Natural_spline_basis>(14),
+                                                 kernel(), Cell_cycle_config{},
+                                                 options.constraints));
+    }
     static const Measurement_series& data() {
         static const Measurement_series m = [] {
             Rng rng(44);
@@ -73,7 +81,8 @@ TEST_P(ConstraintCombos, EstimateHonorsEveryEnabledConstraint) {
     options.constraints.conservation = conservation;
     options.constraints.rate_continuity = rate;
 
-    const Single_cell_estimate est = Shared::deconvolver().estimate(Shared::data(), options);
+    const Single_cell_estimate est =
+        Shared::for_options(options).estimate(Shared::data(), options);
     EXPECT_TRUE(all_finite(est.coefficients()));
 
     if (positivity) {
@@ -109,8 +118,9 @@ TEST_P(ConstraintCombos, AddingConstraintsNeverImprovesTheObjective) {
     free.constraints.rate_continuity = false;
 
     const double obj_constrained =
-        Shared::deconvolver().estimate(Shared::data(), constrained).objective;
-    const double obj_free = Shared::deconvolver().estimate(Shared::data(), free).objective;
+        Shared::for_options(constrained).estimate(Shared::data(), constrained).objective;
+    const double obj_free =
+        Shared::for_options(free).estimate(Shared::data(), free).objective;
     EXPECT_GE(obj_constrained, obj_free - 1e-8)
         << "a feasible-set restriction cannot lower the optimum";
 }

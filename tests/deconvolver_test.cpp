@@ -30,6 +30,13 @@ class DeconvolverTest : public ::testing::Test {
         deconvolver_ = new Deconvolver(*basis_, *kernel_, *config_);
     }
 
+    /// A deconvolver on the shared basis and kernel whose design is built
+    /// for `geometry`: a design fixes the constraint geometry it solves
+    /// under.
+    static Deconvolver geometry_deconvolver(const Constraint_options& geometry) {
+        return Deconvolver(make_design_artifacts(*basis_, *kernel_, *config_, geometry));
+    }
+
     static void TearDownTestSuite() {
         delete deconvolver_;
         delete basis_;
@@ -67,7 +74,8 @@ TEST_F(DeconvolverTest, RecoversConstantProfileExactly) {
     Deconvolution_options options;
     options.lambda = 1e-3;
     options.constraints.rate_continuity = false;
-    const Single_cell_estimate est = deconvolver_->estimate(data, options);
+    const Single_cell_estimate est =
+        geometry_deconvolver(options.constraints).estimate(data, options);
     for (double phi = 0.0; phi <= 1.0; phi += 0.05) {
         EXPECT_NEAR(est(phi), 4.0, 0.02) << "phi=" << phi;
     }
@@ -183,7 +191,8 @@ TEST_F(DeconvolverTest, UnconstrainedMatchesConstrainedWhenConstraintsInactive) 
     options.constraints.positivity = false;
     options.constraints.conservation = false;
     options.constraints.rate_continuity = false;
-    const Single_cell_estimate qp = deconvolver_->estimate(data, options);
+    const Single_cell_estimate qp =
+        geometry_deconvolver(options.constraints).estimate(data, options);
     const Single_cell_estimate ridge =
         deconvolver_->estimate_unconstrained(data, options.lambda);
     EXPECT_LT(norm_inf(qp.coefficients() - ridge.coefficients()), 1e-6);

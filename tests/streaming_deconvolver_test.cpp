@@ -292,10 +292,6 @@ TEST(StreamingDeconvolver, ConstructionValidation) {
     bad_stable.convergence.stable_updates = 0;
     EXPECT_THROW(Streaming_deconvolver(fixture().artifacts, "x", bad_stable),
                  std::invalid_argument);
-    Stream_options bad_score = stream_options();
-    bad_score.convergence.score_points = 1;
-    EXPECT_THROW(Streaming_deconvolver(fixture().artifacts, "x", bad_score),
-                 std::invalid_argument);
     Stream_options bad_coef_tol = stream_options();
     bad_coef_tol.convergence.coefficient_tol = -1.0;
     EXPECT_THROW(Streaming_deconvolver(fixture().artifacts, "x", bad_coef_tol),
